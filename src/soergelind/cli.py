@@ -24,8 +24,8 @@ from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
 from .hecke import kl_basis
 from .homotopy import k0_class
-from .induction import (calibrate_shift, make_setup, induce,
-                        verify_induced_class, run_corpus)
+from .induction import (CALIBRATION_SYSTEMS, DEFAULT_RECORD, calibrate_shift,
+                        make_setup, induce, verify_induced_class, run_corpus)
 from .serialize import dump_json
 
 __all__ = ['main', 'build_parser', 'parse_word']
@@ -131,8 +131,17 @@ def cmd_indw(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    if args.cache_dir:
+        # calibration runs on the full catalogs of these root systems:
+        # load them from the cache directory, or store them there
+        for family, rank in CALIBRATION_SYSTEMS:
+            make_setup(family, rank, (), args.cache_dir)
     record = calibrate_shift()
     print(f'calibration: shift={record.shift} sign={record.sign}')
+    if record != DEFAULT_RECORD:
+        raise CalibrationError(
+            f"calibration gives {record}, but the sweep induces with "
+            f"{DEFAULT_RECORD}")
     results = run_corpus(args.corpus, jobs=args.jobs,
                          cache_dir=args.cache_dir)
     names = {'induced': 'induced classes', 'base': 'base cases',

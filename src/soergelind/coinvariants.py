@@ -115,11 +115,6 @@ class CoinvariantAlgebra:
             raise IncompatibilityError("element is not homogeneous")
         return [comp.get(m, Fraction(0)) for m in self.basis_monomials(algdeg)]
 
-    def from_coords(self, coords, algdeg: int) -> Polynomial:
-        basis = self.basis_monomials(algdeg)
-        return Polynomial(self.ring.n,
-                          {m: c for m, c in zip(basis, coords)})
-
     # -- group action and Demazure operators ------------------------
 
     def _check_generator(self, i: int) -> None:

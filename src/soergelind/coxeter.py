@@ -18,21 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConfigurationError, IncompatibilityError
 
 __all__ = [
     'RootSystem', 'WeylElement', 'ParabolicDatum', 'build_root_system',
-    'enumerate_group', 'length_distribution', 'bruhat_leq',
-    'reduced_words', 'admissible_chain', 'admissible_chains',
+    'enumerate_group', 'admissible_chain', 'admissible_chains',
     'build_parabolic', 'WEYL_ORDER_CAP',
 ]
 
 WEYL_ORDER_CAP = 1152
-
-# m(s_i, s_j) as a function of a_ij * a_ji
-_BOND_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
 _MIN_RANK = {'A': 1, 'B': 2, 'C': 2, 'D': 4}
 
@@ -106,7 +101,9 @@ class RootSystem:
 
     The interesting state is the Cartan matrix and the reflection
     matrices of the simple generators; the element registry (canonical
-    matrix -> WeylElement) is filled in lazily by :func:`enumerate_group`.
+    matrix -> WeylElement) is filled in lazily by :func:`enumerate_group`,
+    and the Kazhdan-Lusztig elements b_w (kl_table, w -> b_w) by
+    :func:`soergelind.hecke.kl_basis`.
     """
 
     def __init__(self, cartan_type: str, rank: int):
@@ -126,6 +123,7 @@ class RootSystem:
         self.positive_roots = self._positive_roots()
         self._registry: dict[tuple, 'WeylElement'] | None = None
         self._elements: list['WeylElement'] | None = None
+        self.kl_table: dict = {}
 
     def _positive_roots(self) -> list[tuple[int, ...]]:
         seen = {tuple(1 if i == j else 0 for j in range(self.rank))
@@ -142,12 +140,6 @@ class RootSystem:
                         nxt.append(img)
             frontier = nxt
         return sorted(seen)
-
-    def bond_order(self, i: int, j: int) -> int:
-        """Order of s_i s_j in the group."""
-        if i == j:
-            return 1
-        return _BOND_ORDER[self.cartan[i][j] * self.cartan[j][i]]
 
     @property
     def elements(self) -> list['WeylElement']:
@@ -181,10 +173,6 @@ class RootSystem:
         return self.element_from_matrix(
             tuple(tuple(1 if i == j else 0 for j in range(self.rank))
                   for i in range(self.rank)))
-
-    @property
-    def longest_length(self) -> int:
-        return len(self.positive_roots)
 
     def __repr__(self):
         return f'RootSystem({self.cartan_type}{self.rank})'
@@ -337,48 +325,6 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     return elements
 
 
-def length_distribution(rs: RootSystem) -> dict[int, int]:
-    """Number of elements of each length (the Poincare data of W)."""
-    dist: dict[int, int] = {}
-    for w in rs.elements:
-        dist[w.length] = dist.get(w.length, 0) + 1
-    return dist
-
-
-@lru_cache(maxsize=None)
-def _bruhat_leq_cached(u: WeylElement, w: WeylElement) -> bool:
-    if u.length > w.length:
-        return False
-    if u.length == 0:
-        return True
-    if u.length == w.length:
-        return u == w
-    s = w.right_descents()[0]
-    rs = w.root_system
-    ws = w * rs.simple_reflection(s)
-    if u.has_right_descent(s):
-        return _bruhat_leq_cached(u * rs.simple_reflection(s), ws)
-    return _bruhat_leq_cached(u, ws)
-
-
-def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the lifting property of descents."""
-    u._check_same_group(w)
-    return _bruhat_leq_cached(u, w)
-
-
-def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
-    """Every reduced word of w, sorted lexicographically."""
-    if w.length == 0:
-        return [()]
-    rs = w.root_system
-    out = []
-    for i in w.left_descents():
-        rest = rs.simple_reflection(i) * w
-        out.extend((i,) + tail for tail in reduced_words(rest))
-    return sorted(out)
-
-
 @dataclass
 class ParabolicDatum:
     """A standard parabolic subgroup W_I with its minimal coset data.
@@ -409,22 +355,6 @@ class ParabolicDatum:
 
     def is_min_rep(self, w: WeylElement) -> bool:
         return not any(w.has_left_descent(i) for i in self.subset)
-
-    def factorize(self, w: WeylElement) -> tuple[WeylElement, WeylElement]:
-        """Unique (x, u) with w = x u, x in W_I, u minimal, lengths adding."""
-        rs = self.root_system
-        x_word: list[int] = []
-        u = w
-        while True:
-            i = next((j for j in self.subset if u.has_left_descent(j)), None)
-            if i is None:
-                break
-            x_word.append(i)
-            u = rs.simple_reflection(i) * u
-        x = rs.element_from_word(x_word)
-        if x.length + u.length != w.length or (x * u) != w:
-            raise AssertionError("parabolic factorization failed")
-        return x, u
 
     def __repr__(self):
         gens = ','.join(f's{i + 1}' for i in self.subset) or 'empty'

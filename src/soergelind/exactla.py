@@ -18,8 +18,7 @@ from fractions import Fraction
 
 __all__ = [
     'Matrix',
-    'zeros', 'identity', 'copy_matrix', 'transpose',
-    'mat_add', 'mat_sub', 'mat_scale', 'mat_mul', 'mat_vec',
+    'zeros', 'identity', 'transpose', 'mat_sub', 'mat_scale', 'mat_mul', 'mat_vec',
     'is_zero_matrix', 'rref', 'rank', 'nullspace', 'sparse_nullspace',
     'solve', 'solve_matrix', 'invert', 'min_poly', 'trace',
 ]
@@ -40,18 +39,10 @@ def identity(n: int) -> Matrix:
             for i in range(n)]
 
 
-def copy_matrix(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

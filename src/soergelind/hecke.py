@@ -190,24 +190,17 @@ def bar_involution(a: HeckeElement) -> HeckeElement:
     return total
 
 
-def _kl_cache(rs: RootSystem) -> dict:
-    cache = getattr(rs, '_kl_cache', None)
-    if cache is None:
-        cache = {}
-        rs._kl_cache = cache
-    return cache
-
-
 def kl_basis(w: WeylElement) -> HeckeElement:
     """The Kazhdan-Lusztig basis element b_w.
 
     Recursion: b_w = b_{ws} b_s - sum of m_x b_x over the x < w whose
     coefficient in the product has a nonzero constant term, largest
     length first.  Every coefficient of the result is checked to lie
-    in v Z_{>=0}[v] (with the leading coefficient exactly 1).
+    in v Z_{>=0}[v] (with the leading coefficient exactly 1).  The
+    result is kept in the root system's kl_table.
     """
     rs = w.root_system
-    cache = _kl_cache(rs)
+    cache = rs.kl_table
     if w in cache:
         return cache[w]
     if w.length == 0:

@@ -143,16 +143,6 @@ class FormalComplex:
             return None
         return direct_sum(parts)
 
-    def graded_dims_by_degree(self) -> dict:
-        out = {}
-        for i, summands in self.terms.items():
-            dims: dict[int, int] = {}
-            for y, k in summands:
-                for d, n in self.catalog.entry(y).graded_dims.items():
-                    dims[d + k] = dims.get(d + k, 0) + n
-            out[i] = dims
-        return out
-
     def to_json(self) -> dict:
         terms = {
             str(i): [{'word': [j + 1 for j in y.word], 'shift': k}
@@ -224,11 +214,9 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     Returns (theta_module, pieces) where pieces is a list of
     (z, shift, incl, proj): incl is a degree-(shift) map D_z ->
     theta_module and proj its one-sided inverse of degree -shift.
+    The result is kept in the catalog's theta_splittings.
     """
-    cache = getattr(catalog, '_theta_cache', None)
-    if cache is None:
-        cache = {}
-        catalog._theta_cache = cache
+    cache = catalog.theta_splittings
     key = (s, y)
     if key in cache:
         return cache[key]
@@ -382,48 +370,24 @@ def tensor_rouquier(s: int, cpx: FormalComplex, shift: int = 2,
         if row:
             new_terms[i] = row
             theta_offsets[i] = offs
-    new_diffs: dict[int, dict] = {}
-
-    def add(i, b, a, phi):
-        if phi.is_zero():
-            return
-        comps = new_diffs.setdefault(i, {})
-        if (b, a) in comps:
-            comps[(b, a)] = comps[(b, a)] + phi
-        else:
-            comps[(b, a)] = phi
-
-    for i in new_terms:
+    new_diffs: dict[int, dict] = {i: {} for i in new_terms}
+    for i, comps in new_diffs.items():
         # negated inner differential on the shifted row
         for (b, a), phi in cpx.diffs.get(i + 1, {}).items():
-            add(i, b, a, -phi)
+            _add_component(comps, b, a, -phi)
         # vertical adjunction maps: summand a of X^{i+1} at level i maps
         # into the theta block of the same summand at level i + 1
         for a, (y, k) in enumerate(cpx.summands(i + 1)):
-            if i + 1 not in new_terms:
-                continue
             vert = _vertical_component(catalog, s, y, kind)
             _theta, pieces = theta_summands(catalog, s, y)
             base = theta_offsets[i + 1][a]
             for j, (z, m, _incl, proj) in enumerate(pieces):
                 comp = proj.compose(vert).scale(Fraction(sign))
-                add(i, base + j, a, comp)
+                _add_component(comps, base + j, a, comp)
         # transported inner differential on the theta row
-        for (b, a), phi in cpx.diffs.get(i, {}).items():
-            if i + 1 not in new_terms:
-                continue
-            ya, _ka = cpx.summands(i)[a]
-            yb, _kb = cpx.summands(i + 1)[b]
-            theta_a, pieces_a = theta_summands(catalog, s, ya)
-            theta_b, pieces_b = theta_summands(catalog, s, yb)
-            big = theta_of_map(s, phi, theta_a, theta_b)
-            base_a = theta_offsets[i][a]
-            base_b = theta_offsets[i + 1][b]
-            for ja, (za, ma, incl_a, _pa) in enumerate(pieces_a):
-                half = big.compose(incl_a)
-                for jb, (zb, mb, _ib, proj_b) in enumerate(pieces_b):
-                    comp = proj_b.compose(half)
-                    add(i, base_b + jb, base_a + ja, comp)
+        if cpx.diffs.get(i):
+            _add_theta_row(comps, s, cpx, i, theta_offsets[i],
+                           theta_offsets[i + 1])
     return FormalComplex(catalog, new_terms, new_diffs)
 
 
@@ -441,25 +405,39 @@ def theta_complex(s: int, cpx: FormalComplex) -> FormalComplex:
             row.extend((z, m + k) for (z, m, _, _) in pieces)
         new_terms[i] = row
         offsets[i] = offs
-    new_diffs: dict[int, dict] = {}
-    for i, comps in cpx.diffs.items():
-        out: dict = {}
-        for (b, a), phi in comps.items():
-            ya, _ = cpx.summands(i)[a]
-            yb, _ = cpx.summands(i + 1)[b]
-            theta_a, pieces_a = theta_summands(catalog, s, ya)
-            theta_b, pieces_b = theta_summands(catalog, s, yb)
-            big = theta_of_map(s, phi, theta_a, theta_b)
-            for ja, (_za, _ma, incl_a, _pa) in enumerate(pieces_a):
-                half = big.compose(incl_a)
-                for jb, (_zb, _mb, _ib, proj_b) in enumerate(pieces_b):
-                    comp = proj_b.compose(half)
-                    if not comp.is_zero():
-                        key = (offsets[i + 1][b] + jb, offsets[i][a] + ja)
-                        out[key] = out[key] + comp if key in out else comp
-        if out:
-            new_diffs[i] = out
+    new_diffs: dict[int, dict] = {i: {} for i in cpx.diffs}
+    for i, comps in new_diffs.items():
+        _add_theta_row(comps, s, cpx, i, offsets[i], offsets[i + 1])
     return FormalComplex(catalog, new_terms, new_diffs)
+
+
+def _add_component(comps: dict, b: int, a: int, phi: ModuleMap) -> None:
+    """Accumulate phi into the differential component (b, a)."""
+    if phi.is_zero():
+        return
+    comps[(b, a)] = comps[(b, a)] + phi if (b, a) in comps else phi
+
+
+def _add_theta_row(comps: dict, s: int, cpx: FormalComplex, i: int,
+                   src_offsets: list, tgt_offsets: list) -> None:
+    """Accumulate theta_s d^i of cpx, split into catalog summands.
+
+    Each component phi: D_ya -> D_yb becomes theta_s phi cut by the
+    cached splittings; the summands of theta_s D_ya start at column
+    src_offsets[a], those of theta_s D_yb at row tgt_offsets[b].
+    """
+    catalog = cpx.catalog
+    for (b, a), phi in cpx.diffs[i].items():
+        ya, _ka = cpx.summands(i)[a]
+        yb, _kb = cpx.summands(i + 1)[b]
+        theta_a, pieces_a = theta_summands(catalog, s, ya)
+        theta_b, pieces_b = theta_summands(catalog, s, yb)
+        big = theta_of_map(s, phi, theta_a, theta_b)
+        for ja, (_za, _ma, incl_a, _pa) in enumerate(pieces_a):
+            half = big.compose(incl_a)
+            for jb, (_zb, _mb, _ib, proj_b) in enumerate(pieces_b):
+                _add_component(comps, tgt_offsets[b] + jb,
+                               src_offsets[a] + ja, proj_b.compose(half))
 
 
 # ---------------------------------------------------------------------------
@@ -511,31 +489,23 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
         diffs = {}
         for j, comps in current.diffs.items():
             if j == i:
-                out = {}
-                for (bb, aa), psi in comps.items():
-                    if aa == a or bb == b:
+                out = {(bb, aa): psi for (bb, aa), psi in comps.items()
+                       if aa != a and bb != b}
+                # correction -gamma phi^{-1} beta for every row with a
+                # component gamma out of a and every column with a
+                # component beta into b; it may create new components
+                betas = [(aa, beta) for (bb, aa), beta in comps.items()
+                         if bb == b and aa != a]
+                for (bb, aa), gamma in comps.items():
+                    if aa != a or bb == b or not betas:
                         continue
-                    beta = comps.get((b, aa))
-                    gamma = comps.get((bb, a))
-                    if beta is not None and gamma is not None:
-                        psi = psi - gamma.compose(phi_inv).compose(beta)
-                    if not psi.is_zero():
-                        out[(tgt_index[bb], src_index[aa])] = psi
-                # corrections may create components where none existed
-                for aa in keep_src:
-                    for bb in keep_tgt:
-                        if (bb, aa) in comps:
-                            continue
-                        beta = comps.get((b, aa))
-                        gamma = comps.get((bb, a))
-                        if beta is None or gamma is None:
-                            continue
-                        corr = gamma.compose(phi_inv).compose(beta) \
-                            .scale(Fraction(-1))
-                        if not corr.is_zero():
-                            out[(tgt_index[bb], src_index[aa])] = corr
-                if out:
-                    diffs[j] = out
+                    gamma_phi_inv = gamma.compose(phi_inv)
+                    for col, beta in betas:
+                        corr = gamma_phi_inv.compose(beta)
+                        key = (bb, col)
+                        out[key] = out[key] - corr if key in out else -corr
+                diffs[j] = {(tgt_index[bb], src_index[aa]): psi
+                            for (bb, aa), psi in out.items()}
             elif j == i - 1:
                 out = {}
                 for (bb, aa), psi in comps.items():
@@ -596,10 +566,7 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
 
 
 def _hom_basis(catalog, y_src, y_tgt, degree):
-    cache = getattr(catalog, '_hom_cache', None)
-    if cache is None:
-        cache = {}
-        catalog._hom_cache = cache
+    cache = catalog.hom_bases
     key = (y_src, y_tgt, degree)
     if key not in cache:
         cache[key] = hom_space(catalog.entry(y_src), catalog.entry(y_tgt),

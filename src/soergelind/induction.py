@@ -36,6 +36,7 @@ isomorphic complexes and the positive one is fixed by convention).
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -51,9 +52,10 @@ from .homotopy import (FormalComplex, complex_from_module,
                        hom_complex_vanishing, k0_class, one_term_complex,
                        tensor_rouquier, theta_complex)
 from .laurent import LaurentPoly
-from .serialize import load_cached_catalog, store_catalog
-from .smod import (build_catalog, direct_sum, hom_space, induce_frobenius,
-                   is_isomorphic, restrict_module)
+from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
+from .smod import (IndecomposableCatalog, build_catalog, direct_sum,
+                   hom_space, induce_frobenius, is_isomorphic,
+                   restrict_module)
 
 __all__ = [
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
@@ -74,55 +76,93 @@ class CalibrationRecord:
 
 DEFAULT_RECORD = CalibrationRecord(shift=2, sign=1)
 
+# root systems calibrate_shift derives the record on, in this order
+CALIBRATION_SYSTEMS = (('A', 1), ('A', 2))
+
 _KIND_FOR_SHIFT = {2: 'coev', 0: 'unit', -2: 'zero'}
 
 
 # ---------------------------------------------------------------------------
-# setups (cached per family/rank/subset)
-
-_FULL_CACHE: dict = {}
-_SETUP_CACHE: dict = {}
+# setups: one registry entry per root system
 
 
-def _attach_catalog(algebra, cache_dir):
-    loaded = bool(cache_dir) and load_cached_catalog(algebra, cache_dir)
-    catalog = build_catalog(algebra)
-    if cache_dir and not loaded:
-        store_catalog(catalog, cache_dir)
+def _provide_catalog(algebra, cache_dir,
+                     catalog: IndecomposableCatalog | None = None
+                     ) -> IndecomposableCatalog:
+    """The catalog of `algebra`: the one given, a cached one, or a new one.
+
+    This is the one place that decides "load, else build and store".
+    Without a catalog in hand it is loaded from cache_dir, or built and
+    stored there.  A catalog in hand (one built earlier without a cache
+    directory, for instance by calibration) is stored when its file is
+    missing from cache_dir.
+    """
+    if not cache_dir:
+        return catalog or build_catalog(algebra)
+    if catalog is None:
+        catalog = load_cached_catalog(algebra, cache_dir)
+        if catalog is not None:
+            return catalog
+        catalog = build_catalog(algebra)
+    elif os.path.exists(catalog_cache_path(cache_dir, algebra.root_system,
+                                           algebra.subset)):
+        return catalog
+    store_catalog(catalog, cache_dir)
     return catalog
 
 
-def _full_side(family: str, rank: int, cache_dir=None):
-    key = (family, rank)
-    if key not in _FULL_CACHE:
-        rs = build_root_system(family, rank)
-        algebra = build_coinvariants(rs, tuple(range(rs.rank)))
-        _FULL_CACHE[key] = (rs, algebra,
-                            _attach_catalog(algebra, cache_dir))
-    return _FULL_CACHE[key]
+class _FullSide:
+    """A root system, its full coinvariant algebra and catalog.
+
+    Calibration and every parabolic setup over the root system share
+    it, so the full catalog, its theta splittings and its hom bases are
+    made once per process; setups maps a sorted subset to its setup.
+    """
+
+    def __init__(self, family: str, rank: int):
+        self.rs = build_root_system(family, rank)
+        self.algebra = build_coinvariants(self.rs, tuple(range(self.rs.rank)))
+        self.catalog: IndecomposableCatalog | None = None
+        self.setups: dict = {}
+
+
+_SYSTEMS: dict = {}
+
+
+def _full_side(family: str, rank: int, cache_dir=None) -> _FullSide:
+    side = _SYSTEMS.get((family, rank))
+    if side is None:
+        side = _SYSTEMS[(family, rank)] = _FullSide(family, rank)
+    side.catalog = _provide_catalog(side.algebra, cache_dir, side.catalog)
+    return side
 
 
 class InductionSetup:
-    """A root system with a chosen parabolic subset and both catalogs."""
+    """A root system with a chosen parabolic subset and both catalogs.
+
+    induced maps (x, w) to the minimized complex ind_w D^I_x; it is
+    filled by induce.
+    """
 
     def __init__(self, family: str, rank: int, subset, cache_dir=None):
         self.family = family
         self.rank = rank
         self.subset = tuple(sorted(subset))
-        rs, algebra, catalog = _full_side(family, rank, cache_dir)
+        side = _full_side(family, rank, cache_dir)
+        rs = side.rs
         if not set(self.subset) <= set(range(rs.rank)):
             raise ConfigurationError(
                 f"subset {self.subset} outside the generator range")
         self.rs = rs
-        self.algebra = algebra
-        self.catalog = catalog
+        self.algebra = side.algebra
+        self.catalog = side.catalog
         self.sub_algebra = build_coinvariants(rs, self.subset)
-        self.sub_catalog = _attach_catalog(self.sub_algebra, cache_dir)
+        self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
         self.rmap = restriction_surjection(rs, self.subset,
-                                           source=algebra,
+                                           source=self.algebra,
                                            target=self.sub_algebra)
-        self._ind_cache: dict = {}
+        self.induced: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:
         return sorted(self.datum.elements_WI,
@@ -144,10 +184,20 @@ class InductionSetup:
 
 def make_setup(family: str, rank: int, subset,
                cache_dir=None) -> InductionSetup:
-    key = (family, rank, tuple(sorted(subset)))
-    if key not in _SETUP_CACHE:
-        _SETUP_CACHE[key] = InductionSetup(family, rank, subset, cache_dir)
-    return _SETUP_CACHE[key]
+    """The setup of (family, rank, subset), made once per process.
+
+    A setup made earlier is returned again; with a cache directory, its
+    catalogs are stored there if their files are missing.
+    """
+    side = _full_side(family, rank, cache_dir)
+    key = tuple(sorted(subset))
+    setup = side.setups.get(key)
+    if setup is None:
+        setup = side.setups[key] = InductionSetup(family, rank, key,
+                                                  cache_dir)
+    else:
+        _provide_catalog(setup.sub_algebra, cache_dir, setup.sub_catalog)
+    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +206,8 @@ def make_setup(family: str, rank: int, subset,
 
 def _calibrate_on(family: str, rank: int):
     """Survivors of the (shift, sign) grid on one root system."""
-    rs, _algebra, catalog = _full_side(family, rank)
+    side = _full_side(family, rank)
+    rs, catalog = side.rs, side.catalog
     e = rs.identity
     v = LaurentPoly({1: 1})
     base = one_term_complex(catalog, [(e, 0)])
@@ -207,7 +258,7 @@ def calibrate_shift() -> CalibrationRecord:
     repeated on the rank-2 system and must give the same record.
     """
     records = []
-    for family, rank in (('A', 1), ('A', 2)):
+    for family, rank in CALIBRATION_SYSTEMS:
         survivors, outputs = _calibrate_on(family, rank)
         shifts = sorted({a for a, _ in survivors})
         if len(shifts) != 1:
@@ -259,59 +310,63 @@ def _resolve_chain(setup: InductionSetup, w: WeylElement, chain):
     return chain
 
 
+def _tensor_step(s: int, cpx: FormalComplex,
+                 record: CalibrationRecord) -> FormalComplex:
+    return gaussian_eliminate(tensor_rouquier(
+        s, cpx, shift=record.shift, sign=record.sign,
+        kind=_KIND_FOR_SHIFT[record.shift]))
+
+
 def induce_module(setup: InductionSetup, module, w: WeylElement,
                   chain=None, record: CalibrationRecord = DEFAULT_RECORD
                   ) -> FormalComplex:
-    """Minimized ind_w of any module over the parabolic algebra."""
+    """Minimized ind_w of any module over the parabolic algebra,
+    computed from scratch along the chain."""
     chain = _resolve_chain(setup, w, chain)
     inflated = restrict_module(setup.rmap, module)
     cpx = complex_from_module(setup.catalog, inflated)
     for s in chain:
-        cpx = gaussian_eliminate(tensor_rouquier(
-            s, cpx, shift=record.shift, sign=record.sign,
-            kind=_KIND_FOR_SHIFT[record.shift]))
+        cpx = _tensor_step(s, cpx, record)
     return cpx
 
 
 def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
            chain=None, record: CalibrationRecord = DEFAULT_RECORD
            ) -> FormalComplex:
-    """Minimized ind_w D^I_x, cached per (x, w) for the default route."""
-    cacheable = chain is None and record == DEFAULT_RECORD
-    if cacheable and (x, w) in setup._ind_cache:
-        return setup._ind_cache[(x, w)]
-    cpx = induce_module(setup, setup.sub_catalog.entry(x), w, chain, record)
-    if cacheable:
-        setup._ind_cache[(x, w)] = cpx
+    """Minimized ind_w D^I_x.
+
+    With an explicit chain or record the complex is computed from
+    scratch.  Otherwise it is kept in setup.induced: for w = s_1...s_n
+    the admissible chain, ind_w D^I_x is one tensor step with s_n
+    applied to ind_{w s_n} D^I_x.  Both routes take the same steps:
+    admissible_chain returns the lexicographically least chain, and
+    the least chain of w s_n is s_1...s_{n-1} (a smaller one, followed
+    by s_n, would be a smaller chain of w).
+    """
+    if chain is not None or record != DEFAULT_RECORD:
+        return induce_module(setup, setup.sub_catalog.entry(x), w, chain,
+                             record)
+    cpx = setup.induced.get((x, w))
+    if cpx is None:
+        if w.length == 0:
+            cpx = induce_module(setup, setup.sub_catalog.entry(x), w)
+        else:
+            s = _resolve_chain(setup, w, None)[-1]
+            prefix = w * setup.rs.simple_reflection(s)
+            cpx = _tensor_step(s, induce(setup, x, prefix), record)
+        setup.induced[(x, w)] = cpx
     return cpx
 
 
 def induce_all(setup: InductionSetup) -> dict:
-    """Fill the induction cache for every x and every reachable w.
+    """Induce every x along every w with an admissible chain.
 
-    Walks the coset representatives by increasing length; each w is
-    obtained from the cached complex of its chain prefix by one more
-    tensor step, so nothing is ever recomputed from scratch.
+    Returns setup.induced.  Coset representatives come by increasing
+    length, so each complex is one tensor step from a stored one.
     """
-    cache = setup._ind_cache
-    e = setup.rs.identity
-    for x in setup.parabolic_elements():
-        if (x, e) not in cache:
-            inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
-            cache[(x, e)] = complex_from_module(setup.catalog, inflated)
-        for w in setup.coset_reps():
-            if w.length == 0 or (x, w) in cache:
-                continue
-            chain = admissible_chain(setup.datum, w)
-            if chain is None:
-                continue
-            prefix = setup.rs.identity
-            for i in chain[:-1]:
-                prefix = prefix * setup.rs.simple_reflection(i)
-            base = cache[(x, prefix)]
-            cache[(x, w)] = gaussian_eliminate(
-                tensor_rouquier(chain[-1], base))
-    return cache
+    for x, w in induced_class_instances(setup):
+        induce(setup, x, w)
+    return setup.induced
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,6 @@ class LaurentPoly:
         return all(k >= 1 and c.denominator == 1 and c >= 0
                    for k, c in self.terms.items())
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.terms)
-
     def max_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")

@@ -7,6 +7,10 @@ indecomposable without re-running the Bott-Samelson splittings: the
 graded dimensions and the generator action matrices.  Cache files are
 named by a content hash of the root datum, so stale files from a
 different Cartan matrix or subset can never be picked up by accident.
+A cache file that cannot be read (not JSON, or JSON of the wrong
+shape) counts as a miss, with a warning; one that reads but fails
+validation is an error.  Files are replaced atomically, so concurrent
+writers of the same file leave one complete copy.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from fractions import Fraction
 
-from .errors import ConfigurationError, InternalCheckError
+from .errors import (ConfigurationError, IncompatibilityError,
+                     InternalCheckError)
 from .smod import (GradedModule, IndecomposableCatalog, expected_graded_dims)
 
 __all__ = [
@@ -117,16 +123,28 @@ def catalog_cache_path(cache_dir: str, rs, subset) -> str:
     return os.path.join(cache_dir, name)
 
 
-def load_cached_catalog(algebra, cache_dir: str) -> bool:
-    """Seed the algebra's catalog from disk; False when absent."""
+def load_cached_catalog(algebra, cache_dir: str):
+    """The algebra's catalog from cache_dir, or None on a miss.
+
+    A file that is not JSON, or JSON of the wrong shape, is a miss and
+    is reported on stderr; a readable file that fails validation
+    raises.
+    """
     path = catalog_cache_path(cache_dir, algebra.root_system,
                               algebra.subset)
     if not os.path.exists(path):
-        return False
-    with open(path) as fh:
-        data = json.load(fh)
-    algebra._catalog = catalog_from_json(algebra, data)
-    return True
+        return None
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return catalog_from_json(algebra, data)
+    except (ConfigurationError, IncompatibilityError):
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f'warning: unreadable cache file {path} '
+              f'({type(exc).__name__}: {exc}); rebuilding it',
+              file=sys.stderr)
+        return None
 
 
 def store_catalog(catalog: IndecomposableCatalog, cache_dir: str) -> str:
@@ -138,6 +156,17 @@ def store_catalog(catalog: IndecomposableCatalog, cache_dir: str) -> str:
 
 
 def dump_json(data, path: str) -> None:
-    with open(path, 'w') as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write('\n')
+    """Write data to path through a temporary file in the same directory.
+
+    The file appears complete or not at all, and a failed write leaves
+    an older file in place.
+    """
+    tmp = f'{path}.{os.getpid()}.tmp'
+    try:
+        with open(tmp, 'w') as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.write('\n')
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -108,9 +108,6 @@ class GradedModule:
     def bottom_degree(self) -> int:
         return min(self.graded_dims)
 
-    def top_degree(self) -> int:
-        return max(self.graded_dims)
-
     def is_zero(self) -> bool:
         return not self.graded_dims
 
@@ -722,13 +719,22 @@ def expected_graded_dims(w) -> dict[int, int]:
 
 
 class IndecomposableCatalog:
-    """The indecomposables D_y, y in the algebra's Weyl group."""
+    """The indecomposables D_y, y in the algebra's Weyl group.
+
+    The catalog also owns what is computed from its entries and reused
+    by every complex over it: theta_splittings maps (s, y) to the
+    splitting of theta_s D_y into entries (homotopy.theta_summands),
+    and hom_bases maps (y, z, degree) to a basis of Hom(D_y, D_z) in
+    that degree (homotopy's hom complexes).
+    """
 
     def __init__(self, algebra: CoinvariantAlgebra, entries: dict,
                  provenance: dict):
         self.algebra = algebra
         self.entries = entries
         self.provenance = provenance
+        self.theta_splittings: dict = {}
+        self.hom_bases: dict = {}
 
     def elements(self) -> list:
         return sorted(self.entries, key=lambda w: (w.length, w.word))
@@ -762,10 +768,8 @@ def build_catalog(algebra: CoinvariantAlgebra) -> IndecomposableCatalog:
     not isomorphic to a shifted, already-built entry.  Hard checks on
     every entry: bottom degree 0, graded dimensions equal to the
     Kazhdan-Lusztig prediction, and the ideal-annihilation relations.
+    Every call builds afresh; induction keeps and caches the result.
     """
-    cached = getattr(algebra, '_catalog', None)
-    if cached is not None:
-        return cached
     rs = algebra.root_system
     members = [w for w in rs.elements if set(w.word) <= set(algebra.subset)]
     members.sort(key=lambda w: (w.length, w.word))
@@ -807,6 +811,4 @@ def build_catalog(algebra: CoinvariantAlgebra) -> IndecomposableCatalog:
             'built_from': (shorter, i),
             'peeled': sorted(((z.word, k) for z, k in known)),
         }
-    catalog = IndecomposableCatalog(algebra, entries, provenance)
-    algebra._catalog = catalog
-    return catalog
+    return IndecomposableCatalog(algebra, entries, provenance)

@@ -1,12 +1,17 @@
 """Command-line interface: outputs, exit codes, JSON reports."""
 
 import json
+import os
+import pathlib
 
 import pytest
 
+import soergelind.cli
+import soergelind.induction
 from soergelind.cli import build_parser, main, parse_word
 from soergelind.coxeter import RootSystem
 from soergelind.errors import ConfigurationError
+from soergelind.induction import CalibrationRecord
 
 
 def strip_timing(obj):
@@ -113,6 +118,102 @@ def test_verify_reports_are_stable(tmp_path):
     a = strip_timing(json.loads(one.read_text()))
     b = strip_timing(json.loads(two.read_text()))
     assert a == b
+
+
+def test_verify_rejects_a_calibration_it_does_not_use(monkeypatch, capsys):
+    monkeypatch.setattr(soergelind.cli, 'calibrate_shift',
+                        lambda: CalibrationRecord(shift=0, sign=1))
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(soergelind.cli, 'run_corpus', sweep)
+    assert main(['verify', '--corpus', 'quick']) == 3
+    assert 'internal assertion failed' in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the catalog cache, seen from a fresh process
+
+
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """An empty setup registry and a log of build_catalog calls."""
+    monkeypatch.setattr(soergelind.induction, '_SYSTEMS', {})
+    built = []
+    original = soergelind.induction.build_catalog
+
+    def counting(algebra):
+        built.append(algebra)
+        return original(algebra)
+
+    monkeypatch.setattr(soergelind.induction, 'build_catalog', counting)
+
+    def restart():
+        monkeypatch.setattr(soergelind.induction, '_SYSTEMS', {})
+        built.clear()
+
+    return built, restart
+
+
+def catalog_files(cache):
+    """Cache file names without their content hash."""
+    return sorted(name.rsplit('-', 1)[0] for name in os.listdir(cache))
+
+
+def test_verify_caches_every_catalog_and_reuses_them(tmp_path, fresh_process):
+    built, restart = fresh_process
+    cache = tmp_path / 'cache'
+    one, two = tmp_path / 'a.json', tmp_path / 'b.json'
+    argv = ['verify', '--corpus', 'quick', '--cache-dir', str(cache)]
+    assert main(argv + ['--json', str(one)]) == 0
+    assert catalog_files(cache) == [
+        'catalog-A1-I1', 'catalog-A1-Inone', 'catalog-A2-I1',
+        'catalog-A2-I12', 'catalog-A2-I2', 'catalog-A2-Inone']
+    assert len(built) == 6
+    restart()
+    assert main(argv + ['--json', str(two)]) == 0
+    assert built == []
+    assert strip_timing(json.loads(one.read_text())) == \
+        strip_timing(json.loads(two.read_text()))
+
+
+def full_a2_file(cache):
+    return next(path for path in pathlib.Path(cache).iterdir()
+                if path.name.startswith('catalog-A2-I12-'))
+
+
+INDW_A2 = ['indw', '--type', 'A', '--rank', '2', '--parabolic', '1',
+           '--x', '1', '--w', '2 1']
+
+
+def test_truncated_cache_file_is_rebuilt(tmp_path, fresh_process, capsys):
+    built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    path = full_a2_file(cache)
+    whole = path.read_text()
+    path.write_text(whole[:300])
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    assert 'unreadable cache file' in capsys.readouterr().err
+    assert len(built) == 1
+    assert path.read_text() == whole
+
+
+def test_cache_file_failing_validation_exits_three(tmp_path, fresh_process,
+                                                   capsys):
+    _built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    path = full_a2_file(cache)
+    data = json.loads(path.read_text())
+    data['entries'][-1]['dims'] = {'0': 2}
+    path.write_text(json.dumps(data))
+    restart()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 3
+    assert 'internal assertion failed' in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

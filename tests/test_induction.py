@@ -10,7 +10,7 @@ the wall-crossing cone -- that make the sweep meaningful.
 
 import pytest
 
-from soergelind.coxeter import admissible_chains
+from soergelind.coxeter import admissible_chain, admissible_chains
 from soergelind.errors import CalibrationError, ConfigurationError
 from soergelind.hecke import hecke_standard, kl_basis, predicted_class
 from soergelind.homotopy import (complexes_isomorphic, direct_sum_complexes,
@@ -155,6 +155,18 @@ def test_bad_chains_are_rejected(a2s1):
         induce(a2s1, rs.identity, w, chain=(0, 1))         # prefix in W_I
     with pytest.raises(ConfigurationError):
         induce(a2s1, rs.identity, word_el(rs, 2), chain=(0,))  # wrong product
+
+
+@pytest.mark.parametrize('family,rank,subset', [('A', 2, ()), ('B', 2, (0,))])
+def test_stored_route_equals_the_explicit_chain(family, rank, subset):
+    setup = make_setup(family, rank, subset)
+    for x in setup.parabolic_elements():
+        for w in setup.coset_reps():
+            chain = admissible_chain(setup.datum, w)
+            stored = induce(setup, x, w)
+            fresh = induce(setup, x, w, chain=chain)
+            assert fresh is not stored
+            assert stored.to_json() == fresh.to_json()
 
 
 def test_induce_all_fills_the_cache():

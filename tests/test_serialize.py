@@ -94,15 +94,37 @@ def test_cache_store_and_load(tmp_path):
                                       catalog.algebra.subset)
     rs2 = RootSystem('A', 2)
     algebra2 = build_coinvariants(rs2, (0, 1))
-    assert load_cached_catalog(algebra2, cache) is True
-    loaded = build_catalog(algebra2)     # returns the seeded catalog
+    loaded = load_cached_catalog(algebra2, cache)
+    assert loaded
+    assert loaded.algebra is algebra2
     assert len(loaded.elements()) == 6
     for y in loaded.elements():
         verify_relations(loaded.entry(y))
     # a miss reports itself as such
     rs3 = RootSystem('B', 2)
     algebra3 = build_coinvariants(rs3, (0, 1))
-    assert load_cached_catalog(algebra3, cache) is False
+    assert not load_cached_catalog(algebra3, cache)
+
+
+@pytest.mark.parametrize('text', ['{"family": "A", "rank"', '[1, 2]', '{}'])
+def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, text):
+    cache = str(tmp_path)
+    catalog = fresh_catalog('A', 1)
+    path = store_catalog(catalog, cache)
+    with open(path, 'w') as fh:
+        fh.write(text)
+    assert load_cached_catalog(catalog.algebra, cache) is None
+    assert 'unreadable cache file' in capsys.readouterr().err
+
+
+def test_dump_json_failure_keeps_the_old_file(tmp_path):
+    target = tmp_path / 'data.json'
+    dump_json({'a': 1}, str(target))
+    before = target.read_bytes()
+    with pytest.raises(TypeError):
+        dump_json({'a': object()}, str(target))
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['data.json']
 
 
 def test_dump_json_is_deterministic(tmp_path):
