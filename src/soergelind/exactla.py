@@ -5,15 +5,22 @@ here is textbook Gaussian elimination; no floating point is allowed
 anywhere in the package, since the verification criteria demand exact
 equality of Laurent polynomials and module maps.
 
-The only mildly unusual routine is :func:`min_poly`, which finds the
-minimal polynomial of a square matrix by looking for the first linear
-dependence among the vectorized powers ``I, A, A^2, ...``.  It is used
-by the idempotent-splitting code to locate rational eigenvalues of
-endomorphisms.
+The two hot kernels skip zeros.  :func:`mat_mul` multiplies only
+nonzero entries, and :func:`sparse_nullspace`, which solves the hom
+systems, eliminates rows of dicts sparsest first and finds the pivots a
+row meets through a min-heap instead of rescanning the row.  Its result
+is the kernel read off the reduced row echelon form, which is unique,
+so the row order changes the cost and never the basis.
+
+:func:`min_poly` finds the minimal polynomial of a square matrix by
+looking for the first linear dependence among the vectorized powers
+``I, A, A^2, ...``.  It is used by the idempotent-splitting code
+(``smod.decompose``) to locate rational eigenvalues of endomorphisms.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 __all__ = [
@@ -55,14 +62,28 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with exact rational entries."""
+    """Matrix product a @ b with exact rational entries.
+
+    Skips zeros on both sides: the nonzero entries of each row of b are
+    listed once, and a row of a adds x * (row j of b) only where its
+    entry x is nonzero.  Every output entry is a Fraction.
+    """
     if a and b and len(a[0]) != len(b):
         raise ValueError(
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
     if not a or not b:
         return zeros(len(a), len(b[0]) if b else 0)
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    ncols = len(b[0])
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncols
+        for x, entries in zip(row, b_nonzero):
+            if x:
+                for j, y in entries:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Matrix, v: list) -> list:
@@ -195,33 +216,41 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
     """Kernel basis of a sparse matrix given as dicts {col: Fraction}.
 
     Forward elimination keeps a dict of pivot rows keyed by pivot
-    column; each incoming row is reduced against the pivots it meets
-    (pivot rows only ever contain columns >= their pivot, so a single
-    ascending sweep terminates).  After full back-substitution the
-    non-pivot columns parametrize the kernel.  Intended for the large,
-    very sparse intertwining systems of module-map solving, where dense
+    column, and takes the rows sparsest first: a short row meets few
+    pivots and makes short pivot rows, which keeps the fill-in of
+    every later row small.  Each incoming row is reduced against the
+    pivots it meets, lowest column first, with a min-heap of its
+    columns that are pivot columns.  A pivot row holds only columns
+    >= its pivot, so a reduction step creates columns above the one it
+    clears, the heap only grows upwards, and a column enters it only
+    when fill-in creates it.  After full back-substitution the pivot
+    rows are the reduced row echelon form of the matrix, which its row
+    space alone determines, so the returned basis does not depend on
+    the order of the rows.  The non-pivot columns parametrize the
+    kernel, in increasing order.  Intended for the large, very sparse
+    intertwining systems of module-map solving, where dense
     elimination would be quadratically wasteful.
     """
     pivots: dict[int, dict] = {}
-    for raw in rows:
+    for raw in sorted(rows, key=len):
         row = {c: Fraction(v) for c, v in raw.items() if v}
-        while True:
-            hit = None
-            for c in sorted(row):
-                if c in pivots:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            coeff = row.pop(hit)
+        heap = [c for c in row if c in pivots]
+        heapq.heapify(heap)
+        while heap:
+            hit = heapq.heappop(heap)
+            coeff = row.pop(hit, None)
+            if coeff is None:  # cancelled by an earlier step
+                continue
             for c2, v2 in pivots[hit].items():
                 if c2 == hit:
                     continue
-                nv = row.get(c2, Fraction(0)) - coeff * v2
+                nv = row.get(c2, 0) - coeff * v2
                 if nv:
+                    if c2 not in row and c2 in pivots:
+                        heapq.heappush(heap, c2)
                     row[c2] = nv
                 else:
-                    row.pop(c2, None)
+                    del row[c2]
         if row:
             p = min(row)
             inv = Fraction(1) / row[p]
@@ -240,14 +269,14 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
                     qrow[c2] = nv
                 else:
                     qrow.pop(c2, None)
-    basis = []
+    basis = {}
     for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for p, prow in pivots.items():
-            if f in prow:
-                vec[p] = -prow[f]
-        basis.append(vec)
-    return basis
+        if f not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            basis[f] = vec
+    for p, prow in pivots.items():
+        for f, v in prow.items():
+            if f != p:
+                basis[f][p] = -v
+    return list(basis.values())

@@ -223,17 +223,22 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     theta = induce_frobenius(s, catalog.entry(y))
     pieces = []
     for part, incl, proj in decompose(theta):
-        hit = catalog.identify(part)
+        hit = catalog.identify_with_iso(part)
         if hit is None:
             raise InternalCheckError(
                 f"theta_s{s + 1} D_{y!r} has a summand with graded "
                 f"character {part.graded_dims} outside the catalog")
-        z, k = hit
+        z, k, iso = hit
         entry = catalog.entry(z)
-        iso = _shifted_iso(entry, k, part)
-        # rebase incl/proj to the catalog entry itself
-        new_incl = incl.compose(iso)
-        new_proj = _iso_inverse(iso, entry, k).compose(proj)
+        # rebase incl/proj to the catalog entry itself: iso part -> D_z<k>
+        # is a degree -k map part -> D_z, its blockwise inverse one of
+        # degree k back
+        to_entry = ModuleMap(part, entry, -k, iso.blocks)
+        from_entry = ModuleMap(entry, part, k,
+                               {d - k: invert(iso.block(d))
+                                for d in part.degrees()})
+        new_incl = incl.compose(from_entry)
+        new_proj = to_entry.compose(proj)
         if new_proj.compose(new_incl) != ModuleMap.identity(entry):
             raise InternalCheckError(
                 "theta splitting pair fails proj o incl = id")
@@ -241,23 +246,6 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     pieces.sort(key=lambda t: (t[1], t[0].length, t[0].word))
     cache[key] = (theta, pieces)
     return cache[key]
-
-
-def _shifted_iso(entry: GradedModule, k: int, part: GradedModule) -> ModuleMap:
-    """Isomorphism entry<k> -> part, repackaged as a degree-k map entry -> part."""
-    from .smod import is_isomorphic
-    iso = is_isomorphic(entry.shift(k), part)
-    if iso is None:
-        raise InternalCheckError("catalog identification lost under re-check")
-    return ModuleMap(entry, part, k,
-                     {d - k: m for d, m in iso.blocks.items()})
-
-
-def _iso_inverse(iso: ModuleMap, entry: GradedModule, k: int) -> ModuleMap:
-    blocks = {}
-    for d in entry.degrees():
-        blocks[d + k] = invert(iso.block(d))
-    return ModuleMap(iso.target, entry, -k, blocks)
 
 
 def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:

@@ -86,7 +86,7 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
     if (data['family'] != rs.cartan_type or data['rank'] != rs.rank
             or tuple(i - 1 for i in data['parabolic'])
             != tuple(sorted(algebra.subset))):
-        raise ConfigurationError(
+        raise InternalCheckError(
             "catalog file does not describe this algebra")
     entries = {}
     provenance = {}

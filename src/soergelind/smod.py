@@ -746,14 +746,20 @@ class IndecomposableCatalog:
 
     def identify(self, module: GradedModule):
         """(y, shift) with module isomorphic to D_y<shift>, or None."""
+        hit = self.identify_with_iso(module)
+        return None if hit is None else hit[:2]
+
+    def identify_with_iso(self, module: GradedModule):
+        """(y, shift, iso) or None; iso: module -> D_y<shift> has degree 0."""
         if module.is_zero():
             return None
         k = module.bottom_degree()
         for w, d_w in self.entries.items():
             if d_w.graded_dims == {d - k: n
                                    for d, n in module.graded_dims.items()}:
-                if is_isomorphic(module, d_w.shift(k)) is not None:
-                    return (w, k)
+                iso = is_isomorphic(module, d_w.shift(k))
+                if iso is not None:
+                    return (w, k, iso)
         return None
 
     def __repr__(self):

@@ -216,6 +216,21 @@ def test_cache_file_failing_validation_exits_three(tmp_path, fresh_process,
     assert 'internal assertion failed' in capsys.readouterr().err
 
 
+def test_cache_file_with_a_foreign_header_exits_three(tmp_path,
+                                                     fresh_process, capsys):
+    _built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    path = full_a2_file(cache)
+    data = json.loads(path.read_text())
+    data['family'] = 'B'
+    path.write_text(json.dumps(data))
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 3
+    assert 'does not describe this algebra' in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes and parser plumbing
 

@@ -105,8 +105,13 @@ def test_wall_crossing_doubles_dimension():
 # the catalog of indecomposables
 
 
+_CAT = {}
+
+
 def catalog_of(family, rank):
-    return build_catalog(algebra(family, rank))
+    if (family, rank) not in _CAT:
+        _CAT[(family, rank)] = build_catalog(algebra(family, rank))
+    return _CAT[(family, rank)]
 
 
 def test_catalog_has_one_entry_per_element():
@@ -149,7 +154,7 @@ def test_catalog_literal_dims_singular_a3():
     # s2 s1 s3 s2: the singular Schubert variety; the naive orbit count
     # {0:1, 2:4, 4:7, 6:4, 8:1} total 17 is wrong, intersection
     # cohomology gives 16 with a 6 in the middle
-    catalog = build_catalog(algebra('A', 3))
+    catalog = catalog_of('A', 3)
     rs = catalog.algebra.root_system
     y = word_el(rs, 2, 1, 3, 2)
     assert catalog.entry(y).graded_dims == {0: 1, 2: 4, 4: 6, 6: 4, 8: 1}
@@ -250,6 +255,18 @@ def test_end_space_of_indecomposable_is_local():
         entry = catalog.entry(y)
         assert len(hom_space(entry, entry, 0)) == 1
         assert len(end_space(entry)) >= 1
+
+
+def test_end_space_of_the_largest_a3_theta_module():
+    # theta_s2 D_{s1 s2 s3 s2 s1}: 490 unknowns and 1284 equations, the
+    # largest hom system of the corpus; taking its rows in the order
+    # they are generated instead of sparsest first made this one solve
+    # dominate the whole verification sweep
+    catalog = catalog_of('A', 3)
+    rs = catalog.algebra.root_system
+    theta = induce_frobenius(1, catalog.entry(word_el(rs, 1, 2, 3, 2, 1)))
+    assert sum(n * n for n in theta.graded_dims.values()) == 490
+    assert len(end_space(theta)) == 3
 
 
 def test_hom_respects_shifts():
