@@ -9,14 +9,24 @@ sit in degree 2), algebraic degrees internally (half of cohomological).
 Construction is degree-truncated linear algebra: the invariant ideal
 is accumulated as ideal_d = S_1 * ideal_{d-1} + invariants_d, with the
 degree-d invariants obtained by Reynolds averaging of monomials over
-W_I.  Each degree is put in reduced row echelon form with graded-lex
-column order; the quotient basis is the set of non-pivot monomials and
-the normal form map rewrites each pivot monomial as a combination of
-basis monomials.  The quotient provably vanishes above the length of
-the longest element of W_I once it vanishes in the first degree past
-it (the ideal then contains all of S_1 * S_d), so the truncation at
-top + 1 is exact, and the graded dimensions are checked against the
-Weyl group enumeration at construction time.
+W_I.  By Chevalley's theorem the invariants form a polynomial ring on
+rank-many generators, and prod_i (1 - q^{d_i}) = P_{W_I}(q) (1 - q)^n
+gives how many generators each degree has from the length generating
+function P_{W_I}; monomials are averaged, in graded-lex order, only
+until that many averages are new to the echelon, so most degrees
+average nothing.  Each degree is reduced with the sparse echelon that
+``exactla.sparse_nullspace`` also uses and back-substituted into the
+reduced row echelon form, with graded-lex column order; the quotient
+basis is the set of non-pivot monomials and the normal form map
+rewrites each pivot monomial as a combination of basis monomials.
+The ideal built is generated by invariants, so it is contained in the
+true one, and the quotient in each degree is at least as large as the
+true one; the graded dimensions are checked against the Weyl group
+enumeration at construction time, so equality in every degree
+certifies that no generator was missed.  The quotient provably
+vanishes above the length of the longest element of W_I once it
+vanishes in the first degree past it (the ideal then contains all of
+S_1 * S_d), so the truncation at top + 1 is exact.
 
 Demazure operators d_i for i in I descend to C_I by the twisted
 Leibniz rule, giving the Frobenius splitting c = f + g * alpha_i with
@@ -29,7 +39,7 @@ from fractions import Fraction
 
 from .coxeter import RootSystem, WeylElement
 from .errors import ConfigurationError, IncompatibilityError, InternalCheckError
-from .exactla import rref
+from .exactla import _back_substitute, _reduce_into
 from .polynomials import Polynomial, PolyRing
 
 __all__ = ['CoinvariantAlgebra', 'build_coinvariants',
@@ -49,6 +59,8 @@ class CoinvariantAlgebra:
         self.ring = PolyRing(root_system)
         self.top_algdeg = top_algdeg
         self.basis_by_algdeg = basis_by_algdeg
+        self._basis_sets = {d: frozenset(b)
+                            for d, b in basis_by_algdeg.items()}
         self.pivot_rules = pivot_rules
         # a minimal generating set of the invariant ideal (rank many)
         self.fundamental_invariants = fundamental_invariants or []
@@ -78,7 +90,7 @@ class CoinvariantAlgebra:
             if d > self.top_algdeg:
                 continue
             rules = self.pivot_rules[d]
-            basis = set(self.basis_by_algdeg[d])
+            basis = self._basis_sets[d]
             acc: dict[tuple, Fraction] = {}
             for mono, c in comp.terms.items():
                 if mono in basis:
@@ -91,8 +103,7 @@ class CoinvariantAlgebra:
 
     def is_nf(self, f: Polynomial) -> bool:
         for d, comp in f.homogeneous_components().items():
-            basis = set(self.basis_by_algdeg.get(d, ()))
-            if not set(comp.terms) <= basis:
+            if not comp.terms.keys() <= self._basis_sets.get(d, frozenset()):
                 return False
         return True
 
@@ -162,11 +173,48 @@ def _group_elements(rs: RootSystem, subset: tuple) -> list[WeylElement]:
     return [w for w in rs.elements if set(w.word) <= s]
 
 
+def _invariant_degrees(length_counts: dict, rank: int) -> dict[int, int]:
+    """Number of fundamental invariants of W_I in each degree.
+
+    Chevalley: prod_i (1 - q^{d_i}) = P_{W_I}(q) (1 - q)^rank, with
+    P_{W_I} the length generating function (a trivial direction of a
+    proper parabolic is a degree-1 invariant).  The lowest positive
+    term -k q^d of the right-hand side says k invariants have degree d;
+    dividing by (1 - q^d)^k and repeating peels off every degree.
+    """
+    poly = [length_counts.get(l, 0) for l in range(max(length_counts) + 1)]
+    for _ in range(rank):
+        poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
+    degrees: dict[int, int] = {}
+    while any(poly[1:]):
+        d = next(i for i, c in enumerate(poly) if i and c)
+        if poly[d] > 0:  # not a product of factors (1 - q^d)
+            raise InternalCheckError(
+                f"P_W(q) (1 - q)^{rank} has coefficient {poly[d]} at q^{d}, "
+                f"so it gives no invariant degrees")
+        degrees[d] = -poly[d]
+        for _ in range(degrees[d]):
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+            del poly[len(poly) - d:]
+    return degrees
+
+
 def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     """Construct C_I for I = subset (the full algebra when I is all).
 
-    Graded dimensions are asserted to match the length generating
-    function of W_I, and the quotient is asserted to vanish in degree
+    Degree by degree, the ideal is the span of S_1 * ideal_{d-1} and of
+    Reynolds averages of monomials, taken in graded-lex order only
+    until as many new invariants entered the echelon as
+    :func:`_invariant_degrees` reads off the length generating
+    function; a degree that needs none averages nothing.  Rows go
+    through the sparse echelon of ``exactla`` and are back-substituted
+    into the reduced row echelon form, which the ideal alone
+    determines.  The ideal built is generated by invariants, so it lies
+    inside the true one; graded dimensions are asserted to match the
+    length generating function, which certifies equality, as do the
+    count of fundamental invariants (the rank) and the total dimension
+    |W_I|.  The quotient is asserted to vanish in degree
     length(longest of W_I) + 1, which makes the truncation exact.
     """
     subset = tuple(sorted(set(subset)))
@@ -180,74 +228,54 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     for w in group:
         length_counts[w.length] = length_counts.get(w.length, 0) + 1
     top = max(length_counts)
+    needed = _invariant_degrees(length_counts, rs.rank)
 
     basis_by_algdeg: dict[int, list] = {0: [(0,) * rs.rank]}
     pivot_rules: dict[int, dict] = {0: {}}
-    ideal_polys: list[Polynomial] = []   # spanning set in current degree
+    ideal_rows: list[dict] = []          # RREF of ideal_{d-1}, by monomial
     fundamental: list[Polynomial] = []   # invariants not in S_1 * ideal
+    inv_factor = Fraction(1, order)
 
     for d in range(1, top + 2):
         monos = ring.monomials_of_degree(d)
-        span: list[Polynomial] = []
+        col = {m: j for j, m in enumerate(monos)}
+        pivots: dict[int, dict] = {}
         # S_1 * ideal_{d-1}
-        for p in ideal_polys:
-            for j in range(rs.rank):
-                span.append(p * ring.variable(j))
-        # a small echelon to spot which Reynolds averages are new
-        echelon: dict[int, list] = {}
-
-        def try_insert(vec) -> bool:
-            vec = list(vec)
-            for col in range(len(vec)):
-                if not vec[col]:
-                    continue
-                if col in echelon:
-                    c = vec[col]
-                    vec = [x - c * y for x, y in zip(vec, echelon[col])]
-                else:
-                    inv = Fraction(1) / vec[col]
-                    echelon[col] = [x * inv for x in vec]
-                    return True
-            return False
-
-        for p in span:
-            try_insert([p.coefficient(m) for m in monos])
-        # Reynolds averages of degree-d monomials
-        inv_factor = Fraction(1, order)
+        for row in ideal_rows:
+            for i in range(rs.rank):
+                _reduce_into(pivots, {
+                    col[m[:i] + (m[i] + 1,) + m[i + 1:]]: c
+                    for m, c in row.items()})
+        # Reynolds averages of degree-d monomials, until enough are new
+        found = 0
         for m in monos:
+            if found == needed.get(d, 0):
+                break
             mono_poly = Polynomial(rs.rank, {m: Fraction(1)})
             avg = Polynomial.zero(rs.rank)
             for w in group:
                 avg = avg + ring.apply_weyl(w, mono_poly)
             avg = avg.scale(inv_factor)
-            if avg.is_zero():
-                continue
-            span.append(avg)
-            if try_insert([avg.coefficient(mm) for mm in monos]):
+            if _reduce_into(pivots, {col[mm]: c
+                                     for mm, c in avg.terms.items()}):
                 fundamental.append(avg)
-        rows = [[p.coefficient(m) for m in monos] for p in span]
-        reduced, pivot_cols = rref(rows)
-        basis = [m for j, m in enumerate(monos) if j not in pivot_cols]
+                found += 1
+        _back_substitute(pivots)
+        basis = [m for j, m in enumerate(monos) if j not in pivots]
         expected = length_counts.get(d, 0)
         if len(basis) != expected:
             raise InternalCheckError(
                 f"coinvariant dimension in degree {2 * d} is {len(basis)}, "
                 f"expected {expected} from the length generating function")
-        rules: dict[tuple, dict] = {}
-        for row_i, pc in enumerate(pivot_cols):
-            row = reduced[row_i]
-            rules[monos[pc]] = {
-                monos[j]: -row[j]
-                for j in range(len(monos))
-                if j not in pivot_cols and row[j]}
         if d <= top:
             basis_by_algdeg[d] = basis
-            pivot_rules[d] = rules
-            ideal_polys = [
-                Polynomial(rs.rank,
-                           {monos[j]: reduced[row_i][j]
-                            for j in range(len(monos)) if reduced[row_i][j]})
-                for row_i, _ in enumerate(pivot_cols)]
+            reduced = {monos[p]: {monos[j]: v
+                                  for j, v in sorted(pivots[p].items())}
+                       for p in sorted(pivots)}
+            pivot_rules[d] = {
+                lead: {m: -v for m, v in row.items() if m != lead}
+                for lead, row in reduced.items()}
+            ideal_rows = list(reduced.values())
     if len(fundamental) != rs.rank:
         raise InternalCheckError(
             f"found {len(fundamental)} fundamental invariants, "

@@ -10,7 +10,12 @@ nonzero entries, and :func:`sparse_nullspace`, which solves the hom
 systems, eliminates rows of dicts sparsest first and finds the pivots a
 row meets through a min-heap instead of rescanning the row.  Its result
 is the kernel read off the reduced row echelon form, which is unique,
-so the row order changes the cost and never the basis.
+so the row order changes the cost and never the basis.  Its two steps,
+reducing one row into an echelon (:func:`_reduce_into`, which also says
+whether the row was new) and back-substitution
+(:func:`_back_substitute`), are shared with the construction of the
+coinvariant algebras (``coinvariants.build_coinvariants``), so both
+run one sparse elimination.
 
 :func:`min_poly` finds the minimal polynomial of a square matrix by
 looking for the first linear dependence among the vectorized powers
@@ -215,46 +220,79 @@ def min_poly(a: Matrix) -> list[Fraction]:
 def sparse_nullspace(rows: list, ncols: int) -> list:
     """Kernel basis of a sparse matrix given as dicts {col: Fraction}.
 
-    Forward elimination keeps a dict of pivot rows keyed by pivot
-    column, and takes the rows sparsest first: a short row meets few
-    pivots and makes short pivot rows, which keeps the fill-in of
-    every later row small.  Each incoming row is reduced against the
-    pivots it meets, lowest column first, with a min-heap of its
-    columns that are pivot columns.  A pivot row holds only columns
-    >= its pivot, so a reduction step creates columns above the one it
-    clears, the heap only grows upwards, and a column enters it only
-    when fill-in creates it.  After full back-substitution the pivot
-    rows are the reduced row echelon form of the matrix, which its row
-    space alone determines, so the returned basis does not depend on
-    the order of the rows.  The non-pivot columns parametrize the
-    kernel, in increasing order.  Intended for the large, very sparse
-    intertwining systems of module-map solving, where dense
-    elimination would be quadratically wasteful.
+    Forward elimination (:func:`_reduce_into`) keeps a dict of pivot
+    rows keyed by pivot column, and takes the rows sparsest first: a
+    short row meets few pivots and makes short pivot rows, which keeps
+    the fill-in of every later row small.  After full back-substitution
+    (:func:`_back_substitute`) the pivot rows are the reduced row
+    echelon form of the matrix, which its row space alone determines,
+    so the returned basis does not depend on the order of the rows.
+    The non-pivot columns parametrize the kernel, in increasing order.
+    Intended for the large, very sparse intertwining systems of
+    module-map solving, where dense elimination would be quadratically
+    wasteful.
     """
     pivots: dict[int, dict] = {}
     for raw in sorted(rows, key=len):
-        row = {c: Fraction(v) for c, v in raw.items() if v}
-        heap = [c for c in row if c in pivots]
-        heapq.heapify(heap)
-        while heap:
-            hit = heapq.heappop(heap)
-            coeff = row.pop(hit, None)
-            if coeff is None:  # cancelled by an earlier step
+        _reduce_into(pivots, {c: Fraction(v) for c, v in raw.items() if v})
+    _back_substitute(pivots)
+    basis = {}
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            basis[f] = vec
+    for p, prow in pivots.items():
+        for f, v in prow.items():
+            if f != p:
+                basis[f][p] = -v
+    return list(basis.values())
+
+
+def _reduce_into(pivots: dict, row: dict) -> bool:
+    """Reduce a row into an echelon of pivot rows; True if it was new.
+
+    ``pivots`` maps each pivot column to its row, a dict {col: Fraction}
+    with entry 1 at the pivot and no columns below it; ``row`` is a
+    dict without zero entries and is consumed.  The row is reduced
+    against the pivots it meets, lowest column first, with a min-heap
+    of its columns that are pivot columns.  A pivot row holds only
+    columns >= its pivot, so a reduction step creates columns above the
+    one it clears, the heap only grows upwards, and a column enters it
+    only when fill-in creates it.  A nonzero remainder is normalized
+    and stored as the pivot row of its lowest column.
+    """
+    heap = [c for c in row if c in pivots]
+    heapq.heapify(heap)
+    while heap:
+        hit = heapq.heappop(heap)
+        coeff = row.pop(hit, None)
+        if coeff is None:  # cancelled by an earlier step
+            continue
+        for c2, v2 in pivots[hit].items():
+            if c2 == hit:
                 continue
-            for c2, v2 in pivots[hit].items():
-                if c2 == hit:
-                    continue
-                nv = row.get(c2, 0) - coeff * v2
-                if nv:
-                    if c2 not in row and c2 in pivots:
-                        heapq.heappush(heap, c2)
-                    row[c2] = nv
-                else:
-                    del row[c2]
-        if row:
-            p = min(row)
-            inv = Fraction(1) / row[p]
-            pivots[p] = {c: v * inv for c, v in row.items()}
+            nv = row.get(c2, 0) - coeff * v2
+            if nv:
+                if c2 not in row and c2 in pivots:
+                    heapq.heappush(heap, c2)
+                row[c2] = nv
+            else:
+                del row[c2]
+    if not row:
+        return False
+    p = min(row)
+    inv = Fraction(1) / row[p]
+    pivots[p] = {c: v * inv for c, v in row.items()}
+    return True
+
+
+def _back_substitute(pivots: dict) -> None:
+    """Clear every pivot column from the other pivot rows, in place.
+
+    Afterwards the pivot rows are the reduced row echelon form of the
+    rows that went in, which their span alone determines.
+    """
     for p in sorted(pivots, reverse=True):
         prow = pivots[p]
         for q, qrow in pivots.items():
@@ -269,14 +307,3 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
                     qrow[c2] = nv
                 else:
                     qrow.pop(c2, None)
-    basis = {}
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [Fraction(0)] * ncols
-            vec[f] = Fraction(1)
-            basis[f] = vec
-    for p, prow in pivots.items():
-        for f, v in prow.items():
-            if f != p:
-                basis[f][p] = -v
-    return list(basis.values())

@@ -10,12 +10,14 @@ monomials up to algebraic degree six.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from soergelind import coinvariants
 from soergelind.coxeter import RootSystem, build_parabolic
-from soergelind.errors import ConfigurationError
-from soergelind.exactla import rank as matrix_rank
+from soergelind.errors import ConfigurationError, InternalCheckError
+from soergelind.exactla import rank as matrix_rank, rref
 from soergelind.coinvariants import build_coinvariants, restriction_surjection
 from soergelind.polynomials import Polynomial, PolyRing, demazure
 
@@ -28,7 +30,8 @@ def poincare_dims(elements):
     return dict(out)
 
 
-@pytest.mark.parametrize('family,rank', [('A', 1), ('A', 2), ('B', 2)])
+@pytest.mark.parametrize('family,rank',
+                         [('A', 1), ('A', 2), ('B', 2), ('A', 3)])
 def test_full_coinvariants_match_poincare(family, rank):
     rs = RootSystem(family, rank)
     C = build_coinvariants(rs, tuple(range(rank)))
@@ -43,6 +46,125 @@ def test_parabolic_coinvariants_match_subgroup():
         C = build_coinvariants(rs, subset)
         assert C.dimension() == len(datum.elements_WI)
         assert C.graded_dims() == poincare_dims(datum.elements_WI)
+
+
+# ---------------------------------------------------------------------------
+# the construction against full Reynolds averaging and dense elimination
+
+
+def reference_coinvariants(rs, subset):
+    """(basis_by_algdeg, pivot_rules, fundamental) the slow way.
+
+    Averages every monomial of every degree over W_I, spots the new
+    averages with a dense echelon and reduces the whole span with the
+    dense `rref`.
+    """
+    ring = PolyRing(rs)
+    group = [w for w in rs.elements if set(w.word) <= set(subset)]
+    top = max(w.length for w in group)
+    basis_by_algdeg = {0: [(0,) * rs.rank]}
+    pivot_rules = {0: {}}
+    ideal_polys, fundamental = [], []
+    for d in range(1, top + 2):
+        monos = ring.monomials_of_degree(d)
+        span = [p * ring.variable(j)
+                for p in ideal_polys for j in range(rs.rank)]
+        echelon = {}
+
+        def is_new(vec):
+            for col in range(len(vec)):
+                if vec[col] and col in echelon:
+                    c = vec[col]
+                    vec = [x - c * y for x, y in zip(vec, echelon[col])]
+                elif vec[col]:
+                    echelon[col] = [x / vec[col] for x in vec]
+                    return True
+            return False
+
+        for p in span:
+            is_new([p.coefficient(m) for m in monos])
+        for m in monos:
+            avg = Polynomial.zero(rs.rank)
+            for w in group:
+                avg = avg + ring.apply_weyl(w, Polynomial(rs.rank, {m: 1}))
+            avg = avg.scale(Fraction(1, len(group)))
+            span.append(avg)
+            if is_new([avg.coefficient(mm) for mm in monos]):
+                fundamental.append(avg)
+        reduced, pivots = rref([[p.coefficient(m) for m in monos]
+                                for p in span])
+        if d <= top:
+            basis_by_algdeg[d] = [m for j, m in enumerate(monos)
+                                  if j not in pivots]
+            pivot_rules[d] = {
+                monos[pc]: {monos[j]: -row[j] for j in range(len(monos))
+                            if j not in pivots and row[j]}
+                for row, pc in zip(reduced, pivots)}
+            ideal_polys = [Polynomial(rs.rank, dict(zip(monos, row)))
+                           for row in reduced]
+    return basis_by_algdeg, pivot_rules, fundamental
+
+
+ALL_SUBSETS = [(family, rank, subset)
+               for family, rank in [('A', 1), ('A', 2), ('B', 2), ('A', 3)]
+               for k in range(rank + 1)
+               for subset in combinations(range(rank), k)]
+
+
+@pytest.mark.parametrize('family,rank,subset', ALL_SUBSETS, ids=[
+    f"{f}{n}-I{''.join(str(i + 1) for i in sub) or 'none'}"
+    for f, n, sub in ALL_SUBSETS])
+def test_construction_equals_full_averaging(family, rank, subset):
+    rs = RootSystem(family, rank)
+    C = build_coinvariants(rs, subset)
+    basis, rules, fundamental = reference_coinvariants(rs, subset)
+    assert C.basis_by_algdeg == basis
+    assert C.pivot_rules == rules
+    assert C.fundamental_invariants == fundamental
+
+
+def invariant_degrees(rs, subset):
+    counts = Counter(w.length for w in rs.elements
+                     if set(w.word) <= set(subset))
+    return coinvariants._invariant_degrees(dict(counts), rs.rank)
+
+
+@pytest.mark.parametrize('family,rank,degrees', [
+    ('A', 1, {2: 1}), ('A', 2, {2: 1, 3: 1}), ('B', 2, {2: 1, 4: 1}),
+    ('A', 3, {2: 1, 3: 1, 4: 1})])
+def test_invariant_degrees_are_the_classical_ones(family, rank, degrees):
+    rs = RootSystem(family, rank)
+    assert invariant_degrees(rs, tuple(range(rank))) == degrees
+
+
+def test_invariant_degrees_of_a3_parabolics():
+    rs = RootSystem('A', 3)
+    assert invariant_degrees(rs, (0,)) == {1: 2, 2: 1}
+    assert invariant_degrees(rs, ()) == {1: 3}
+
+
+def test_a_missing_generator_fails_the_dimension_check(monkeypatch):
+    # under-report the degree-4 invariant of A3: the ideal built is then
+    # too small in degree 4 and the graded dimension check must say so
+    monkeypatch.setattr(coinvariants, '_invariant_degrees',
+                        lambda counts, rank: {2: 1, 3: 1})
+    with pytest.raises(InternalCheckError):
+        build_coinvariants(RootSystem('A', 3), (0, 1, 2))
+
+
+def test_full_a3_averages_only_a_few_monomials(monkeypatch):
+    # full averaging would make 24 x 119 = 2856 calls
+    rs = RootSystem('A', 3)
+    calls = []
+    apply_weyl = PolyRing.apply_weyl
+
+    def counted(self, w, f):
+        calls.append(w)
+        return apply_weyl(self, w, f)
+
+    monkeypatch.setattr(PolyRing, 'apply_weyl', counted)
+    build_coinvariants(rs, (0, 1, 2))
+    assert 0 < len(calls) <= len(rs.elements) * 6
 
 
 def test_normal_form_is_idempotent_and_multiplicative():
