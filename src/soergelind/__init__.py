@@ -9,7 +9,8 @@ prediction inside the Hecke algebra.
 Layering, bottom to top: `coxeter` (Weyl groups, parabolic data,
 admissible chains), `hecke` (Laurent polynomials, standard and KL
 bases), `coinvariants` (coinvariant algebras, Demazure operators),
-`smod` (graded bimodules, splitting, the indecomposable catalog),
+`smod` (graded modules, hom spaces, the indecomposable catalog and
+the peeling of catalog summands the Hecke algebra predicts),
 `homotopy` (formal complexes, Rouquier tensoring, minimization, K0),
 `induction` (the induction pipeline and the verification sweep),
 `serialize` / `cli` (persistence and the command-line front end).
@@ -18,7 +19,7 @@ bases), `coinvariants` (coinvariant algebras, Demazure operators),
 from .coxeter import (RootSystem, WeylElement, ParabolicDatum,
                       build_parabolic, admissible_chain, admissible_chains)
 from .errors import (ConfigurationError, IncompatibilityError,
-                     SplittingError, InternalCheckError, CalibrationError)
+                     InternalCheckError, CalibrationError)
 from .laurent import LaurentPoly
 from .hecke import (HeckeElement, hecke_unit, hecke_standard,
                     hecke_multiply, bar_involution, kl_basis, parabolic_kl,
@@ -45,8 +46,8 @@ __version__ = '0.1.0'
 __all__ = [
     'RootSystem', 'WeylElement', 'ParabolicDatum', 'build_parabolic',
     'admissible_chain', 'admissible_chains',
-    'ConfigurationError', 'IncompatibilityError', 'SplittingError',
-    'InternalCheckError', 'CalibrationError',
+    'ConfigurationError', 'IncompatibilityError', 'InternalCheckError',
+    'CalibrationError',
     'LaurentPoly', 'HeckeElement', 'hecke_unit', 'hecke_standard',
     'hecke_multiply', 'bar_involution', 'kl_basis', 'parabolic_kl',
     'predicted_class',

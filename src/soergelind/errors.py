@@ -8,7 +8,6 @@ with 3.
 __all__ = [
     'ConfigurationError',
     'IncompatibilityError',
-    'SplittingError',
     'CalibrationError',
     'InternalCheckError',
 ]
@@ -20,18 +19,6 @@ class ConfigurationError(ValueError):
 
 class IncompatibilityError(ValueError):
     """Operands belong to different groups, algebras, or gradings."""
-
-
-class SplittingError(RuntimeError):
-    """Idempotent splitting failed (non-rational spectrum or no progress).
-
-    Carries the endomorphism data that refused to split so the caller
-    can inspect it.
-    """
-
-    def __init__(self, message, end_data=None):
-        super().__init__(message)
-        self.end_data = end_data
 
 
 class CalibrationError(RuntimeError):

@@ -16,11 +16,6 @@ whether the row was new) and back-substitution
 (:func:`_back_substitute`), are shared with the construction of the
 coinvariant algebras (``coinvariants.build_coinvariants``), so both
 run one sparse elimination.
-
-:func:`min_poly` finds the minimal polynomial of a square matrix by
-looking for the first linear dependence among the vectorized powers
-``I, A, A^2, ...``.  It is used by the idempotent-splitting code
-(``smod.decompose``) to locate rational eigenvalues of endomorphisms.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ from fractions import Fraction
 
 __all__ = [
     'Matrix',
-    'zeros', 'identity', 'transpose', 'mat_sub', 'mat_scale', 'mat_mul', 'mat_vec',
+    'zeros', 'identity', 'mat_sub', 'mat_scale', 'mat_mul',
     'is_zero_matrix', 'rref', 'rank', 'nullspace', 'sparse_nullspace',
-    'solve', 'solve_matrix', 'invert', 'min_poly', 'trace',
+    'solve_matrix', 'invert', 'trace',
 ]
 
 Matrix = list  # list[list[Fraction]]
@@ -49,12 +44,6 @@ def zeros(nrows: int, ncols: int) -> Matrix:
 def identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -89,10 +78,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     acc[j] += x * y
         out.append(acc)
     return out
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -154,12 +139,6 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def solve(a: Matrix, b: list) -> list:
-    """One exact solution of a x = b; raises ValueError if inconsistent."""
-    sols = solve_matrix(a, [[_frac(x)] for x in b])
-    return [row[0] for row in sols]
-
-
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
     """Solve a X = B column by column (any solution; free vars set to 0)."""
     nrows = len(a)
@@ -187,34 +166,6 @@ def invert(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def min_poly(a: Matrix) -> list[Fraction]:
-    """Minimal polynomial of a square matrix, as coefficients low to high.
-
-    The result is monic; min_poly(zero 0x0 matrix) is [0, 1] by the
-    convention that the empty operator is annihilated by x.
-    """
-    n = len(a)
-    if n == 0:
-        return [Fraction(0), Fraction(1)]
-    power = identity(n)
-    vecs: list[list[Fraction]] = []
-    while True:
-        v = [x for row in power for x in row]
-        if vecs:
-            # is v in the span of vecs?  solve transpose system
-            try:
-                coeffs = solve(transpose(vecs), v)
-            except ValueError:
-                coeffs = None
-            if coeffs is not None and mat_vec(transpose(vecs), coeffs) == v:
-                poly = [-c for c in coeffs] + [Fraction(1)]
-                return poly
-        vecs.append(v)
-        power = mat_mul(power, a)
-        if len(vecs) > n + 1:  # cannot happen: degree is at most n
-            raise AssertionError("minimal polynomial search did not terminate")
 
 
 def sparse_nullspace(rows: list, ncols: int) -> list:

@@ -27,7 +27,8 @@ from .laurent import LaurentPoly
 
 __all__ = [
     'HeckeElement', 'hecke_unit', 'hecke_standard', 'hecke_multiply',
-    'kl_basis', 'parabolic_kl', 'predicted_class', 'bar_involution',
+    'kl_basis', 'wall_crossing_summands', 'parabolic_kl', 'predicted_class',
+    'bar_involution',
 ]
 
 
@@ -229,6 +230,31 @@ def kl_basis(w: WeylElement) -> HeckeElement:
                 f"KL coefficient h_{{{x!r},{w!r}}} = {c} is not in vZ>=0[v]")
     cache[w] = b
     return b
+
+
+def wall_crossing_summands(y: WeylElement, i: int) -> list:
+    """The summands (z, k) of theta_s D_y predicted by b_y b_s, s = s_i.
+
+    Expands b_y b_s = sum_z m_z(v) b_z by peeling the longest term.  A
+    term c v^j b_z stands for c copies of D_z<k> with
+    k = l(y) + 1 + j - l(z): a summand's shift measures its distance
+    from the self-dual centering, and one wall-crossing moves the
+    center up by one.  A summand of multiplicity c appears c times; the
+    list is sorted by (k, l(z), word of z).
+    """
+    rs = y.root_system
+    prod = hecke_multiply(kl_basis(y), kl_basis(rs.simple_reflection(i)))
+    out = []
+    while prod.terms:
+        z = max(prod.terms, key=lambda u: (u.length, u.word))
+        m_z = prod.terms[z]
+        for j, c in m_z.terms.items():
+            if c.denominator != 1 or c < 0:
+                raise InternalCheckError(
+                    f"b_y b_s has coefficient {m_z} at b_{z!r}")
+            out.extend([(z, y.length + 1 + j - z.length)] * int(c))
+        prod = prod - kl_basis(z).scale(m_z)
+    return sorted(out, key=lambda t: (t[1], t[0].length, t[0].word))
 
 
 def parabolic_kl(datum: ParabolicDatum, x: WeylElement) -> dict:

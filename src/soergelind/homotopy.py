@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
 from .exactla import invert, sparse_nullspace, rank, zeros
-from .hecke import HeckeElement, kl_basis
+from .hecke import HeckeElement, kl_basis, wall_crossing_summands
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, decompose,
                    direct_sum, hom_space, induce_frobenius)
@@ -173,15 +173,14 @@ def complex_from_module(catalog: IndecomposableCatalog,
                         module: GradedModule,
                         degree: int = 0) -> FormalComplex:
     """Decompose a module into catalog summands placed in one degree."""
-    summands = []
-    for part, _incl, _proj in decompose(module):
-        hit = catalog.identify(part)
-        if hit is None:
-            raise InternalCheckError(
-                f"summand with graded character {part.graded_dims} "
-                f"matches no catalog entry")
-        summands.append(hit)
-    summands.sort(key=lambda t: (t[1], t[0].length, t[0].word))
+    pieces = decompose(module, catalog.entries)
+    if pieces and pieces[-1][0] is None:
+        left = pieces[-1][2].source
+        raise InternalCheckError(
+            f"a summand with graded character {left.graded_dims} (shifted "
+            f"by {pieces[-1][1]}) matches no catalog entry")
+    summands = sorted(((z, k) for z, k, _i, _p in pieces),
+                      key=lambda t: (t[1], t[0].length, t[0].word))
     return one_term_complex(catalog, summands, degree)
 
 
@@ -213,7 +212,9 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
 
     Returns (theta_module, pieces) where pieces is a list of
     (z, shift, incl, proj): incl is a degree-(shift) map D_z ->
-    theta_module and proj its one-sided inverse of degree -shift.
+    theta_module and proj its one-sided inverse of degree -shift.  The
+    summands are the ones b_y b_s predicts, in its order; each is
+    peeled as a certified split pair, and nothing may be left over.
     The result is kept in the catalog's theta_splittings.
     """
     cache = catalog.theta_splittings
@@ -221,29 +222,11 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     if key in cache:
         return cache[key]
     theta = induce_frobenius(s, catalog.entry(y))
-    pieces = []
-    for part, incl, proj in decompose(theta):
-        hit = catalog.identify_with_iso(part)
-        if hit is None:
-            raise InternalCheckError(
-                f"theta_s{s + 1} D_{y!r} has a summand with graded "
-                f"character {part.graded_dims} outside the catalog")
-        z, k, iso = hit
-        entry = catalog.entry(z)
-        # rebase incl/proj to the catalog entry itself: iso part -> D_z<k>
-        # is a degree -k map part -> D_z, its blockwise inverse one of
-        # degree k back
-        to_entry = ModuleMap(part, entry, -k, iso.blocks)
-        from_entry = ModuleMap(entry, part, k,
-                               {d - k: invert(iso.block(d))
-                                for d in part.degrees()})
-        new_incl = incl.compose(from_entry)
-        new_proj = to_entry.compose(proj)
-        if new_proj.compose(new_incl) != ModuleMap.identity(entry):
-            raise InternalCheckError(
-                "theta splitting pair fails proj o incl = id")
-        pieces.append((z, k, new_incl, new_proj))
-    pieces.sort(key=lambda t: (t[1], t[0].length, t[0].word))
+    pieces = decompose(theta, catalog.entries, wall_crossing_summands(y, s))
+    if pieces and pieces[-1][0] is None:
+        raise InternalCheckError(
+            f"theta_s{s + 1} D_{y!r} has a summand with graded character "
+            f"{pieces[-1][2].source.graded_dims} beyond b_y b_s")
     cache[key] = (theta, pieces)
     return cache[key]
 
@@ -456,7 +439,8 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
     isomorphism phi between summand a and summand b, both are removed
     and the remaining components pick up the correction
     -gamma phi^{-1} beta.  The K_0 class is preserved; this is asserted
-    on every call.
+    on every call.  Elimination preserves d^2 = 0, so the intermediate
+    complexes are built unchecked and only the result is validated.
     """
     before = k0_class(cpx)
     current = cpx
@@ -512,7 +496,9 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
                     diffs[j] = out
             else:
                 diffs[j] = dict(comps)
-        current = FormalComplex(current.catalog, terms, diffs)
+        current = FormalComplex(current.catalog, terms, diffs, check=False)
+    if current is not cpx:
+        current._validate()
     after = k0_class(current)
     if before != after:
         raise InternalCheckError(

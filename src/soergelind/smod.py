@@ -12,17 +12,20 @@ The workhorses are:
     c(alpha_s (x) m) = 1 (x) alpha_s^2 g m + alpha_s (x) fm.
   * hom_space -- exact solution of the intertwining equations, degree
     block by degree block, through a sparse kernel computation.
-  * decompose -- idempotent splitting: a random small-integer element
-    of End^0 is split into generalized eigenspaces over its rational
-    spectrum and the pieces are recursed on.  Modules here are
-    absolutely indecomposable when indecomposable, so a persistently
-    irrational spectrum is reported as an error rather than guessed at.
+  * decompose -- deterministic peeling of catalog summands.  A
+    summand D_z<k> splits off M exactly when some pair of hom-basis
+    maps D_z -> M -> D_z has a composite with nonzero trace; since
+    End^0(D_z) = Q that composite is a scalar, the pair is rescaled
+    to a split pair, and the rest is ker(proj).  The summands are
+    either the ones the Hecke algebra predicts (b_y b_s = sum_z
+    m_z b_z for theta_s D_y, hecke.wall_crossing_summands) or found
+    by trying catalog entries at the bottom degree of what is left.
   * build_catalog -- the indecomposable modules D_y, one per group
-    element, built by peeling known summands off C (x)_{C^s} D_{y'}
-    along reduced words.  Each entry is validated against the
-    Kazhdan-Lusztig base: the graded character of D_y must equal the
-    intersection-cohomology Poincare polynomial computed from the
-    coefficients of b_y.
+    element: D_y is what is left of C (x)_{C^s} D_{ys} once the
+    predicted shorter summands are peeled off.  Each entry is
+    validated against the Kazhdan-Lusztig base: the graded character
+    of D_y must equal the intersection-cohomology Poincare polynomial
+    computed from the coefficients of b_y.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -34,13 +37,12 @@ from fractions import Fraction
 
 from .coinvariants import CoinvariantAlgebra, RestrictionMap
 from .errors import (ConfigurationError, IncompatibilityError,
-                     InternalCheckError, SplittingError)
+                     InternalCheckError)
 from .exactla import (identity as id_matrix, invert, is_zero_matrix, mat_mul,
-                      mat_scale, mat_sub, min_poly, nullspace, rank,
-                      sparse_nullspace, trace, zeros)
-from .hecke import kl_basis
+                      mat_scale, mat_sub, rank, rref, sparse_nullspace, trace,
+                      zeros)
+from .hecke import kl_basis, wall_crossing_summands
 from .polynomials import Polynomial
-from .qpoly import rational_roots, squarefree_part
 
 __all__ = [
     'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
@@ -503,9 +505,9 @@ def _restrict_to_subspace(module: GradedModule, basis: dict,
                           proj_rows: dict) -> tuple:
     """Present a graded C-stable subspace as a module of its own.
 
-    basis[d] has the subspace basis as columns; proj_rows[d] are the
-    matching rows of the inverse of the full change-of-basis matrix,
-    so proj . incl = id.  Returns (module, incl, proj).
+    basis[d] has the subspace basis as columns; proj_rows[d] maps the
+    module onto coordinates in that basis, so proj . incl = id.
+    Returns (module, incl, proj).
     """
     algebra = module.algebra
     dims = {d: len(b[0]) for d, b in basis.items() if b and b[0]}
@@ -525,121 +527,129 @@ def _restrict_to_subspace(module: GradedModule, basis: dict,
     return sub, incl, proj
 
 
-def _split_once(module: GradedModule, ends: list, rng: random.Random):
-    """One attempt to split via a random element of End^0; None if unlucky."""
-    coeffs = [Fraction(rng.randint(-5, 5)) for _ in ends]
-    phi = ModuleMap.zero(module, module, 0)
-    for c, e in zip(coeffs, ends):
-        if c:
-            phi = phi + e.scale(c)
-    # minimal polynomial = lcm over degree blocks
-    from .qpoly import p_divmod, p_gcd, p_mul
-
-    def p_lcm(a, b):
-        g = p_gcd(a, b)
-        q, r = p_divmod(p_mul(a, b), g)
-        if any(r):
-            raise AssertionError("lcm division failed")
-        lead = q[-1]
-        return [c / lead for c in q]
-
-    mu = [Fraction(1)]
-    for d in module.degrees():
-        mu = p_lcm(mu, min_poly(phi.block(d)))
-    if len(mu) <= 2:
-        return None  # scalar (or zero) element: no information
-    roots = rational_roots(squarefree_part(mu))
-    if len(roots) < 2:
-        return None
-    # generalized eigenspaces per degree
-    pieces = []
-    for lam in roots:
-        basis_by_deg = {}
-        for d, nd in module.graded_dims.items():
-            block = phi.block(d)
-            shifted = [[block[r][c] - (lam if r == c else 0)
-                        for c in range(nd)] for r in range(nd)]
-            power = id_matrix(nd)
-            for _ in range(nd):
-                power = mat_mul(shifted, power)
-            kern = nullspace(power)
-            basis_by_deg[d] = [[vec[r] for vec in kern] for r in range(nd)]
-        pieces.append(basis_by_deg)
-    # the eigenspaces must fill the module (rational spectrum)
-    for d, nd in module.graded_dims.items():
-        if sum(len(p[d][0]) if p[d] and p[d][0] else 0
-               for p in pieces) != nd:
-            return None
-    out = []
-    for d, nd in module.graded_dims.items():
-        combined = [sum((p[d][r] for p in pieces), []) for r in range(nd)]
-        inv = invert(combined)
-        offset = 0
-        for k, p in enumerate(pieces):
-            width = len(p[d][0]) if p[d] and p[d][0] else 0
-            while len(out) <= k:
-                out.append(({}, {}))
-            out[k][0][d] = p[d]
-            out[k][1][d] = inv[offset:offset + width]
-            offset += width
-    summands = []
-    for basis_by_deg, proj_rows in out:
-        sub, incl, proj = _restrict_to_subspace(module, basis_by_deg,
-                                                proj_rows)
-        if sub.is_zero():
-            continue
-        if not incl.check_intertwines():
-            raise InternalCheckError(
-                "eigenspace of an endomorphism is not a submodule")
-        summands.append((sub, incl, proj))
-    return summands if len(summands) >= 2 else None
+def _pair_trace(p: ModuleMap, i: ModuleMap) -> Fraction:
+    """Trace of p o i, without forming the composite."""
+    total = Fraction(0)
+    for d, ib in i.blocks.items():
+        pb = p.blocks.get(d + i.degree)
+        if pb is not None:
+            total += sum(x * ib[c][r] for r, row in enumerate(pb)
+                         for c, x in enumerate(row) if x)
+    return total
 
 
-def decompose(module: GradedModule, seed: int = 0,
-              max_attempts: int = 24) -> list:
-    """Complete direct-sum decomposition into indecomposables.
+def _split_pair(module: GradedModule, entry: GradedModule, k: int):
+    """(incl, proj) splitting entry<k> off module, or None.
 
-    Returns a list of (summand, inclusion, projection) triples with
-    proj . incl = id on each summand and the summed incl . proj equal
-    to the identity of the input.  Splitting uses random elements of
-    End^0 (deterministically seeded); if End^0 is bigger than scalars
-    but no attempt splits, a SplittingError carrying the endomorphism
-    data is raised instead of returning a wrong answer.
+    End^0(entry) = Q, so p o i is a scalar for every pair of maps
+    i: entry -> module of degree k and p back of degree -k, and entry<k>
+    is a summand exactly when some such scalar is nonzero.  The trace
+    pairing is bilinear, so a basis pair with nonzero trace exists
+    then; its composite is checked to be that scalar.
     """
-    if module.is_zero():
-        return []
-    rng = random.Random(0x5eed ^ seed)
+    ins = hom_space(entry, module, k)
+    if not ins:
+        return None
+    outs = hom_space(module, entry, -k)
+    for i in ins:
+        for p in outs:
+            c = _pair_trace(p, i)
+            if c:
+                c /= entry.total_dim()
+                if p.compose(i) != ModuleMap.identity(entry).scale(c):
+                    raise InternalCheckError(
+                        "a catalog entry has degree-0 endomorphisms "
+                        "beyond the scalars")
+                return i, p.scale(1 / c)
+    return None
+
+
+def _complement(module: GradedModule, incl: ModuleMap, proj: ModuleMap):
+    """ker(proj) as a module, for a split pair with proj o incl = id.
+
+    Returns (rest, rest_incl, rest_proj); rest_proj projects along the
+    image of incl, so incl o proj + rest_incl o rest_proj = id.  In each
+    degree the kernel basis has a 1 in each free column of proj's
+    echelon form, so the coordinates of a kernel vector are its free
+    entries, and rest_proj is read off the rows of id - incl o proj.
+    """
+    basis, rows = {}, {}
+    for d, n in module.graded_dims.items():
+        p = proj.block(d)
+        red, pivots = rref(p)
+        free = [c for c in range(n) if c not in pivots]
+        kernel = []
+        for f in free:
+            vec = [Fraction(0)] * n
+            vec[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                vec[c] = -red[r][f]
+            kernel.append(vec)
+        basis[d] = [[vec[r] for vec in kernel] for r in range(n)]
+        ip = _mul(incl.block(d - incl.degree), p, n, n)
+        rows[d] = [[(1 if c == f else 0) - ip[f][c] for c in range(n)]
+                   for f in free]
+    return _restrict_to_subspace(module, basis, rows)
+
+
+def decompose(module: GradedModule, entries: dict, summands=None) -> list:
+    """Split a module into shifted catalog entries, deterministically.
+
+    entries maps each y to its catalog module D_y.  Returns one item
+    (z, k, incl, proj) per summand D_z<k>: incl: D_z -> module has
+    degree k, proj its left inverse of degree -k, and the incl o proj
+    add up to the identity of the module.  With summands, a list of
+    (z, k), exactly those are peeled, in order, and one that does not
+    split off raises InternalCheckError.  Without, the catalog is
+    searched longest element first for an entry that splits off at the
+    bottom degree of what is left; by Krull-Schmidt some entry does if
+    what is left is a sum of catalog entries.  A nonzero rest that is
+    not peeled comes last as (None, k, incl, proj), presented as a
+    module of bottom degree 0 shifted by k.
+    """
     result = []
-
-    def rec(part, incl, proj):
-        ends = end_space(part)
-        if len(ends) == 0:
-            raise InternalCheckError("endomorphism space lost the identity")
-        if len(ends) == 1:
-            result.append((part, incl, proj))
-            return
-        split = None
-        for _ in range(max_attempts):
-            split = _split_once(part, ends, rng)
-            if split is not None:
+    rest = module
+    incl = proj = ModuleMap.identity(module)
+    wanted = None if summands is None else list(summands)
+    longest_first = sorted(entries, key=lambda w: (-w.length, w.word))
+    while not rest.is_zero():
+        if wanted is None:
+            k = rest.bottom_degree()
+            pair = None
+            for z in longest_first:
+                if all(rest.dim_at(d + k) >= n
+                       for d, n in entries[z].graded_dims.items()):
+                    pair = _split_pair(rest, entries[z], k)
+                    if pair is not None:
+                        break
+            if pair is None:
                 break
-        if split is None:
-            raise SplittingError(
-                f"could not split a module with End^0 of dimension "
-                f"{len(ends)} after {max_attempts} attempts",
-                end_data={'end_dim': len(ends),
-                          'graded_dims': dict(part.graded_dims)})
-        for sub, sincl, sproj in split:
-            rec(sub, incl.compose(sincl), sproj.compose(proj))
-
-    rec(module, ModuleMap.identity(module), ModuleMap.identity(module))
-    # bookkeeping: projections times inclusions give identities
-    for part, incl, proj in result:
-        comp = proj.compose(incl)
-        if comp != ModuleMap.identity(part):
-            raise InternalCheckError("split pair fails proj . incl = id")
-    total = sum(p.total_dim() for p, _, _ in result)
-    if total != module.total_dim():
+        elif not wanted:
+            break
+        else:
+            z, k = wanted.pop(0)
+            pair = _split_pair(rest, entries[z], k)
+            if pair is None:
+                raise InternalCheckError(
+                    f"predicted summand D_{z!r}<{k}> does not split off "
+                    f"a module with graded character {rest.graded_dims}")
+        i, p = pair
+        result.append((z, k, incl.compose(i), p.compose(proj)))
+        rest, sub_incl, sub_proj = _complement(rest, i, p)
+        incl, proj = incl.compose(sub_incl), sub_proj.compose(proj)
+    if wanted:
+        z, k = wanted[0]
+        raise InternalCheckError(
+            f"predicted summand D_{z!r}<{k}> is missing: nothing is left")
+    if not rest.is_zero():
+        k = rest.bottom_degree()
+        left = rest.shift(-k)
+        result.append((None, k,
+                       ModuleMap(left, module, k,
+                                 {d - k: b for d, b in incl.blocks.items()}),
+                       ModuleMap(module, left, -k, proj.blocks)))
+    if sum(p.target.total_dim() for _z, _k, _i, p in result) \
+            != module.total_dim():
         raise InternalCheckError("decomposition loses dimensions")
     return result
 
@@ -746,20 +756,14 @@ class IndecomposableCatalog:
 
     def identify(self, module: GradedModule):
         """(y, shift) with module isomorphic to D_y<shift>, or None."""
-        hit = self.identify_with_iso(module)
-        return None if hit is None else hit[:2]
-
-    def identify_with_iso(self, module: GradedModule):
-        """(y, shift, iso) or None; iso: module -> D_y<shift> has degree 0."""
         if module.is_zero():
             return None
         k = module.bottom_degree()
         for w, d_w in self.entries.items():
             if d_w.graded_dims == {d - k: n
                                    for d, n in module.graded_dims.items()}:
-                iso = is_isomorphic(module, d_w.shift(k))
-                if iso is not None:
-                    return (w, k, iso)
+                if is_isomorphic(module, d_w.shift(k)) is not None:
+                    return (w, k)
         return None
 
     def __repr__(self):
@@ -770,10 +774,11 @@ class IndecomposableCatalog:
 def build_catalog(algebra: CoinvariantAlgebra) -> IndecomposableCatalog:
     """All D_y by increasing length, with Kazhdan-Lusztig validation.
 
-    D_y is the unique summand of C (x)_{C^s} D_{ys} (s a descent)
-    not isomorphic to a shifted, already-built entry.  Hard checks on
-    every entry: bottom degree 0, graded dimensions equal to the
-    Kazhdan-Lusztig prediction, and the ideal-annihilation relations.
+    D_y is what is left of C (x)_{C^s} D_{ys} (s a descent) once the
+    other summands b_{ys} b_s predicts are peeled off (decompose).  Hard
+    checks on every entry: it is what is left in bottom degree 0, its
+    degree-0 endomorphisms are the scalars, its graded dimensions equal
+    the Kazhdan-Lusztig prediction, and the invariant ideal kills it.
     Every call builds afresh; induction keeps and caches the result.
     """
     rs = algebra.root_system
@@ -788,24 +793,20 @@ def build_catalog(algebra: CoinvariantAlgebra) -> IndecomposableCatalog:
             continue
         i = w.right_descents()[0]
         shorter = w * rs.simple_reflection(i)
-        theta = induce_frobenius(i, entries[shorter])
-        partial = IndecomposableCatalog(algebra, entries, {})
-        fresh = []
-        known = []
-        for sub, _incl, _proj in decompose(theta):
-            hit = partial.identify(sub)
-            if hit is None:
-                fresh.append(sub)
-            else:
-                known.append(hit)
-        if len(fresh) != 1:
+        peeled = wall_crossing_summands(shorter, i)
+        if (w, 0) not in peeled:
             raise InternalCheckError(
-                f"peeling for {w!r} left {len(fresh)} unidentified "
-                f"summands (expected exactly 1)")
-        d_w = fresh[0]
-        if d_w.bottom_degree() != 0:
+                f"b_{shorter!r} b_s{i + 1} does not contain b_{w!r}")
+        peeled.remove((w, 0))
+        pieces = decompose(induce_frobenius(i, entries[shorter]), entries,
+                           peeled)
+        if len(pieces) != len(peeled) + 1 or pieces[-1][:2] != (None, 0):
             raise InternalCheckError(
-                f"catalog entry for {w!r} does not start in degree 0")
+                f"peeling for {w!r} leaves no summand in degree 0")
+        d_w = pieces[-1][2].source
+        if len(end_space(d_w)) != 1:
+            raise InternalCheckError(
+                f"the module left for {w!r} is decomposable")
         expected = expected_graded_dims(w)
         if d_w.graded_dims != expected:
             raise InternalCheckError(
@@ -815,6 +816,6 @@ def build_catalog(algebra: CoinvariantAlgebra) -> IndecomposableCatalog:
         entries[w] = d_w
         provenance[w] = {
             'built_from': (shorter, i),
-            'peeled': sorted(((z.word, k) for z, k in known)),
+            'peeled': sorted(((z.word, k) for z, k in peeled)),
         }
     return IndecomposableCatalog(algebra, entries, provenance)

@@ -258,10 +258,9 @@ def check_krull_schmidt():
                  for _ in range(rng.randint(2, 4))]
         total, _, _ = direct_sum(picks)
         got = Counter()
-        for part, _incl, _proj in decompose(total, seed=seed):
-            hit = catalog.identify(part)
-            assert hit is not None
-            got[hit] += 1
+        for z, k, _incl, _proj in decompose(total, catalog.entries):
+            assert z is not None
+            got[(z, k)] += 1
         assert got == Counter(catalog.identify(m) for m in picks)
 
 

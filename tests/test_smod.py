@@ -14,8 +14,10 @@ import pytest
 
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
-from soergelind.errors import ConfigurationError
-from soergelind.hecke import hecke_multiply, kl_basis
+from soergelind import smod
+from soergelind.errors import ConfigurationError, InternalCheckError
+from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
+from soergelind.homotopy import theta_summands
 from soergelind.laurent import LaurentPoly
 from soergelind.smod import (ModuleMap, bott_samelson, build_catalog,
                              decompose, direct_sum, end_space, hom_space,
@@ -214,11 +216,63 @@ def test_splitting_matches_hecke_product(family, rank):
         for i in range(rank):
             theta = induce_frobenius(i, catalog.entry(y))
             got = Counter()
-            for part, _incl, _proj in decompose(theta):
-                hit = catalog.identify(part)
-                assert hit is not None, (y, i)
-                got[hit] += 1
+            for z, k, _incl, _proj in decompose(theta, catalog.entries):
+                assert z is not None, (y, i)
+                got[(z, k)] += 1
             assert got == hecke_summand_multiset(y, i), (y, i)
+
+
+@pytest.mark.parametrize('family,rank', [('A', 2), ('B', 2), ('G', 2)])
+def test_search_and_guided_splittings_agree_with_the_hecke_product(
+        family, rank):
+    # the search finds summands with no Hecke input, so it checks the
+    # guided splitting that theta_summands peels from b_y b_s
+    catalog = catalog_of(family, rank)
+    for y in catalog.elements():
+        for i in range(rank):
+            theta = induce_frobenius(i, catalog.entry(y))
+            searched = Counter((z, k) for z, k, _i, _p
+                               in decompose(theta, catalog.entries))
+            _theta, pieces = theta_summands(catalog, i, y)
+            guided = Counter((z, k) for z, k, _i, _p in pieces)
+            assert searched == hecke_summand_multiset(y, i), (y, i)
+            assert guided == searched, (y, i)
+            assert Counter(wall_crossing_summands(y, i)) == searched
+
+
+def test_pieces_add_up_to_the_identity():
+    catalog = catalog_of('B', 2)
+    for y in catalog.elements():
+        for i in range(2):
+            theta, pieces = theta_summands(catalog, i, y)
+            total = ModuleMap.zero(theta, theta, 0)
+            for z, k, incl, proj in pieces:
+                assert proj.compose(incl) == \
+                    ModuleMap.identity(catalog.entry(z))
+                total = total + incl.compose(proj)
+            assert total == ModuleMap.identity(theta)
+
+
+def test_a_bogus_predicted_summand_is_refused():
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    s1 = word_el(rs, 1)
+    theta = induce_frobenius(0, catalog.entry(s1))
+    predicted = wall_crossing_summands(s1, 0)
+    for bogus in [(rs.identity, 0), (s1, 4), (word_el(rs, 2), 0)]:
+        for wanted in (predicted + [bogus], [bogus] + predicted):
+            with pytest.raises(InternalCheckError):
+                decompose(theta, catalog.entries, wanted)
+
+
+def test_a_missing_predicted_summand_stops_the_catalog(monkeypatch):
+    # b_{s1 s2} b_{s1} = b_{s1 s2 s1} + b_{s1}: without the b_{s1}, the
+    # module left for s1 s2 s1 is D_{s1 s2 s1} + D_{s1}<2>
+    full = smod.wall_crossing_summands
+    monkeypatch.setattr(smod, 'wall_crossing_summands', lambda y, i: [
+        t for t in full(y, i) if t[0].length > y.length])
+    with pytest.raises(InternalCheckError):
+        build_catalog(algebra('A', 2))
 
 
 def test_descent_case_gives_two_shifted_copies():
@@ -228,7 +282,8 @@ def test_descent_case_gives_two_shifted_copies():
     rs = catalog.algebra.root_system
     s1 = word_el(rs, 1)
     theta = induce_frobenius(0, catalog.entry(s1))
-    parts = Counter(catalog.identify(p) for p, _i, _p in decompose(theta))
+    parts = Counter((z, k) for z, k, _i, _p
+                    in decompose(theta, catalog.entries))
     assert parts == {(s1, 0): 1, (s1, 2): 1}
 
 
@@ -296,10 +351,9 @@ def test_krull_schmidt_random_sums():
         right, _, _ = direct_sum(picks)
         assert is_isomorphic(left, right) is not None
         got = Counter()
-        for part, _incl, _proj in decompose(left, seed=seed):
-            hit = catalog.identify(part)
-            assert hit is not None
-            got[hit] += 1
+        for z, k, _incl, _proj in decompose(left, catalog.entries):
+            assert z is not None
+            got[(z, k)] += 1
         expected = Counter()
         for m in picks:
             hit = catalog.identify(m)
