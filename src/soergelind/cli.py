@@ -71,6 +71,43 @@ def _word_str(w) -> str:
     return ' '.join(str(i) for i in w.word_1based()) or 'e'
 
 
+def _check_paths(args) -> None:
+    """Refuse an unusable --cache-dir or --json before any work starts.
+
+    The cache directory is created here, so a path that cannot be a
+    directory fails now instead of after the first catalog is built.
+    """
+    if args.cache_dir:
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot use --cache-dir {args.cache_dir!r}: {exc}") from exc
+    if args.json:
+        if os.path.isdir(args.json):
+            raise ConfigurationError(
+                f"--json {args.json!r} is a directory, not a file")
+        folder = os.path.dirname(os.path.abspath(args.json))
+        if not os.path.isdir(folder):
+            raise ConfigurationError(
+                f"--json {args.json!r}: no directory {folder!r}")
+
+
+def _write_json(data, path: str) -> None:
+    try:
+        dump_json(data, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --json {path!r}: {exc}") \
+            from exc
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def cmd_group(args) -> int:
     rs = build_root_system(args.type, args.rank)
     print(f'W({args.type}{args.rank}): {len(rs.elements)} elements')
@@ -100,6 +137,7 @@ def cmd_kl(args) -> int:
 def cmd_indw(args) -> int:
     subset_arg = args.parabolic if args.parabolic is not None else ''
     subset = _parse_parabolic(subset_arg, args.rank)
+    _check_paths(args)
     setup = make_setup(args.type, args.rank, subset, args.cache_dir)
     rs = setup.rs
     x = parse_word(rs, args.x) if args.x else rs.identity
@@ -124,13 +162,14 @@ def cmd_indw(args) -> int:
     print(f'predicted class: {report.predicted_class}')
     print(f'status: {report.status}')
     if args.json:
-        dump_json({'report': report.to_json(), 'complex': cpx.to_json()},
-                  args.json)
+        _write_json({'report': report.to_json(), 'complex': cpx.to_json()},
+                    args.json)
     return 0 if report.ok() else 1
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    _check_paths(args)
     if args.cache_dir:
         # calibration runs on the full catalogs of these root systems:
         # load them from the cache directory, or store them there
@@ -157,7 +196,7 @@ def cmd_verify(args) -> int:
             print(f'  FAIL {r.instance}')
     print(f'total time: {time.perf_counter() - t0:.1f}s')
     if args.json:
-        dump_json({
+        _write_json({
             'corpus': args.corpus,
             'calibration': {'shift': record.shift, 'sign': record.sign},
             'checks': {check: [r.to_json() for r in reports]
@@ -204,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser('verify', help='run the verification sweep')
     p.add_argument('--corpus', default='full', choices=['full', 'quick'])
-    p.add_argument('--jobs', type=int, default=1)
+    p.add_argument('--jobs', type=_positive_int, default=1)
     p.add_argument('--json', default=None, help='write a JSON report here')
     p.add_argument('--cache-dir', default=default_cache)
     p.set_defaults(func=cmd_verify)

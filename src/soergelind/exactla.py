@@ -16,12 +16,22 @@ whether the row was new) and back-substitution
 (:func:`_back_substitute`), are shared with the construction of the
 coinvariant algebras (``coinvariants.build_coinvariants``), so both
 run one sparse elimination.
+
+:func:`sparse_nullspace` runs that elimination modulo the prime
+p = 2^61 - 1 first, on integers instead of Fractions, lifts the reduced
+rows back to fractions by rational reconstruction and checks the lifted
+kernel exactly, in integers, against every input row.  A lift that
+passes the check is the exact rational answer (the argument is in the
+docstring of :func:`sparse_nullspace`); anything else falls back to
+the same elimination over Fraction.  The hom systems have power-of-two
+denominators and small entries, so the modular path answers them all.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     'Matrix',
@@ -178,15 +188,35 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
     (:func:`_back_substitute`) the pivot rows are the reduced row
     echelon form of the matrix, which its row space alone determines,
     so the returned basis does not depend on the order of the rows.
-    The non-pivot columns parametrize the kernel, in increasing order.
+    The non-pivot columns parametrize the kernel, in increasing order:
+    the vector of a free column f is 1 at f, 0 at the other free
+    columns and minus the pivot rows' entries in column f elsewhere.
     Intended for the large, very sparse intertwining systems of
     module-map solving, where dense elimination would be quadratically
     wasteful.
+
+    The elimination runs modulo the prime p = 2^61 - 1 first
+    (:func:`_modular_rref`): small integers instead of Fraction gcds.
+    Every entry of the reduced pivot rows is lifted back to a fraction
+    n/d with |n|, d <= 2^30 by rational reconstruction, and the lifted
+    kernel vectors are checked exactly, in integers, against every
+    input row.  An accepted lift is the exact answer.  The vector of a
+    free column f mod p is 1 at f and supported on pivot columns below
+    f; if it kills every row over Q, column f is a rational combination
+    of earlier columns, so f is free over Q too.  The free columns mod
+    p are thus among the free columns over Q, and there are at least as
+    many of them (the rank mod p is at most the rank over Q), so the
+    two sets agree; the kernel vectors that are the identity on the
+    free columns are unique, so the lift is the basis read off the
+    rational reduced row echelon form, Fraction for Fraction.  A
+    denominator divisible by p, a residue that does not lift, or a
+    lift that fails the check sends the system to the same elimination
+    over Fraction instead, which always answers.
     """
-    pivots: dict[int, dict] = {}
-    for raw in sorted(rows, key=len):
-        _reduce_into(pivots, {c: Fraction(v) for c, v in raw.items() if v})
-    _back_substitute(pivots)
+    rows = sorted(rows, key=len)
+    pivots = _modular_rref(rows)
+    if pivots is None:
+        pivots = _rational_rref(rows)
     basis = {}
     for f in range(ncols):
         if f not in pivots:
@@ -200,18 +230,124 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
     return list(basis.values())
 
 
-def _reduce_into(pivots: dict, row: dict) -> bool:
+def _rational_rref(rows: list) -> dict:
+    """Reduced row echelon form of the rows over Fraction, as pivot rows."""
+    pivots: dict[int, dict] = {}
+    for raw in rows:
+        _reduce_into(pivots, {c: Fraction(v) for c, v in raw.items() if v})
+    _back_substitute(pivots)
+    return pivots
+
+
+_PRIME = (1 << 61) - 1
+_LIFT_BOUND = 1 << 30
+
+
+def _modular_rref(rows: list):
+    """Reduced row echelon form of the rows, computed mod _PRIME.
+
+    Returns the pivot rows with every entry lifted to a Fraction, once
+    the kernel they describe is checked exactly against every row (see
+    :func:`sparse_nullspace`), or None when any step fails.  Rows are
+    converted and reduced one at a time, and the residues are dropped
+    as soon as they are lifted.
+    """
+    inverses = {1: 1}
+    pivots: dict[int, dict] = {}
+    for raw in rows:
+        row = {}
+        for c, v in raw.items():
+            den = v.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % _PRIME == 0:
+                    return None
+                inv = inverses[den] = pow(den, -1, _PRIME)
+            r = v.numerator * inv % _PRIME
+            if r:
+                row[c] = r
+        _reduce_into(pivots, row, _PRIME)
+    _back_substitute(pivots, _PRIME)
+    lifts: dict[int, Fraction] = {}
+    for p, prow in pivots.items():
+        for c, r in prow.items():
+            value = lifts.get(r)
+            if value is None:
+                value = lifts[r] = _reconstruct(r)
+                if value is None:
+                    return None
+            prow[c] = value
+    del lifts
+    return pivots if _kills_every_row(pivots, rows) else None
+
+
+def _reconstruct(r: int):
+    """The fraction n/d = r mod _PRIME with |n|, d <= _LIFT_BOUND, or None.
+
+    Extended Euclid on (_PRIME, r), stopped at the first remainder
+    within the bound; each remainder r_i satisfies r_i = t_i * r mod
+    _PRIME, so r_i / t_i is the candidate.
+    """
+    r0, t0, r1, t1 = _PRIME, 0, r, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= _LIFT_BOUND:
+        return None
+    return Fraction(r1, t1)
+
+
+def _kills_every_row(pivots: dict, rows: list) -> bool:
+    """Whether every kernel vector read off the pivot rows kills every row.
+
+    Exact and in integers: the kernel vector of each free column f is
+    scaled by the lcm L_f of its denominators, each row by the lcm of
+    its own, and the products are accumulated column by column.
+    """
+    scale: dict[int, int] = {}
+    for p, prow in pivots.items():
+        for f, v in prow.items():
+            if f != p:
+                scale[f] = lcm(scale.get(f, 1), v.denominator)
+    # column c of the scaled kernel: {f: entry of vector f}
+    columns = {p: {f: -v.numerator * (scale[f] // v.denominator)
+                   for f, v in prow.items() if f != p}
+               for p, prow in pivots.items()}
+    for raw in rows:
+        # a list, not a generator: unpacking a generator leaves its
+        # resized argument tuples on the interpreter's free lists, which
+        # raised the peak RSS of a verify-light sweep by 0.6-0.8 MB
+        den = lcm(*[v.denominator for v in raw.values()])
+        acc: dict[int, int] = {}
+        for c, v in raw.items():
+            x = v.numerator * (den // v.denominator)
+            if not x:
+                continue
+            entries = columns.get(c)
+            if entries is None:  # a free column: its own vector is 1 there
+                acc[c] = acc.get(c, 0) + x * scale.get(c, 1)
+            else:
+                for f, y in entries.items():
+                    acc[f] = acc.get(f, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _reduce_into(pivots: dict, row: dict, _mod: int = 0) -> bool:
     """Reduce a row into an echelon of pivot rows; True if it was new.
 
-    ``pivots`` maps each pivot column to its row, a dict {col: Fraction}
+    ``pivots`` maps each pivot column to its row, a dict {col: value}
     with entry 1 at the pivot and no columns below it; ``row`` is a
-    dict without zero entries and is consumed.  The row is reduced
-    against the pivots it meets, lowest column first, with a min-heap
-    of its columns that are pivot columns.  A pivot row holds only
-    columns >= its pivot, so a reduction step creates columns above the
-    one it clears, the heap only grows upwards, and a column enters it
-    only when fill-in creates it.  A nonzero remainder is normalized
-    and stored as the pivot row of its lowest column.
+    dict without zero entries and is consumed.  The values are
+    Fractions, or residues mod ``_mod`` when it is given.  The row is
+    reduced against the pivots it meets, lowest column first, with a
+    min-heap of its columns that are pivot columns.  A pivot row holds
+    only columns >= its pivot, so a reduction step creates columns
+    above the one it clears, the heap only grows upwards, and a column
+    enters it only when fill-in creates it.  A nonzero remainder is
+    normalized and stored as the pivot row of its lowest column.
     """
     heap = [c for c in row if c in pivots]
     heapq.heapify(heap)
@@ -224,6 +360,8 @@ def _reduce_into(pivots: dict, row: dict) -> bool:
             if c2 == hit:
                 continue
             nv = row.get(c2, 0) - coeff * v2
+            if _mod:
+                nv %= _mod
             if nv:
                 if c2 not in row and c2 in pivots:
                     heapq.heappush(heap, c2)
@@ -233,16 +371,22 @@ def _reduce_into(pivots: dict, row: dict) -> bool:
     if not row:
         return False
     p = min(row)
-    inv = Fraction(1) / row[p]
-    pivots[p] = {c: v * inv for c, v in row.items()}
+    if _mod:
+        inv = pow(row[p], -1, _mod)
+        pivots[p] = {c: v * inv % _mod for c, v in row.items()}
+    else:
+        inv = Fraction(1) / row[p]
+        pivots[p] = {c: v * inv for c, v in row.items()}
     return True
 
 
-def _back_substitute(pivots: dict) -> None:
+def _back_substitute(pivots: dict, _mod: int = 0) -> None:
     """Clear every pivot column from the other pivot rows, in place.
 
     Afterwards the pivot rows are the reduced row echelon form of the
-    rows that went in, which their span alone determines.
+    rows that went in, which their span alone determines.  With
+    ``_mod`` the values are residues modulo it, as in
+    :func:`_reduce_into`.
     """
     for p in sorted(pivots, reverse=True):
         prow = pivots[p]
@@ -253,7 +397,9 @@ def _back_substitute(pivots: dict) -> None:
             for c2, v2 in prow.items():
                 if c2 == p:
                     continue
-                nv = qrow.get(c2, Fraction(0)) - coeff * v2
+                nv = qrow.get(c2, 0) - coeff * v2
+                if _mod:
+                    nv %= _mod
                 if nv:
                     qrow[c2] = nv
                 else:

@@ -48,7 +48,7 @@ __all__ = [
     'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
     'trivial_module', 'zero_module', 'induce_frobenius', 'bott_samelson',
     'restrict_module', 'direct_sum', 'hom_space', 'end_space',
-    'action_of_polynomial', 'verify_relations', 'is_indecomposable',
+    'verify_relations', 'is_indecomposable',
     'decompose', 'is_isomorphic', 'build_catalog', 'expected_graded_dims',
 ]
 
@@ -268,9 +268,14 @@ def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
                         dict(module.actions))
 
 
-def action_of_polynomial(module: GradedModule, poly: Polynomial,
-                         d: int):
-    """Matrix of a homogeneous polynomial from degree d upward."""
+def _polynomial_action(module: GradedModule, poly: Polynomial, d: int,
+                       products: dict):
+    """Matrix of a homogeneous polynomial from degree d upward.
+
+    ``products`` maps each monomial met so far to its matrix out of
+    degree d (:func:`_monomial_action`), so polynomials acting from the
+    same degree pay for a common monomial once.
+    """
     comps = poly.homogeneous_components()
     if len(comps) > 1:
         raise IncompatibilityError("polynomial action needs homogeneity")
@@ -279,17 +284,37 @@ def action_of_polynomial(module: GradedModule, poly: Polynomial,
     (k, comp), = comps.items()
     out = None
     for mono, coeff in comp.terms.items():
-        cur = id_matrix(module.dim_at(d))
-        deg = d
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                cur = _mul(module.action(var, deg), cur,
-                           module.dim_at(deg + 2), module.dim_at(d))
-                deg += 2
-        cur = mat_scale(coeff, cur)
+        cur = mat_scale(coeff, _monomial_action(module, mono, d, products))
         out = cur if out is None else [
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(out, cur)]
     return out
+
+
+def _monomial_action(module: GradedModule, mono: tuple, d: int,
+                     products: dict):
+    """Matrix of a monomial from degree d upward, memoized in products.
+
+    The variables act in index order, x_0 first.  A monomial is the
+    variable of its last factor applied to its prefix, the monomial
+    with that exponent lowered by one, so each monomial costs at most
+    one matrix product.
+    """
+    m = products.get(mono)
+    if m is not None:
+        return m
+    factors = [i for i, e in enumerate(mono) if e]
+    if not factors:
+        m = id_matrix(module.dim_at(d))
+    else:
+        last = factors[-1]
+        prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+        top = d + 2 * (sum(mono) - 1)
+        m = module.action(last, top)
+        if any(prefix):
+            m = _mul(m, _monomial_action(module, prefix, d, products),
+                     module.dim_at(top + 2), module.dim_at(d))
+    products[mono] = m
+    return m
 
 
 def verify_relations(module: GradedModule) -> None:
@@ -308,9 +333,10 @@ def verify_relations(module: GradedModule) -> None:
                     raise InternalCheckError(
                         f"variables x{i + 1}, x{j + 1} fail to commute "
                         f"at degree {d}")
-    for f in alg.fundamental_invariants:
-        for d in module.degrees():
-            m = action_of_polynomial(module, f, d)
+    for d in module.degrees():
+        products: dict = {}
+        for f in alg.fundamental_invariants:
+            m = _polynomial_action(module, f, d, products)
             if not is_zero_matrix(m):
                 raise InternalCheckError(
                     f"invariant of degree {2 * f.total_degree()} acts "
@@ -456,19 +482,23 @@ def hom_space(source: GradedModule, target: GradedModule,
             cols = source.dim_at(d)
             mid_n = target.dim_at(d + degree)
             mid_m = source.dim_at(d + 2)
+            # (x f)[r][c] = sum_k xn[r][k] f_d[k][c] and
+            # (f x)[r][c] = sum_k f_{d+2}[r][k] xm[k][c] meet no unknown
+            # twice: the first side uses block d, the second block d + 2
+            xn_rows = [{k: v for k, v in enumerate(row) if v} for row in xn]
+            xm_cols = [{k: -xm[k][c] for k in range(mid_m) if xm[k][c]}
+                       for c in range(cols)]
             for r in range(rows_out):
                 for c in range(cols):
                     eq: dict[int, Fraction] = {}
-                    for k in range(mid_n):
-                        if xn[r][k]:
-                            idx = var_index.get((d, k, c))
-                            if idx is not None:
-                                eq[idx] = eq.get(idx, Fraction(0)) + xn[r][k]
-                    for k in range(mid_m):
-                        if xm[k][c]:
-                            idx = var_index.get((d + 2, r, k))
-                            if idx is not None:
-                                eq[idx] = eq.get(idx, Fraction(0)) - xm[k][c]
+                    for k, v in xn_rows[r].items():
+                        idx = var_index.get((d, k, c))
+                        if idx is not None:
+                            eq[idx] = v
+                    for k, v in xm_cols[c].items():
+                        idx = var_index.get((d + 2, r, k))
+                        if idx is not None:
+                            eq[idx] = v
                     if eq:
                         eqs.append(eq)
     kernel = sparse_nullspace(eqs, nvars)

@@ -244,6 +244,56 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if the command starts computing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command must stop before any work")
+
+    for name in ('make_setup', 'calibrate_shift', 'run_corpus'):
+        monkeypatch.setattr(soergelind.cli, name, refuse)
+
+
+COMMANDS = [INDW_A2, ['verify', '--corpus', 'quick']]
+
+
+def test_a_cache_dir_that_cannot_be_a_directory_exits_two(tmp_path, no_work,
+                                                         capsys):
+    blocker = tmp_path / 'file'
+    blocker.write_text('')
+    for cache in (blocker, blocker / 'sub'):
+        for argv in COMMANDS:
+            assert main(argv + ['--cache-dir', str(cache)]) == 2
+            assert 'usage error: cannot use --cache-dir' in \
+                capsys.readouterr().err
+    assert blocker.read_text() == ''
+
+
+def test_a_json_path_that_cannot_be_written_exits_two_before_the_work(
+        tmp_path, no_work, capsys):
+    for target, why in ((tmp_path / 'missing' / 'out.json', 'no directory'),
+                        (tmp_path, 'is a directory')):
+        for argv in COMMANDS:
+            assert main(argv + ['--json', str(target)]) == 2
+            err = capsys.readouterr().err
+            assert 'usage error' in err and why in err
+
+
+def test_a_failed_json_write_exits_two(tmp_path, monkeypatch, capsys):
+    def refuse(data, path):
+        raise PermissionError(13, 'Permission denied', path)
+
+    monkeypatch.setattr(soergelind.cli, 'dump_json', refuse)
+    assert main(INDW_A2 + ['--json', str(tmp_path / 'out.json')]) == 2
+    assert 'usage error: cannot write --json' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('jobs', ['0', '-3', 'two'])
+def test_verify_rejects_a_jobs_count_below_one(jobs, no_work, capsys):
+    assert main(['verify', '--corpus', 'quick', '--jobs', jobs]) == 2
+    assert 'argument --jobs' in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(['--help']) == 0
     assert 'graded parabolic induction' in capsys.readouterr().out

@@ -4,15 +4,24 @@ sparse_nullspace eliminates its rows sparsest first with a heap of pivot
 columns, and mat_mul skips zero entries; both must give exactly what
 dense elimination and the triple-loop product give, whatever the row
 order, on systems with empty rows, duplicate rows, explicit zeros and
-columns that no row touches.
+columns that no row touches.  sparse_nullspace eliminates mod
+p = 2^61 - 1 and lifts the result back; where that cannot give the
+rational answer (the rank drops mod p, a denominator is divisible by p,
+an entry does not lift, a lift is wrong) the exact check must refuse it
+and the Fraction elimination answer, so the dense reference still
+agrees.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from soergelind import exactla
 from soergelind.exactla import mat_mul, nullspace, sparse_nullspace
+
+P = 2 ** 61 - 1
 
 entries = st.one_of(st.just(Fraction(0)),
                     st.fractions(min_value=-3, max_value=3,
@@ -105,3 +114,104 @@ def test_mat_mul_rejects_a_shape_mismatch(p, q, extra, r):
     b = [[Fraction(1)] * r for _ in range(q + extra)]
     with pytest.raises(ValueError):
         mat_mul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the modular path and its exact check
+
+
+def assert_dense(rows, ncols):
+    basis = sparse_nullspace(rows, ncols)
+    assert basis == nullspace(dense(rows, ncols))
+    assert all(isinstance(x, Fraction) for vec in basis for x in vec)
+
+
+def test_a_rank_drop_mod_p_is_refused():
+    # p vanishes mod p, so mod p the column looks free; over Q it is not
+    assert_dense([{0: Fraction(P)}], 1)
+    assert_dense([{0: Fraction(P), 1: Fraction(1)}, {1: Fraction(2)}], 3)
+    assert_dense([{0: Fraction(1), 1: Fraction(1)},
+                  {0: Fraction(1), 1: Fraction(1 + P)}], 2)
+
+
+def test_a_denominator_divisible_by_p_is_refused():
+    assert_dense([{0: Fraction(1, P), 1: Fraction(1)}], 2)
+    assert_dense([{0: Fraction(3, 2 * P), 1: Fraction(1, 3)},
+                  {1: Fraction(5)}], 3)
+
+
+def test_an_entry_beyond_the_lift_bound_is_refused():
+    # the kernel entry 3 / (2^40 + 1) has a denominator above 2^30
+    big = Fraction(2 ** 40 + 1, 3)
+    assert_dense([{0: big, 1: Fraction(1)}], 2)
+    assert_dense([{0: Fraction(1), 1: big, 2: Fraction(-1)},
+                  {1: Fraction(1), 2: big}], 4)
+    assert_dense([{0: Fraction(2 ** 31), 1: Fraction(1)}], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_systems())
+@example(([{0: Fraction(1), 1: Fraction(1)}], 2))
+def test_a_tampered_lift_is_refused(system):
+    rows, ncols = system
+    lift = exactla._reconstruct
+
+    def off_by_one(r):
+        """n/d becomes (n + 1)/d."""
+        value = lift(r)
+        return None if value is None else value + Fraction(1, value.denominator)
+
+    with mock.patch.object(exactla, '_reconstruct', off_by_one):
+        assert_dense(rows, ncols)
+
+
+odd_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10 ** 12).map(
+        lambda x: x if x.denominator % 2 else x / 3),
+    st.integers(-2 ** 70, 2 ** 70).map(Fraction),
+    st.sampled_from([Fraction(P), Fraction(-P), Fraction(1, P),
+                     Fraction(2 ** 30), Fraction(2 ** 30 + 1),
+                     Fraction(1, 2 ** 30 + 1)]))
+
+
+@st.composite
+def systems_with_large_entries(draw):
+    ncols = draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, ncols - 1), odd_entries,
+                          max_size=4)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    # a combination of two rows keeps the rank low, so kernels are large
+    a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    c = draw(odd_entries)
+    mixed = {k: a.get(k, 0) + c * b.get(k, 0) for k in set(a) | set(b)}
+    return rows + [mixed], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_with_large_entries())
+def test_odd_and_large_denominators_equal_the_dense_nullspace(system):
+    rows, ncols = system
+    assert_dense(rows, ncols)
+
+
+def test_the_a3_parabolic_group_never_falls_back(monkeypatch):
+    """Every solve of the A3, I = {1, 2} group is certified mod p."""
+    from soergelind import induction
+
+    def refuse(rows):
+        raise AssertionError("the Fraction elimination was reached")
+
+    solved = []
+    modular = exactla._modular_rref
+
+    def counting(rows):
+        solved.append(len(rows))
+        return modular(rows)
+
+    monkeypatch.setattr(exactla, '_rational_rref', refuse)
+    monkeypatch.setattr(exactla, '_modular_rref', counting)
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    results = induction.run_group('A', 3, (0, 1))
+    assert all(r.ok() for reports in results.values() for r in reports)
+    assert len(solved) > 100

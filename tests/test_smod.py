@@ -16,6 +16,7 @@ from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
 from soergelind import smod
 from soergelind.errors import ConfigurationError, InternalCheckError
+from soergelind.exactla import identity as id_matrix, is_zero_matrix, mat_scale
 from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
 from soergelind.homotopy import theta_summands
 from soergelind.laurent import LaurentPoly
@@ -114,6 +115,59 @@ def catalog_of(family, rank):
     if (family, rank) not in _CAT:
         _CAT[(family, rank)] = build_catalog(algebra(family, rank))
     return _CAT[(family, rank)]
+
+
+def plain_product(module, mono, d):
+    """A monomial's matrix multiplied out from the identity, x_0 first."""
+    cur = id_matrix(module.dim_at(d))
+    deg = d
+    for var, e in enumerate(mono):
+        for _ in range(e):
+            cur = smod._mul(module.action(var, deg), cur,
+                            module.dim_at(deg + 2), module.dim_at(d))
+            deg += 2
+    return cur
+
+
+def test_shared_monomial_products_equal_the_plain_product():
+    catalog = catalog_of('A', 3)
+    invariants = catalog.algebra.fundamental_invariants
+    for y in catalog.elements():
+        entry = catalog.entry(y)
+        for d in entry.degrees():
+            products = {}
+            for f in invariants:
+                shared = smod._polynomial_action(entry, f, d, products)
+                assert is_zero_matrix(shared)
+                assert len(shared) == entry.dim_at(d + 2 * f.total_degree())
+                for mono in f.terms:
+                    assert smod._monomial_action(entry, mono, d, products) \
+                        == plain_product(entry, mono, d)
+
+
+def tampered(module, key):
+    """The module with one more unit in the first entry of one action."""
+    actions = {k: [list(row) for row in m] for k, m in module.actions.items()}
+    actions[key][0][0] += 1
+    return smod.GradedModule(module.algebra, module.graded_dims, actions)
+
+
+@pytest.mark.parametrize('family, rank', [('A', 2), ('B', 2), ('A', 3)])
+def test_relations_refuse_a_tampered_action_entry(family, rank):
+    catalog = catalog_of(family, rank)
+    longest = max(catalog.elements(), key=lambda w: w.length)
+    entry = catalog.entry(longest)
+    verify_relations(entry)
+    for key in sorted(entry.actions):
+        with pytest.raises(InternalCheckError):
+            verify_relations(tampered(entry, key))
+    # doubling x_1 everywhere keeps the variables commuting, so only
+    # the invariants, through the shared products, can catch it
+    doubled = {k: mat_scale(2, m) if k[0] == 0 else m
+               for k, m in entry.actions.items()}
+    with pytest.raises(InternalCheckError, match='acts nontrivially'):
+        verify_relations(smod.GradedModule(entry.algebra, entry.graded_dims,
+                                           doubled))
 
 
 def test_catalog_has_one_entry_per_element():
