@@ -25,6 +25,14 @@ K_0 classes live in the Hecke algebra: a summand D_y<k> in
 cohomological degree i contributes (-1)^i v^(k + len(y)) b_y, the
 exponent measuring the shift against the self-dual centering of D_y
 (see k0_class).
+
+Maps between two complexes X and Y form the hom complex Hom^*(X, Y):
+Hom^h collects the maps X^i -> Y^{i+h}, written summand by summand in
+the catalog's hom bases, and its differential is
+D_h f = d_Y f - (-1)^h f d_X.  The chain maps are ker D_0 and the
+null-homotopic maps im D_{-1}; every chain map is null-homotopic iff
+the two have the same dimension (hom_complex_vanishing).  One function
+builds D_h for both.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import invert, sparse_nullspace, rank, zeros
+from .exactla import invert, solve_matrix, sparse_nullspace, zeros
 from .hecke import HeckeElement, kl_basis, wall_crossing_summands
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, decompose,
@@ -548,55 +556,27 @@ def _hom_basis(catalog, y_src, y_tgt, degree):
     return cache[key]
 
 
-def _flatten(phi: ModuleMap, degrees) -> list:
-    out = []
-    for d in degrees:
-        for row in phi.block(d):
-            out.extend(row)
-    return out
+def _coords_in_basis(maps: list, basis: list) -> list:
+    """Exact coordinates of each of maps in a hom-space basis.
 
-
-def _coords_in_basis(phi: ModuleMap, basis: list, degrees) -> list:
-    """Exact coordinates of phi in a hom-space basis."""
+    A map outside the span of the basis raises InternalCheckError.
+    """
     if not basis:
-        if phi.is_zero():
-            return []
+        if all(phi.is_zero() for phi in maps):
+            return [[] for _ in maps]
         raise InternalCheckError("map outside the empty hom space")
-    cols = [_flatten(b, degrees) for b in basis]
-    target = _flatten(phi, degrees)
+    degrees = basis[0].source.degrees()
+    flat = [[v for d in degrees for row in m.block(d) for v in row]
+            for m in basis + maps]
+    # one equation per matrix entry; an entry zero in every map is void
+    system = [r for r in zip(*flat) if any(r)]
     n = len(basis)
-    # solve the overdetermined system by Gaussian elimination
-    rows = [[cols[j][r] for j in range(n)] + [target[r]]
-            for r in range(len(target))]
-    piv = []
-    rix = 0
-    for c in range(n):
-        p = None
-        for r in range(rix, len(rows)):
-            if rows[r][c]:
-                p = r
-                break
-        if p is None:
-            piv.append(None)
-            continue
-        rows[rix], rows[p] = rows[p], rows[rix]
-        lead = rows[rix][c]
-        rows[rix] = [x / lead for x in rows[rix]]
-        for r in range(len(rows)):
-            if r != rix and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rix])]
-        piv.append(rix)
-        rix += 1
-    coords = [Fraction(0)] * n
-    for c in range(n):
-        if piv[c] is not None:
-            coords[c] = rows[piv[c]][n]
-    # consistency: rows past the pivots must have zero RHS
-    for r in range(rix, len(rows)):
-        if rows[r][n]:
-            raise InternalCheckError("map outside its hom space span")
-    return coords
+    try:
+        solution = solve_matrix([r[:n] for r in system],
+                                [r[n:] for r in system])
+    except ValueError:
+        raise InternalCheckError("map outside its hom space span") from None
+    return [list(coords) for coords in zip(*solution)]
 
 
 class _HomGrid:
@@ -612,7 +592,7 @@ class _HomGrid:
         self.y = y
         self.h = relative_degree
         self.catalog = x.catalog
-        self.slots = []        # (i, a, b, basis, degrees)
+        self.slots = []        # (i, a, b, basis)
         self.offset = {}
         n = 0
         for i in x.terms:
@@ -621,9 +601,8 @@ class _HomGrid:
                     basis = _hom_basis(self.catalog, ya, yb, ka - kb)
                     if not basis:
                         continue
-                    degrees = self.catalog.entry(ya).degrees()
                     self.offset[(i, a, b)] = n
-                    self.slots.append((i, a, b, basis, degrees))
+                    self.slots.append((i, a, b, basis))
                     n += len(basis)
         self.size = n
 
@@ -632,7 +611,7 @@ class _HomGrid:
         xs = self.x.summands(i)
         ys = self.y.summands(i + self.h)
         comps = {}
-        for (j, a, b, basis, _degs) in self.slots:
+        for (j, a, b, basis) in self.slots:
             if j != i:
                 continue
             base = self.offset[(i, a, b)]
@@ -647,138 +626,68 @@ class _HomGrid:
         return comps, xs, ys
 
 
-def _chain_map_rows(grid: _HomGrid):
-    """Sparse equations saying  d_Y f = (-1)^h f d_X  componentwise."""
-    x, y, h = grid.x, grid.y, grid.h
-    catalog = grid.catalog
-    rows = []
-    sign = Fraction((-1) ** (h % 2))
-    for i in x.terms:
-        for a, (ya, ka) in enumerate(x.summands(i)):
-            for b2, (yb2, kb2) in enumerate(y.summands(i + h + 1)):
-                # contributions: d_Y o f  via Y-summand b at level i+h,
-                # and f o d_X via X-summand a2 at level i+1
-                contributions = []
-                for b, (yb, kb) in enumerate(y.summands(i + h)):
-                    dcomp = y.diffs.get(i + h, {}).get((b2, b))
-                    if dcomp is None:
-                        continue
-                    base = grid.offset.get((i, a, b))
-                    if base is None:
-                        continue
-                    basis = _hom_basis(catalog, ya, yb, ka - kb)
-                    for t, bmap in enumerate(basis):
-                        contributions.append(
-                            (base + t, dcomp.compose(bmap)))
-                for a2, (ya2, ka2) in enumerate(x.summands(i + 1)):
-                    dcomp = x.diffs.get(i, {}).get((a2, a))
-                    if dcomp is None:
-                        continue
-                    base = grid.offset.get((i + 1, a2, b2))
-                    if base is None:
-                        continue
-                    basis = _hom_basis(catalog, ya2, yb2, ka2 - kb2)
-                    for t, bmap in enumerate(basis):
-                        contributions.append(
-                            (base + t,
-                             bmap.compose(dcomp).scale(-sign)))
-                if not contributions:
-                    continue
-                tgt_basis = _hom_basis(catalog, ya, yb2, ka - kb2)
-                degrees = catalog.entry(ya).degrees()
-                # each contribution is a map D_{ya} -> D_{yb2}; expand in
-                # the slot basis and emit one sparse row per coordinate
-                slot_rows: dict[int, dict] = {}
-                for col, psi in contributions:
-                    coords = _coords_in_basis(psi, tgt_basis, degrees)
-                    for t, cval in enumerate(coords):
-                        if cval:
-                            slot_rows.setdefault(t, {})
-                            slot_rows[t][col] = \
-                                slot_rows[t].get(col, Fraction(0)) + cval
-                for t, row in slot_rows.items():
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-    return rows
+def _hom_differential(x: FormalComplex, y: FormalComplex, h: int):
+    """The differential D f = d_Y f - (-1)^h f d_X on Hom^h(X, Y).
+
+    Returns the grid of Hom^h and one sparse column per unknown: D f of
+    that basis map f, keyed by (i, a, b, t) for basis map t of
+    Hom(X^i_a, Y^{i+h+1}_b).  A target basis is fetched only for a
+    slot that some nonzero composite reaches.
+    """
+    grid = _HomGrid(x, y, h)
+    sign = Fraction(1 if h % 2 else -1)
+    columns = [{} for _ in range(grid.size)]
+    for (i, a, b, basis) in grid.slots:
+        # f: X^i_a -> Y^{i+h}_b reaches X^i_a -> Y^{i+h+1}_b2 through
+        # d_Y, and X^{i-1}_a0 -> Y^{i+h}_b through d_X
+        landings = [((i, a, b2), 1, [d.compose(f) for f in basis])
+                    for (b2, b1), d in y.diffs.get(i + h, {}).items()
+                    if b1 == b]
+        landings += [((i - 1, a0, b), sign, [f.compose(d) for f in basis])
+                     for (a1, a0), d in x.diffs.get(i - 1, {}).items()
+                     if a1 == a]
+        for (j, p, q), c, maps in landings:
+            if all(m.is_zero() for m in maps):
+                continue
+            yp, kp = x.summands(j)[p]
+            yq, kq = y.summands(j + h + 1)[q]
+            target = _hom_basis(grid.catalog, yp, yq, kp - kq)
+            for e, coords in enumerate(_coords_in_basis(maps, target),
+                                       grid.offset[(i, a, b)]):
+                col = columns[e]
+                for t, v in enumerate(coords):
+                    if v:
+                        col[(j, p, q, t)] = col.get((j, p, q, t), 0) + c * v
+    return grid, columns
+
+
+def _kernel(columns: list) -> list:
+    """Kernel basis of the sparse matrix with the given columns."""
+    rows: dict = {}
+    for e, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[e] = v
+    return sparse_nullspace(list(rows.values()), len(columns))
 
 
 def hom_complex_basis(x: FormalComplex, y: FormalComplex,
                       relative_degree: int = 0):
-    """(grid, chain-map coefficient vectors) for maps X -> Y[h]."""
-    grid = _HomGrid(x, y, relative_degree)
-    rows = _chain_map_rows(grid)
-    kernel = sparse_nullspace(rows, grid.size)
-    return grid, kernel
+    """(grid, chain-map coefficient vectors) for maps X -> Y[h]: ker D_h."""
+    grid, columns = _hom_differential(x, y, relative_degree)
+    return grid, _kernel(columns)
 
 
 def hom_complex_vanishing(x: FormalComplex, y: FormalComplex) -> bool:
     """True iff every degree-0 chain map X -> Y is null-homotopic."""
     if x.is_zero() or y.is_zero():
         return True
-    grid, chain_maps = hom_complex_basis(x, y, 0)
+    _grid, chain_maps = hom_complex_basis(x, y, 0)
     if not chain_maps:
         return True
-    hgrid = _HomGrid(x, y, -1)
-    catalog = x.catalog
-    # boundary of a homotopy: f = d_Y h + h d_X, expressed in the
-    # degree-0 grid's coordinates
-    columns = []
-    for e in range(hgrid.size):
-        vec = [Fraction(0)] * hgrid.size
-        vec[e] = Fraction(1)
-        coeffs = [Fraction(0)] * grid.size
-        for i in x.terms:
-            comps, xs, ys = hgrid.assemble(vec, i)
-            for (b, a), hmap in comps.items():
-                ya, ka = xs[a]
-                # d_Y o h piece
-                for b2 in range(len(y.summands(i))):
-                    dcomp = y.diffs.get(i - 1, {}).get((b2, b))
-                    if dcomp is None:
-                        continue
-                    psi = dcomp.compose(hmap)
-                    base = grid.offset.get((i, a, b2))
-                    if base is None:
-                        if not psi.is_zero():
-                            raise InternalCheckError(
-                                "homotopy boundary leaves the hom grid")
-                        continue
-                    yb2, kb2 = y.summands(i)[b2]
-                    basis = _hom_basis(catalog, ya, yb2, ka - kb2)
-                    degrees = catalog.entry(ya).degrees()
-                    for t, cval in enumerate(
-                            _coords_in_basis(psi, basis, degrees)):
-                        coeffs[base + t] += cval
-        for i in x.terms:
-            # h o d_X piece: h at level i+1 composed with d_X^i
-            comps, xs2, ys2 = hgrid.assemble(vec, i + 1) \
-                if (i + 1) in x.terms else ({}, (), ())
-            if not comps:
-                continue
-            for (b, a2), hmap in comps.items():
-                for a, (ya, ka) in enumerate(x.summands(i)):
-                    dcomp = x.diffs.get(i, {}).get((a2, a))
-                    if dcomp is None:
-                        continue
-                    psi = hmap.compose(dcomp)
-                    base = grid.offset.get((i, a, b))
-                    if base is None:
-                        if not psi.is_zero():
-                            raise InternalCheckError(
-                                "homotopy boundary leaves the hom grid")
-                        continue
-                    yb, kb = y.summands(i)[b]
-                    basis = _hom_basis(catalog, ya, yb, ka - kb)
-                    degrees = catalog.entry(ya).degrees()
-                    for t, cval in enumerate(
-                            _coords_in_basis(psi, basis, degrees)):
-                        coeffs[base + t] += cval
-        columns.append(coeffs)
-    if not columns:
-        return False
-    boundary = [[col[r] for col in columns] for r in range(grid.size)]
-    return rank(boundary) == len(chain_maps)
+    _hgrid, columns = _hom_differential(x, y, -1)
+    # im D_{-1} lies in ker D_0, so it is all of it iff the dimensions agree
+    return len(columns) - len(_kernel(columns)) == len(chain_maps)
 
 
 def complexes_isomorphic(x: FormalComplex, y: FormalComplex,

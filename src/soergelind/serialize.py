@@ -88,10 +88,14 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
             != tuple(sorted(algebra.subset))):
         raise InternalCheckError(
             "catalog file does not describe this algebra")
+    members = {w for w in rs.elements if set(w.word) <= set(algebra.subset)}
     entries = {}
     provenance = {}
     for item in data['entries']:
         w = rs.element_from_word([i - 1 for i in item['word']])
+        if w not in members or w in entries:
+            raise InternalCheckError(
+                f"catalog file has a stray or second entry for {w!r}")
         module = module_from_json(algebra, item)
         if module.graded_dims != expected_graded_dims(w):
             raise InternalCheckError(
@@ -100,6 +104,9 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
                 f"{expected_graded_dims(w)}")
         entries[w] = module
         provenance[w] = {'built_from': 'cache'}
+    if len(entries) != len(members):
+        raise InternalCheckError(
+            f"catalog file has {len(entries)} of the {len(members)} entries")
     return IndecomposableCatalog(algebra, entries, provenance)
 
 
@@ -128,7 +135,7 @@ def load_cached_catalog(algebra, cache_dir: str):
 
     A file that is not JSON, or JSON of the wrong shape, is a miss and
     is reported on stderr; a readable file that fails validation
-    raises.
+    raises InternalCheckError.
     """
     path = catalog_cache_path(cache_dir, algebra.root_system,
                               algebra.subset)
@@ -138,8 +145,9 @@ def load_cached_catalog(algebra, cache_dir: str):
         with open(path) as fh:
             data = json.load(fh)
         return catalog_from_json(algebra, data)
-    except (ConfigurationError, IncompatibilityError):
-        raise
+    except (ConfigurationError, IncompatibilityError) as exc:
+        raise InternalCheckError(
+            f"cache file {path} does not decode: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         print(f'warning: unreadable cache file {path} '
               f'({type(exc).__name__}: {exc}); rebuilding it',

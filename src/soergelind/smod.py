@@ -39,7 +39,7 @@ from .coinvariants import CoinvariantAlgebra, RestrictionMap
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
 from .exactla import (identity as id_matrix, invert, is_zero_matrix, mat_mul,
-                      mat_scale, mat_sub, rank, rref, sparse_nullspace, trace,
+                      mat_scale, mat_sub, rref, sparse_nullspace, trace,
                       zeros)
 from .hecke import kl_basis, wall_crossing_summands
 from .polynomials import Polynomial
@@ -48,7 +48,7 @@ __all__ = [
     'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
     'trivial_module', 'zero_module', 'induce_frobenius', 'bott_samelson',
     'restrict_module', 'direct_sum', 'hom_space', 'end_space',
-    'verify_relations', 'is_indecomposable',
+    'verify_relations',
     'decompose', 'is_isomorphic', 'build_catalog', 'expected_graded_dims',
 ]
 
@@ -84,7 +84,11 @@ class GradedModule:
                 raise ConfigurationError(
                     f"modules must be evenly graded; got degree {d}")
         self.actions = {}
+        n = algebra.root_system.rank
         for (i, d), m in actions.items():
+            if not 0 <= i < n:
+                raise IncompatibilityError(
+                    f"action of variable {i + 1} outside the {n} variables")
             rows = self.dim_at(d + 2)
             cols = self.dim_at(d)
             if rows == 0 or cols == 0:
@@ -518,19 +522,6 @@ def end_space(module: GradedModule) -> list[ModuleMap]:
     return hom_space(module, module, 0)
 
 
-def is_indecomposable(module: GradedModule) -> bool:
-    """End^0 modulo its nilradical is one-dimensional.
-
-    In characteristic zero the radical of End^0 is the radical of the
-    trace form, so the certificate is rank(Gram matrix) == 1.
-    """
-    if module.is_zero():
-        return False
-    ends = end_space(module)
-    gram = [[(a.compose(b)).global_trace() for b in ends] for a in ends]
-    return rank(gram) == 1
-
-
 def _restrict_to_subspace(module: GradedModule, basis: dict,
                           proj_rows: dict) -> tuple:
     """Present a graded C-stable subspace as a module of its own.
@@ -783,18 +774,6 @@ class IndecomposableCatalog:
         if w not in self.entries:
             raise ConfigurationError(f"{w!r} has no catalog entry")
         return self.entries[w]
-
-    def identify(self, module: GradedModule):
-        """(y, shift) with module isomorphic to D_y<shift>, or None."""
-        if module.is_zero():
-            return None
-        k = module.bottom_degree()
-        for w, d_w in self.entries.items():
-            if d_w.graded_dims == {d - k: n
-                                   for d, n in module.graded_dims.items()}:
-                if is_isomorphic(module, d_w.shift(k)) is not None:
-                    return (w, k)
-        return None
 
     def __repr__(self):
         return (f'IndecomposableCatalog({self.algebra!r}, '

@@ -231,6 +231,23 @@ def test_cache_file_with_a_foreign_header_exits_three(tmp_path,
     assert 'does not describe this algebra' in capsys.readouterr().err
 
 
+def test_cache_file_with_broken_entries_exits_three(tmp_path, fresh_process,
+                                                   capsys, break_entries):
+    _built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    path = full_a2_file(cache)
+    data = json.loads(path.read_text())
+    break_entries(data['entries'])
+    path.write_text(json.dumps(data))
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 3
+    err = capsys.readouterr().err
+    assert 'internal assertion failed' in err
+    assert 'Traceback' not in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes and parser plumbing
 

@@ -9,6 +9,8 @@ class that no bottom-normalized exponent convention can produce since
 it has a negative-power coefficient.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from soergelind.coinvariants import build_coinvariants
@@ -16,13 +18,16 @@ from soergelind.coxeter import RootSystem
 from soergelind.errors import (ConfigurationError, IncompatibilityError,
                                InternalCheckError)
 from soergelind.hecke import hecke_multiply, hecke_standard, kl_basis
-from soergelind.homotopy import (FormalComplex, complex_from_module,
+from soergelind.exactla import rank
+from soergelind.homotopy import (FormalComplex, _coords_in_basis,
+                                 _hom_differential, complex_from_module,
                                  complexes_isomorphic, direct_sum_complexes,
-                                 gaussian_eliminate, hom_complex_vanishing,
-                                 is_minimal, k0_class, one_term_complex,
-                                 tensor_rouquier, theta_complex)
+                                 gaussian_eliminate, hom_complex_basis,
+                                 hom_complex_vanishing, is_minimal, k0_class,
+                                 one_term_complex, tensor_rouquier,
+                                 theta_complex)
 from soergelind.laurent import LaurentPoly
-from soergelind.smod import ModuleMap, build_catalog, direct_sum
+from soergelind.smod import ModuleMap, build_catalog, direct_sum, end_space
 
 V = LaurentPoly({1: 1})
 
@@ -272,6 +277,60 @@ def test_hom_vanishing_along_a_chain_step():
     shorter = rouquier_chain(catalog, [0])
     longer = rouquier_chain(catalog, [0, 1])
     assert hom_complex_vanishing(shorter, longer) is True
+
+
+def test_contractible_complex_has_only_null_homotopic_maps():
+    # the cone D_s1 --id--> D_s1 has the identity among its chain maps,
+    # and the identity homotopy kills it; added to a chain, the chain's
+    # own identity survives
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    cone = contractible_two_term(catalog, word_el(rs, 1), shift=2)
+    _grid, chain_maps = hom_complex_basis(cone, cone)
+    assert chain_maps
+    assert hom_complex_vanishing(cone, cone) is True
+    fat = direct_sum_complexes(rouquier_chain(catalog, [0]), cone)
+    assert hom_complex_vanishing(fat, fat) is False
+
+
+def test_null_homotopic_maps_are_chain_maps():
+    # D_0 D_{-1} = 0: the boundary of every homotopy is a chain map.
+    # Minimized chains of this length have no homotopies at all, so the
+    # chains are taken before elimination.
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    chains = []
+    for word in [[], [0], [1], [0, 0], [0, 1], [1, 0], [1, 1]]:
+        cpx = one_term_complex(catalog, [(rs.identity, 0)])
+        for s in word:
+            cpx = tensor_rouquier(s, cpx)
+        chains.append(cpx)
+    boundaries = 0
+    for x in chains:
+        for y in chains:
+            grid, chain_maps = hom_complex_basis(x, y, 0)
+            _hgrid, columns = _hom_differential(x, y, -1)
+            for col in columns:
+                vec = [0] * grid.size
+                for (i, a, b, t), v in col.items():
+                    vec[grid.offset[(i, a, b)] + t] += v
+                assert rank(chain_maps + [vec]) == len(chain_maps)
+                boundaries += any(vec)
+    assert boundaries
+
+
+def test_coords_in_basis_rejects_a_map_outside_the_span():
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    entry = catalog.entry(word_el(rs, 1))
+    basis = end_space(entry)
+    assert _coords_in_basis([ModuleMap.identity(entry).scale(3)],
+                            basis) == [[3]]
+    # identity in degree 0 and zero in degree 2 does not commute with x
+    half = ModuleMap(entry, entry, 0, {0: [[Fraction(1)]]})
+    assert not half.check_intertwines()
+    with pytest.raises(InternalCheckError):
+        _coords_in_basis([half], basis)
 
 
 def test_isomorphism_test_rejects_distinct_classes():

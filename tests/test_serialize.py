@@ -5,12 +5,14 @@ and the on-disk catalog cache must hand back modules that still pass
 the full structural validation.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
+from soergelind.errors import InternalCheckError
 from soergelind.serialize import (catalog_cache_path, catalog_from_json,
                                   catalog_to_json, content_key, dump_json,
                                   fraction_from_str, fraction_to_str,
@@ -115,6 +117,18 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, text):
         fh.write(text)
     assert load_cached_catalog(catalog.algebra, cache) is None
     assert 'unreadable cache file' in capsys.readouterr().err
+
+
+def test_cache_file_with_broken_entries_fails_validation(tmp_path,
+                                                        break_entries):
+    catalog = fresh_catalog('A', 2)
+    path = store_catalog(catalog, str(tmp_path))
+    with open(path) as fh:
+        data = json.load(fh)
+    break_entries(data['entries'])
+    dump_json(data, path)
+    with pytest.raises(InternalCheckError):
+        load_cached_catalog(catalog.algebra, str(tmp_path))
 
 
 def test_dump_json_failure_keeps_the_old_file(tmp_path):
