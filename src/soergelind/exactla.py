@@ -5,8 +5,12 @@ here is textbook Gaussian elimination; no floating point is allowed
 anywhere in the package, since the verification criteria demand exact
 equality of Laurent polynomials and module maps.
 
-The two hot kernels skip zeros.  :func:`mat_mul` multiplies only
-nonzero entries, and :func:`sparse_nullspace`, which solves the hom
+The two hot kernels skip zeros and compute in Python ints inside, with
+Fractions only at their edges.  :func:`mat_mul` multiplies only nonzero
+entries, clears the denominators of b and of each row of a with one
+integer factor each, and divides once per nonzero output entry; its
+inputs may hold ints or Fractions, and its output holds Fractions only.
+:func:`sparse_nullspace`, which solves the hom
 systems, eliminates rows of dicts sparsest first and finds the pivots a
 row meets through a min-heap instead of rescanning the row.  Its result
 is the kernel read off the reduced row echelon form, which is unique,
@@ -23,8 +27,9 @@ rows back to fractions by rational reconstruction and checks the lifted
 kernel exactly, in integers, against every input row.  A lift that
 passes the check is the exact rational answer (the argument is in the
 docstring of :func:`sparse_nullspace`); anything else falls back to
-the same elimination over Fraction.  The hom systems have power-of-two
-denominators and small entries, so the modular path answers them all.
+the same elimination over Fraction.  Its rows may hold ints or
+Fractions; ``smod.hom_space`` hands it integer rows, and the modular
+path answers every hom system of the corpus.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ __all__ = [
 ]
 
 Matrix = list  # list[list[Fraction]]
+
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -62,15 +70,19 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(c, a: Matrix) -> Matrix:
     c = _frac(c)
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else _ZERO for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product a @ b with exact rational entries.
 
-    Skips zeros on both sides: the nonzero entries of each row of b are
-    listed once, and a row of a adds x * (row j of b) only where its
-    entry x is nonzero.  Every output entry is a Fraction.
+    Computed in integers: b is scaled by the lcm D_b of its
+    denominators and each row of a by the lcm D_r of that row's, the
+    nonzero entries of each row of b are listed once, and a row of a
+    adds x * (row j of b) only where its entry x is nonzero.  Each
+    nonzero sum n of the row becomes one Fraction(n, D_r * D_b); the
+    zero entries share one Fraction(0).  The entries of a and b may be
+    ints or Fractions; every output entry is a Fraction.
     """
     if a and b and len(a[0]) != len(b):
         raise ValueError(
@@ -78,15 +90,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return zeros(len(a), len(b[0]) if b else 0)
     ncols = len(b[0])
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    den_b = lcm(*{y.denominator for row in b for y in row if y})
+    b_nonzero = [[(j, y.numerator * (den_b // y.denominator))
+                  for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [Fraction(0)] * ncols
-        for x, entries in zip(row, b_nonzero):
-            if x:
-                for j, y in entries:
-                    acc[j] += x * y
-        out.append(acc)
+        terms = [(x, entries) for x, entries in zip(row, b_nonzero)
+                 if x and entries]
+        if not terms:
+            out.append([_ZERO] * ncols)
+            continue
+        den = lcm(*{x.denominator for x, _ in terms})
+        acc = [0] * ncols
+        for x, entries in terms:
+            x = x.numerator * (den // x.denominator)
+            for j, y in entries:
+                acc[j] += x * y
+        den *= den_b
+        out.append([Fraction(n, den) if n else _ZERO for n in acc])
     return out
 
 

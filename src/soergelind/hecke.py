@@ -249,10 +249,10 @@ def wall_crossing_summands(y: WeylElement, i: int) -> list:
         z = max(prod.terms, key=lambda u: (u.length, u.word))
         m_z = prod.terms[z]
         for j, c in m_z.terms.items():
-            if c.denominator != 1 or c < 0:
+            if type(c) is not int or c < 0:
                 raise InternalCheckError(
                     f"b_y b_s has coefficient {m_z} at b_{z!r}")
-            out.extend([(z, y.length + 1 + j - z.length)] * int(c))
+            out.extend([(z, y.length + 1 + j - z.length)] * c)
         prod = prod - kl_basis(z).scale(m_z)
     return sorted(out, key=lambda t: (t[1], t[0].length, t[0].word))
 

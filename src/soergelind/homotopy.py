@@ -538,7 +538,7 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
         for (y, k) in summands:
             if k % 2:
                 raise InternalCheckError("odd internal shift in a complex")
-            coeff = LaurentPoly({k + y.length: Fraction((-1) ** (i % 2))})
+            coeff = LaurentPoly({k + y.length: (-1) ** (i % 2)})
             total = total + kl_basis(y).scale(coeff)
     return total
 

@@ -1,21 +1,67 @@
 """Laurent polynomials in one variable v with exact rational coefficients.
 
 These are the scalars of the Hecke algebra and of every decategorified
-class in the package.  Coefficients are Fractions (integers in practice;
-halves can appear transiently in Frobenius bookkeeping but never in a
-verified class).  The bar involution v -> 1/v is just negation of
-exponents.
+class in the package.  A coefficient is stored as an ``int`` when it is
+integral and as a ``Fraction`` otherwise; every Kazhdan-Lusztig
+coefficient and every verified class is integral, so the Hecke side
+computes in Python ints, and halves that appear in Frobenius
+bookkeeping stay exact.  Coefficients are normalized on the way in and
+after every sum, so equal polynomials have equal terms; anything other
+than an int or a Fraction (a float, a bool, a string) is a TypeError.
+The bar involution v -> 1/v is just negation of exponents.
+
+The JSON form maps exponents to the strings :func:`fraction_to_str`
+writes, "p" or "p/q" in lowest terms, and :func:`fraction_from_str`
+accepts exactly those strings and nothing else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ['LaurentPoly']
+__all__ = ['LaurentPoly', 'fraction_to_str', 'fraction_from_str']
 
 
-def _coeff(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def fraction_to_str(c) -> str:
+    """"p", or "p/q" with q > 1 in lowest terms."""
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else (
+        f'{c.numerator}/{c.denominator}')
+
+
+def fraction_from_str(s: str) -> Fraction:
+    """The Fraction that fraction_to_str writes as s.
+
+    Any other input raises: a non-string (a JSON number or bool) with
+    TypeError, any other string ("1.5", "1e3", " 1", "2/4", "1/0")
+    with ValueError.
+    """
+    if not isinstance(s, str):
+        raise TypeError(f"a fraction must be a string, not {s!r}")
+    try:
+        value = Fraction(s)
+    except ZeroDivisionError:
+        value = None
+    # Fraction also reads decimals, exponents, spaces and underscores;
+    # only the canonical spelling comes back unchanged
+    if value is None or fraction_to_str(value) != s:
+        raise ValueError(f"{s!r} is not a fraction in lowest terms")
+    return value
+
+
+def _coeff(c):
+    """c as an exact coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(
+        f"a Laurent coefficient is an int or a Fraction, not {c!r}")
+
+
+def _normalized(sums: dict) -> dict:
+    """The nonzero entries of a dict of sums, each through _coeff."""
+    return {k: _coeff(c) for k, c in sums.items() if c}
 
 
 class LaurentPoly:
@@ -28,9 +74,17 @@ class LaurentPoly:
         if terms:
             for k, c in (terms.items() if isinstance(terms, dict) else terms):
                 c = _coeff(c)
-                if c != 0:
-                    data[int(k)] = data.get(int(k), Fraction(0)) + c
-        self.terms = {k: c for k, c in data.items() if c != 0}
+                if c:
+                    k = int(k)
+                    data[k] = data.get(k, 0) + c
+        self.terms = _normalized(data)
+
+    @classmethod
+    def _of(cls, terms: dict) -> 'LaurentPoly':
+        """The polynomial with these terms, already normalized and nonzero."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------
 
@@ -56,14 +110,14 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentPoly(out)
+            out[k] = out.get(k, 0) + c
+        return LaurentPoly._of(_normalized(out))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
+        return LaurentPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -73,12 +127,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
+                out[k] = out.get(k, 0) + c1 * c2
+        return LaurentPoly._of(_normalized(out))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -103,7 +157,7 @@ class LaurentPoly:
 
     def bar(self) -> 'LaurentPoly':
         """The involution v -> v^(-1)."""
-        return LaurentPoly({-k: c for k, c in self.terms.items()})
+        return LaurentPoly._of({-k: c for k, c in self.terms.items()})
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
@@ -114,19 +168,19 @@ class LaurentPoly:
 
     def shift(self, k: int) -> 'LaurentPoly':
         """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.terms.items()})
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
+    def constant_coefficient(self):
+        return self.terms.get(0, 0)
 
     def in_positive_v_lattice(self) -> bool:
         """True when the polynomial lies in v Z[v] with nonneg coefficients."""
-        return all(k >= 1 and c.denominator == 1 and c >= 0
+        return all(k >= 1 and type(c) is int and c >= 0
                    for k, c in self.terms.items())
 
     def max_degree(self) -> int:
@@ -155,7 +209,7 @@ class LaurentPoly:
         parts = []
         for k in sorted(self.terms):
             c = self.terms[k]
-            cs = str(c.numerator) if c.denominator == 1 else str(c)
+            cs = str(c)
             if k == 0:
                 parts.append(cs)
             else:
@@ -172,4 +226,4 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> 'LaurentPoly':
-        return cls({int(k): Fraction(c) for k, c in data.items()})
+        return cls({int(k): fraction_from_str(c) for k, c in data.items()})

@@ -1,28 +1,31 @@
 """Exact JSON round-trips for modules, catalogs, and reports.
 
-All rational numbers are serialized as "p/q" strings (plain "p" when
-the denominator is 1) so that nothing ever passes through floating
-point.  Catalog files carry enough data to rebuild every
-indecomposable without re-running the Bott-Samelson splittings: the
-graded dimensions and the generator action matrices.  Cache files are
-named by a content hash of the root datum, so stale files from a
-different Cartan matrix or subset can never be picked up by accident.
-A cache file that cannot be read (not JSON, or JSON of the wrong
-shape) counts as a miss, with a warning; one that reads but fails
-validation is an error.  Files are replaced atomically, so concurrent
+All rational numbers are serialized as "p/q" strings in lowest terms
+(plain "p" when the denominator is 1) so that nothing ever passes
+through floating point, and only those strings are read back: a JSON
+number or any other string in their place makes the file unreadable.
+Catalog files carry enough data to rebuild every indecomposable
+without re-running the Bott-Samelson splittings: the graded dimensions
+and the generator action matrices.  Cache files are named by a
+content hash of the root datum, so stale files from a different Cartan
+matrix or subset can never be picked up by accident.  A cache file
+that cannot be read (not JSON, JSON of the wrong shape, or an entry
+that does not decode) counts as a miss, with a warning; one that reads
+but fails validation is an error.  Files are replaced atomically, so concurrent
 writers of the same file leave one complete copy.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
+from .laurent import fraction_from_str, fraction_to_str
 from .smod import (GradedModule, IndecomposableCatalog, expected_graded_dims)
 
 __all__ = [
@@ -34,22 +37,12 @@ __all__ = [
 ]
 
 
-def fraction_to_str(c: Fraction) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else (
-        f'{c.numerator}/{c.denominator}')
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def matrix_to_json(m) -> list:
     return [[fraction_to_str(x) for x in row] for row in m]
 
 
-def matrix_from_json(data) -> list:
-    return [[fraction_from_str(x) for x in row] for row in data]
+def matrix_from_json(data, decode=fraction_from_str) -> list:
+    return [[decode(x) for x in row] for row in data]
 
 
 def module_to_json(module: GradedModule) -> dict:
@@ -61,10 +54,11 @@ def module_to_json(module: GradedModule) -> dict:
     }
 
 
-def module_from_json(algebra, data: dict) -> GradedModule:
+def module_from_json(algebra, data: dict,
+                     decode=fraction_from_str) -> GradedModule:
     dims = {int(d): n for d, n in data['dims'].items()}
     actions = {(entry['var'] - 1, entry['degree']):
-               matrix_from_json(entry['matrix'])
+               matrix_from_json(entry['matrix'], decode)
                for entry in data['actions']}
     return GradedModule(algebra, dims, actions)
 
@@ -89,6 +83,9 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
         raise InternalCheckError(
             "catalog file does not describe this algebra")
     members = {w for w in rs.elements if set(w.word) <= set(algebra.subset)}
+    # each distinct entry string is decoded once per file, and the
+    # immutable Fraction shared by every matrix that holds it
+    decode = functools.cache(fraction_from_str)
     entries = {}
     provenance = {}
     for item in data['entries']:
@@ -96,7 +93,7 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
         if w not in members or w in entries:
             raise InternalCheckError(
                 f"catalog file has a stray or second entry for {w!r}")
-        module = module_from_json(algebra, item)
+        module = module_from_json(algebra, item, decode)
         if module.graded_dims != expected_graded_dims(w):
             raise InternalCheckError(
                 f"cached entry for {w!r} has graded character "

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .coinvariants import CoinvariantAlgebra, RestrictionMap
 from .errors import (ConfigurationError, IncompatibilityError,
@@ -463,8 +464,12 @@ def hom_space(source: GradedModule, target: GradedModule,
 
     The intertwining conditions over all variables form one sparse
     homogeneous system in the block entries; its kernel basis is
-    returned as maps.  Deterministic: variables and equations are
-    enumerated in a fixed order.
+    returned as maps.  The equations of one (variable, degree) block
+    are multiplied by the lcm of the denominators of its two action
+    matrices, so :func:`sparse_nullspace` receives integer rows; a
+    nonzero factor per equation leaves the kernel as it is.
+    Deterministic: variables and equations are enumerated in a fixed
+    order.
     """
     if source.algebra is not target.algebra:
         raise IncompatibilityError("hom requires a common algebra")
@@ -484,22 +489,27 @@ def hom_space(source: GradedModule, target: GradedModule,
             xm = source.action(i, d)
             rows_out = target.dim_at(d + degree + 2)
             cols = source.dim_at(d)
-            mid_n = target.dim_at(d + degree)
             mid_m = source.dim_at(d + 2)
             # (x f)[r][c] = sum_k xn[r][k] f_d[k][c] and
             # (f x)[r][c] = sum_k f_{d+2}[r][k] xm[k][c] meet no unknown
-            # twice: the first side uses block d, the second block d + 2
-            xn_rows = [{k: v for k, v in enumerate(row) if v} for row in xn]
-            xm_cols = [{k: -xm[k][c] for k in range(mid_m) if xm[k][c]}
-                       for c in range(cols)]
+            # twice: the first side uses block d, the second block d + 2.
+            # The block's equations are scaled by the lcm of its
+            # denominators, which leaves integer coefficients.
+            den = lcm(*{v.denominator for m in (xn, xm) for row in m
+                        for v in row if v})
+            xn_rows = [[(k, v.numerator * (den // v.denominator))
+                        for k, v in enumerate(row) if v] for row in xn]
+            xm_cols = [[(k, -v.numerator * (den // v.denominator))
+                        for k, v in enumerate(col) if v]
+                       for col in zip(*xm)] if mid_m else [[]] * cols
             for r in range(rows_out):
                 for c in range(cols):
-                    eq: dict[int, Fraction] = {}
-                    for k, v in xn_rows[r].items():
+                    eq: dict[int, int] = {}
+                    for k, v in xn_rows[r]:
                         idx = var_index.get((d, k, c))
                         if idx is not None:
                             eq[idx] = v
-                    for k, v in xm_cols[c].items():
+                    for k, v in xm_cols[c]:
                         idx = var_index.get((d + 2, r, k))
                         if idx is not None:
                             eq[idx] = v

@@ -1,10 +1,11 @@
 """Exact linear algebra kernels against textbook references.
 
 sparse_nullspace eliminates its rows sparsest first with a heap of pivot
-columns, and mat_mul skips zero entries; both must give exactly what
-dense elimination and the triple-loop product give, whatever the row
-order, on systems with empty rows, duplicate rows, explicit zeros and
-columns that no row touches.  sparse_nullspace eliminates mod
+columns, and mat_mul skips zero entries and sums in integers over one
+denominator per row; both must give exactly what dense elimination and
+the triple-loop product give, whatever the row order, on systems with
+empty rows, duplicate rows, explicit zeros, int entries and columns
+that no row touches.  sparse_nullspace eliminates mod
 p = 2^61 - 1 and lifts the result back; where that cannot give the
 rational answer (the rank drops mod p, a denominator is divisible by p,
 an entry does not lift, a lift is wrong) the exact check must refuse it
@@ -23,9 +24,11 @@ from soergelind.exactla import mat_mul, nullspace, sparse_nullspace
 
 P = 2 ** 61 - 1
 
-entries = st.one_of(st.just(Fraction(0)),
+# plain ints too: mat_mul and sparse_nullspace accept both, and
+# hom_space hands sparse_nullspace integer rows
+entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3),
                     st.fractions(min_value=-3, max_value=3,
-                                 max_denominator=4))
+                                 max_denominator=12))
 
 
 @st.composite

@@ -1,9 +1,13 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's hooks still fit the package.
 
 `perfbench/spans.py` wraps public functions of every layer by name and
 raises when a name is gone or bound nowhere.  Installing it runs in a
 fresh interpreter, since the wrappers replace module attributes for
-the rest of the process.
+the rest of the process.  The verify output that the benchmark gates
+on must also keep every check digest recorded in
+`perfbench/expected.json`; the sweep runs here in-process, through the
+benchmark's own corpus restriction and digest functions, so a change
+of output fails the tests and not only the benchmark.
 """
 
 import json
@@ -37,3 +41,22 @@ def test_every_wrapped_name_still_exists():
             'homotopy.gaussian_eliminate', 'homotopy.verify_d_squared',
             'homotopy.complex_from_module', 'exactla.sparse_nullspace',
             'exactla.nullspace', 'exactla.solve_matrix'} <= wrapped
+
+
+def test_verify_light_keeps_its_recorded_digests(tmp_path, monkeypatch):
+    from soergelind import cli, induction
+
+    monkeypatch.syspath_prepend(str(ROOT / 'perfbench'))
+    import launch
+    import run
+
+    with open(run.EXPECTED) as fh:
+        expected = json.load(fh)['workloads']['verify-light']
+    monkeypatch.delenv('SOERGELIND_CACHE_DIR', raising=False)
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    monkeypatch.setattr(induction, 'corpus_groups', induction.corpus_groups)
+    launch.restrict_corpus(induction, expected['groups'])
+    out = tmp_path / 'verify.json'
+    assert cli.main(['verify', '--corpus', 'full', '--json', str(out)]) == 0
+    with open(out) as fh:
+        assert run.verify_digests(json.load(fh)) == expected['checks']

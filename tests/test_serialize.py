@@ -35,6 +35,20 @@ def test_fraction_strings():
     assert fraction_to_str(Fraction(-1, 2)) == '-1/2'
 
 
+@pytest.mark.parametrize('text', ['1.0', '1e3', '0.5', ' 1', '1 ', '+1', '01',
+                                  '-0', '2/4', '3/1', '1/0', '1/-2', '1_000',
+                                  '', 'nan', '\u0661'])
+def test_only_canonical_fraction_strings_decode(text):
+    with pytest.raises(ValueError):
+        fraction_from_str(text)
+
+
+@pytest.mark.parametrize('value', [1, 1.0, 0.5, True, None, [1], {'1': 1}])
+def test_a_json_value_that_is_not_a_string_does_not_decode(value):
+    with pytest.raises(TypeError):
+        fraction_from_str(value)
+
+
 def test_matrix_round_trip_preserves_shape():
     m = [[Fraction(1, 2), Fraction(0)], [Fraction(-3), Fraction(2, 7)]]
     assert matrix_from_json(matrix_to_json(m)) == m
@@ -108,11 +122,29 @@ def test_cache_store_and_load(tmp_path):
     assert not load_cached_catalog(algebra3, cache)
 
 
-@pytest.mark.parametrize('text', ['{"family": "A", "rank"', '[1, 2]', '{}'])
+def integers_as_floats(stored: str) -> str:
+    """The stored catalog file with every integral entry a JSON float."""
+    data = json.loads(stored)
+    changed = 0
+    for item in data['entries']:
+        for action in item['actions']:
+            action['matrix'] = [[x if '/' in x else float(x) for x in row]
+                                for row in action['matrix']]
+            changed += sum(isinstance(x, float)
+                           for row in action['matrix'] for x in row)
+    assert changed
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize('text', ['{"family": "A", "rank"', '[1, 2]', '{}',
+                                  integers_as_floats])
 def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, text):
     cache = str(tmp_path)
     catalog = fresh_catalog('A', 1)
     path = store_catalog(catalog, cache)
+    if callable(text):
+        with open(path) as fh:
+            text = text(fh.read())
     with open(path, 'w') as fh:
         fh.write(text)
     assert load_cached_catalog(catalog.algebra, cache) is None

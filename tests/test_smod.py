@@ -9,6 +9,7 @@ product, and neither computation knows about the other.
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -16,13 +17,14 @@ from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
 from soergelind import smod
 from soergelind.errors import ConfigurationError, InternalCheckError
-from soergelind.exactla import identity as id_matrix, is_zero_matrix, mat_scale
+from soergelind.exactla import (identity as id_matrix, invert,
+                                is_zero_matrix, mat_mul, mat_scale, nullspace)
 from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
 from soergelind.homotopy import theta_summands
 from soergelind.laurent import LaurentPoly
-from soergelind.smod import (ModuleMap, bott_samelson, build_catalog,
-                             decompose, direct_sum, end_space, hom_space,
-                             induce_frobenius, is_isomorphic,
+from soergelind.smod import (GradedModule, ModuleMap, bott_samelson,
+                             build_catalog, decompose, direct_sum, end_space,
+                             hom_space, induce_frobenius, is_isomorphic,
                              restrict_module, trivial_module,
                              verify_relations, zero_module)
 
@@ -366,6 +368,79 @@ def test_end_space_of_the_largest_a3_theta_module():
     theta = induce_frobenius(1, catalog.entry(word_el(rs, 1, 2, 3, 2, 1)))
     assert sum(n * n for n in theta.graded_dims.values()) == 490
     assert len(end_space(theta)) == 3
+
+
+def rebased(module, denominators):
+    """The module in a new basis of every graded piece.
+
+    The change of basis is upper bidiagonal, with 1/p on the diagonal
+    and p/q above it for p, q taken in turn from denominators, so the
+    new action matrices have those primes in their denominators.
+    """
+    change = {}
+    for step, d in enumerate(module.degrees()):
+        p = denominators[step % len(denominators)]
+        q = denominators[(step + 1) % len(denominators)]
+        n = module.dim_at(d)
+        change[d] = [[Fraction(1, p) if c == r else Fraction(p, q)
+                      if c == r + 1 else Fraction(0) for c in range(n)]
+                     for r in range(n)]
+    actions = {(i, d): mat_mul(mat_mul(change[d + 2], m), invert(change[d]))
+               for (i, d), m in module.actions.items()}
+    return GradedModule(module.algebra, module.graded_dims, actions)
+
+
+def dense_hom_basis(source, target, degree):
+    """hom_space's basis from the dense system: one unscaled Fraction
+    equation per (variable, degree, row, column), solved by nullspace."""
+    unknowns = [(d, r, c) for d in source.degrees()
+                for r in range(target.dim_at(d + degree))
+                for c in range(source.dim_at(d))]
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows = []
+    for i in range(source.algebra.root_system.rank):
+        for d in source.degrees():
+            xn = target.action(i, d + degree)
+            xm = source.action(i, d)
+            for r in range(target.dim_at(d + degree + 2)):
+                for c in range(source.dim_at(d)):
+                    row = [Fraction(0)] * len(unknowns)
+                    for k in range(target.dim_at(d + degree)):
+                        row[index[(d, k, c)]] += xn[r][k]
+                    for k in range(source.dim_at(d + 2)):
+                        if (d + 2, r, k) in index:
+                            row[index[(d + 2, r, k)]] -= xm[k][c]
+                    rows.append(row)
+    # nullspace reads an empty system as having no columns
+    basis = nullspace(rows) if rows else id_matrix(len(unknowns))
+    return [{d: [[vec[index[(d, r, c)]] for c in range(source.dim_at(d))]
+                 for r in range(target.dim_at(d + degree))]
+             for d in source.degrees()} for vec in basis]
+
+
+def test_hom_space_with_denominators_3_5_7_equals_the_dense_basis():
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    s1, s1s2, w0 = word_el(rs, 1), word_el(rs, 1, 2), word_el(rs, 1, 2, 1)
+    dens, maps = set(), 0
+    for y, z in [(s1, s1s2), (s1s2, w0), (w0, w0), (w0, s1)]:
+        source = rebased(catalog.entry(y), (3, 5, 7))
+        target = rebased(catalog.entry(z), (7, 3, 5))
+        verify_relations(source)
+        verify_relations(target)
+        dens |= {x.denominator for m in (source, target)
+                 for a in m.actions.values() for row in a for x in row}
+        for degree in (0, 2, 4):
+            got = hom_space(source, target, degree)
+            maps += len(got)
+            want = dense_hom_basis(source, target, degree)
+            assert [{d: f.block(d) for d in source.degrees()}
+                    for f in got] == want
+            assert all(type(x) is Fraction for f in got
+                       for block in f.blocks.values()
+                       for row in block for x in row)
+    assert all(any(d % p == 0 for d in dens) for p in (3, 5, 7))
+    assert maps
 
 
 def test_hom_respects_shifts():
