@@ -16,7 +16,6 @@ Generator indices are 0-based everywhere in code; serialized words are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError, IncompatibilityError
@@ -203,7 +202,6 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     return RootSystem(cartan_type, rank)
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element: an integer matrix in the simple root basis.
 
@@ -211,11 +209,24 @@ class WeylElement:
     reduced word are cached at enumeration time; equality and hashing
     only look at the matrix itself.
     """
-    root_system: RootSystem = field(compare=False, repr=False)
-    matrix: tuple
-    inv_matrix: tuple = field(compare=False, repr=False)
-    length: int = field(compare=False)
-    word: tuple = field(compare=False)
+
+    __slots__ = ('root_system', 'matrix', 'inv_matrix', 'length', 'word')
+
+    def __init__(self, root_system: RootSystem, matrix: tuple,
+                 inv_matrix: tuple, length: int, word: tuple):
+        self.root_system = root_system
+        self.matrix = matrix
+        self.inv_matrix = inv_matrix
+        self.length = length
+        self.word = word
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash((self.matrix,))
 
     def _check_same_group(self, other: 'WeylElement') -> None:
         if self.root_system is not other.root_system:
@@ -225,10 +236,10 @@ class WeylElement:
     def __mul__(self, other: 'WeylElement') -> 'WeylElement':
         self._check_same_group(other)
         n = self.root_system.rank
-        prod = tuple(
-            tuple(sum(self.matrix[r][k] * other.matrix[k][c] for k in range(n))
-                  for c in range(n))
-            for r in range(n))
+        prod = tuple([
+            tuple([sum([self.matrix[r][k] * other.matrix[k][c]
+                        for k in range(n)]) for c in range(n)])
+            for r in range(n)])
         return self.root_system.element_from_matrix(prod)
 
     def inverse(self) -> 'WeylElement':
@@ -237,8 +248,8 @@ class WeylElement:
     def apply(self, vector):
         """Image of a vector written in simple root coordinates."""
         n = self.root_system.rank
-        return tuple(sum(self.matrix[r][c] * vector[c] for c in range(n))
-                     for r in range(n))
+        return tuple([sum([self.matrix[r][c] * vector[c] for c in range(n)])
+                      for r in range(n)])
 
     def has_right_descent(self, i: int) -> bool:
         """True iff l(w s_i) < l(w), i.e. w(alpha_i) is a negative root."""
@@ -325,7 +336,6 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     return elements
 
 
-@dataclass
 class ParabolicDatum:
     """A standard parabolic subgroup W_I with its minimal coset data.
 
@@ -334,24 +344,19 @@ class ParabolicDatum:
     Every element of W factors uniquely as x * u with x in W_I and
     u in min_reps, lengths adding.
     """
-    root_system: RootSystem
-    subset: tuple[int, ...]
-    elements_WI: list[WeylElement] = field(default_factory=list)
-    min_reps: list[WeylElement] = field(default_factory=list)
 
-    def __post_init__(self):
-        rs = self.root_system
-        if any(not 0 <= i < rs.rank for i in self.subset):
+    def __init__(self, root_system: RootSystem, subset: tuple[int, ...]):
+        rs = root_system
+        if any(not 0 <= i < rs.rank for i in subset):
             raise ConfigurationError(
-                f"parabolic subset {self.subset} out of range "
-                f"for rank {rs.rank}")
-        self.subset = tuple(sorted(set(self.subset)))
-        if not self.elements_WI:
-            self.elements_WI = [w for w in rs.elements
-                                if set(w.word) <= set(self.subset)]
-            self.min_reps = [w for w in rs.elements if self.is_min_rep(w)]
-            if len(self.elements_WI) * len(self.min_reps) != len(rs.elements):
-                raise AssertionError("coset decomposition has wrong size")
+                f"parabolic subset {subset} out of range for rank {rs.rank}")
+        self.root_system = rs
+        self.subset = tuple(sorted(set(subset)))
+        self.elements_WI = [w for w in rs.elements
+                            if set(w.word) <= set(self.subset)]
+        self.min_reps = [w for w in rs.elements if self.is_min_rep(w)]
+        if len(self.elements_WI) * len(self.min_reps) != len(rs.elements):
+            raise AssertionError("coset decomposition has wrong size")
 
     def is_min_rep(self, w: WeylElement) -> bool:
         return not any(w.has_left_descent(i) for i in self.subset)

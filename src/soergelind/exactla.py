@@ -52,7 +52,15 @@ _ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; an int or a Fraction, anything else a TypeError.
+
+    Fraction(x) itself would turn a float into its binary expansion.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"an exact entry is an int or a Fraction, not {x!r}")
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -82,7 +90,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     adds x * (row j of b) only where its entry x is nonzero.  Each
     nonzero sum n of the row becomes one Fraction(n, D_r * D_b); the
     zero entries share one Fraction(0).  The entries of a and b may be
-    ints or Fractions; every output entry is a Fraction.
+    ints or Fractions, anything else is a TypeError; every output entry
+    is a Fraction.
     """
     if a and b and len(a[0]) != len(b):
         raise ValueError(
@@ -90,7 +99,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return zeros(len(a), len(b[0]) if b else 0)
     ncols = len(b[0])
-    den_b = lcm(*{y.denominator for row in b for y in row if y})
+    try:
+        den_b = lcm(*{y.denominator for row in b for y in row if y})
+    except AttributeError:
+        raise TypeError("mat_mul entries are ints or Fractions") from None
     b_nonzero = [[(j, y.numerator * (den_b // y.denominator))
                   for j, y in enumerate(row) if y] for row in b]
     out = []
@@ -100,7 +112,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         if not terms:
             out.append([_ZERO] * ncols)
             continue
-        den = lcm(*{x.denominator for x, _ in terms})
+        try:
+            den = lcm(*{x.denominator for x, _ in terms})
+        except AttributeError:
+            raise TypeError("mat_mul entries are ints or Fractions") from None
         acc = [0] * ncols
         for x, entries in terms:
             x = x.numerator * (den // x.denominator)

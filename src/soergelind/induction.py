@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .coinvariants import build_coinvariants, restriction_surjection
 from .coxeter import (WeylElement, admissible_chain, build_parabolic,
@@ -67,11 +66,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(namedtuple('CalibrationRecord', 'shift sign')):
     """Global dictionary between internal shifts and powers of v."""
-    shift: int
-    sign: int
+    __slots__ = ()
 
 
 DEFAULT_RECORD = CalibrationRecord(shift=2, sign=1)
@@ -373,15 +370,30 @@ def induce_all(setup: InductionSetup) -> dict:
 # verification reports
 
 
-@dataclass
 class VerificationReport:
-    instance: dict
-    status: str
-    computed_class: str | None = None
-    predicted_class: str | None = None
-    timing: float = 0.0
-    complex_summary: dict | None = None
-    details: dict = field(default_factory=dict)
+    """The outcome of one check; reports are equal when all fields are."""
+
+    def __init__(self, instance: dict, status: str,
+                 computed_class: str | None = None,
+                 predicted_class: str | None = None, timing: float = 0.0,
+                 complex_summary: dict | None = None,
+                 details: dict | None = None):
+        self.instance = instance
+        self.status = status
+        self.computed_class = computed_class
+        self.predicted_class = predicted_class
+        self.timing = timing
+        self.complex_summary = complex_summary
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ', '.join(f'{k}={v!r}' for k, v in vars(self).items())
+        return f'VerificationReport({fields})'
 
     def ok(self) -> bool:
         return self.status == 'pass'
@@ -711,6 +723,8 @@ def run_corpus(scope: str = 'full', jobs: int = 1,
         results = [run_group(f, r, subset, checks, cache_dir)
                    for f, r, subset in groups]
     else:
+        # imported here: it loads multiprocessing, which only --jobs needs
+        from concurrent.futures import ProcessPoolExecutor
         tasks = [(f, r, subset, checks, cache_dir) for f, r, subset in groups]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_group_task, tasks))

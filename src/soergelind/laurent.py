@@ -160,7 +160,7 @@ class LaurentPoly:
         return LaurentPoly._of({-k: c for k, c in self.terms.items()})
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
+        x = Fraction(_coeff(x))
         total = Fraction(0)
         for k, c in self.terms.items():
             total += c * x ** k

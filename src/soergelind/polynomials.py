@@ -7,8 +7,9 @@ general group element acts through its integer matrix.  The Demazure
 operator is d_i(f) = (f - s_i f)/x_i; the numerator always lies in the
 monomial ideal (x_i), so the division is a plain exponent shift.
 
-Polynomials are dicts from exponent tuples to Fractions; the algebraic
-degree here is half the cohomological degree used elsewhere.
+Polynomials are dicts from exponent tuples to Fractions; a coefficient
+given as anything but an int or a Fraction is a TypeError.  The
+algebraic degree here is half the cohomological degree used elsewhere.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 from .coxeter import RootSystem, WeylElement
 from .errors import IncompatibilityError, InternalCheckError
+from .exactla import _frac
 
 __all__ = ['Polynomial', 'PolyRing', 'demazure']
 
@@ -30,7 +32,7 @@ class Polynomial:
         self.n = n
         self.terms: dict[tuple, Fraction] = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _frac(c)
             if c:
                 self.terms[tuple(mono)] = c
 
@@ -40,7 +42,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, n: int, c) -> 'Polynomial':
-        return cls(n, {(0,) * n: Fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> 'Polynomial':
@@ -68,7 +70,7 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, c) -> 'Polynomial':
-        c = Fraction(c)
+        c = _frac(c)
         return Polynomial(self.n, {m: x * c for m, x in self.terms.items()})
 
     def __mul__(self, other: 'Polynomial') -> 'Polynomial':
@@ -76,7 +78,7 @@ class Polynomial:
         out: dict[tuple, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple([a + b for a, b in zip(m1, m2)])
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return Polynomial(self.n, out)
 

@@ -18,7 +18,6 @@ writers of the same file leave one complete copy.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -112,6 +111,7 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
 
 
 def content_key(rs, subset) -> str:
+    import hashlib  # loads OpenSSL, which only cache file names need
     payload = json.dumps({
         'family': rs.cartan_type, 'rank': rs.rank,
         'cartan': [list(row) for row in rs.cartan],

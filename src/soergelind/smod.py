@@ -39,9 +39,9 @@ from math import lcm
 from .coinvariants import CoinvariantAlgebra, RestrictionMap
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import (identity as id_matrix, invert, is_zero_matrix, mat_mul,
-                      mat_scale, mat_sub, rref, sparse_nullspace, trace,
-                      zeros)
+from .exactla import (_frac, identity as id_matrix, invert, is_zero_matrix,
+                      mat_mul, mat_scale, mat_sub, rref, sparse_nullspace,
+                      trace, zeros)
 from .hecke import kl_basis, wall_crossing_summands
 from .polynomials import Polynomial
 
@@ -412,7 +412,7 @@ class ModuleMap:
         return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> 'ModuleMap':
-        c = Fraction(c)
+        c = _frac(c)
         return ModuleMap(self.source, self.target, self.degree,
                          {d: mat_scale(c, m) for d, m in self.blocks.items()})
 

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +48,20 @@ def test_parse_word_rejects_garbage():
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # an indw query is one process, so what it imports is part of its
+    # time; these modules serve only --jobs above 1 and --cache-dir
+    heavy = ('dataclasses', 'inspect', 'concurrent.futures',
+             'multiprocessing', 'hashlib')
+    code = ('import soergelind.cli, sys; '
+            f'print([m for m in {heavy!r} if m in sys.modules])')
+    src = pathlib.Path(soergelind.cli.__file__).parents[1]
+    run = subprocess.run([sys.executable, '-c', code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.stdout.strip() == '[]'
 
 
 def test_group_summary(capsys):

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soergelind.coxeter import (RootSystem, admissible_chain,
+from soergelind.coxeter import (RootSystem, WeylElement, admissible_chain,
                                 admissible_chains, build_parabolic)
 from soergelind.errors import ConfigurationError, IncompatibilityError
 
@@ -135,6 +135,23 @@ def test_inverse_and_mixed_groups():
     other = RootSystem('A', 2)
     with pytest.raises(IncompatibilityError):
         rs.simple_reflection(0) * other.simple_reflection(0)
+
+
+def test_elements_compare_by_matrix_alone():
+    rs = RootSystem('A', 2)
+    w = rs.element_from_word([0, 1])
+    twin = WeylElement(rs, w.matrix, w.inv_matrix, w.length, (9, 9))
+    assert twin == w and hash(twin) == hash(w)
+    assert w != rs.element_from_word([1, 0])
+    assert len({w, twin, rs.identity}) == 2
+
+
+def test_parabolic_repr():
+    rs = RootSystem('B', 3)
+    assert repr(build_parabolic(rs, (2, 0))) == \
+        'ParabolicDatum(RootSystem(B3), {s1,s3})'
+    assert repr(build_parabolic(rs, ())) == \
+        'ParabolicDatum(RootSystem(B3), {empty})'
 
 
 def test_unsupported_type_rejected():

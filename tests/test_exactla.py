@@ -5,7 +5,8 @@ columns, and mat_mul skips zero entries and sums in integers over one
 denominator per row; both must give exactly what dense elimination and
 the triple-loop product give, whatever the row order, on systems with
 empty rows, duplicate rows, explicit zeros, int entries and columns
-that no row touches.  sparse_nullspace eliminates mod
+that no row touches.  A float handed to any exact entry point is a
+TypeError, never its binary expansion.  sparse_nullspace eliminates mod
 p = 2^61 - 1 and lifts the result back; where that cannot give the
 rational answer (the rank drops mod p, a denominator is divisible by p,
 an entry does not lift, a lift is wrong) the exact check must refuse it
@@ -21,6 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from soergelind import exactla
 from soergelind.exactla import mat_mul, nullspace, sparse_nullspace
+from soergelind.laurent import LaurentPoly
+from soergelind.polynomials import Polynomial
 
 P = 2 ** 61 - 1
 
@@ -117,6 +120,32 @@ def test_mat_mul_rejects_a_shape_mismatch(p, q, extra, r):
     b = [[Fraction(1)] * r for _ in range(q + extra)]
     with pytest.raises(ValueError):
         mat_mul(a, b)
+
+
+def _identity_map():
+    from soergelind.coinvariants import build_coinvariants
+    from soergelind.coxeter import RootSystem
+    from soergelind.smod import ModuleMap, trivial_module
+    algebra = build_coinvariants(RootSystem('A', 1), (0,))
+    return ModuleMap.identity(trivial_module(algebra))
+
+
+FLOAT_INPUTS = {
+    'mat_scale': lambda: exactla.mat_scale(0.1, [[Fraction(1)]]),
+    'mat_mul_left': lambda: mat_mul([[0.5]], [[Fraction(1)]]),
+    'mat_mul_right': lambda: mat_mul([[Fraction(1)]], [[0.5]]),
+    'ModuleMap.scale': lambda: _identity_map().scale(0.1),
+    'Polynomial.scale': lambda: Polynomial.const(2, 1).scale(0.1),
+    'Polynomial.const': lambda: Polynomial.const(2, 0.1),
+    'LaurentPoly.evaluate': lambda: LaurentPoly.v(1).evaluate(0.1),
+}
+
+
+@pytest.mark.parametrize('call', FLOAT_INPUTS.values(), ids=FLOAT_INPUTS)
+def test_a_float_is_refused_rather_than_expanded(call):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        call()
 
 
 # ---------------------------------------------------------------------------

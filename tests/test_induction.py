@@ -49,6 +49,15 @@ def test_calibration_is_unique_and_reproducible():
     assert calibrate_shift() == record
 
 
+def test_calibration_records_are_immutable_values():
+    record = CalibrationRecord(shift=2, sign=1)
+    with pytest.raises(AttributeError):
+        record.shift = 0
+    assert hash(record) == hash(CalibrationRecord(shift=2, sign=1))
+    assert record != CalibrationRecord(shift=0, sign=1)
+    assert repr(record) == 'CalibrationRecord(shift=2, sign=1)'
+
+
 def test_wrong_calibrations_fail_loudly():
     # inducing with the rejected grid points must either refuse to
     # build a complex or produce the wrong class

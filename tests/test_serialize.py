@@ -102,6 +102,12 @@ def test_content_key_separates_data():
     assert content_key(RootSystem('A', 2), (0, 1)) == full
 
 
+def test_content_keys_keep_their_values():
+    # cache directories filled by earlier versions must keep hitting
+    assert content_key(RootSystem('A', 2), (0, 1)) == '9d3c744c498d335a'
+    assert content_key(RootSystem('A', 3), (0, 1)) == 'f8fdd01572c9bac3'
+
+
 def test_cache_store_and_load(tmp_path):
     cache = str(tmp_path)
     catalog = fresh_catalog('A', 2)
