@@ -14,6 +14,10 @@ the peeling of catalog summands the Hecke algebra predicts),
 `homotopy` (formal complexes, Rouquier tensoring, minimization, K0),
 `induction` (the induction pipeline and the verification sweep),
 `serialize` / `cli` (persistence and the command-line front end).
+
+The package root does not import `coinvariants`: the module side
+builds a coinvariant algebra only when a catalog is built, and imports
+the module then.  Import its names from `soergelind.coinvariants`.
 """
 
 from .coxeter import (RootSystem, WeylElement, ParabolicDatum,
@@ -24,8 +28,6 @@ from .laurent import LaurentPoly
 from .hecke import (HeckeElement, hecke_unit, hecke_standard,
                     hecke_multiply, bar_involution, kl_basis, parabolic_kl,
                     predicted_class)
-from .coinvariants import (CoinvariantAlgebra, build_coinvariants,
-                           restriction_surjection)
 from .smod import (GradedModule, direct_sum, induce_frobenius,
                    restrict_module, hom_space, is_isomorphic,
                    IndecomposableCatalog, build_catalog)
@@ -51,7 +53,6 @@ __all__ = [
     'LaurentPoly', 'HeckeElement', 'hecke_unit', 'hecke_standard',
     'hecke_multiply', 'bar_involution', 'kl_basis', 'parabolic_kl',
     'predicted_class',
-    'CoinvariantAlgebra', 'build_coinvariants', 'restriction_surjection',
     'GradedModule', 'direct_sum', 'induce_frobenius', 'restrict_module',
     'hom_space', 'is_isomorphic', 'IndecomposableCatalog', 'build_catalog',
     'FormalComplex', 'one_term_complex', 'complex_from_module',

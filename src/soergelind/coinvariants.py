@@ -31,6 +31,14 @@ S_1 * S_d), so the truncation at top + 1 is exact.
 Demazure operators d_i for i in I descend to C_I by the twisted
 Leibniz rule, giving the Frobenius splitting c = f + g * alpha_i with
 f = (c + s_i c)/2 and g = d_i(c)/2 both s_i-invariant.
+
+The module side reads only the fundamental invariants, and only to
+check that they act by zero on a newly built catalog entry.  So the
+pipeline does not build an algebra up front: smod.AlgebraRecord calls
+build_coinvariants, certificate included, the first time its
+invariants are read, that is once per algebra in a run that builds a
+catalog, and never in a run that loads its catalogs from the cache.
+That run does not import this module either.
 """
 
 from __future__ import annotations
@@ -137,12 +145,6 @@ class CoinvariantAlgebra:
     def act_simple(self, i: int, f: Polynomial) -> Polynomial:
         self._check_generator(i)
         return self.nf(self.ring.apply_simple(i, f))
-
-    def act(self, w: WeylElement, f: Polynomial) -> Polynomial:
-        if not set(w.word) <= set(self.subset):
-            raise ConfigurationError(
-                f"{w!r} is not in the group acting on this algebra")
-        return self.nf(self.ring.apply_weyl(w, f))
 
     def demazure(self, i: int, f: Polynomial) -> Polynomial:
         self._check_generator(i)

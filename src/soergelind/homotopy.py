@@ -533,13 +533,18 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
     survives minimization.
     """
     rs = cpx.catalog.algebra.root_system
-    total = HeckeElement(rs, {})
+    # the signed powers of v collected per y, so each b_y is added once
+    coeffs: dict = {}
     for i, summands in cpx.terms.items():
+        sign = (-1) ** (i % 2)
         for (y, k) in summands:
             if k % 2:
                 raise InternalCheckError("odd internal shift in a complex")
-            coeff = LaurentPoly({k + y.length: (-1) ** (i % 2)})
-            total = total + kl_basis(y).scale(coeff)
+            powers = coeffs.setdefault(y, {})
+            powers[k + y.length] = powers.get(k + y.length, 0) + sign
+    total = HeckeElement(rs, {})
+    for y, powers in coeffs.items():
+        total = total + kl_basis(y).scale(LaurentPoly(powers))
     return total
 
 

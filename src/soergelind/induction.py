@@ -39,8 +39,8 @@ from __future__ import annotations
 import os
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
-from .coinvariants import build_coinvariants, restriction_surjection
 from .coxeter import (WeylElement, admissible_chain, build_parabolic,
                       build_root_system)
 from .errors import (CalibrationError, ConfigurationError,
@@ -52,8 +52,8 @@ from .homotopy import (FormalComplex, complex_from_module,
                        tensor_rouquier, theta_complex)
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
-from .smod import (IndecomposableCatalog, build_catalog, direct_sum,
-                   hom_space, induce_frobenius, is_isomorphic,
+from .smod import (AlgebraRecord, IndecomposableCatalog, build_catalog,
+                   direct_sum, hom_space, induce_frobenius, is_isomorphic,
                    restrict_module)
 
 __all__ = [
@@ -114,11 +114,14 @@ class _FullSide:
     Calibration and every parabolic setup over the root system share
     it, so the full catalog, its theta splittings and its hom bases are
     made once per process; setups maps a sorted subset to its setup.
+    The algebra is an AlgebraRecord: building the catalog builds and
+    certifies the coinvariant algebra once, and loading the catalog
+    from the cache builds none.
     """
 
     def __init__(self, family: str, rank: int):
         self.rs = build_root_system(family, rank)
-        self.algebra = build_coinvariants(self.rs, tuple(range(self.rs.rank)))
+        self.algebra = AlgebraRecord(self.rs, range(self.rs.rank))
         self.catalog: IndecomposableCatalog | None = None
         self.setups: dict = {}
 
@@ -153,12 +156,12 @@ class InductionSetup:
         self.rs = rs
         self.algebra = side.algebra
         self.catalog = side.catalog
-        self.sub_algebra = build_coinvariants(rs, self.subset)
+        self.sub_algebra = AlgebraRecord(rs, self.subset)
         self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
-        self.rmap = restriction_surjection(rs, self.subset,
-                                           source=self.algebra,
-                                           target=self.sub_algebra)
+        # the surjection C -> C_I, as restrict_module reads it
+        self.rmap = SimpleNamespace(source=self.algebra,
+                                    target=self.sub_algebra)
         self.induced: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:

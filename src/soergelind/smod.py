@@ -27,6 +27,12 @@ The workhorses are:
     of D_y must equal the intersection-cohomology Poincare polynomial
     computed from the coefficients of b_y.
 
+A module's algebra is read for root_system, subset and
+fundamental_invariants only, and the invariants only by
+verify_relations, when a catalog is built.  The pipeline gives modules
+an AlgebraRecord, which builds its coinvariant algebra on that first
+read; a CoinvariantAlgebra serves as well.
+
 Everything is exact; no tolerances appear anywhere.
 """
 
@@ -36,17 +42,15 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .coinvariants import CoinvariantAlgebra, RestrictionMap
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
 from .exactla import (_frac, identity as id_matrix, invert, is_zero_matrix,
                       mat_mul, mat_scale, mat_sub, rref, sparse_nullspace,
                       trace, zeros)
 from .hecke import kl_basis, wall_crossing_summands
-from .polynomials import Polynomial
 
 __all__ = [
-    'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
+    'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
     'trivial_module', 'zero_module', 'induce_frobenius', 'bott_samelson',
     'restrict_module', 'direct_sum', 'hom_space', 'end_space',
     'verify_relations',
@@ -64,6 +68,37 @@ def _mul(a, b, rows: int, cols: int):
     if not a or not b or not b[0]:
         return zeros(rows, cols)
     return mat_mul(a, b)
+
+
+class AlgebraRecord:
+    """C_I as the module side reads it, built on first use.
+
+    root_system and subset are given; fundamental_invariants is built
+    by coinvariants.build_coinvariants, and certified there, the first
+    time it is read, and kept.  The module is imported at that point,
+    so a run that loads its catalogs from the cache never imports it.
+    """
+
+    __slots__ = ('root_system', 'subset', '_invariants')
+
+    def __init__(self, root_system, subset):
+        self.root_system = root_system
+        self.subset = tuple(sorted(subset))
+        self._invariants = None  # not built yet
+
+    @property
+    def fundamental_invariants(self) -> list:
+        if self._invariants is None:
+            # imported here and looked up at call time, so a wrapper
+            # bound on the module sees every build
+            from . import coinvariants
+            self._invariants = coinvariants.build_coinvariants(
+                self.root_system, self.subset).fundamental_invariants
+        return self._invariants
+
+    def __repr__(self):
+        gens = ','.join(f's{i + 1}' for i in self.subset) or 'empty'
+        return f'AlgebraRecord({self.root_system!r}, {{{gens}}})'
 
 
 class GradedModule:
@@ -264,7 +299,8 @@ def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
 
     Both algebras present their classes by the same ambient variables,
     and the surjection sends x_k to x_k, so the stored action data is
-    literally reused; only the algebra reference changes.
+    literally reused; only the algebra reference changes.  rmap is read
+    for its source and target algebras only.
     """
     if module.algebra is not rmap.target:
         raise IncompatibilityError(

@@ -50,18 +50,40 @@ def test_parse_word_rejects_garbage():
 # subcommands
 
 
-def test_importing_the_cli_loads_no_heavy_module():
-    # an indw query is one process, so what it imports is part of its
-    # time; these modules serve only --jobs above 1 and --cache-dir
-    heavy = ('dataclasses', 'inspect', 'concurrent.futures',
-             'multiprocessing', 'hashlib')
-    code = ('import soergelind.cli, sys; '
-            f'print([m for m in {heavy!r} if m in sys.modules])')
+def run_python(code: str) -> str:
+    """Standard output of code run in a fresh interpreter on this source."""
     src = pathlib.Path(soergelind.cli.__file__).parents[1]
     run = subprocess.run([sys.executable, '-c', code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert run.stdout.strip() == '[]'
+    return run.stdout.strip()
+
+
+# the coinvariant algebra and its polynomials serve only a catalog build
+ALGEBRA_MODULES = ('soergelind.coinvariants', 'soergelind.polynomials')
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # an indw query is one process, so what it imports is part of its
+    # time; these modules serve only --jobs above 1, --cache-dir and
+    # catalog builds
+    heavy = ('dataclasses', 'inspect', 'concurrent.futures',
+             'multiprocessing', 'hashlib') + ALGEBRA_MODULES
+    assert run_python('import soergelind.cli, sys; '
+                      f'print([m for m in {heavy!r} if m in sys.modules])') \
+        == '[]'
+
+
+def test_a_warm_query_imports_no_coinvariant_algebra(tmp_path):
+    argv = INDW_A2 + ['--cache-dir', str(tmp_path)]
+    query = ('import sys; from soergelind.cli import main; '
+             f'code = main({argv!r}); '
+             f'print(code, [m for m in {ALGEBRA_MODULES!r} '
+             'if m in sys.modules])')
+    # the first query fills the cache, so it builds both algebras
+    assert run_python(query).splitlines()[-1] == \
+        f'0 {list(ALGEBRA_MODULES)!r}'
+    assert run_python(query).splitlines()[-1] == '0 []'
 
 
 def test_group_summary(capsys):

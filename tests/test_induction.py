@@ -10,6 +10,7 @@ the wall-crossing cone -- that make the sweep meaningful.
 
 import pytest
 
+from soergelind import coinvariants, induction
 from soergelind.coxeter import admissible_chain, admissible_chains
 from soergelind.errors import CalibrationError, ConfigurationError
 from soergelind.hecke import hecke_standard, kl_basis, predicted_class
@@ -186,6 +187,47 @@ def test_induce_all_fills_the_cache():
             assert (x, w) in cache
             assert k0_class(cache[(x, w)]) == predicted_class(
                 setup.datum, x, w).scale(LaurentPoly.v(x.length + w.length))
+
+
+# ---------------------------------------------------------------------------
+# the coinvariant algebras: built with a catalog, never from the cache
+
+
+@pytest.fixture
+def algebra_builds(monkeypatch):
+    """An empty setup registry and a log of build_coinvariants calls."""
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    built = []
+    original = coinvariants.build_coinvariants
+
+    def counting(rs, subset):
+        built.append((repr(rs), tuple(subset)))
+        return original(rs, subset)
+
+    monkeypatch.setattr(coinvariants, 'build_coinvariants', counting)
+    return built
+
+
+def test_a_setup_builds_each_of_its_algebras_once(algebra_builds):
+    setup = make_setup('A', 3, (0, 1))
+    induce_all(setup)
+    assert sorted(algebra_builds) == [('RootSystem(A3)', (0, 1)),
+                                      ('RootSystem(A3)', (0, 1, 2))]
+    assert make_setup('A', 3, (0, 1)) is setup
+
+
+def test_a_setup_from_the_cache_builds_no_algebra(tmp_path, monkeypatch,
+                                                  algebra_builds):
+    cold = make_setup('A', 2, (0,), cache_dir=str(tmp_path))
+    assert len(algebra_builds) == 2
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    algebra_builds.clear()
+    warm = make_setup('A', 2, (0,), cache_dir=str(tmp_path))
+    assert warm is not cold
+    for x in warm.parabolic_elements():
+        for w in warm.coset_reps():
+            assert verify_induced_class(warm, x, w).ok()
+    assert algebra_builds == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from soergelind import coinvariants
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
 from soergelind import smod
@@ -170,6 +171,30 @@ def test_relations_refuse_a_tampered_action_entry(family, rank):
     with pytest.raises(InternalCheckError, match='acts nontrivially'):
         verify_relations(smod.GradedModule(entry.algebra, entry.graded_dims,
                                            doubled))
+
+
+def test_relations_over_a_record_build_its_algebra_once(monkeypatch):
+    built = []
+    original = coinvariants.build_coinvariants
+
+    def counting(rs, subset):
+        built.append(tuple(subset))
+        return original(rs, subset)
+
+    monkeypatch.setattr(coinvariants, 'build_coinvariants', counting)
+    rs = group('B', 2)
+    record = smod.AlgebraRecord(rs, (1, 0))
+    assert record.subset == (0, 1) and built == []
+    entry = induce_frobenius(1, induce_frobenius(0, trivial_module(record)))
+    verify_relations(entry)
+    assert built == [(0, 1)]
+    assert record.fundamental_invariants \
+        == algebra('B', 2).fundamental_invariants
+    doubled = {k: mat_scale(2, m) if k[0] == 0 else m
+               for k, m in entry.actions.items()}
+    with pytest.raises(InternalCheckError, match='acts nontrivially'):
+        verify_relations(GradedModule(record, entry.graded_dims, doubled))
+    assert built == [(0, 1)]
 
 
 def test_catalog_has_one_entry_per_element():
