@@ -42,7 +42,7 @@ __all__ = [
     'Matrix',
     'zeros', 'identity', 'mat_sub', 'mat_scale', 'mat_mul',
     'is_zero_matrix', 'rref', 'rank', 'nullspace', 'sparse_nullspace',
-    'solve_matrix', 'invert', 'trace',
+    'solve_matrix', 'invert',
 ]
 
 Matrix = list  # list[list[Fraction]]
@@ -128,10 +128,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

@@ -37,7 +37,6 @@ builds D_h for both.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
@@ -587,22 +586,18 @@ def _coords_in_basis(maps: list, basis: list) -> list:
 class _HomGrid:
     """Indexing of summand-to-summand hom bases between two complexes.
 
-    relative_degree h means maps X^i -> Y^{i+h}; unknowns are the
+    Relative degree h means maps X^i -> Y^{i+h}; unknowns are the
     hom-basis coefficients of every component.
     """
 
-    def __init__(self, x: FormalComplex, y: FormalComplex,
-                 relative_degree: int):
-        self.x = x
-        self.y = y
-        self.h = relative_degree
+    def __init__(self, x: FormalComplex, y: FormalComplex, h: int):
         self.catalog = x.catalog
         self.slots = []        # (i, a, b, basis)
         self.offset = {}
         n = 0
         for i in x.terms:
             for a, (ya, ka) in enumerate(x.summands(i)):
-                for b, (yb, kb) in enumerate(y.summands(i + self.h)):
+                for b, (yb, kb) in enumerate(y.summands(i + h)):
                     basis = _hom_basis(self.catalog, ya, yb, ka - kb)
                     if not basis:
                         continue
@@ -610,25 +605,6 @@ class _HomGrid:
                     self.slots.append((i, a, b, basis))
                     n += len(basis)
         self.size = n
-
-    def assemble(self, vec, i):
-        """The full map X^i -> Y^{i+h} encoded by coefficient vector vec."""
-        xs = self.x.summands(i)
-        ys = self.y.summands(i + self.h)
-        comps = {}
-        for (j, a, b, basis) in self.slots:
-            if j != i:
-                continue
-            base = self.offset[(i, a, b)]
-            total = None
-            for t, bmap in enumerate(basis):
-                c = vec[base + t]
-                if c:
-                    piece = bmap.scale(c)
-                    total = piece if total is None else total + piece
-            if total is not None:
-                comps[(b, a)] = total
-        return comps, xs, ys
 
 
 def _hom_differential(x: FormalComplex, y: FormalComplex, h: int):
@@ -695,15 +671,39 @@ def hom_complex_vanishing(x: FormalComplex, y: FormalComplex) -> bool:
     return len(columns) - len(_kernel(columns)) == len(chain_maps)
 
 
-def complexes_isomorphic(x: FormalComplex, y: FormalComplex,
-                         seed: int = 0) -> bool:
+def _determinant(matrix: list):
+    """Determinant by Laplace expansion along the first row.
+
+    Entries may be any ring elements with +, -, * and is_zero; the
+    matrix is square and not empty.
+    """
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = matrix[0][0] - matrix[0][0]
+    for c, entry in enumerate(matrix[0]):
+        if not entry.is_zero():
+            minor = [row[:c] + row[c + 1:] for row in matrix[1:]]
+            term = entry * _determinant(minor)
+            total = total - term if c % 2 else total + term
+    return total
+
+
+def complexes_isomorphic(x: FormalComplex, y: FormalComplex) -> bool:
     """Isomorphism test for minimal complexes over the same catalog.
 
     Necessary condition first: identical multisets of summands per
-    degree.  Then a chain map with invertible assembled blocks is
-    searched among basis elements and seeded random combinations; for
-    minimal complexes this decides homotopy equivalence.
+    degree.  For minimal complexes homotopy equivalence is isomorphism,
+    and a chain map is invertible iff, in each degree i and for each
+    summand type D_z<k>, the square matrix of its components between
+    the copies of D_z<k> in X^i and in Y^i is invertible: every other
+    component lies in the radical.  Those components are scalars,
+    since End^0(D_z) = Q, and each is the chain-map coordinate of its
+    slot.  So an isomorphism exists iff no block determinant, taken as
+    a polynomial in the coefficients of a chain-map basis, is the zero
+    polynomial; the determinants are expanded exactly.
     """
+    from .polynomials import Polynomial
+
     if x.catalog is not y.catalog:
         raise IncompatibilityError("complexes over different catalogs")
     for i in set(x.terms) | set(y.terms):
@@ -715,47 +715,23 @@ def complexes_isomorphic(x: FormalComplex, y: FormalComplex,
     grid, chain_maps = hom_complex_basis(x, y, 0)
     if not chain_maps:
         return False
-
-    def invertible(vec) -> bool:
-        for i in x.terms:
-            comps, xs, ys = grid.assemble(vec, i)
-            parts_x = [x.catalog.entry(w).shift(k) for (w, k) in xs]
-            parts_y = [y.catalog.entry(w).shift(k) for (w, k) in ys]
-            dims_x: dict[int, int] = {}
-            for p in parts_x:
-                for d, nd in p.graded_dims.items():
-                    dims_x[d] = dims_x.get(d, 0) + nd
-            for d, total in dims_x.items():
-                big = zeros(total, total)
-                roff = 0
-                for b, py in enumerate(parts_y):
-                    coff = 0
-                    for a, px in enumerate(parts_x):
-                        comp = comps.get((b, a))
-                        if comp is not None:
-                            wa, ka = xs[a]
-                            block = comp.block(d - ka)
-                            for r in range(len(block)):
-                                for c in range(len(block[0])):
-                                    big[roff + r][coff + c] = block[r][c]
-                        coff += px.dim_at(d)
-                    roff += py.dim_at(d)
-                try:
-                    invert(big)
-                except ValueError:
-                    return False
-        return True
-
-    for vec in chain_maps:
-        if invertible(vec):
-            return True
-    rng = random.Random(0xc0de ^ seed)
-    for _ in range(16):
-        combo = [Fraction(0)] * grid.size
-        for vec in chain_maps:
-            c = Fraction(rng.randint(-3, 3))
-            if c:
-                combo = [u + c * v for u, v in zip(combo, vec)]
-        if invertible(combo):
-            return True
-    return False
+    n = len(chain_maps)
+    monomials = [tuple(int(u == t) for u in range(n)) for t in range(n)]
+    for i in x.terms:
+        copies: dict = {}
+        for a, summand in enumerate(x.summands(i)):
+            copies.setdefault(summand, ([], []))[0].append(a)
+        for b, summand in enumerate(y.summands(i)):
+            copies[summand][1].append(b)
+        for (z, _k), (xs, ys) in copies.items():
+            if len(_hom_basis(grid.catalog, z, z, 0)) != 1:
+                raise InternalCheckError(
+                    f"the hom basis of End^0(D_{z!r}) does not hold "
+                    f"exactly one map")
+            block = [[Polynomial(n, {mono: vec[grid.offset[(i, a, b)]]
+                                     for mono, vec in zip(monomials,
+                                                          chain_maps)})
+                      for a in xs] for b in ys]
+            if _determinant(block).is_zero():
+                return False
+    return True

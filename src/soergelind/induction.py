@@ -23,15 +23,17 @@ shift -- one v per chain letter plus v^len(x) from the inflated start
 directly against the character prediction.  Everything here is checked
 at that K_0 level, with explicit module isomorphisms where the
 underlying facts live at the module level: inflation of D^I_x is D_x
-on the nose (the base case), and inflation commutes with the
-wall-crossing functor of any generator inside I.
+(the base case; Krull-Schmidt against the catalog gives the map), and
+inflation commutes with the wall-crossing functor of any generator
+inside I (the canonical map, the identity on the Frobenius basis).
 
 The grading dictionary between module shifts and powers of v is not a
 matter of taste: exactly one shift exponent in {-2, 0, 2} admits a
 genuine module map as the vertical differential of the two-term tensor
 complex and reproduces v.H_s on K_0.  calibrate_shift finds it by
 exhaustive grid search (the overall sign is a gauge; both choices give
-isomorphic complexes and the positive one is fixed by convention).
+isomorphic complexes, which homotopy.complexes_isomorphic confirms
+deterministically, and the positive one is fixed by convention).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .coxeter import (WeylElement, admissible_chain, build_parabolic,
                       build_root_system)
 from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
+from .exactla import identity
 from .hecke import HeckeElement, hecke_standard, kl_basis, predicted_class
 from .homotopy import (FormalComplex, complex_from_module,
                        complexes_isomorphic, gaussian_eliminate,
@@ -52,9 +55,9 @@ from .homotopy import (FormalComplex, complex_from_module,
                        tensor_rouquier, theta_complex)
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
-from .smod import (AlgebraRecord, IndecomposableCatalog, build_catalog,
-                   direct_sum, hom_space, induce_frobenius, is_isomorphic,
-                   restrict_module)
+from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
+                   build_catalog, direct_sum, hom_space, induce_frobenius,
+                   is_isomorphic, restrict_module)
 
 __all__ = [
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
@@ -254,7 +257,9 @@ def calibrate_shift() -> CalibrationRecord:
     chain letter; see the module docstring).  Exactly one shift must
     survive.  Both signs survive -- conjugating one row by -1 is
     invisible to K_0 -- so the complexes are checked to be isomorphic
-    and the positive sign is recorded.  The whole derivation is then
+    (complexes_isomorphic: a chain map with invertible scalar blocks
+    exists, decided by exact block determinants, without a search) and
+    the positive sign is recorded.  The whole derivation is then
     repeated on the rank-2 system and must give the same record.
     """
     records = []
@@ -473,7 +478,9 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
     """Inflation sends D^I_x to D_x, and hom dimensions match.
 
     Checks an explicit isomorphism infl(D^I_x) = D_x for every x in the
-    parabolic subgroup, then compares the full matrices of degree-0
+    parabolic subgroup: is_isomorphic decomposes both sides against the
+    full catalog, and the matched summands give the map, which is
+    certified blockwise.  Then it compares the full matrices of degree-0
     hom dimensions over W_I x W_I on both sides (the finite shadow of
     full faithfulness).
     """
@@ -483,7 +490,7 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
     for x in members:
         inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
         target = setup.catalog.entry(x)
-        if is_isomorphic(inflated, target) is None:
+        if is_isomorphic(inflated, target, setup.catalog.entries) is None:
             failures.append({
                 'x': x.word_1based(),
                 'inflated_dims': dict(inflated.graded_dims),
@@ -512,6 +519,9 @@ def verify_theta_restriction(setup: InductionSetup, s: int
     For s in I the two composites C (x)_{C^s} infl(-) and
     infl(C_I (x)_{C_I^s} -) are checked to agree up to explicit
     isomorphism on every catalog module and on one shifted direct sum.
+    Both have the Frobenius basis (1 (x) M_d) + (alpha_s (x) M_{d-2}),
+    and the isomorphism checked is the canonical one, the identity on
+    that basis: it must intertwine the two actions.
     """
     if s not in setup.subset:
         raise ConfigurationError(
@@ -534,7 +544,10 @@ def verify_theta_restriction(setup: InductionSetup, s: int
                              'sub_dims': dict(via_sub.graded_dims),
                              'full_dims': dict(via_full.graded_dims)})
             continue
-        if is_isomorphic(via_sub, via_full) is None:
+        canonical = ModuleMap(via_sub, via_full, 0,
+                              {d: identity(n)
+                               for d, n in via_sub.graded_dims.items()})
+        if not canonical.check_intertwines():
             failures.append({'module': label, 'reason': 'no isomorphism'})
     return VerificationReport(
         instance=setup.instance(s=s + 1),

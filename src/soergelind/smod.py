@@ -38,7 +38,6 @@ Everything is exact; no tolerances appear anywhere.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 
@@ -46,7 +45,7 @@ from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
 from .exactla import (_frac, identity as id_matrix, invert, is_zero_matrix,
                       mat_mul, mat_scale, mat_sub, rref, sparse_nullspace,
-                      trace, zeros)
+                      zeros)
 from .hecke import kl_basis, wall_crossing_summands
 
 __all__ = [
@@ -470,11 +469,6 @@ class ModuleMap:
     def __hash__(self):
         raise TypeError("module maps are not hashable")
 
-    def global_trace(self) -> Fraction:
-        if self.source is not self.target or self.degree != 0:
-            raise IncompatibilityError("trace needs a degree-0 endomorphism")
-        return sum((trace(m) for m in self.blocks.values()), Fraction(0))
-
     def check_intertwines(self) -> bool:
         n = self.source.algebra.root_system.rank
         for i in range(n):
@@ -721,52 +715,48 @@ def decompose(module: GradedModule, entries: dict, summands=None) -> list:
     return result
 
 
-def is_isomorphic(a: GradedModule, b: GradedModule):
-    """An isomorphism a -> b, or None.
+def is_isomorphic(a: GradedModule, b: GradedModule, entries: dict):
+    """An isomorphism a -> b, or None, decided by Krull-Schmidt.
 
-    Certified search: if some composition b -> a -> b of hom-basis
-    elements has nonzero trace, a split pair exists; for the
-    (absolutely) indecomposable modules this code meets, nonzero trace
-    of tau . phi forces tau . phi invertible, and matching graded
-    dimensions then force phi itself to be an isomorphism.  A few
-    random combinations are tried for decomposable inputs.
+    entries maps each y to its catalog module D_y.  Both modules are
+    split into shifted catalog entries (decompose), and they are
+    isomorphic exactly when the same multiset of D_z<k> splits off
+    both.  The isomorphism is the sum of incl_b o proj_a over matched
+    summands, certified blockwise: every block is inverted, and both
+    the map and its inverse must intertwine.  If exactly one side
+    leaves a rest that no catalog entry peels, the two are not
+    isomorphic; if both do, nothing here decides the question and
+    InternalCheckError is raised rather than a guess.
     """
     if a.algebra is not b.algebra:
         raise IncompatibilityError("isomorphism test needs a common algebra")
     if a.graded_dims != b.graded_dims:
         return None
-    if a.is_zero():
-        return ModuleMap.zero(a, b, 0)
-    fwd = hom_space(a, b, 0)
-    bwd = hom_space(b, a, 0)
-    if not fwd or not bwd:
+    sides = [decompose(m, entries) for m in (a, b)]
+    rests = [bool(pieces) and pieces[-1][0] is None for pieces in sides]
+    if all(rests):
+        raise InternalCheckError(
+            "neither module is a sum of catalog entries; "
+            "their isomorphism is not decided")
+    if any(rests):
         return None
-
-    def verify(phi):
-        try:
-            inv_blocks = {d: invert(phi.block(d)) for d in a.degrees()}
-        except ValueError:
-            return None
-        psi = ModuleMap(b, a, 0, inv_blocks)
-        if not psi.check_intertwines():
-            raise InternalCheckError("blockwise inverse fails to intertwine")
-        return phi
-
-    for phi in fwd:
-        for tau in bwd:
-            if tau.compose(phi).global_trace():
-                got = verify(phi)
-                if got is not None:
-                    return got
-    rng = random.Random(0xa17e)
-    for _ in range(12):
-        phi = ModuleMap.zero(a, b, 0)
-        for e in fwd:
-            phi = phi + e.scale(Fraction(rng.randint(-3, 3)))
-        got = verify(phi)
-        if got is not None:
-            return got
-    return None
+    pieces_a, pieces_b = (sorted(pieces, key=lambda p: (p[0].word, p[1]))
+                          for pieces in sides)
+    if [p[:2] for p in pieces_a] != [p[:2] for p in pieces_b]:
+        return None
+    phi = ModuleMap.zero(a, b, 0)
+    for piece_a, piece_b in zip(pieces_a, pieces_b):
+        phi = phi + piece_b[2].compose(piece_a[3])
+    try:
+        inverse = ModuleMap(b, a, 0,
+                            {d: invert(phi.block(d)) for d in a.degrees()})
+    except ValueError:
+        raise InternalCheckError(
+            "matched summands give a map that is not invertible") from None
+    if not (phi.check_intertwines() and inverse.check_intertwines()):
+        raise InternalCheckError(
+            "the isomorphism or its blockwise inverse fails to intertwine")
+    return phi
 
 
 def expected_graded_dims(w) -> dict[int, int]:

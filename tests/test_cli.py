@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, JSON reports."""
 
+import ast
 import json
 import os
 import pathlib
@@ -84,6 +85,22 @@ def test_a_warm_query_imports_no_coinvariant_algebra(tmp_path):
     assert run_python(query).splitlines()[-1] == \
         f'0 {list(ALGEBRA_MODULES)!r}'
     assert run_python(query).splitlines()[-1] == '0 []'
+
+
+def test_no_module_imports_random():
+    # every isomorphism is decided by a deterministic test; none is
+    # searched for by random draws
+    src = pathlib.Path(soergelind.cli.__file__).parent
+    for path in sorted(src.glob('*.py')):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or '']
+            else:
+                continue
+            assert all(name.split('.')[0] != 'random' for name in names), \
+                path.name
 
 
 def test_group_summary(capsys):

@@ -344,3 +344,30 @@ def test_isomorphism_test_rejects_distinct_classes():
         {i: tuple((y, k + 2) for y, k in row) for i, row in a.terms.items()},
         a.diffs)
     assert not complexes_isomorphic(a, shifted)
+
+
+def test_isomorphism_needs_a_combination_of_chain_maps():
+    # a = D_e<2> -> D_s1; no chain map of a basis of End(a + a) is
+    # invertible, so only the 2x2 block determinants can tell
+    catalog = catalog_of('A', 2)
+    a = rouquier_chain(catalog, [0])
+    assert a.diffs
+    bare = FormalComplex(catalog, a.terms, {})
+    assert complexes_isomorphic(direct_sum_complexes(a, a),
+                                direct_sum_complexes(a, a))
+    assert not complexes_isomorphic(direct_sum_complexes(a, a),
+                                    direct_sum_complexes(a, bare))
+    # the degree-0 block is [[0, u], [v, w]] here, so its determinant
+    # -uv comes from the off-diagonal entries alone
+    assert complexes_isomorphic(direct_sum_complexes(a, bare),
+                                direct_sum_complexes(bare, a))
+
+
+def test_isomorphism_test_rejects_a_tampered_endomorphism_basis():
+    rs = RootSystem('A', 1)
+    catalog = build_catalog(build_coinvariants(rs, (0,)))
+    cpx = one_term_complex(catalog, [(rs.identity, 0)])
+    one = ModuleMap.identity(catalog.entry(rs.identity))
+    catalog.hom_bases[(rs.identity, rs.identity, 0)] = [one, one.scale(2)]
+    with pytest.raises(InternalCheckError):
+        complexes_isomorphic(cpx, cpx)

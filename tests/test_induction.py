@@ -268,6 +268,15 @@ def test_theta_restriction_inside_parabolic(a2s1):
         verify_theta_restriction(a2s1, 1)
 
 
+@pytest.mark.parametrize('subset', [(0,), (1,)])
+def test_base_case_and_theta_restriction_in_g2(subset):
+    setup = make_setup('G', 2, subset)
+    assert verify_base_case(setup).ok()
+    report = verify_theta_restriction(setup, subset[0])
+    assert report.ok()
+    assert report.details['failures'] == []
+
+
 def test_wall_crossing_cone(a2s1):
     rs = a2s1.rs
     triples = wall_crossing_triples(a2s1)

@@ -64,7 +64,7 @@ def test_module_round_trip():
         back = module_from_json(catalog.algebra, module_to_json(entry))
         assert back.graded_dims == entry.graded_dims
         verify_relations(back)
-        assert is_isomorphic(back, entry) is not None
+        assert is_isomorphic(back, entry, catalog.entries) is not None
 
 
 def test_catalog_round_trip_revalidates():

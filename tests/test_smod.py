@@ -495,7 +495,7 @@ def test_krull_schmidt_random_sums():
         rng.shuffle(picks)
         right, _, _ = direct_sum([catalog.entry(y).shift(k)
                                   for y, k in picks])
-        assert is_isomorphic(left, right) is not None
+        assert is_isomorphic(left, right, catalog.entries) is not None
         got = Counter()
         for z, k, _incl, _proj in decompose(left, catalog.entries):
             assert z is not None
@@ -507,9 +507,27 @@ def test_is_isomorphic_rejects_non_isomorphic():
     catalog = catalog_of('A', 2)
     rs = catalog.algebra.root_system
     s1, s2 = word_el(rs, 1), word_el(rs, 2)
-    assert is_isomorphic(catalog.entry(s1), catalog.entry(s2)) is None
-    assert is_isomorphic(catalog.entry(s1),
-                         catalog.entry(s1).shift(2)) is None
+    assert is_isomorphic(catalog.entry(s1), catalog.entry(s2),
+                         catalog.entries) is None
+    assert is_isomorphic(catalog.entry(s1), catalog.entry(s1).shift(2),
+                         catalog.entries) is None
+
+
+def test_is_isomorphic_decides_only_sums_of_catalog_entries():
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    # x_1 carries the bottom vector to the top one, x_2 kills it: an
+    # indecomposable module with the graded dimensions of D_s1 that is
+    # neither D_s1 nor D_s2
+    m = GradedModule(catalog.algebra, {0: 1, 2: 1},
+                     {(0, 0): [[Fraction(1)]]})
+    verify_relations(m)
+    assert len(end_space(m)) == 1
+    assert m.graded_dims == catalog.entry(word_el(rs, 1)).graded_dims
+    assert is_isomorphic(m, catalog.entry(word_el(rs, 1)),
+                         catalog.entries) is None
+    with pytest.raises(InternalCheckError):
+        is_isomorphic(m, m, catalog.entries)
 
 
 # ---------------------------------------------------------------------------
