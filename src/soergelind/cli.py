@@ -18,8 +18,7 @@ import os
 import sys
 import time
 
-from .coxeter import RootSystem, build_root_system, build_parabolic, \
-    admissible_chain
+from .coxeter import RootSystem, build_root_system, build_parabolic
 from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
 from .hecke import kl_basis
@@ -145,15 +144,10 @@ def cmd_indw(args) -> int:
     if x not in setup.datum.elements_WI:
         raise ConfigurationError(
             f"x = {_word_str(x)} does not lie in the parabolic subgroup")
-    chain = admissible_chain(setup.datum, w)
-    if chain is None:
-        raise ConfigurationError(
-            f"w = {_word_str(w)} is not a minimal representative with an "
-            f"admissible chain")
     report = verify_induced_class(setup, x, w)
     cpx = induce(setup, x, w)
     print(f'ind_[{_word_str(w)}] D^I_[{_word_str(x)}]  '
-          f'(chain {" ".join(str(i + 1) for i in chain)})')
+          f'(chain {" ".join(map(str, report.instance["chain"]))})')
     for i in sorted(cpx.terms):
         bits = ', '.join(f'D_[{_word_str(y)}]<{k}>'
                          for y, k in cpx.terms[i])

@@ -370,47 +370,40 @@ def build_parabolic(rs: RootSystem, subset) -> ParabolicDatum:
     return ParabolicDatum(rs, tuple(subset))
 
 
+def _admissible_chain_search(datum: ParabolicDatum, w: WeylElement):
+    """Yield the admissible chains of w in lexicographic order.
+
+    Depth first over reduced words, trying letters in increasing order
+    (left_descents lists them so), and keeping a letter only when the
+    prefix it makes is a minimal representative.
+    """
+    rs = datum.root_system
+
+    def extend(prefix: WeylElement, remaining: WeylElement):
+        if remaining.length == 0:
+            yield ()
+            return
+        for i in remaining.left_descents():
+            nxt = prefix * rs.simple_reflection(i)
+            if nxt.length == prefix.length + 1 and datum.is_min_rep(nxt):
+                for tail in extend(nxt, rs.simple_reflection(i) * remaining):
+                    yield (i,) + tail
+
+    if datum.is_min_rep(w):
+        yield from extend(rs.identity, w)
+
+
 def admissible_chain(datum: ParabolicDatum, w: WeylElement):
     """A reduced word of w all of whose left-to-right prefixes are
     minimal coset representatives, or None when no such word exists.
 
     Existence is not assumed; the search is exhaustive over reduced
-    words (depth first, so the returned word is lexicographically
-    least among admissible ones).
+    words and stops at the first admissible one, which is the
+    lexicographically least.
     """
-    rs = datum.root_system
-    if not datum.is_min_rep(w):
-        return None
-
-    def extend(prefix: WeylElement, remaining: WeylElement):
-        if remaining.length == 0:
-            return ()
-        for i in remaining.left_descents():
-            nxt = prefix * rs.simple_reflection(i)
-            if nxt.length == prefix.length + 1 and datum.is_min_rep(nxt):
-                tail = extend(nxt, rs.simple_reflection(i) * remaining)
-                if tail is not None:
-                    return (i,) + tail
-        return None
-
-    return extend(rs.identity, w)
+    return next(_admissible_chain_search(datum, w), None)
 
 
 def admissible_chains(datum: ParabolicDatum, w: WeylElement) -> list[tuple]:
-    """All admissible chains for w (may be empty)."""
-    rs = datum.root_system
-    if not datum.is_min_rep(w):
-        return []
-    out = []
-
-    def extend(prefix, remaining, acc):
-        if remaining.length == 0:
-            out.append(tuple(acc))
-            return
-        for i in remaining.left_descents():
-            nxt = prefix * rs.simple_reflection(i)
-            if nxt.length == prefix.length + 1 and datum.is_min_rep(nxt):
-                extend(nxt, rs.simple_reflection(i) * remaining, acc + [i])
-
-    extend(rs.identity, w, [])
-    return sorted(out)
+    """All admissible chains for w in lexicographic order (may be empty)."""
+    return list(_admissible_chain_search(datum, w))

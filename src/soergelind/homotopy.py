@@ -4,8 +4,10 @@ A complex is stored formally: each cohomological term is a list of
 (y, k) pairs meaning D_y<k>, and each differential is a sparse matrix
 of components, where the component from D_a<k> to D_b<l> is kept as a
 degree-(k - l) map of the unshifted catalog entries.  This makes
-Gaussian elimination combinatorial; raw modules are assembled from the
-catalog only when a computation genuinely needs them.
+Gaussian elimination combinatorial: it runs in one pass over the
+summands' original indices and builds one complex at the end.  Raw
+modules are assembled from the catalog only when a computation
+genuinely needs them.
 
 The two-term complex
 
@@ -16,10 +18,11 @@ relative degree 0) is the tensor step; iterating it along an
 admissible chain is how induced complexes are produced.  The vertical
 map is the coevaluation of the Frobenius self-adjunction -- the unit
 m |-> 1 (x) m has internal degree 0 and cannot connect the shifted
-rows, so the degree-2 coevaluation is the faithful reading.  Signs:
-the inner differential is negated on the shifted row, the vertical
-map keeps the calibrated sign; d^2 = 0 is asserted after every
-assembly.
+rows, so the degree-2 coevaluation is the faithful reading; the
+shift of the tensor step selects the map, and calibration fixes the
+shift at 2.  Signs: the inner differential is negated on the shifted
+row, the vertical map keeps the calibrated sign; every complex is
+validated, d^2 = 0 included, when it is constructed.
 
 K_0 classes live in the Hecke algebra: a summand D_y<k> in
 cohomological degree i contributes (-1)^i v^(k + len(y)) b_y, the
@@ -62,12 +65,14 @@ class FormalComplex:
     terms[i] is a tuple of (y, shift) pairs; diffs[i] maps (row, col)
     to the component ModuleMap from terms[i][col] to terms[i+1][row],
     stored between unshifted entries with degree shift_col - shift_row.
+    The constructor drops empty terms and zero components and validates
+    every complex it builds, d^2 = 0 included.
     """
 
     __slots__ = ('catalog', 'terms', 'diffs')
 
     def __init__(self, catalog: IndecomposableCatalog, terms: dict,
-                 diffs: dict, check: bool = True):
+                 diffs: dict):
         self.catalog = catalog
         self.terms = {i: tuple(t) for i, t in sorted(terms.items()) if t}
         self.diffs = {}
@@ -79,8 +84,7 @@ class FormalComplex:
                 keep[(b, a)] = phi
             if keep:
                 self.diffs[i] = keep
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for i, comps in self.diffs.items():
@@ -300,38 +304,43 @@ def theta_of_map(s: int, phi: ModuleMap, theta_src: GradedModule,
     return ModuleMap(theta_src, theta_tgt, k, blocks)
 
 
-def _vertical_component(catalog, s, y, kind):
-    """The chosen adjunction map D_y -> theta_s D_y for the tensor step.
+def _vertical_component(catalog, s, y, shift):
+    """The adjunction map D_y -> theta_s D_y that the shift selects.
 
-    The map must actually be a module map; the unit m |-> 1 (x) m is
-    only linear over the invariants, so that candidate fails here --
-    which is the honest reason the degree-0 calibration point dies.
+    A shift of 2 takes the degree-2 coevaluation, 0 the unit
+    m |-> 1 (x) m, and -2 the zero map; these are the three points of
+    the calibration grid, and any other shift raises
+    ConfigurationError.  The map must actually be a module map: the
+    unit is only linear over the invariants, so it fails here -- which
+    is the honest reason the degree-0 calibration point dies.
     """
     theta, _pieces = theta_summands(catalog, s, y)
     entry = catalog.entry(y)
-    if kind == 'coev':
+    if shift == 2:
         vert = coev_map(s, entry, theta)
-    elif kind == 'unit':
+    elif shift == 0:
         vert = unit_map(s, entry, theta)
-    elif kind == 'zero':
+    elif shift == -2:
         return ModuleMap.zero(entry, theta, -2)
     else:
-        raise ConfigurationError(f"unknown vertical map kind {kind!r}")
+        raise ConfigurationError(
+            f"no vertical map for the tensor step with shift {shift}")
     if not vert.check_intertwines():
         raise IncompatibilityError(
-            f"the {kind} map D_y -> theta D_y is not a module map")
+            f"the degree-{shift} map D_y -> theta D_y is not a module map")
     return vert
 
 
 def tensor_rouquier(s: int, cpx: FormalComplex, shift: int = 2,
-                    sign: int = 1, kind: str = 'coev') -> FormalComplex:
+                    sign: int = 1) -> FormalComplex:
     """One Rouquier tensor step: totalize  X<shift> -> theta_s X.
 
     The X row sits in relative degree -1 with its inner differential
     negated; the theta_s row keeps the inner differential (transported
     through the cached splittings); the vertical map is sign * (the
-    adjunction map of the given kind).  Defaults are the calibrated
-    convention.  d^2 = 0 is verified by the constructor.
+    adjunction map the shift selects, see _vertical_component).  The
+    defaults are the calibrated convention.  d^2 = 0 is verified by the
+    constructor.
     """
     catalog = cpx.catalog
     new_terms: dict[int, list] = {}
@@ -356,7 +365,7 @@ def tensor_rouquier(s: int, cpx: FormalComplex, shift: int = 2,
         # vertical adjunction maps: summand a of X^{i+1} at level i maps
         # into the theta block of the same summand at level i + 1
         for a, (y, k) in enumerate(cpx.summands(i + 1)):
-            vert = _vertical_component(catalog, s, y, kind)
+            vert = _vertical_component(catalog, s, y, shift)
             _theta, pieces = theta_summands(catalog, s, y)
             base = theta_offsets[i + 1][a]
             for j, (z, m, _incl, proj) in enumerate(pieces):
@@ -422,11 +431,16 @@ def _add_theta_row(comps: dict, s: int, cpx: FormalComplex, i: int,
 # minimization
 
 
-def _find_iso_component(cpx: FormalComplex):
-    for i in sorted(cpx.diffs):
-        src = cpx.summands(i)
-        tgt = cpx.summands(i + 1)
-        for (b, a), phi in sorted(cpx.diffs[i].items()):
+def _find_iso_component(terms: dict, diffs: dict):
+    """(i, b, a, phi^{-1}) for the first invertible component phi of d^i
+    from summand a to summand b, or None.
+
+    terms[i] holds the summands at i, as a tuple or as a dict keyed by
+    stable indices, which diffs uses too; indices are tried in order.
+    """
+    for i in sorted(diffs):
+        src, tgt = terms.get(i, ()), terms.get(i + 1, ())
+        for (b, a), phi in sorted(diffs[i].items()):
             if src[a] != tgt[b]:
                 continue
             try:
@@ -434,8 +448,8 @@ def _find_iso_component(cpx: FormalComplex):
                               for d in phi.source.degrees()}
             except ValueError:
                 continue
-            inv = ModuleMap(phi.target, phi.source, -phi.degree, inv_blocks)
-            return i, b, a, phi, inv
+            return i, b, a, ModuleMap(phi.target, phi.source, -phi.degree,
+                                      inv_blocks)
     return None
 
 
@@ -443,78 +457,62 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
     """Strip isomorphism components until the complex is minimal.
 
     Standard elimination: if the differential at position i contains an
-    isomorphism phi between summand a and summand b, both are removed
-    and the remaining components pick up the correction
-    -gamma phi^{-1} beta.  The K_0 class is preserved; this is asserted
-    on every call.  Elimination preserves d^2 = 0, so the intermediate
-    complexes are built unchecked and only the result is validated.
+    isomorphism phi from summand a to summand b, both are removed and
+    the components from the other summands of position i to the other
+    summands of position i + 1 pick up the correction -gamma phi^{-1}
+    beta.  The pass works in place on the summands' original indices,
+    which keep their order as summands go, and builds one complex at
+    the end; its constructor checks d^2 = 0.  A complex with nothing to
+    eliminate is returned as it is.  The K_0 class is preserved; this is
+    asserted whenever something was eliminated.
     """
+    found = _find_iso_component(cpx.terms, cpx.diffs)
+    if found is None:
+        return cpx
     before = k0_class(cpx)
-    current = cpx
-    while True:
-        found = _find_iso_component(current)
-        if found is None:
-            break
-        i, b, a, phi, phi_inv = found
-        src = current.summands(i)
-        tgt = current.summands(i + 1)
-        keep_src = [j for j in range(len(src)) if j != a]
-        keep_tgt = [j for j in range(len(tgt)) if j != b]
-        src_index = {old: new for new, old in enumerate(keep_src)}
-        tgt_index = {old: new for new, old in enumerate(keep_tgt)}
-        terms = {j: list(t) for j, t in current.terms.items()}
-        terms[i] = [src[j] for j in keep_src]
-        terms[i + 1] = [tgt[j] for j in keep_tgt]
-        diffs = {}
-        for j, comps in current.diffs.items():
-            if j == i:
-                out = {(bb, aa): psi for (bb, aa), psi in comps.items()
-                       if aa != a and bb != b}
-                # correction -gamma phi^{-1} beta for every row with a
-                # component gamma out of a and every column with a
-                # component beta into b; it may create new components
-                betas = [(aa, beta) for (bb, aa), beta in comps.items()
-                         if bb == b and aa != a]
-                for (bb, aa), gamma in comps.items():
-                    if aa != a or bb == b or not betas:
-                        continue
-                    gamma_phi_inv = gamma.compose(phi_inv)
-                    for col, beta in betas:
-                        corr = gamma_phi_inv.compose(beta)
-                        key = (bb, col)
-                        out[key] = out[key] - corr if key in out else -corr
-                diffs[j] = {(tgt_index[bb], src_index[aa]): psi
-                            for (bb, aa), psi in out.items()}
-            elif j == i - 1:
-                out = {}
-                for (bb, aa), psi in comps.items():
-                    if bb == a:
-                        continue
-                    out[(src_index[bb], aa)] = psi
-                if out:
-                    diffs[j] = out
-            elif j == i + 1:
-                out = {}
-                for (bb, aa), psi in comps.items():
-                    if aa == b:
-                        continue
-                    out[(bb, tgt_index[aa])] = psi
-                if out:
-                    diffs[j] = out
-            else:
-                diffs[j] = dict(comps)
-        current = FormalComplex(current.catalog, terms, diffs, check=False)
-    if current is not cpx:
-        current._validate()
-    after = k0_class(current)
-    if before != after:
+    terms = {i: dict(enumerate(t)) for i, t in cpx.terms.items()}
+    diffs = {i: dict(comps) for i, comps in cpx.diffs.items()}
+    while found is not None:
+        i, b, a, phi_inv = found
+        comps = diffs[i]
+        # gamma: out of a into another row; beta: from another column into b
+        betas = [(col, beta) for (row, col), beta in comps.items()
+                 if row == b and col != a]
+        gammas = [(row, gamma) for (row, col), gamma in comps.items()
+                  if col == a and row != b] if betas else []
+        del terms[i][a], terms[i + 1][b]
+        # drop every component into or out of summands a and b
+        for j, into, out_of in ((i - 1, a, None), (i, b, a),
+                                (i + 1, None, b)):
+            at_j = diffs.get(j, {})
+            for key in [k for k in at_j if k[0] == into or k[1] == out_of]:
+                del at_j[key]
+        for row, gamma in gammas:
+            gamma_phi_inv = gamma.compose(phi_inv)
+            for col, beta in betas:
+                corr = gamma_phi_inv.compose(beta)
+                key = (row, col)
+                total = comps[key] - corr if key in comps else -corr
+                if total.is_zero():
+                    comps.pop(key, None)
+                else:
+                    comps[key] = total
+        found = _find_iso_component(terms, diffs)
+    index = {i: {old: new for new, old in enumerate(t)}
+             for i, t in terms.items()}
+    current = FormalComplex(
+        cpx.catalog, {i: tuple(t.values()) for i, t in terms.items()},
+        {j: {(index[j + 1][b], index[j][a]): phi
+             for (b, a), phi in comps.items()}
+         for j, comps in diffs.items()})
+    if k0_class(current) != before:
         raise InternalCheckError(
             "gaussian elimination changed the K_0 class")
     return current
 
 
 def is_minimal(cpx: FormalComplex) -> bool:
-    return _find_iso_component(cpx) is None
+    return _find_iso_component(cpx.terms, cpx.diffs) is None
 
 
 def k0_class(cpx: FormalComplex) -> HeckeElement:

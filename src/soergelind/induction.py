@@ -79,8 +79,6 @@ DEFAULT_RECORD = CalibrationRecord(shift=2, sign=1)
 # root systems calibrate_shift derives the record on, in this order
 CALIBRATION_SYSTEMS = (('A', 1), ('A', 2))
 
-_KIND_FOR_SHIFT = {2: 'coev', 0: 'unit', -2: 'zero'}
-
 
 # ---------------------------------------------------------------------------
 # setups: one registry entry per root system
@@ -225,14 +223,13 @@ def _calibrate_on(family: str, rank: int):
     survivors = []
     outputs = {}
     for shift in (-2, 0, 2):
-        kind = _KIND_FOR_SHIFT[shift]
         for sign in (1, -1):
             per_s = []
             ok = True
             for s in range(rs.rank):
                 try:
                     cpx = gaussian_eliminate(tensor_rouquier(
-                        s, base, shift=shift, sign=sign, kind=kind))
+                        s, base, shift=shift, sign=sign))
                 except (IncompatibilityError, InternalCheckError):
                     ok = False
                     break
@@ -295,8 +292,11 @@ def _resolve_chain(setup: InductionSetup, w: WeylElement, chain):
     if chain is None:
         chain = admissible_chain(setup.datum, w)
         if chain is None:
+            word = ' '.join(str(i) for i in w.word_1based()) or 'e'
+            subset = ','.join(str(i + 1) for i in setup.subset)
             raise ConfigurationError(
-                f"{w!r} admits no admissible chain for I = {setup.subset}")
+                f"w = {word} is not a minimal representative with an "
+                f"admissible chain for I = {{{subset}}}")
         return chain
     chain = tuple(chain)
     if len(chain) != w.length:
@@ -315,42 +315,38 @@ def _resolve_chain(setup: InductionSetup, w: WeylElement, chain):
     return chain
 
 
-def _tensor_step(s: int, cpx: FormalComplex,
-                 record: CalibrationRecord) -> FormalComplex:
+def _tensor_step(s: int, cpx: FormalComplex) -> FormalComplex:
+    """One minimized tensor step, with the calibrated shift and sign."""
     return gaussian_eliminate(tensor_rouquier(
-        s, cpx, shift=record.shift, sign=record.sign,
-        kind=_KIND_FOR_SHIFT[record.shift]))
+        s, cpx, shift=DEFAULT_RECORD.shift, sign=DEFAULT_RECORD.sign))
 
 
 def induce_module(setup: InductionSetup, module, w: WeylElement,
-                  chain=None, record: CalibrationRecord = DEFAULT_RECORD
-                  ) -> FormalComplex:
+                  chain=None) -> FormalComplex:
     """Minimized ind_w of any module over the parabolic algebra,
     computed from scratch along the chain."""
     chain = _resolve_chain(setup, w, chain)
     inflated = restrict_module(setup.rmap, module)
     cpx = complex_from_module(setup.catalog, inflated)
     for s in chain:
-        cpx = _tensor_step(s, cpx, record)
+        cpx = _tensor_step(s, cpx)
     return cpx
 
 
 def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
-           chain=None, record: CalibrationRecord = DEFAULT_RECORD
-           ) -> FormalComplex:
-    """Minimized ind_w D^I_x.
+           chain=None) -> FormalComplex:
+    """Minimized ind_w D^I_x, with the calibrated tensor step.
 
-    With an explicit chain or record the complex is computed from
-    scratch.  Otherwise it is kept in setup.induced: for w = s_1...s_n
-    the admissible chain, ind_w D^I_x is one tensor step with s_n
-    applied to ind_{w s_n} D^I_x.  Both routes take the same steps:
+    With an explicit chain the complex is computed from scratch.
+    Otherwise it is kept in setup.induced: for w = s_1...s_n the
+    admissible chain, ind_w D^I_x is one tensor step with s_n applied
+    to ind_{w s_n} D^I_x.  Both routes take the same steps:
     admissible_chain returns the lexicographically least chain, and
     the least chain of w s_n is s_1...s_{n-1} (a smaller one, followed
     by s_n, would be a smaller chain of w).
     """
-    if chain is not None or record != DEFAULT_RECORD:
-        return induce_module(setup, setup.sub_catalog.entry(x), w, chain,
-                             record)
+    if chain is not None:
+        return induce_module(setup, setup.sub_catalog.entry(x), w, chain)
     cpx = setup.induced.get((x, w))
     if cpx is None:
         if w.length == 0:
@@ -358,7 +354,7 @@ def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
         else:
             s = _resolve_chain(setup, w, None)[-1]
             prefix = w * setup.rs.simple_reflection(s)
-            cpx = _tensor_step(s, induce(setup, x, prefix), record)
+            cpx = _tensor_step(s, induce(setup, x, prefix))
         setup.induced[(x, w)] = cpx
     return cpx
 
@@ -478,11 +474,14 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
     """Inflation sends D^I_x to D_x, and hom dimensions match.
 
     Checks an explicit isomorphism infl(D^I_x) = D_x for every x in the
-    parabolic subgroup: is_isomorphic decomposes both sides against the
-    full catalog, and the matched summands give the map, which is
-    certified blockwise.  Then it compares the full matrices of degree-0
-    hom dimensions over W_I x W_I on both sides (the finite shadow of
-    full faithfulness).
+    parabolic subgroup: is_isomorphic decomposes both sides against D_x
+    alone, and the matched summands give the map, which is certified
+    blockwise.  D_x always peels off itself, so an inflation that is not
+    D_x leaves a rest on one side only and is reported as a failure.
+    Offering no other catalog entry keeps each member to one split pair
+    per side.  Then it compares the full matrices of degree-0 hom
+    dimensions over W_I x W_I on both sides (the finite shadow of full
+    faithfulness).
     """
     t0 = time.perf_counter()
     members = setup.parabolic_elements()
@@ -490,7 +489,7 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
     for x in members:
         inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
         target = setup.catalog.entry(x)
-        if is_isomorphic(inflated, target, setup.catalog.entries) is None:
+        if is_isomorphic(inflated, target, {x: target}) is None:
             failures.append({
                 'x': x.word_1based(),
                 'inflated_dims': dict(inflated.graded_dims),

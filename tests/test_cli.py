@@ -132,6 +132,7 @@ def test_indw_pass_with_json(tmp_path, capsys):
                  '--x', '1', '--w', '2 1', '--json', str(target)])
     out = capsys.readouterr().out
     assert code == 0
+    assert '(chain 2 1)' in out
     assert 'status: pass' in out
     data = json.loads(target.read_text())
     assert data['report']['status'] == 'pass'
@@ -151,6 +152,7 @@ def test_indw_rejects_non_minimal_w(capsys):
     code = main(['indw', '--type', 'A', '--rank', '2', '--parabolic', '1',
                  '--w', '1'])
     assert code == 2
+    assert 'usage error' in capsys.readouterr().err
 
 
 def test_verify_quick(tmp_path, capsys):

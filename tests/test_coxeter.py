@@ -224,3 +224,18 @@ def test_admissible_chains_enumerates_all():
     # chains must consist of reduced words, so s1 s1 s1 never appears
     s1 = rs.simple_reflection(0)
     assert admissible_chains(datum, s1) == [(0,)]
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3), ('G', 2)])
+def test_first_admissible_chain_is_the_least(family, rank):
+    # one search serves both: the single chain is the first of the
+    # list, and the list comes out sorted
+    rs = RootSystem(family, rank)
+    for mask in range(1 << rank):
+        subset = tuple(i for i in range(rank) if mask >> i & 1)
+        datum = build_parabolic(rs, subset)
+        for w in rs.elements:
+            chains = admissible_chains(datum, w)
+            assert chains == sorted(chains)
+            assert admissible_chain(datum, w) == \
+                (chains[0] if chains else None)

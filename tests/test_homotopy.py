@@ -176,6 +176,15 @@ def test_sign_gauge_is_invisible():
     assert complexes_isomorphic(plus, minus)
 
 
+def test_tensor_step_refuses_an_uncalibrated_shift():
+    # only the three calibration points name a vertical map
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    base = one_term_complex(catalog, [(rs.identity, 0)])
+    with pytest.raises(ConfigurationError):
+        tensor_rouquier(0, base, shift=4)
+
+
 # ---------------------------------------------------------------------------
 # wall-crossing of whole complexes
 
@@ -208,11 +217,12 @@ def test_theta_acts_degreewise():
 # Gaussian elimination
 
 
-def contractible_two_term(catalog, y, shift=0):
+def contractible_two_term(catalog, y, shift=0, degree=-1):
     # components are stored against the unshifted catalog entries
     ident = ModuleMap.identity(catalog.entry(y))
-    return FormalComplex(catalog, {-1: ((y, shift),), 0: ((y, shift),)},
-                         {-1: {(0, 0): ident}})
+    return FormalComplex(catalog,
+                         {degree: ((y, shift),), degree + 1: ((y, shift),)},
+                         {degree: {(0, 0): ident}})
 
 
 def test_elimination_kills_contractible_summands():
@@ -228,6 +238,24 @@ def test_elimination_kills_contractible_summands():
     assert k0_class(fat) == k0_class(base)
     assert complexes_isomorphic(slim, base)
     assert is_minimal(slim)
+
+
+def test_elimination_reindexes_the_survivors():
+    # contractible pieces placed before the surviving summands, in one
+    # pair of degrees and in two adjacent pairs, shift every index the
+    # survivors have; minimizing must give the base complex exactly
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    s1 = word_el(rs, 1)
+    base = rouquier_chain(catalog, [1, 0])
+    assert set(base.terms) == {-2, -1, 0}
+    one = direct_sum_complexes(contractible_two_term(catalog, s1, 2), base)
+    two = direct_sum_complexes(
+        contractible_two_term(catalog, rs.identity, 4, degree=-2), one)
+    for fat in (one, two):
+        assert not is_minimal(fat)
+        assert gaussian_eliminate(fat).to_json() == \
+            gaussian_eliminate(base).to_json()
 
 
 def test_elimination_reaches_a_minimal_complex():

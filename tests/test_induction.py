@@ -10,12 +10,13 @@ the wall-crossing cone -- that make the sweep meaningful.
 
 import pytest
 
-from soergelind import coinvariants, induction
+from soergelind import coinvariants, induction, smod
 from soergelind.coxeter import admissible_chain, admissible_chains
 from soergelind.errors import CalibrationError, ConfigurationError
 from soergelind.hecke import hecke_standard, kl_basis, predicted_class
 from soergelind.homotopy import (complexes_isomorphic, direct_sum_complexes,
-                                 FormalComplex, k0_class)
+                                 FormalComplex, gaussian_eliminate, k0_class,
+                                 tensor_rouquier)
 from soergelind.induction import (CalibrationRecord, VerificationReport,
                                   calibrate_shift, corpus_groups,
                                   hom_positive_control, induce, induce_all,
@@ -64,13 +65,15 @@ def test_wrong_calibrations_fail_loudly():
     # build a complex or produce the wrong class
     setup = make_setup('A', 2, ())
     rs = setup.rs
-    s2 = word_el(rs, 2)
-    good = k0_class(induce(setup, rs.identity, s2))
+    e, s2 = rs.identity, word_el(rs, 2)
+    good = k0_class(induce(setup, e, s2))
     assert good == hecke_standard(s2).scale(LaurentPoly.v(1))
     for record in (CalibrationRecord(shift=0, sign=1),
                    CalibrationRecord(shift=-2, sign=1)):
         try:
-            cpx = induce(setup, rs.identity, s2, record=record)
+            cpx = gaussian_eliminate(tensor_rouquier(
+                1, induce(setup, e, e), shift=record.shift,
+                sign=record.sign))
         except Exception:
             continue
         assert k0_class(cpx) != good
@@ -258,6 +261,23 @@ def test_base_case_reports_hom_matrix(a2s1):
     # lower triangular: the only degree-0 map between distinct
     # indecomposables here is the quotient D_{s1} -> D_e
     assert report.details['hom_matrix'] == [[1, 0], [1, 1]]
+
+
+def test_base_case_splits_one_pair_per_side(monkeypatch):
+    # each side of infl(D^I_x) = D_x is offered D_x alone, so every
+    # member costs one split pair per side and no other entry is tried
+    setup = make_setup('A', 3, (0, 1))
+    calls = []
+    split_pair = smod._split_pair
+
+    def counted(*args):
+        calls.append(args)
+        return split_pair(*args)
+
+    monkeypatch.setattr(smod, '_split_pair', counted)
+    report = verify_base_case(setup)
+    assert report.ok()
+    assert len(calls) == 2 * report.details['members'] == 12
 
 
 def test_theta_restriction_inside_parabolic(a2s1):
