@@ -10,11 +10,11 @@ Fractions only at their edges.  :func:`mat_mul` multiplies only nonzero
 entries, clears the denominators of b and of each row of a with one
 integer factor each, and divides once per nonzero output entry; its
 inputs may hold ints or Fractions, and its output holds Fractions only.
-:func:`sparse_nullspace`, which solves the hom
-systems, eliminates rows of dicts sparsest first and finds the pivots a
-row meets through a min-heap instead of rescanning the row.  Its result
-is the kernel read off the reduced row echelon form, which is unique,
-so the row order changes the cost and never the basis.  Its two steps,
+:func:`sparse_nullspace`, which solves the hom systems, eliminates
+rows of dicts by descending leading column and finds the pivots a row
+meets through a min-heap instead of rescanning the row.  Its result is
+the kernel read off the reduced row echelon form, which is unique, so
+the row order changes the cost and never the basis.  Its two steps,
 reducing one row into an echelon (:func:`_reduce_into`, which also says
 whether the row was new) and back-substitution
 (:func:`_back_substitute`), are shared with the construction of the
@@ -27,9 +27,10 @@ rows back to fractions by rational reconstruction and checks the lifted
 kernel exactly, in integers, against every input row.  A lift that
 passes the check is the exact rational answer (the argument is in the
 docstring of :func:`sparse_nullspace`); anything else falls back to
-the same elimination over Fraction.  Its rows may hold ints or
-Fractions; ``smod.hom_space`` hands it integer rows, and the modular
-path answers every hom system of the corpus.
+the same elimination over Fraction.  Once the echelon holds a pivot
+in every column, the kernel is zero and the rest is skipped.  Its rows
+may hold ints or Fractions; ``smod.hom_space`` hands it integer rows,
+and the modular path answers every hom system of the corpus.
 """
 
 from __future__ import annotations
@@ -214,12 +215,18 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
     """Kernel basis of a sparse matrix given as dicts {col: Fraction}.
 
     Forward elimination (:func:`_reduce_into`) keeps a dict of pivot
-    rows keyed by pivot column, and takes the rows sparsest first: a
-    short row meets few pivots and makes short pivot rows, which keeps
-    the fill-in of every later row small.  After full back-substitution
-    (:func:`_back_substitute`) the pivot rows are the reduced row
-    echelon form of the matrix, which its row space alone determines,
-    so the returned basis does not depend on the order of the rows.
+    rows keyed by pivot column, and takes the rows by descending
+    leading column, shorter first among equals.  A pivot row's pivot is
+    never below the leading column of the row it came from, so every
+    pivot found so far lies at or above the next row's leading column:
+    unless that column is a pivot already, the row keeps its leading
+    entry, is reduced only in its higher columns and becomes the pivot
+    there.  ``smod.hom_space`` numbers its unknowns by degree block, so
+    its systems are eliminated from the top degree down.  After full
+    back-substitution (:func:`_back_substitute`) the pivot rows are
+    the reduced row echelon form of the matrix, which its row space
+    alone determines, so the returned basis does not depend on the
+    order of the rows.
     The non-pivot columns parametrize the kernel, in increasing order:
     the vector of a free column f is 1 at f, 0 at the other free
     columns and minus the pivot rows' entries in column f elsewhere.
@@ -244,11 +251,21 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
     denominator divisible by p, a residue that does not lift, or a
     lift that fails the check sends the system to the same elimination
     over Fraction instead, which always answers.
+
+    Once the echelon mod p holds ncols pivots, the kernel is zero and
+    the elimination stops: the remaining rows are not converted, and
+    back-substitution, the lift and the check are skipped.  This is
+    exact as well.  Every denominator met so far is invertible mod p,
+    so a nonzero ncols-minor of the rows mod p is the residue of a
+    nonzero rational minor; the rank over Q is at least the rank mod
+    p, which is ncols, and the kernel over Q is zero.
     """
-    rows = sorted(rows, key=len)
-    pivots = _modular_rref(rows)
+    rows = sorted(rows, key=lambda row: (-min(row, default=ncols), len(row)))
+    pivots = _modular_rref(rows, ncols)
     if pivots is None:
         pivots = _rational_rref(rows)
+    if len(pivots) == ncols:
+        return []
     basis = {}
     for f in range(ncols):
         if f not in pivots:
@@ -275,14 +292,16 @@ _PRIME = (1 << 61) - 1
 _LIFT_BOUND = 1 << 30
 
 
-def _modular_rref(rows: list):
+def _modular_rref(rows: list, ncols: int):
     """Reduced row echelon form of the rows, computed mod _PRIME.
 
     Returns the pivot rows with every entry lifted to a Fraction, once
     the kernel they describe is checked exactly against every row (see
     :func:`sparse_nullspace`), or None when any step fails.  Rows are
     converted and reduced one at a time, and the residues are dropped
-    as soon as they are lifted.
+    as soon as they are lifted.  As soon as there are ``ncols`` pivots
+    the echelon is returned as it stands, residues unreduced: its size
+    alone certifies that the kernel is zero.
     """
     inverses = {1: 1}
     pivots: dict[int, dict] = {}
@@ -298,7 +317,8 @@ def _modular_rref(rows: list):
             r = v.numerator * inv % _PRIME
             if r:
                 row[c] = r
-        _reduce_into(pivots, row, _PRIME)
+        if _reduce_into(pivots, row, _PRIME) and len(pivots) == ncols:
+            return pivots
     _back_substitute(pivots, _PRIME)
     lifts: dict[int, Fraction] = {}
     for p, prow in pivots.items():

@@ -338,24 +338,41 @@ def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
     """Minimized ind_w D^I_x, with the calibrated tensor step.
 
     With an explicit chain the complex is computed from scratch.
-    Otherwise it is kept in setup.induced: for w = s_1...s_n the
-    admissible chain, ind_w D^I_x is one tensor step with s_n applied
-    to ind_{w s_n} D^I_x.  Both routes take the same steps:
-    admissible_chain returns the lexicographically least chain, and
-    the least chain of w s_n is s_1...s_{n-1} (a smaller one, followed
-    by s_n, would be a smaller chain of w).
+    Otherwise it is kept in setup.induced, and a miss resolves the
+    admissible chain of w once and walks it (:func:`_induce_along`).
     """
     if chain is not None:
         return induce_module(setup, setup.sub_catalog.entry(x), w, chain)
     cpx = setup.induced.get((x, w))
     if cpx is None:
-        if w.length == 0:
-            cpx = induce_module(setup, setup.sub_catalog.entry(x), w)
-        else:
-            s = _resolve_chain(setup, w, None)[-1]
-            prefix = w * setup.rs.simple_reflection(s)
-            cpx = _tensor_step(s, induce(setup, x, prefix))
-        setup.induced[(x, w)] = cpx
+        cpx = _induce_along(setup, x, _resolve_chain(setup, w, None))
+    return cpx
+
+
+def _induce_along(setup: InductionSetup, x: WeylElement,
+                  chain) -> FormalComplex:
+    """ind_w D^I_x for w the product of its admissible chain ``chain``.
+
+    For chain = s_1...s_n, ind_w D^I_x is one tensor step with s_n
+    applied to ind_{w s_n} D^I_x; every prefix found in setup.induced
+    is reused, and every one computed is stored there.  Both this walk
+    and an explicit chain take the same steps: admissible_chain
+    returns the lexicographically least chain, and the least chain of
+    w s_n is s_1...s_{n-1} (a smaller one, followed by s_n, would be a
+    smaller chain of w), so each stored prefix was computed along the
+    prefix of ``chain``.
+    """
+    u = setup.rs.identity
+    cpx = setup.induced.get((x, u))
+    if cpx is None:
+        cpx = setup.induced[(x, u)] = induce_module(
+            setup, setup.sub_catalog.entry(x), u, ())
+    for s in chain:
+        u = u * setup.rs.simple_reflection(s)
+        step = setup.induced.get((x, u))
+        if step is None:
+            step = setup.induced[(x, u)] = _tensor_step(s, cpx)
+        cpx = step
     return cpx
 
 
@@ -445,7 +462,11 @@ def verify_induced_class(setup: InductionSetup, x: WeylElement,
     details, so the character-level identity can be audited on its own.
     """
     t0 = time.perf_counter()
-    cpx = induce(setup, x, w, chain)
+    if chain is None:
+        chain = _resolve_chain(setup, w, None)
+        cpx = _induce_along(setup, x, chain)
+    else:
+        cpx = induce(setup, x, w, chain)
     computed = k0_class(cpx)
     predicted = predicted_class(setup.datum, x, w)
     shift = x.length + w.length
@@ -462,8 +483,7 @@ def verify_induced_class(setup: InductionSetup, x: WeylElement,
         details['predicted_shadow'] = _shadow(predicted)
     return VerificationReport(
         instance=setup.instance(x=x.word_1based(), w=w.word_1based(),
-                                chain=[i + 1 for i in
-                                       _resolve_chain(setup, w, chain)]),
+                                chain=[i + 1 for i in chain]),
         status=status, computed_class=str(normalized),
         predicted_class=str(predicted),
         timing=time.perf_counter() - t0, complex_summary=_summary(cpx),

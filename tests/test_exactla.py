@@ -1,17 +1,20 @@
 """Exact linear algebra kernels against textbook references.
 
-sparse_nullspace eliminates its rows sparsest first with a heap of pivot
-columns, and mat_mul skips zero entries and sums in integers over one
-denominator per row; both must give exactly what dense elimination and
-the triple-loop product give, whatever the row order, on systems with
-empty rows, duplicate rows, explicit zeros, int entries and columns
-that no row touches.  A float handed to any exact entry point is a
+sparse_nullspace eliminates its rows by descending leading column with
+a heap of pivot columns, and mat_mul skips zero entries and sums in
+integers over one denominator per row; both must give exactly what
+dense elimination and the triple-loop product give, whatever the row
+order, on systems with empty rows, duplicate rows, explicit zeros, int
+entries, columns that no row touches, and the block-bidiagonal shape of
+the hom systems.  A float handed to any exact entry point is a
 TypeError, never its binary expansion.  sparse_nullspace eliminates mod
 p = 2^61 - 1 and lifts the result back; where that cannot give the
 rational answer (the rank drops mod p, a denominator is divisible by p,
 an entry does not lift, a lift is wrong) the exact check must refuse it
 and the Fraction elimination answer, so the dense reference still
-agrees.
+agrees.  Once the rows have a pivot in every column mod p, the kernel is
+zero and nothing after that is computed: no further row, no
+back-substitution, no lift and no check.
 """
 
 from fractions import Fraction
@@ -35,12 +38,34 @@ entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3),
 
 
 @st.composite
-def sparse_systems(draw):
-    """(rows, ncols): rows are dicts {col: Fraction}, some repeated."""
+def generic_rows(draw):
     ncols = draw(st.integers(0, 8))
     row = st.dictionaries(st.integers(0, max(ncols - 1, 0)), entries,
                           max_size=4 if ncols else 0)
-    rows = draw(st.lists(row, min_size=1, max_size=8))
+    return draw(st.lists(row, min_size=1, max_size=8)), ncols
+
+
+@st.composite
+def block_bidiagonal_rows(draw):
+    """Rows shaped like hom_space's: the columns fall into consecutive
+    degree blocks, and each row touches one block and the next."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    ncols = starts[-1]
+
+    def row_at(k):
+        cols = st.integers(starts[k], starts[min(k + 2, len(sizes))] - 1)
+        return st.dictionaries(cols, entries, max_size=4)
+
+    rows = draw(st.lists(st.integers(0, len(sizes) - 1).flatmap(row_at),
+                         min_size=1, max_size=10))
+    return rows, ncols
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, ncols): rows are dicts {col: Fraction}, some repeated."""
+    rows, ncols = draw(st.one_of(generic_rows(), block_bidiagonal_rows()))
     dups = draw(st.lists(st.sampled_from(rows), max_size=3))
     return rows + [dict(row) for row in dups], ncols
 
@@ -227,6 +252,33 @@ def test_odd_and_large_denominators_equal_the_dense_nullspace(system):
     assert_dense(rows, ncols)
 
 
+def unreachable(*args):
+    raise AssertionError("this step must not be reached")
+
+
+def test_full_rank_stops_before_a_later_row(monkeypatch):
+    # the third row has a denominator divisible by p, which would send
+    # the system to the Fraction elimination; it sorts last (leading
+    # column 0, the longer one), after two pivots already fill both
+    # columns
+    monkeypatch.setattr(exactla, '_rational_rref', unreachable)
+    rows = [{0: Fraction(1, P), 1: Fraction(1)}, {0: Fraction(2)},
+            {1: Fraction(3)}]
+    assert sparse_nullspace(rows, 2) == []
+    assert nullspace(dense(rows, 2)) == []
+
+
+def test_a_full_rank_system_skips_back_substitution_and_the_lift(
+        monkeypatch):
+    for name in ('_back_substitute', '_reconstruct', '_kills_every_row'):
+        monkeypatch.setattr(exactla, name, unreachable)
+    # upper bidiagonal with 1/3 and 5/7, then a redundant row
+    rows = [{c: Fraction(1, 3), c + 1: Fraction(5, 7)} for c in range(5)]
+    rows += [{5: Fraction(2)}, {0: Fraction(1), 5: Fraction(1)}]
+    assert sparse_nullspace(rows, 6) == []
+    assert nullspace(dense(rows, 6)) == []
+
+
 def test_the_a3_parabolic_group_never_falls_back(monkeypatch):
     """Every solve of the A3, I = {1, 2} group is certified mod p."""
     from soergelind import induction
@@ -237,9 +289,9 @@ def test_the_a3_parabolic_group_never_falls_back(monkeypatch):
     solved = []
     modular = exactla._modular_rref
 
-    def counting(rows):
+    def counting(rows, ncols):
         solved.append(len(rows))
-        return modular(rows)
+        return modular(rows, ncols)
 
     monkeypatch.setattr(exactla, '_rational_rref', refuse)
     monkeypatch.setattr(exactla, '_modular_rref', counting)

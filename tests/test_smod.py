@@ -16,7 +16,7 @@ import pytest
 from soergelind import coinvariants
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
-from soergelind import smod
+from soergelind import exactla, smod
 from soergelind.errors import ConfigurationError, InternalCheckError
 from soergelind.exactla import (identity as id_matrix, invert,
                                 is_zero_matrix, mat_mul, mat_scale, nullspace)
@@ -243,6 +243,18 @@ def test_catalog_literal_dims_singular_a3():
     assert catalog.entry(y).graded_dims == {0: 1, 2: 4, 4: 6, 6: 4, 8: 1}
 
 
+def test_the_b3_catalog_never_falls_back(monkeypatch):
+    # build_catalog checks End^0 = Q and the Kazhdan-Lusztig dimensions
+    # of every entry; the first module-side test of rank 3 outside type
+    # A, and every one of its solves must be certified mod p
+    def refuse(rows):
+        raise AssertionError("the Fraction elimination was reached")
+
+    monkeypatch.setattr(exactla, '_rational_rref', refuse)
+    catalog = build_catalog(algebra('B', 3))
+    assert len(catalog.elements()) == 48
+
+
 def test_catalog_dims_are_palindromic():
     for family, rank in [('A', 2), ('B', 2)]:
         catalog = catalog_of(family, rank)
@@ -386,8 +398,8 @@ def test_end_space_of_indecomposable_is_local():
 def test_end_space_of_the_largest_a3_theta_module():
     # theta_s2 D_{s1 s2 s3 s2 s1}: 490 unknowns and 1284 equations, the
     # largest hom system of the corpus; taking its rows in the order
-    # they are generated instead of sparsest first made this one solve
-    # dominate the whole verification sweep
+    # they are generated instead of by descending leading column made
+    # this one solve dominate the whole verification sweep
     catalog = catalog_of('A', 3)
     rs = catalog.algebra.root_system
     theta = induce_frobenius(1, catalog.entry(word_el(rs, 1, 2, 3, 2, 1)))
