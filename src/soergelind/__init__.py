@@ -8,9 +8,10 @@ prediction inside the Hecke algebra.
 
 Layering, bottom to top: `coxeter` (Weyl groups, parabolic data,
 admissible chains), `hecke` (Laurent polynomials, standard and KL
-bases), `coinvariants` (coinvariant algebras, Demazure operators),
-`smod` (graded modules, hom spaces, the indecomposable catalog and
-the peeling of catalog summands the Hecke algebra predicts),
+bases), `coinvariants` (the certified build of coinvariant algebras
+and their fundamental invariants), `smod` (graded modules, restriction
+along C -> C_I, hom spaces, the indecomposable catalog and the peeling
+of catalog summands the Hecke algebra predicts),
 `homotopy` (formal complexes, Rouquier tensoring, minimization, K0),
 `induction` (the induction pipeline and the verification sweep),
 `serialize` / `cli` (persistence and the command-line front end).
@@ -29,7 +30,7 @@ from .hecke import (HeckeElement, hecke_unit, hecke_standard,
                     hecke_multiply, bar_involution, kl_basis, parabolic_kl,
                     predicted_class)
 from .smod import (GradedModule, direct_sum, induce_frobenius,
-                   restrict_module, hom_space, is_isomorphic,
+                   RestrictionMap, restrict_module, hom_space, is_isomorphic,
                    IndecomposableCatalog, build_catalog)
 from .homotopy import (FormalComplex, one_term_complex, complex_from_module,
                        tensor_rouquier, theta_complex, gaussian_eliminate,
@@ -53,8 +54,9 @@ __all__ = [
     'LaurentPoly', 'HeckeElement', 'hecke_unit', 'hecke_standard',
     'hecke_multiply', 'bar_involution', 'kl_basis', 'parabolic_kl',
     'predicted_class',
-    'GradedModule', 'direct_sum', 'induce_frobenius', 'restrict_module',
-    'hom_space', 'is_isomorphic', 'IndecomposableCatalog', 'build_catalog',
+    'GradedModule', 'direct_sum', 'induce_frobenius', 'RestrictionMap',
+    'restrict_module', 'hom_space', 'is_isomorphic', 'IndecomposableCatalog',
+    'build_catalog',
     'FormalComplex', 'one_term_complex', 'complex_from_module',
     'tensor_rouquier', 'theta_complex', 'gaussian_eliminate', 'k0_class',
     'hom_complex_vanishing', 'complexes_isomorphic', 'direct_sum_complexes',

@@ -17,8 +17,7 @@ until that many averages are new to the echelon, so most degrees
 average nothing.  Each degree is reduced with the sparse echelon that
 ``exactla.sparse_nullspace`` also uses and back-substituted into the
 reduced row echelon form, with graded-lex column order; the quotient
-basis is the set of non-pivot monomials and the normal form map
-rewrites each pivot monomial as a combination of basis monomials.
+basis is the set of non-pivot monomials.
 The ideal built is generated by invariants, so it is contained in the
 true one, and the quotient in each degree is at least as large as the
 true one; the graded dimensions are checked against the Weyl group
@@ -28,17 +27,15 @@ vanishes above the length of the longest element of W_I once it
 vanishes in the first degree past it (the ideal then contains all of
 S_1 * S_d), so the truncation at top + 1 is exact.
 
-Demazure operators d_i for i in I descend to C_I by the twisted
-Leibniz rule, giving the Frobenius splitting c = f + g * alpha_i with
-f = (c + s_i c)/2 and g = d_i(c)/2 both s_i-invariant.
-
-The module side reads only the fundamental invariants, and only to
-check that they act by zero on a newly built catalog entry.  So the
-pipeline does not build an algebra up front: smod.AlgebraRecord calls
-build_coinvariants, certificate included, the first time its
-invariants are read, that is once per algebra in a run that builds a
-catalog, and never in a run that loads its catalogs from the cache.
-That run does not import this module either.
+The module side works with the generators' action matrices and never
+computes in the ring; it reads only the fundamental invariants, and
+only to check that they act by zero on a newly built catalog entry.
+So an algebra keeps just its certified basis monomials and
+invariants, and the pipeline does not build one up front:
+smod.AlgebraRecord calls build_coinvariants, certificate included,
+the first time its invariants are read, that is once per algebra in a
+run that builds a catalog, and never in a run that loads its catalogs
+from the cache.  That run does not import this module either.
 """
 
 from __future__ import annotations
@@ -46,34 +43,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coxeter import RootSystem, WeylElement
-from .errors import ConfigurationError, IncompatibilityError, InternalCheckError
+from .errors import ConfigurationError, InternalCheckError
 from .exactla import _back_substitute, _reduce_into
 from .polynomials import Polynomial, PolyRing
 
 __all__ = ['CoinvariantAlgebra', 'build_coinvariants',
-           'restriction_surjection', 'RestrictionMap']
+           'restriction_surjection']
 
 
 class CoinvariantAlgebra:
-    """S modulo positive-degree W_I-invariants, with normal forms."""
+    """S modulo positive-degree W_I-invariants, as the build certified it.
+
+    basis_by_algdeg holds the quotient basis monomials of each algebraic
+    degree, and fundamental_invariants a minimal generating set of the
+    invariant ideal (rank many); the module side reads only the latter.
+    """
 
     def __init__(self, root_system: RootSystem, subset: tuple,
-                 top_algdeg: int,
-                 basis_by_algdeg: dict,
-                 pivot_rules: dict,
-                 fundamental_invariants: list | None = None):
+                 basis_by_algdeg: dict, fundamental_invariants: list):
         self.root_system = root_system
         self.subset = subset
-        self.ring = PolyRing(root_system)
-        self.top_algdeg = top_algdeg
         self.basis_by_algdeg = basis_by_algdeg
-        self._basis_sets = {d: frozenset(b)
-                            for d, b in basis_by_algdeg.items()}
-        self.pivot_rules = pivot_rules
-        # a minimal generating set of the invariant ideal (rank many)
-        self.fundamental_invariants = fundamental_invariants or []
-
-    # -- structure ---------------------------------------------------
+        self.fundamental_invariants = fundamental_invariants
 
     def dimension(self) -> int:
         return sum(len(b) for b in self.basis_by_algdeg.values())
@@ -81,88 +72,6 @@ class CoinvariantAlgebra:
     def graded_dims(self) -> dict[int, int]:
         """Keyed by cohomological degree."""
         return {2 * d: len(b) for d, b in self.basis_by_algdeg.items() if b}
-
-    def basis_monomials(self, algdeg: int) -> list[tuple]:
-        return self.basis_by_algdeg.get(algdeg, [])
-
-    def basis_polys(self, algdeg: int) -> list[Polynomial]:
-        return [Polynomial(self.ring.n, {m: Fraction(1)})
-                for m in self.basis_monomials(algdeg)]
-
-    # -- normal form and arithmetic ---------------------------------
-
-    def nf(self, f: Polynomial) -> Polynomial:
-        """Canonical representative supported on basis monomials."""
-        out = Polynomial.zero(self.ring.n)
-        for d, comp in f.homogeneous_components().items():
-            if d > self.top_algdeg:
-                continue
-            rules = self.pivot_rules[d]
-            basis = self._basis_sets[d]
-            acc: dict[tuple, Fraction] = {}
-            for mono, c in comp.terms.items():
-                if mono in basis:
-                    acc[mono] = acc.get(mono, Fraction(0)) + c
-                else:
-                    for bmono, r in rules[mono].items():
-                        acc[bmono] = acc.get(bmono, Fraction(0)) + c * r
-            out = out + Polynomial(self.ring.n, acc)
-        return out
-
-    def is_nf(self, f: Polynomial) -> bool:
-        for d, comp in f.homogeneous_components().items():
-            if not comp.terms.keys() <= self._basis_sets.get(d, frozenset()):
-                return False
-        return True
-
-    def zero(self) -> Polynomial:
-        return self.ring.zero()
-
-    def one(self) -> Polynomial:
-        return self.ring.one()
-
-    def alpha(self, i: int) -> Polynomial:
-        return self.nf(self.ring.variable(i))
-
-    def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return self.nf(a * b)
-
-    def coords(self, f: Polynomial, algdeg: int) -> list[Fraction]:
-        """Coordinates of a normal-form homogeneous element."""
-        comp = {m: c for m, c in f.terms.items() if sum(m) == algdeg}
-        if len(comp) != len(f.terms):
-            raise IncompatibilityError("element is not homogeneous")
-        return [comp.get(m, Fraction(0)) for m in self.basis_monomials(algdeg)]
-
-    # -- group action and Demazure operators ------------------------
-
-    def _check_generator(self, i: int) -> None:
-        if i not in self.subset:
-            raise ConfigurationError(
-                f"generator s{i + 1} does not act on this algebra "
-                f"(subset {tuple(j + 1 for j in self.subset)})")
-
-    def act_simple(self, i: int, f: Polynomial) -> Polynomial:
-        self._check_generator(i)
-        return self.nf(self.ring.apply_simple(i, f))
-
-    def demazure(self, i: int, f: Polynomial) -> Polynomial:
-        self._check_generator(i)
-        return self.nf(self.ring.demazure(i, f))
-
-    def frobenius_decompose(self, i: int,
-                            c: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """(f, g) with c = f + g·alpha_i and both s_i-invariant.
-
-        f = (c + s_i c)/2 and g = d_i(c)/2; the identity c = f + g
-        alpha_i holds on the nose for polynomial representatives, hence
-        in the algebra.
-        """
-        self._check_generator(i)
-        s_c = self.ring.apply_simple(i, c)
-        f = self.nf((c + s_c).scale(Fraction(1, 2)))
-        g = self.nf(self.ring.demazure(i, c).scale(Fraction(1, 2)))
-        return f, g
 
     def __repr__(self):
         gens = ','.join(f's{i + 1}' for i in self.subset) or 'empty'
@@ -233,7 +142,6 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     needed = _invariant_degrees(length_counts, rs.rank)
 
     basis_by_algdeg: dict[int, list] = {0: [(0,) * rs.rank]}
-    pivot_rules: dict[int, dict] = {0: {}}
     ideal_rows: list[dict] = []          # RREF of ideal_{d-1}, by monomial
     fundamental: list[Polynomial] = []   # invariants not in S_1 * ideal
     inv_factor = Fraction(1, order)
@@ -271,59 +179,26 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
                 f"expected {expected} from the length generating function")
         if d <= top:
             basis_by_algdeg[d] = basis
-            reduced = {monos[p]: {monos[j]: v
-                                  for j, v in sorted(pivots[p].items())}
-                       for p in sorted(pivots)}
-            pivot_rules[d] = {
-                lead: {m: -v for m, v in row.items() if m != lead}
-                for lead, row in reduced.items()}
-            ideal_rows = list(reduced.values())
+            ideal_rows = [{monos[j]: v for j, v in sorted(pivots[p].items())}
+                          for p in sorted(pivots)]
     if len(fundamental) != rs.rank:
         raise InternalCheckError(
             f"found {len(fundamental)} fundamental invariants, "
             f"expected {rs.rank}")
-    alg = CoinvariantAlgebra(rs, subset, top, basis_by_algdeg, pivot_rules,
-                             fundamental)
+    alg = CoinvariantAlgebra(rs, subset, basis_by_algdeg, fundamental)
     if alg.dimension() != order:
         raise InternalCheckError("total coinvariant dimension mismatch")
     return alg
 
 
-class RestrictionMap:
-    """The surjective degree-preserving ring map C -> C_I.
-
-    Both algebras are quotients of the same polynomial ring, and the
-    full invariant ideal is contained in the parabolic one, so sending
-    a normal-form representative to its target normal form is a
-    well-defined ring homomorphism.
-    """
-
-    def __init__(self, source: CoinvariantAlgebra,
-                 target: CoinvariantAlgebra):
-        if source.root_system is not target.root_system:
-            raise IncompatibilityError(
-                "restriction requires algebras over the same root system")
-        if not set(target.subset) <= set(source.subset):
-            raise IncompatibilityError(
-                "restriction target must be a parabolic of the source")
-        self.source = source
-        self.target = target
-
-    def __call__(self, f: Polynomial) -> Polynomial:
-        return self.target.nf(f)
-
-    def matrix_on_degree(self, algdeg: int) -> list[list[Fraction]]:
-        """Columns are images of source basis elements."""
-        cols = [self.target.coords(self(b), algdeg)
-                for b in self.source.basis_polys(algdeg)]
-        rows = len(self.target.basis_monomials(algdeg))
-        return [[col[r] for col in cols] for r in range(rows)]
-
-
 def restriction_surjection(rs: RootSystem, subset,
                            source: CoinvariantAlgebra | None = None,
-                           target: CoinvariantAlgebra | None = None
-                           ) -> RestrictionMap:
+                           target: CoinvariantAlgebra | None = None):
+    """The surjection C -> C_I as a smod.RestrictionMap.
+
+    An algebra that is not given is built.
+    """
+    from .smod import RestrictionMap
     if source is None:
         source = build_coinvariants(rs, range(rs.rank))
     if target is None:

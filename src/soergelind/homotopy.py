@@ -48,7 +48,7 @@ from .exactla import invert, solve_matrix, sparse_nullspace, zeros
 from .hecke import HeckeElement, kl_basis, wall_crossing_summands
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, decompose,
-                   direct_sum, hom_space, induce_frobenius)
+                   direct_sum, induce_frobenius)
 
 __all__ = [
     'FormalComplex', 'one_term_complex', 'complex_from_module',
@@ -549,15 +549,6 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
 # hom complexes, in hom-basis coordinates
 
 
-def _hom_basis(catalog, y_src, y_tgt, degree):
-    cache = catalog.hom_bases
-    key = (y_src, y_tgt, degree)
-    if key not in cache:
-        cache[key] = hom_space(catalog.entry(y_src), catalog.entry(y_tgt),
-                               degree)
-    return cache[key]
-
-
 def _coords_in_basis(maps: list, basis: list) -> list:
     """Exact coordinates of each of maps in a hom-space basis.
 
@@ -596,7 +587,7 @@ class _HomGrid:
         for i in x.terms:
             for a, (ya, ka) in enumerate(x.summands(i)):
                 for b, (yb, kb) in enumerate(y.summands(i + h)):
-                    basis = _hom_basis(self.catalog, ya, yb, ka - kb)
+                    basis = self.catalog.hom_basis(ya, yb, ka - kb)
                     if not basis:
                         continue
                     self.offset[(i, a, b)] = n
@@ -630,7 +621,7 @@ def _hom_differential(x: FormalComplex, y: FormalComplex, h: int):
                 continue
             yp, kp = x.summands(j)[p]
             yq, kq = y.summands(j + h + 1)[q]
-            target = _hom_basis(grid.catalog, yp, yq, kp - kq)
+            target = grid.catalog.hom_basis(yp, yq, kp - kq)
             for e, coords in enumerate(_coords_in_basis(maps, target),
                                        grid.offset[(i, a, b)]):
                 col = columns[e]
@@ -722,7 +713,7 @@ def complexes_isomorphic(x: FormalComplex, y: FormalComplex) -> bool:
         for b, summand in enumerate(y.summands(i)):
             copies[summand][1].append(b)
         for (z, _k), (xs, ys) in copies.items():
-            if len(_hom_basis(grid.catalog, z, z, 0)) != 1:
+            if len(grid.catalog.hom_basis(z, z, 0)) != 1:
                 raise InternalCheckError(
                     f"the hom basis of End^0(D_{z!r}) does not hold "
                     f"exactly one map")

@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import time
 from collections import namedtuple
-from types import SimpleNamespace
 
 from .coxeter import (WeylElement, admissible_chain, build_parabolic,
                       build_root_system)
@@ -56,8 +55,8 @@ from .homotopy import (FormalComplex, complex_from_module,
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
-                   build_catalog, direct_sum, hom_space, induce_frobenius,
-                   is_isomorphic, restrict_module)
+                   RestrictionMap, build_catalog, direct_sum,
+                   induce_frobenius, is_isomorphic, restrict_module)
 
 __all__ = [
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
@@ -160,9 +159,7 @@ class InductionSetup:
         self.sub_algebra = AlgebraRecord(rs, self.subset)
         self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
-        # the surjection C -> C_I, as restrict_module reads it
-        self.rmap = SimpleNamespace(source=self.algebra,
-                                    target=self.sub_algebra)
+        self.rmap = RestrictionMap(self.algebra, self.sub_algebra)
         self.induced: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:
@@ -514,11 +511,9 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
                 'x': x.word_1based(),
                 'inflated_dims': dict(inflated.graded_dims),
                 'catalog_dims': dict(target.graded_dims)})
-    sub_dims = [[len(hom_space(setup.sub_catalog.entry(a),
-                               setup.sub_catalog.entry(b), 0))
+    sub_dims = [[len(setup.sub_catalog.hom_basis(a, b, 0))
                  for b in members] for a in members]
-    full_dims = [[len(hom_space(setup.catalog.entry(a),
-                                setup.catalog.entry(b), 0))
+    full_dims = [[len(setup.catalog.hom_basis(a, b, 0))
                   for b in members] for a in members]
     if sub_dims != full_dims:
         failures.append({'hom_matrix_sub': sub_dims,
@@ -761,7 +756,8 @@ def run_corpus(scope: str = 'full', jobs: int = 1,
         # imported here: it loads multiprocessing, which only --jobs needs
         from concurrent.futures import ProcessPoolExecutor
         tasks = [(f, r, subset, checks, cache_dir) for f, r, subset in groups]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_group_task, tasks))
     for result in results:
         for name in checks:

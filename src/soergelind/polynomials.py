@@ -44,11 +44,6 @@ class Polynomial:
     def const(cls, n: int, c) -> 'Polynomial':
         return cls(n, {(0,) * n: c})
 
-    @classmethod
-    def variable(cls, n: int, i: int) -> 'Polynomial':
-        mono = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {mono: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -82,19 +77,10 @@ class Polynomial:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return Polynomial(self.n, out)
 
-    def __pow__(self, k: int) -> 'Polynomial':
-        out = Polynomial.const(self.n, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def total_degree(self) -> int:
         """-1 for the zero polynomial."""
@@ -172,9 +158,6 @@ class PolyRing:
         self.root_system = root_system
         self.n = root_system.rank
 
-    def zero(self) -> Polynomial:
-        return Polynomial.zero(self.n)
-
     def one(self) -> Polynomial:
         return Polynomial.const(self.n, 1)
 
@@ -182,20 +165,14 @@ class PolyRing:
         return Polynomial.const(self.n, c)
 
     def variable(self, i: int) -> Polynomial:
-        return Polynomial.variable(self.n, i)
-
-    def variables(self) -> list[Polynomial]:
-        return [self.variable(i) for i in range(self.n)]
+        mono = tuple(int(j == i) for j in range(self.n))
+        return Polynomial(self.n, {mono: 1})
 
     def apply_simple(self, i: int, f: Polynomial) -> Polynomial:
         return f.substitute_linear(self.root_system.reflection_matrices[i])
 
     def apply_weyl(self, w: WeylElement, f: Polynomial) -> Polynomial:
         return f.substitute_linear(w.matrix)
-
-    def demazure(self, i: int, f: Polynomial) -> Polynomial:
-        """(f - s_i f) / x_i; drops algebraic degree by one."""
-        return (f - self.apply_simple(i, f)).divide_by_variable(i)
 
     def monomials_of_degree(self, d: int) -> list[tuple]:
         """All exponent tuples of total degree d, graded-lex sorted."""
@@ -213,4 +190,5 @@ class PolyRing:
 
 
 def demazure(ring: PolyRing, i: int, f: Polynomial) -> Polynomial:
-    return ring.demazure(i, f)
+    """(f - s_i f) / x_i; drops algebraic degree by one."""
+    return (f - ring.apply_simple(i, f)).divide_by_variable(i)

@@ -9,10 +9,12 @@ without re-running the Bott-Samelson splittings: the graded dimensions
 and the generator action matrices.  Cache files are named by a
 content hash of the root datum, so stale files from a different Cartan
 matrix or subset can never be picked up by accident.  A cache file
-that cannot be read (not JSON, JSON of the wrong shape, or an entry
-that does not decode) counts as a miss, with a warning; one that reads
-but fails validation is an error.  Files are replaced atomically, so concurrent
-writers of the same file leave one complete copy.
+that cannot be read (not JSON, JSON nested too deeply to parse, JSON of
+the wrong shape, or an entry that does not decode) counts as a miss,
+with a warning; one that reads but fails validation is an error, and
+so is a cache path the system refuses to read or write (a directory in
+the file's place, for instance).  Files are replaced atomically, so
+concurrent writers of the same file leave one complete copy.
 """
 
 from __future__ import annotations
@@ -130,9 +132,10 @@ def catalog_cache_path(cache_dir: str, rs, subset) -> str:
 def load_cached_catalog(algebra, cache_dir: str):
     """The algebra's catalog from cache_dir, or None on a miss.
 
-    A file that is not JSON, or JSON of the wrong shape, is a miss and
-    is reported on stderr; a readable file that fails validation
-    raises InternalCheckError.
+    A file that is not JSON (or nested too deeply to parse), or JSON of
+    the wrong shape, is a miss and is reported on stderr; a readable
+    file that fails validation raises InternalCheckError, and a path
+    that cannot be read ConfigurationError.
     """
     path = catalog_cache_path(cache_dir, algebra.root_system,
                               algebra.subset)
@@ -145,7 +148,10 @@ def load_cached_catalog(algebra, cache_dir: str):
     except (ConfigurationError, IncompatibilityError) as exc:
         raise InternalCheckError(
             f"cache file {path} does not decode: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read cache file {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f'warning: unreadable cache file {path} '
               f'({type(exc).__name__}: {exc}); rebuilding it',
               file=sys.stderr)
@@ -153,10 +159,15 @@ def load_cached_catalog(algebra, cache_dir: str):
 
 
 def store_catalog(catalog: IndecomposableCatalog, cache_dir: str) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write the catalog's cache file; an OSError is ConfigurationError."""
     path = catalog_cache_path(cache_dir, catalog.algebra.root_system,
                               catalog.algebra.subset)
-    dump_json(catalog_to_json(catalog), path)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        dump_json(catalog_to_json(catalog), path)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot store cache file {path}: {exc}") from exc
     return path
 
 

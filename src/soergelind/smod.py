@@ -1,8 +1,8 @@
 """Finite-dimensional evenly graded modules over a coinvariant algebra.
 
 A module stores its graded dimensions and, for every polynomial
-variable, the degree +2 action matrices between graded pieces; the full
-algebra action is recovered by evaluating normal-form representatives.
+variable, the degree +2 action matrices between graded pieces; a
+polynomial acts by the matching products of these matrices.
 The workhorses are:
 
   * induce_frobenius -- the functor C (x)_{C^s} (-), realized through
@@ -31,7 +31,7 @@ A module's algebra is read for root_system, subset and
 fundamental_invariants only, and the invariants only by
 verify_relations, when a catalog is built.  The pipeline gives modules
 an AlgebraRecord, which builds its coinvariant algebra on that first
-read; a CoinvariantAlgebra serves as well.
+read; a coinvariants.CoinvariantAlgebra serves as well.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -51,8 +51,8 @@ from .hecke import kl_basis, wall_crossing_summands
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
     'trivial_module', 'zero_module', 'induce_frobenius', 'bott_samelson',
-    'restrict_module', 'direct_sum', 'hom_space', 'end_space',
-    'verify_relations',
+    'RestrictionMap', 'restrict_module', 'direct_sum', 'hom_space',
+    'end_space', 'verify_relations',
     'decompose', 'is_isomorphic', 'build_catalog', 'expected_graded_dims',
 ]
 
@@ -110,7 +110,7 @@ class GradedModule:
 
     __slots__ = ('algebra', 'graded_dims', 'actions')
 
-    def __init__(self, algebra: CoinvariantAlgebra, graded_dims: dict,
+    def __init__(self, algebra: AlgebraRecord, graded_dims: dict,
                  actions: dict):
         self.algebra = algebra
         self.graded_dims = {d: n for d, n in sorted(graded_dims.items()) if n}
@@ -171,11 +171,11 @@ class GradedModule:
         return f'GradedModule(dims={self.graded_dims})'
 
 
-def zero_module(algebra: CoinvariantAlgebra) -> GradedModule:
+def zero_module(algebra: AlgebraRecord) -> GradedModule:
     return GradedModule(algebra, {}, {})
 
 
-def trivial_module(algebra: CoinvariantAlgebra) -> GradedModule:
+def trivial_module(algebra: AlgebraRecord) -> GradedModule:
     """One-dimensional in degree 0; every variable acts by zero."""
     return GradedModule(algebra, {0: 1}, {})
 
@@ -280,7 +280,7 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
     return GradedModule(alg, dims, actions)
 
 
-def bott_samelson(algebra: CoinvariantAlgebra, word) -> GradedModule:
+def bott_samelson(algebra: AlgebraRecord, word) -> GradedModule:
     """Iterated Frobenius induction starting from the trivial module.
 
     The first letter of the word is applied first, so the graded
@@ -293,13 +293,35 @@ def bott_samelson(algebra: CoinvariantAlgebra, word) -> GradedModule:
     return module
 
 
+class RestrictionMap:
+    """The surjective degree-preserving ring map C -> C_I.
+
+    Both algebras are quotients of the same polynomial ring, and the
+    full invariant ideal is contained in the parabolic one, so x_k ->
+    x_k is a well-defined ring homomorphism.  It is kept as its
+    (source, target) pair, once both are checked to share one root
+    system and the target's subset to lie inside the source's.
+    """
+
+    __slots__ = ('source', 'target')
+
+    def __init__(self, source: AlgebraRecord, target: AlgebraRecord):
+        if source.root_system is not target.root_system:
+            raise IncompatibilityError(
+                "restriction requires algebras over the same root system")
+        if not set(target.subset) <= set(source.subset):
+            raise IncompatibilityError(
+                "restriction target must be a parabolic of the source")
+        self.source = source
+        self.target = target
+
+
 def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
     """Inflation along C -> C_I: same space, same generator matrices.
 
     Both algebras present their classes by the same ambient variables,
     and the surjection sends x_k to x_k, so the stored action data is
-    literally reused; only the algebra reference changes.  rmap is read
-    for its source and target algebras only.
+    literally reused; only the algebra reference changes.
     """
     if module.algebra is not rmap.target:
         raise IncompatibilityError(
@@ -308,9 +330,8 @@ def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
                         dict(module.actions))
 
 
-def _polynomial_action(module: GradedModule, poly: Polynomial, d: int,
-                       products: dict):
-    """Matrix of a homogeneous polynomial from degree d upward.
+def _polynomial_action(module: GradedModule, poly, d: int, products: dict):
+    """Matrix of a homogeneous polynomials.Polynomial from degree d up.
 
     ``products`` maps each monomial met so far to its matrix out of
     degree d (:func:`_monomial_action`), so polynomials acting from the
@@ -792,10 +813,11 @@ class IndecomposableCatalog:
     by every complex over it: theta_splittings maps (s, y) to the
     splitting of theta_s D_y into entries (homotopy.theta_summands),
     and hom_bases maps (y, z, degree) to a basis of Hom(D_y, D_z) in
-    that degree (homotopy's hom complexes).
+    that degree (hom_basis; homotopy's hom complexes and the base case
+    of induction read it).
     """
 
-    def __init__(self, algebra: CoinvariantAlgebra, entries: dict,
+    def __init__(self, algebra: AlgebraRecord, entries: dict,
                  provenance: dict):
         self.algebra = algebra
         self.entries = entries
@@ -811,12 +833,20 @@ class IndecomposableCatalog:
             raise ConfigurationError(f"{w!r} has no catalog entry")
         return self.entries[w]
 
+    def hom_basis(self, y, z, degree: int) -> list:
+        """A basis of Hom(D_y, D_z) in degree `degree`, solved once."""
+        key = (y, z, degree)
+        if key not in self.hom_bases:
+            self.hom_bases[key] = hom_space(self.entry(y), self.entry(z),
+                                            degree)
+        return self.hom_bases[key]
+
     def __repr__(self):
         return (f'IndecomposableCatalog({self.algebra!r}, '
                 f'{len(self.entries)} entries)')
 
 
-def build_catalog(algebra: CoinvariantAlgebra) -> IndecomposableCatalog:
+def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     """All D_y by increasing length, with Kazhdan-Lusztig validation.
 
     D_y is what is left of C (x)_{C^s} D_{ys} (s a descent) once the

@@ -305,6 +305,46 @@ def test_cache_file_with_broken_entries_exits_three(tmp_path, fresh_process,
     assert 'Traceback' not in err
 
 
+INDW_A1 = ['indw', '--type', 'A', '--rank', '1', '--w', '1']
+
+
+def full_a1_file(cache):
+    return next(path for path in pathlib.Path(cache).iterdir()
+                if path.name.startswith('catalog-A1-I1-'))
+
+
+def test_a_directory_in_place_of_a_cache_file_exits_two(tmp_path,
+                                                       fresh_process, capsys):
+    _built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A1 + ['--cache-dir', cache]) == 0
+    path = full_a1_file(cache)
+    path.unlink()
+    path.mkdir()
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A1 + ['--cache-dir', cache]) == 2
+    err = capsys.readouterr().err
+    assert 'usage error: cannot read cache file' in err
+    assert 'Traceback' not in err
+
+
+def test_a_too_deeply_nested_cache_file_is_rebuilt(tmp_path, fresh_process,
+                                                   capsys):
+    built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A1 + ['--cache-dir', cache]) == 0
+    path = full_a1_file(cache)
+    whole = path.read_text()
+    path.write_text('[' * 200000)
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A1 + ['--cache-dir', cache]) == 0
+    assert 'unreadable cache file' in capsys.readouterr().err
+    assert len(built) == 1
+    assert path.read_text() == whole
+
+
 # ---------------------------------------------------------------------------
 # exit codes and parser plumbing
 

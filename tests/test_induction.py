@@ -21,7 +21,7 @@ from soergelind.induction import (CalibrationRecord, VerificationReport,
                                   calibrate_shift, corpus_groups,
                                   hom_positive_control, induce, induce_all,
                                   induce_module, make_setup, proper_subsets,
-                                  run_group, verify_base_case,
+                                  run_corpus, run_group, verify_base_case,
                                   verify_hom_vanishing, verify_induced_class,
                                   verify_theta_restriction,
                                   verify_wall_crossing, wall_crossing_triples)
@@ -263,6 +263,16 @@ def test_base_case_reports_hom_matrix(a2s1):
     assert report.details['hom_matrix'] == [[1, 0], [1, 1]]
 
 
+def test_base_case_hom_matrices_come_from_the_catalogs(a2s1):
+    # both degree-0 matrices are read through catalog.hom_basis, so the
+    # full catalog shares its solves with the hom complexes over it
+    verify_base_case(a2s1)
+    members = a2s1.parabolic_elements()
+    pairs = {(a, b, 0) for a in members for b in members}
+    assert pairs <= set(a2s1.catalog.hom_bases)
+    assert pairs <= set(a2s1.sub_catalog.hom_bases)
+
+
 def test_base_case_splits_one_pair_per_side(monkeypatch):
     # each side of infl(D^I_x) = D_x is offered D_x alone, so every
     # member costs one split pair per side and no other entry is tried
@@ -343,6 +353,32 @@ def test_corpus_groups_layout():
     assert len(full) == 3 + 3 + 7
     with pytest.raises(ConfigurationError):
         corpus_groups('everything')
+
+
+def test_jobs_start_no_more_workers_than_groups(monkeypatch):
+    # the pool records its size and runs nothing, so no process starts
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [{} for _ in tasks]
+
+    monkeypatch.setattr(concurrent.futures, 'ProcessPoolExecutor',
+                        RecordingPool)
+    for scope, jobs in (('quick', 3), ('quick', 64), ('full', 64)):
+        assert run_corpus(scope, jobs, checks=('base',)) == {'base': []}
+    # the quick corpus has 4 groups, the full one 13
+    assert sizes == [3, 4, 13]
 
 
 def test_run_group_counts_and_statuses():

@@ -12,7 +12,7 @@ import pytest
 
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
-from soergelind.errors import InternalCheckError
+from soergelind.errors import ConfigurationError, InternalCheckError
 from soergelind.serialize import (catalog_cache_path, catalog_from_json,
                                   catalog_to_json, content_key, dump_json,
                                   fraction_from_str, fraction_to_str,
@@ -167,6 +167,14 @@ def test_cache_file_with_broken_entries_fails_validation(tmp_path,
     dump_json(data, path)
     with pytest.raises(InternalCheckError):
         load_cached_catalog(catalog.algebra, str(tmp_path))
+
+
+def test_a_cache_dir_that_cannot_be_written_is_a_configuration_error(
+        tmp_path):
+    blocker = tmp_path / 'file'
+    blocker.write_text('')
+    with pytest.raises(ConfigurationError, match='cannot store cache file'):
+        store_catalog(fresh_catalog('A', 1), str(blocker))
 
 
 def test_dump_json_failure_keeps_the_old_file(tmp_path):

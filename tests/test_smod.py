@@ -17,13 +17,15 @@ from soergelind import coinvariants
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
 from soergelind import exactla, smod
-from soergelind.errors import ConfigurationError, InternalCheckError
+from soergelind.errors import (ConfigurationError, IncompatibilityError,
+                               InternalCheckError)
 from soergelind.exactla import (identity as id_matrix, invert,
                                 is_zero_matrix, mat_mul, mat_scale, nullspace)
 from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
 from soergelind.homotopy import theta_summands
 from soergelind.laurent import LaurentPoly
-from soergelind.smod import (GradedModule, ModuleMap, bott_samelson,
+from soergelind.smod import (AlgebraRecord, GradedModule, ModuleMap,
+                             RestrictionMap, bott_samelson,
                              build_catalog, decompose, direct_sum, end_space,
                              hom_space, induce_frobenius, is_isomorphic,
                              restrict_module, trivial_module,
@@ -206,6 +208,25 @@ def test_catalog_has_one_entry_per_element():
             entry = catalog.entry(y)
             assert entry.bottom_degree() == 0
             assert len(end_space(entry)) == 1
+
+
+def test_catalog_hom_basis_solves_each_key_once(monkeypatch):
+    catalog = build_catalog(algebra('A', 2))  # its own, empty hom_bases
+    rs = catalog.algebra.root_system
+    s1, e = word_el(rs, 1), rs.identity
+    degrees = []
+    solve = smod.hom_space
+
+    def counted(source, target, degree):
+        degrees.append(degree)
+        return solve(source, target, degree)
+
+    monkeypatch.setattr(smod, 'hom_space', counted)
+    quotient = catalog.hom_basis(s1, e, 0)
+    assert catalog.hom_basis(s1, e, 0) is quotient
+    assert len(quotient) == 1 and catalog.hom_basis(e, s1, 0) == []
+    assert degrees == [0, 0]
+    assert set(catalog.hom_bases) == {(s1, e, 0), (e, s1, 0)}
 
 
 def test_catalog_literal_dims_a2():
@@ -558,3 +579,20 @@ def test_restricted_catalog_entries_keep_dimensions():
         inflated = restrict_module(rmap, entry)
         assert inflated.graded_dims == entry.graded_dims
         verify_relations(inflated)
+
+
+def test_restriction_map_needs_one_root_system_and_a_parabolic_target():
+    rs = group('A', 2)
+    full = AlgebraRecord(rs, (0, 1))
+    sub = AlgebraRecord(rs, (1,))
+    rmap = RestrictionMap(full, sub)
+    assert rmap.source is full and rmap.target is sub
+    # an equal root system built separately is still another one
+    for target in (AlgebraRecord(RootSystem('A', 2), (0,)),
+                   AlgebraRecord(group('B', 2), (0,))):
+        with pytest.raises(IncompatibilityError):
+            RestrictionMap(full, target)
+    with pytest.raises(IncompatibilityError):
+        RestrictionMap(AlgebraRecord(rs, (0,)), AlgebraRecord(rs, (1,)))
+    with pytest.raises(IncompatibilityError):
+        RestrictionMap(AlgebraRecord(rs, (0,)), full)
