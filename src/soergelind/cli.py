@@ -22,7 +22,6 @@ from .coxeter import RootSystem, build_root_system, build_parabolic
 from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
 from .hecke import kl_basis
-from .homotopy import k0_class
 from .induction import (CALIBRATION_SYSTEMS, DEFAULT_RECORD, calibrate_shift,
                         make_setup, induce, verify_induced_class, run_corpus)
 from .serialize import dump_json

@@ -47,8 +47,8 @@ from .errors import (ConfigurationError, IncompatibilityError,
 from .exactla import invert, solve_matrix, sparse_nullspace, zeros
 from .hecke import HeckeElement, kl_basis, wall_crossing_summands
 from .laurent import LaurentPoly
-from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, decompose,
-                   direct_sum, induce_frobenius)
+from .smod import (GradedModule, IndecomposableCatalog, ModuleMap,
+                   _split_pair, decompose, direct_sum, induce_frobenius)
 
 __all__ = [
     'FormalComplex', 'one_term_complex', 'complex_from_module',
@@ -224,20 +224,54 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     Returns (theta_module, pieces) where pieces is a list of
     (z, shift, incl, proj): incl is a degree-(shift) map D_z ->
     theta_module and proj its one-sided inverse of degree -shift.  The
-    summands are the ones b_y b_s predicts, in its order; each is
-    peeled as a certified split pair, and nothing may be left over.
-    The result is kept in the catalog's theta_splittings.
+    summands are the ones b_y b_s predicts, in its order, and nothing
+    may be left over.  Each is peeled as a certified split pair, the
+    way build_catalog splits theta_s D_y (and keeps the splitting) when
+    it builds D_ys: if s is an ascent of y, every predicted summand but
+    D_ys<0> is peeled first, and what is left must have the graded
+    dimensions of D_ys.  When its action matrices also equal those of
+    the entry, the identity is the isomorphism and its inclusion and
+    projection are the split pair; otherwise a split pair of hom-basis
+    maps between the two is solved.  If s is a descent, the predicted
+    summands are peeled in order.  The result is kept in the catalog's
+    theta_splittings.
     """
     cache = catalog.theta_splittings
     key = (s, y)
     if key in cache:
         return cache[key]
     theta = induce_frobenius(s, catalog.entry(y))
-    pieces = decompose(theta, catalog.entries, wall_crossing_summands(y, s))
-    if pieces and pieces[-1][0] is None:
-        raise InternalCheckError(
-            f"theta_s{s + 1} D_{y!r} has a summand with graded character "
-            f"{pieces[-1][2].source.graded_dims} beyond b_y b_s")
+    predicted = wall_crossing_summands(y, s)
+    if y.has_right_descent(s):
+        pieces = decompose(theta, catalog.entries, predicted)
+        if pieces and pieces[-1][0] is None:
+            raise InternalCheckError(
+                f"theta_s{s + 1} D_{y!r} has a summand with graded "
+                f"character {pieces[-1][2].source.graded_dims} beyond "
+                f"b_y b_s")
+    else:
+        ys = y * y.root_system.simple_reflection(s)
+        entry = catalog.entry(ys)
+        pieces = decompose(theta, catalog.entries,
+                           [t for t in predicted if t != (ys, 0)])
+        if not pieces or pieces[-1][:2] != (None, 0) \
+                or pieces[-1][2].source.graded_dims != entry.graded_dims:
+            raise InternalCheckError(
+                f"theta_s{s + 1} D_{y!r} leaves no D_{ys!r}<0> once the "
+                f"other summands of b_y b_s are peeled")
+        _none, _k, incl, proj = pieces.pop()
+        rest = incl.source
+        if rest.actions == entry.actions:
+            incl = ModuleMap(entry, theta, 0, incl.blocks)
+            proj = ModuleMap(theta, entry, 0, proj.blocks)
+        else:
+            pair = _split_pair(rest, entry, 0)
+            if pair is None:
+                raise InternalCheckError(
+                    f"predicted summand D_{ys!r}<0> does not split off "
+                    f"theta_s{s + 1} D_{y!r}")
+            incl, proj = incl.compose(pair[0]), pair[1].compose(proj)
+        pieces.insert(predicted.index((ys, 0)), (ys, 0, incl, proj))
     cache[key] = (theta, pieces)
     return cache[key]
 

@@ -113,13 +113,18 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
 
 
 def content_key(rs, subset) -> str:
-    import hashlib  # loads OpenSSL, which only cache file names need
+    # the builtin SHA-256 (named _sha2 from Python 3.12) spares a query
+    # the OpenSSL library that hashlib loads
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     payload = json.dumps({
         'family': rs.cartan_type, 'rank': rs.rank,
         'cartan': [list(row) for row in rs.cartan],
         'parabolic': sorted(subset),
     }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]
 
 
 def catalog_cache_path(cache_dir: str, rs, subset) -> str:

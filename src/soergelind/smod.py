@@ -22,7 +22,8 @@ The workhorses are:
     by trying catalog entries at the bottom degree of what is left.
   * build_catalog -- the indecomposable modules D_y, one per group
     element: D_y is what is left of C (x)_{C^s} D_{ys} once the
-    predicted shorter summands are peeled off.  Each entry is
+    predicted shorter summands are peeled off, and that splitting is
+    kept for the wall-crossings of complexes.  Each entry is
     validated against the Kazhdan-Lusztig base: the graded character
     of D_y must equal the intersection-cohomology Poincare polynomial
     computed from the coefficients of b_y.
@@ -811,10 +812,11 @@ class IndecomposableCatalog:
 
     The catalog also owns what is computed from its entries and reused
     by every complex over it: theta_splittings maps (s, y) to the
-    splitting of theta_s D_y into entries (homotopy.theta_summands),
-    and hom_bases maps (y, z, degree) to a basis of Hom(D_y, D_z) in
-    that degree (hom_basis; homotopy's hom complexes and the base case
-    of induction read it).
+    splitting of theta_s D_y into entries (homotopy.theta_summands;
+    build_catalog keeps the splittings it builds the entries from), and
+    hom_bases maps (y, z, degree) to a basis of Hom(D_y, D_z) in that
+    degree (hom_basis; homotopy's hom complexes and the base case of
+    induction read it).
     """
 
     def __init__(self, algebra: AlgebraRecord, entries: dict,
@@ -854,13 +856,16 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     checks on every entry: it is what is left in bottom degree 0, its
     degree-0 endomorphisms are the scalars, its graded dimensions equal
     the Kazhdan-Lusztig prediction, and the invariant ideal kills it.
-    Every call builds afresh; induction keeps and caches the result.
+    The splitting of C (x)_{C^s} D_{ys}, with D_y as its summand in
+    degree 0, is kept in the catalog's theta_splittings under (s, ys),
+    in the order and form homotopy.theta_summands gives.  Every call
+    builds afresh; induction keeps and caches the result.
     """
     rs = algebra.root_system
     members = [w for w in rs.elements if set(w.word) <= set(algebra.subset)]
     members.sort(key=lambda w: (w.length, w.word))
-    entries: dict = {}
-    provenance: dict = {}
+    catalog = IndecomposableCatalog(algebra, {}, {})
+    entries, provenance = catalog.entries, catalog.provenance
     for w in members:
         if w.length == 0:
             entries[w] = trivial_module(algebra)
@@ -868,17 +873,18 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
             continue
         i = w.right_descents()[0]
         shorter = w * rs.simple_reflection(i)
-        peeled = wall_crossing_summands(shorter, i)
-        if (w, 0) not in peeled:
+        predicted = wall_crossing_summands(shorter, i)
+        if (w, 0) not in predicted:
             raise InternalCheckError(
                 f"b_{shorter!r} b_s{i + 1} does not contain b_{w!r}")
-        peeled.remove((w, 0))
-        pieces = decompose(induce_frobenius(i, entries[shorter]), entries,
-                           peeled)
+        peeled = [t for t in predicted if t != (w, 0)]
+        theta = induce_frobenius(i, entries[shorter])
+        pieces = decompose(theta, entries, peeled)
         if len(pieces) != len(peeled) + 1 or pieces[-1][:2] != (None, 0):
             raise InternalCheckError(
                 f"peeling for {w!r} leaves no summand in degree 0")
-        d_w = pieces[-1][2].source
+        _none, _k, rest_incl, rest_proj = pieces.pop()
+        d_w = rest_incl.source
         if len(end_space(d_w)) != 1:
             raise InternalCheckError(
                 f"the module left for {w!r} is decomposable")
@@ -889,8 +895,10 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
                 f"Kazhdan-Lusztig predicts {expected}")
         verify_relations(d_w)
         entries[w] = d_w
+        pieces.insert(predicted.index((w, 0)), (w, 0, rest_incl, rest_proj))
+        catalog.theta_splittings[(i, shorter)] = (theta, pieces)
         provenance[w] = {
             'built_from': (shorter, i),
             'peeled': sorted(((z.word, k) for z, k in peeled)),
         }
-    return IndecomposableCatalog(algebra, entries, provenance)
+    return catalog

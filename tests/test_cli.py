@@ -87,6 +87,19 @@ def test_a_warm_query_imports_no_coinvariant_algebra(tmp_path):
     assert run_python(query).splitlines()[-1] == '0 []'
 
 
+def test_a_warm_query_loads_no_openssl_hash(tmp_path):
+    # cache file names need SHA-256 only, which the builtin _sha256
+    # gives without the OpenSSL library behind hashlib
+    pytest.importorskip('_sha256')
+    argv = INDW_A2 + ['--cache-dir', str(tmp_path)]
+    query = ('import sys; from soergelind.cli import main; '
+             f'code = main({argv!r}); '
+             "print(code, '_hashlib' in sys.modules)")
+    assert run_python(query).splitlines()[-1] == '0 False'
+    assert list(tmp_path.glob('catalog-*.json'))
+    assert run_python(query).splitlines()[-1] == '0 False'
+
+
 def test_no_module_imports_random():
     # every isomorphism is decided by a deterministic test; none is
     # searched for by random draws

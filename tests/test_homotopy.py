@@ -27,7 +27,13 @@ from soergelind.homotopy import (FormalComplex, _coords_in_basis,
                                  one_term_complex, tensor_rouquier,
                                  theta_complex)
 from soergelind.laurent import LaurentPoly
-from soergelind.smod import ModuleMap, build_catalog, direct_sum, end_space
+from soergelind import homotopy
+from soergelind.hecke import wall_crossing_summands
+from soergelind.homotopy import theta_summands
+from soergelind.serialize import load_cached_catalog, store_catalog
+from soergelind.smod import (GradedModule, IndecomposableCatalog, ModuleMap,
+                             build_catalog, direct_sum, end_space)
+from soergelind.smod import _split_pair as split_pair
 
 V = LaurentPoly({1: 1})
 
@@ -211,6 +217,100 @@ def test_theta_acts_degreewise():
         n = sum(cpx.term_module(i)[0].graded_dims.values())
         m = sum(crossed.term_module(i)[0].graded_dims.values())
         assert m == 2 * n
+
+
+# ---------------------------------------------------------------------------
+# theta splittings: kept by the catalog build, reproduced after a reload
+
+
+def assert_split(catalog, theta, pieces):
+    total = ModuleMap.zero(theta, theta, 0)
+    for z, _k, incl, proj in pieces:
+        entry = catalog.entry(z)
+        assert incl.source is entry and proj.target is entry
+        assert incl.target is theta and proj.source is theta
+        assert proj.compose(incl) == ModuleMap.identity(entry)
+        total = total + incl.compose(proj)
+    assert total == ModuleMap.identity(theta)
+
+
+def no_split_pair(*args):
+    raise AssertionError("a seeded splitting needs no split-pair solve")
+
+
+@pytest.mark.parametrize('family,rank',
+                         [('A', 2), ('B', 2), ('G', 2), ('A', 3)])
+def test_a_reloaded_catalog_splits_theta_as_the_build_did(
+        family, rank, tmp_path, monkeypatch):
+    rs = RootSystem(family, rank)
+    cold = build_catalog(build_coinvariants(rs, tuple(range(rank))))
+    # one splitting per entry but the identity
+    assert len(cold.theta_splittings) == len(cold.entries) - 1
+    store_catalog(cold, str(tmp_path))
+    warm = load_cached_catalog(cold.algebra, str(tmp_path))
+    assert not warm.theta_splittings
+    monkeypatch.setattr(homotopy, '_split_pair', no_split_pair)
+    for (s, y), (theta, pieces) in cold.theta_splittings.items():
+        assert_split(cold, theta, pieces)
+        assert [(z, k) for z, k, _i, _p in pieces] == \
+            wall_crossing_summands(y, s)
+        _theta, again = theta_summands(warm, s, y)
+        assert [(z, k) for z, k, _i, _p in again] == \
+            [(z, k) for z, k, _i, _p in pieces], (s, y)
+        for (_z, k, incl, proj), (_z2, _k2, incl2, proj2) in zip(
+                pieces, again):
+            assert (incl2.degree, incl2.blocks) == (k, incl.blocks)
+            assert (proj2.degree, proj2.blocks) == (-k, proj.blocks)
+
+
+def rescaled(module):
+    """module in the basis 2^(d/2) e of each degree d: isomorphic to it,
+    with every nonzero action entry doubled."""
+    return GradedModule(module.algebra, module.graded_dims,
+                        {key: [[2 * x for x in row] for row in m]
+                         for key, m in module.actions.items()})
+
+
+def with_entry(catalog, w, module):
+    entries = dict(catalog.entries)
+    entries[w] = module
+    return IndecomposableCatalog(catalog.algebra, entries, {})
+
+
+def test_a_rebased_entry_is_split_through_a_solved_pair(monkeypatch):
+    catalog = catalog_of('B', 2)
+    rs = catalog.algebra.root_system
+    calls = []
+
+    def counted(module, entry, k):
+        calls.append(k)
+        return split_pair(module, entry, k)
+
+    monkeypatch.setattr(homotopy, '_split_pair', counted)
+    ascents = [(s, y) for y in catalog.elements() for s in range(rs.rank)
+               if not y.has_right_descent(s)]
+    assert ascents
+    for s, y in ascents:
+        ys = y * rs.simple_reflection(s)
+        other = with_entry(catalog, ys, rescaled(catalog.entry(ys)))
+        del calls[:]
+        theta, pieces = theta_summands(other, s, y)
+        assert calls == [0], (s, y)
+        assert [(z, k) for z, k, _i, _p in pieces] == \
+            wall_crossing_summands(y, s)
+        assert_split(other, theta, pieces)
+
+
+def test_an_entry_that_does_not_split_off_theta_is_refused():
+    catalog = catalog_of('B', 2)
+    rs = catalog.algebra.root_system
+    y, s = word_el(rs, 1, 2), 0
+    ys = y * rs.simple_reflection(s)
+    assert len(wall_crossing_summands(y, s)) == 2
+    # the same graded dimensions, every variable acting by zero
+    flat = GradedModule(catalog.algebra, catalog.entry(ys).graded_dims, {})
+    with pytest.raises(InternalCheckError, match='does not split off'):
+        theta_summands(with_entry(catalog, ys, flat), s, y)
 
 
 # ---------------------------------------------------------------------------
