@@ -66,10 +66,11 @@ class FormalComplex:
     to the component ModuleMap from terms[i][col] to terms[i+1][row],
     stored between unshifted entries with degree shift_col - shift_row.
     The constructor drops empty terms and zero components and validates
-    every complex it builds, d^2 = 0 included.
+    every complex it builds, d^2 = 0 included.  Nothing changes a
+    complex after that, so k0_class keeps its class on it.
     """
 
-    __slots__ = ('catalog', 'terms', 'diffs')
+    __slots__ = ('catalog', 'terms', 'diffs', '_k0')
 
     def __init__(self, catalog: IndecomposableCatalog, terms: dict,
                  diffs: dict):
@@ -85,6 +86,7 @@ class FormalComplex:
             if keep:
                 self.diffs[i] = keep
         self._validate()
+        self._k0 = None  # the K_0 class, once k0_class computes it
 
     def _validate(self):
         for i, comps in self.diffs.items():
@@ -563,6 +565,8 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
     the first singular Schubert class, where an off-center summand pair
     survives minimization.
     """
+    if cpx._k0 is not None:
+        return cpx._k0
     rs = cpx.catalog.algebra.root_system
     # the signed powers of v collected per y, so each b_y is added once
     coeffs: dict = {}
@@ -576,6 +580,7 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
     total = HeckeElement(rs, {})
     for y, powers in coeffs.items():
         total = total + kl_basis(y).scale(LaurentPoly(powers))
+    cpx._k0 = total
     return total
 
 

@@ -141,7 +141,8 @@ class InductionSetup:
     """A root system with a chosen parabolic subset and both catalogs.
 
     induced maps (x, w) to the minimized complex ind_w D^I_x; it is
-    filled by induce.
+    filled by induce.  admissible lists the coset representatives with
+    an admissible chain, found by admissible_reps on first use.
     """
 
     def __init__(self, family: str, rank: int, subset, cache_dir=None):
@@ -161,6 +162,7 @@ class InductionSetup:
         self.datum = build_parabolic(rs, self.subset)
         self.rmap = RestrictionMap(self.algebra, self.sub_algebra)
         self.induced: dict = {}
+        self.admissible: list | None = None
 
     def parabolic_elements(self) -> list[WeylElement]:
         return sorted(self.datum.elements_WI,
@@ -168,6 +170,14 @@ class InductionSetup:
 
     def coset_reps(self) -> list[WeylElement]:
         return sorted(self.datum.min_reps, key=lambda u: (u.length, u.word))
+
+    def admissible_reps(self) -> list[WeylElement]:
+        """The coset representatives with an admissible chain, in
+        coset_reps order, resolved once."""
+        if self.admissible is None:
+            self.admissible = [w for w in self.coset_reps()
+                               if admissible_chain(self.datum, w) is not None]
+        return self.admissible
 
     def instance(self, **extra) -> dict:
         base = {'family': self.family, 'rank': self.rank,
@@ -676,21 +686,15 @@ def corpus_groups(scope: str = 'full') -> list[tuple]:
 
 
 def induced_class_instances(setup: InductionSetup) -> list[tuple]:
-    out = []
-    for x in setup.parabolic_elements():
-        for w in setup.coset_reps():
-            if admissible_chain(setup.datum, w) is not None:
-                out.append((x, w))
-    return out
+    return [(x, w) for x in setup.parabolic_elements()
+            for w in setup.admissible_reps()]
 
 
 def wall_crossing_triples(setup: InductionSetup) -> list[tuple]:
     """(x, w, s) with w admissible, ws a longer minimal representative."""
     out = []
     for x in setup.parabolic_elements():
-        for w in setup.coset_reps():
-            if admissible_chain(setup.datum, w) is None:
-                continue
+        for w in setup.admissible_reps():
             for s in range(setup.rs.rank):
                 ws = w * setup.rs.simple_reflection(s)
                 if ws.length > w.length and setup.datum.is_min_rep(ws):

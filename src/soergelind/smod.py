@@ -101,15 +101,28 @@ class AlgebraRecord:
         return f'AlgebraRecord({self.root_system!r}, {{{gens}}})'
 
 
+def _integer_form(m) -> tuple:
+    den = lcm(*{v.denominator for row in m for v in row if v})
+    rows = [[(k, v.numerator * (den // v.denominator))
+             for k, v in enumerate(row) if v] for row in m]
+    cols = [[] for _ in m[0]]
+    for r, row in enumerate(rows):
+        for k, v in row:
+            cols[k].append((r, v))
+    return den, rows, cols
+
+
 class GradedModule:
     """Evenly graded module given by dimensions and generator actions.
 
     actions maps (variable index, source degree) to the matrix of
     multiplication by that variable from degree d to degree d + 2;
     matrices for zero-dimensional source or target are omitted.
+    Nothing changes actions after the constructor, so their integer
+    form (_integer_actions) is kept from its first use on.
     """
 
-    __slots__ = ('algebra', 'graded_dims', 'actions')
+    __slots__ = ('algebra', 'graded_dims', 'actions', '_integer')
 
     def __init__(self, algebra: AlgebraRecord, graded_dims: dict,
                  actions: dict):
@@ -137,6 +150,19 @@ class GradedModule:
                     f"action matrix for variable {i} at degree {d} "
                     f"has wrong shape")
             self.actions[(i, d)] = m
+        self._integer = None  # built on first use
+
+    def _integer_actions(self) -> dict:
+        """(i, d) -> (den, rows, cols) for each stored action.
+
+        den is the lcm of the matrix's denominators; rows and cols list
+        the nonzero entries of den times the matrix, as (index, int)
+        pairs, by row and by column.
+        """
+        if self._integer is None:
+            self._integer = {key: _integer_form(m)
+                             for key, m in self.actions.items()}
+        return self._integer
 
     def dim_at(self, d: int) -> int:
         return self.graded_dims.get(d, 0)
@@ -379,8 +405,41 @@ def _monomial_action(module: GradedModule, mono: tuple, d: int,
     return m
 
 
+def _degree_sets(module: GradedModule) -> tuple:
+    """(generator degrees, socle degrees) of a module, decided exactly.
+
+    d is a generator degree when the images x_j M_{d-2} do not span
+    M_d, that is when the columns of the x_j out of degree d - 2, taken
+    as rows, leave a kernel on M_d; d is a socle degree when the rows
+    of the x_j out of degree d leave one, some nonzero vector of M_d
+    killed by every x_j.  sparse_nullspace decides each exactly, and a
+    full rank ends its elimination early.
+    """
+    acts = module._integer_actions()
+    n = module.algebra.root_system.rank
+    generators, socle = set(), set()
+    for d, dim in module.graded_dims.items():
+        for found, source, part in ((generators, d - 2, 2), (socle, d, 1)):
+            rows = [dict(v) for i in range(n) if (i, source) in acts
+                    for v in acts[(i, source)][part] if v]
+            if len(rows) < dim or sparse_nullspace(rows, dim):
+                found.add(d)
+    return frozenset(generators), frozenset(socle)
+
+
 def verify_relations(module: GradedModule) -> None:
-    """Assert commutativity and that the invariant ideal acts by zero."""
+    """Assert commutativity and that the invariant ideal acts by zero.
+
+    Commutativity is checked in every degree, the invariants only out
+    of the generator degrees (_degree_sets).  That certifies the
+    same: once the variables commute, an invariant f that kills M_{d-2}
+    kills every x_j M_{d-2}, and those span each degree that is not a
+    generator degree.
+    """
+    _check_relations(module, _degree_sets(module)[0])
+
+
+def _check_relations(module: GradedModule, generator_degrees) -> None:
     alg = module.algebra
     n = alg.root_system.rank
     for d in module.degrees():
@@ -395,7 +454,7 @@ def verify_relations(module: GradedModule) -> None:
                     raise InternalCheckError(
                         f"variables x{i + 1}, x{j + 1} fail to commute "
                         f"at degree {d}")
-    for d in module.degrees():
+    for d in sorted(generator_degrees):
         products: dict = {}
         for f in alg.fundamental_invariants:
             m = _polynomial_action(module, f, d, products)
@@ -516,66 +575,65 @@ def hom_space(source: GradedModule, target: GradedModule,
 
     The intertwining conditions over all variables form one sparse
     homogeneous system in the block entries; its kernel basis is
-    returned as maps.  The equations of one (variable, degree) block
-    are multiplied by the lcm of the denominators of its two action
-    matrices, so :func:`sparse_nullspace` receives integer rows; a
-    nonzero factor per equation leaves the kernel as it is.
-    Deterministic: variables and equations are enumerated in a fixed
-    order.
+    returned as maps.  The unknowns are numbered block by block, in
+    increasing source degree: entry (r, c) of block d is
+    base[d] + r * cols + c.  The equations are assembled from each
+    module's integer actions (GradedModule._integer_actions), the
+    equations of one (variable, degree) pair multiplied by the
+    denominators of both actions, so :func:`sparse_nullspace` receives
+    integer rows; a nonzero factor per equation leaves the kernel, and
+    so the basis, as it is.  Deterministic: unknowns and equations are
+    enumerated in a fixed order.
     """
     if source.algebra is not target.algebra:
         raise IncompatibilityError("hom requires a common algebra")
-    var_index: dict[tuple, int] = {}
+    base, nvars = {}, 0
     for d in source.degrees():
-        rows = target.dim_at(d + degree)
-        cols = source.dim_at(d)
-        for r in range(rows):
-            for c in range(cols):
-                var_index[(d, r, c)] = len(var_index)
-    nvars = len(var_index)
+        base[d] = nvars
+        nvars += target.dim_at(d + degree) * source.dim_at(d)
+    xs, xt = source._integer_actions(), target._integer_actions()
     eqs: list[dict] = []
     n = source.algebra.root_system.rank
     for i in range(n):
         for d in source.degrees():
-            xn = target.action(i, d + degree)
-            xm = source.action(i, d)
+            xn = xt.get((i, d + degree))
+            xm = xs.get((i, d))
             rows_out = target.dim_at(d + degree + 2)
+            if not rows_out or (xn is None and xm is None):
+                continue
             cols = source.dim_at(d)
-            mid_m = source.dim_at(d + 2)
             # (x f)[r][c] = sum_k xn[r][k] f_d[k][c] and
             # (f x)[r][c] = sum_k f_{d+2}[r][k] xm[k][c] meet no unknown
             # twice: the first side uses block d, the second block d + 2.
-            # The block's equations are scaled by the lcm of its
-            # denominators, which leaves integer coefficients.
-            den = lcm(*{v.denominator for m in (xn, xm) for row in m
-                        for v in row if v})
-            xn_rows = [[(k, v.numerator * (den // v.denominator))
-                        for k, v in enumerate(row) if v] for row in xn]
-            xm_cols = [[(k, -v.numerator * (den // v.denominator))
-                        for k, v in enumerate(col) if v]
-                       for col in zip(*xm)] if mid_m else [[]] * cols
+            # Each term is kept as (its unknown at c = 0 or r = 0,
+            # coefficient), the equation scaled by both denominators.
+            den_n, den_m = xn[0] if xn else 1, xm[0] if xm else 1
+            left = [[(base[d] + k * cols, v * den_m) for k, v in row]
+                    for row in xn[1]] if xn else [()] * rows_out
+            if xm:
+                cols_up = source.dim_at(d + 2)
+                right = [[(base[d + 2] + k, -v * den_n) for k, v in col]
+                         for col in xm[2]]
+            else:
+                cols_up, right = 0, [()] * cols
             for r in range(rows_out):
+                up = r * cols_up
                 for c in range(cols):
-                    eq: dict[int, int] = {}
-                    for k, v in xn_rows[r]:
-                        idx = var_index.get((d, k, c))
-                        if idx is not None:
-                            eq[idx] = v
-                    for k, v in xm_cols[c]:
-                        idx = var_index.get((d + 2, r, k))
-                        if idx is not None:
-                            eq[idx] = v
+                    eq = {idx + c: v for idx, v in left[r]}
+                    for idx, v in right[c]:
+                        eq[idx + up] = v
                     if eq:
                         eqs.append(eq)
     kernel = sparse_nullspace(eqs, nvars)
     maps = []
     for vec in kernel:
         blocks: dict[int, list] = {}
-        for (d, r, c), idx in var_index.items():
-            if vec[idx]:
-                block = blocks.setdefault(
-                    d, zeros(target.dim_at(d + degree), source.dim_at(d)))
-                block[r][c] = vec[idx]
+        for d, start in base.items():
+            rows, cols = target.dim_at(d + degree), source.dim_at(d)
+            seg = vec[start:start + rows * cols]
+            if any(seg):
+                blocks[d] = [seg[r * cols:(r + 1) * cols]
+                             for r in range(rows)]
         maps.append(ModuleMap(source, target, degree, blocks))
     return maps
 
@@ -816,7 +874,9 @@ class IndecomposableCatalog:
     build_catalog keeps the splittings it builds the entries from), and
     hom_bases maps (y, z, degree) to a basis of Hom(D_y, D_z) in that
     degree (hom_basis; homotopy's hom complexes and the base case of
-    induction read it).
+    induction read it), and degree_sets maps y to the generator and
+    socle degrees of D_y (entry_degrees), which let hom_basis answer a
+    space that vanishes for degree reasons without solving it.
     """
 
     def __init__(self, algebra: AlgebraRecord, entries: dict,
@@ -826,6 +886,7 @@ class IndecomposableCatalog:
         self.provenance = provenance
         self.theta_splittings: dict = {}
         self.hom_bases: dict = {}
+        self.degree_sets: dict = {}
 
     def elements(self) -> list:
         return sorted(self.entries, key=lambda w: (w.length, w.word))
@@ -835,12 +896,33 @@ class IndecomposableCatalog:
             raise ConfigurationError(f"{w!r} has no catalog entry")
         return self.entries[w]
 
+    def entry_degrees(self, y) -> tuple:
+        """(generator degrees, socle degrees) of D_y, decided once."""
+        sets = self.degree_sets.get(y)
+        if sets is None:
+            sets = self.degree_sets[y] = _degree_sets(self.entry(y))
+        return sets
+
     def hom_basis(self, y, z, degree: int) -> list:
-        """A basis of Hom(D_y, D_z) in degree `degree`, solved once."""
+        """A basis of Hom(D_y, D_z) in degree `degree`, found once.
+
+        The space is [] without a solve when no generator degree g of
+        D_y has (D_z)_{g+degree} nonzero, or no socle degree s of D_z
+        has (D_y)_{s-degree} nonzero: a nonzero map is nonzero on some
+        generator, and the top degree of its image, a nonzero
+        submodule, is killed by every variable, so it lies in the socle
+        of D_z.
+        """
         key = (y, z, degree)
         if key not in self.hom_bases:
-            self.hom_bases[key] = hom_space(self.entry(y), self.entry(z),
-                                            degree)
+            source, target = self.entry(y), self.entry(z)
+            if (any(target.dim_at(g + degree)
+                    for g in self.entry_degrees(y)[0])
+                    and any(source.dim_at(s - degree)
+                            for s in self.entry_degrees(z)[1])):
+                self.hom_bases[key] = hom_space(source, target, degree)
+            else:
+                self.hom_bases[key] = []
         return self.hom_bases[key]
 
     def __repr__(self):
@@ -858,8 +940,10 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     the Kazhdan-Lusztig prediction, and the invariant ideal kills it.
     The splitting of C (x)_{C^s} D_{ys}, with D_y as its summand in
     degree 0, is kept in the catalog's theta_splittings under (s, ys),
-    in the order and form homotopy.theta_summands gives.  Every call
-    builds afresh; induction keeps and caches the result.
+    in the order and form homotopy.theta_summands gives, and the
+    entry's generator and socle degrees, found for the relation check,
+    under w in degree_sets.  Every call builds afresh; induction keeps
+    and caches the result.
     """
     rs = algebra.root_system
     members = [w for w in rs.elements if set(w.word) <= set(algebra.subset)]
@@ -893,8 +977,10 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
             raise InternalCheckError(
                 f"graded character of D_{w!r} is {d_w.graded_dims}, "
                 f"Kazhdan-Lusztig predicts {expected}")
-        verify_relations(d_w)
+        sets = _degree_sets(d_w)
+        _check_relations(d_w, sets[0])
         entries[w] = d_w
+        catalog.degree_sets[w] = sets
         pieces.insert(predicted.index((w, 0)), (w, 0, rest_incl, rest_proj))
         catalog.theta_splittings[(i, shorter)] = (theta, pieces)
         provenance[w] = {

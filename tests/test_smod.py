@@ -214,18 +214,23 @@ def test_catalog_hom_basis_solves_each_key_once(monkeypatch):
     catalog = build_catalog(algebra('A', 2))  # its own, empty hom_bases
     rs = catalog.algebra.root_system
     s1, e = word_el(rs, 1), rs.identity
-    degrees = []
+    solved = []
     solve = smod.hom_space
 
     def counted(source, target, degree):
-        degrees.append(degree)
+        solved.append((source, target, degree))
         return solve(source, target, degree)
 
     monkeypatch.setattr(smod, 'hom_space', counted)
     quotient = catalog.hom_basis(s1, e, 0)
     assert catalog.hom_basis(s1, e, 0) is quotient
     assert len(quotient) == 1 and catalog.hom_basis(e, s1, 0) == []
-    assert degrees == [0, 0]
+    assert catalog.hom_basis(e, s1, 0) == []
+    # the socle of D_s1 sits in degree 2, where D_e is zero, so
+    # Hom^0(D_e, D_s1) is answered by the degree pre-test
+    assert [k for _a, _b, k in solved] == [0]
+    assert (catalog.entry(e), catalog.entry(s1), 0) not in solved
+    assert len(set(solved)) == len(solved)  # each key at most once
     assert set(catalog.hom_bases) == {(s1, e, 0), (e, s1, 0)}
 
 
@@ -509,6 +514,73 @@ def test_hom_respects_shifts():
     n0 = len(hom_space(entry, entry.shift(2), 2))
     n1 = len(hom_space(entry, entry, 0))
     assert n0 == n1
+
+
+def rank_degrees(module):
+    """Generator and socle degrees of a module, from exactla.rank."""
+    n = module.algebra.root_system.rank
+    generators, socle = set(), set()
+    for d, dim in module.graded_dims.items():
+        images = [[x for i in range(n) for x in module.action(i, d - 2)[r]]
+                  for r in range(dim)]
+        if exactla.rank(images) < dim:
+            generators.add(d)
+        kills = [row for i in range(n) for row in module.action(i, d)]
+        if exactla.rank(kills) < dim:
+            socle.add(d)
+    return generators, socle
+
+
+@pytest.mark.parametrize('family,rank',
+                         [('A', 2), ('B', 2), ('G', 2), ('A', 3)])
+def test_degree_pretest_skips_only_empty_hom_spaces(family, rank,
+                                                    monkeypatch):
+    full = catalog_of(family, rank)
+    # the same entries with empty hom_bases and degree_sets
+    catalog = smod.IndecomposableCatalog(full.algebra, full.entries, {})
+    elements = catalog.elements()
+    for y in elements:
+        assert catalog.entry_degrees(y) == rank_degrees(catalog.entry(y))
+    solved = set()
+    solve = smod.hom_space
+
+    def recorded(source, target, degree):
+        solved.add((source, target, degree))
+        return solve(source, target, degree)
+
+    monkeypatch.setattr(smod, 'hom_space', recorded)
+    skipped = 0
+    for y in elements:
+        source = catalog.entry(y)
+        for z in elements:
+            target = catalog.entry(z)
+            for k in range(-max(source.graded_dims),
+                           max(target.graded_dims) + 1, 2):
+                basis = catalog.hom_basis(y, z, k)
+                if (source, target, k) not in solved:
+                    skipped += 1
+                    assert basis == [] and solve(source, target, k) == []
+    assert skipped
+
+
+@pytest.mark.parametrize('family,rank', [('A', 2), ('B', 2), ('G', 2)])
+def test_hom_dimensions_match_soergels_hom_formula(family, rank):
+    """dim Hom^k(D_x, D_y) is the coefficient of v^(k + l(x) - l(y)) in
+    sum over z of h_{z,x} h_{z,y}, read from the Kazhdan-Lusztig basis
+    alone (Soergel, J. Inst. Math. Jussieu 6 (2007))."""
+    catalog = catalog_of(family, rank)
+    elements = catalog.elements()
+    top = 2 * max(w.length for w in elements) + 2
+    for x in elements:
+        hx = kl_basis(x).terms
+        for y in elements:
+            hy = kl_basis(y).terms
+            pairing = LaurentPoly({})
+            for z in hx.keys() & hy.keys():
+                pairing = pairing + hx[z] * hy[z]
+            for k in range(-top, top + 1, 2):
+                want = pairing.terms.get(k + x.length - y.length, 0)
+                assert len(catalog.hom_basis(x, y, k)) == want, (x, y, k)
 
 
 # ---------------------------------------------------------------------------
