@@ -108,13 +108,14 @@ def _positive_int(text: str) -> int:
 
 def cmd_group(args) -> int:
     rs = build_root_system(args.type, args.rank)
+    subset = (None if args.parabolic is None
+              else _parse_parabolic(args.parabolic, rs.rank))
     print(f'W({args.type}{args.rank}): {len(rs.elements)} elements')
     lengths = sorted(w.length for w in rs.elements)
     print(f'lengths: {lengths}')
     longest = max(rs.elements, key=lambda w: w.length)
     print(f'longest element: {_word_str(longest)}')
-    if args.parabolic is not None:
-        subset = _parse_parabolic(args.parabolic, rs.rank)
+    if subset is not None:
         datum = build_parabolic(rs, subset)
         reps = sorted(datum.min_reps, key=lambda u: (u.length, u.word))
         label = ','.join(str(i + 1) for i in subset) or 'empty'

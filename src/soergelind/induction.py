@@ -31,9 +31,11 @@ The grading dictionary between module shifts and powers of v is not a
 matter of taste: exactly one shift exponent in {-2, 0, 2} admits a
 genuine module map as the vertical differential of the two-term tensor
 complex and reproduces v.H_s on K_0.  calibrate_shift finds it by
-exhaustive grid search (the overall sign is a gauge; both choices give
-isomorphic complexes, which homotopy.complexes_isomorphic confirms
-deterministically, and the positive one is fixed by convention).
+exhaustive grid search (the overall sign is a gauge: the two choices
+differ only by the sign of d^{-1}, and the positive one is fixed by
+convention).  Inflation sends D^I_x to D_x, so ind_w D^I_x does not
+depend on I: induced complexes are stored once per root system, keyed
+by (x, chain prefix).
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ from .errors import (CalibrationError, ConfigurationError,
 from .exactla import identity
 from .hecke import HeckeElement, hecke_standard, kl_basis, predicted_class
 from .homotopy import (FormalComplex, complex_from_module,
-                       complexes_isomorphic, gaussian_eliminate,
-                       hom_complex_vanishing, k0_class, one_term_complex,
-                       tensor_rouquier, theta_complex)
+                       gaussian_eliminate, hom_complex_vanishing, k0_class,
+                       one_term_complex, tensor_rouquier, theta_complex)
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
@@ -109,21 +110,26 @@ def _provide_catalog(algebra, cache_dir,
 
 
 class _FullSide:
-    """A root system, its full coinvariant algebra and catalog.
+    """A root system, its full coinvariant algebra, catalog and induced
+    complexes.
 
     Calibration and every parabolic setup over the root system share
     it, so the full catalog, its theta splittings and its hom bases are
     made once per process; setups maps a sorted subset to its setup.
     The algebra is an AlgebraRecord: building the catalog builds and
     certifies the coinvariant algebra once, and loading the catalog
-    from the cache builds none.
+    from the cache builds none.  induced maps (x, chain prefix) to the
+    minimized complex ind D^I_x along that prefix, the same for every
+    subset I with x in W_I; it is filled by induce.
     """
 
     def __init__(self, family: str, rank: int):
+        self.family, self.rank = family, rank
         self.rs = build_root_system(family, rank)
         self.algebra = AlgebraRecord(self.rs, range(self.rs.rank))
         self.catalog: IndecomposableCatalog | None = None
         self.setups: dict = {}
+        self.induced: dict = {}
 
 
 _SYSTEMS: dict = {}
@@ -138,31 +144,28 @@ def _full_side(family: str, rank: int, cache_dir=None) -> _FullSide:
 
 
 class InductionSetup:
-    """A root system with a chosen parabolic subset and both catalogs.
+    """A parabolic subset of a root system, with both catalogs.
 
-    induced maps (x, w) to the minimized complex ind_w D^I_x; it is
-    filled by induce.  admissible lists the coset representatives with
-    an admissible chain, found by admissible_reps on first use.
+    side is the root system's _FullSide, which owns the full catalog
+    and the induced complexes.  chains maps w to its least admissible
+    chain, or to None when w has none; least_chain fills it.
     """
 
-    def __init__(self, family: str, rank: int, subset, cache_dir=None):
-        self.family = family
-        self.rank = rank
+    def __init__(self, side: _FullSide, subset, cache_dir=None):
+        self.side = side
+        self.family, self.rank = side.family, side.rank
         self.subset = tuple(sorted(subset))
-        side = _full_side(family, rank, cache_dir)
-        rs = side.rs
+        rs = self.rs = side.rs
         if not set(self.subset) <= set(range(rs.rank)):
             raise ConfigurationError(
                 f"subset {self.subset} outside the generator range")
-        self.rs = rs
         self.algebra = side.algebra
         self.catalog = side.catalog
         self.sub_algebra = AlgebraRecord(rs, self.subset)
         self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
         self.rmap = RestrictionMap(self.algebra, self.sub_algebra)
-        self.induced: dict = {}
-        self.admissible: list | None = None
+        self.chains: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:
         return sorted(self.datum.elements_WI,
@@ -171,13 +174,17 @@ class InductionSetup:
     def coset_reps(self) -> list[WeylElement]:
         return sorted(self.datum.min_reps, key=lambda u: (u.length, u.word))
 
+    def least_chain(self, w: WeylElement):
+        """The least admissible chain of w, or None; searched once."""
+        if w not in self.chains:
+            self.chains[w] = admissible_chain(self.datum, w)
+        return self.chains[w]
+
     def admissible_reps(self) -> list[WeylElement]:
         """The coset representatives with an admissible chain, in
-        coset_reps order, resolved once."""
-        if self.admissible is None:
-            self.admissible = [w for w in self.coset_reps()
-                               if admissible_chain(self.datum, w) is not None]
-        return self.admissible
+        coset_reps order."""
+        return [w for w in self.coset_reps()
+                if self.least_chain(w) is not None]
 
     def instance(self, **extra) -> dict:
         base = {'family': self.family, 'rank': self.rank,
@@ -201,8 +208,7 @@ def make_setup(family: str, rank: int, subset,
     key = tuple(sorted(subset))
     setup = side.setups.get(key)
     if setup is None:
-        setup = side.setups[key] = InductionSetup(family, rank, key,
-                                                  cache_dir)
+        setup = side.setups[key] = InductionSetup(side, key, cache_dir)
     else:
         _provide_catalog(setup.sub_algebra, cache_dir, setup.sub_catalog)
     return setup
@@ -251,6 +257,15 @@ def _calibrate_on(family: str, rank: int):
     return survivors, outputs
 
 
+def _sign_flipped(plus: FormalComplex, minus: FormalComplex) -> bool:
+    """The same terms, in degrees -1 and 0 only, and each component of
+    d^{-1} in minus is minus the same component in plus."""
+    d_plus, d_minus = plus.diffs.get(-1, {}), minus.diffs.get(-1, {})
+    return (plus.terms == minus.terms and set(plus.terms) <= {-1, 0}
+            and d_plus.keys() == d_minus.keys()
+            and all(d_minus[key] == -phi for key, phi in d_plus.items()))
+
+
 def calibrate_shift() -> CalibrationRecord:
     """Determine the unique shift exponent, fixing the sign gauge.
 
@@ -260,11 +275,11 @@ def calibrate_shift() -> CalibrationRecord:
     and the minimized complex has class v.H_s (one factor of v per
     chain letter; see the module docstring).  Exactly one shift must
     survive.  Both signs survive -- conjugating one row by -1 is
-    invisible to K_0 -- so the complexes are checked to be isomorphic
-    (complexes_isomorphic: a chain map with invertible scalar blocks
-    exists, decided by exact block determinants, without a search) and
-    the positive sign is recorded.  The whole derivation is then
-    repeated on the rank-2 system and must give the same record.
+    invisible to K_0 -- so the minimized complexes are checked to have
+    the same terms and opposite d^{-1} (_sign_flipped): then -1 on
+    degree -1 plus the identity on degree 0 is an isomorphism, and the
+    positive sign is recorded.  The whole derivation is then repeated
+    on the rank-2 system and must give the same record.
     """
     records = []
     for family, rank in CALIBRATION_SYSTEMS:
@@ -280,10 +295,10 @@ def calibrate_shift() -> CalibrationRecord:
                 f"positive sign not among survivors on {family}{rank}")
         if (a, -1) in survivors:
             for plus, minus in zip(outputs[(a, 1)], outputs[(a, -1)]):
-                if not complexes_isomorphic(plus, minus):
+                if not _sign_flipped(plus, minus):
                     raise CalibrationError(
-                        "the two sign choices give non-isomorphic "
-                        "complexes; the sign is not a gauge here")
+                        "the two sign choices do not differ by the sign "
+                        "of d^-1; the sign is not a gauge here")
         records.append(CalibrationRecord(shift=a, sign=1))
     if records[0] != records[1]:
         raise CalibrationError(
@@ -297,7 +312,7 @@ def calibrate_shift() -> CalibrationRecord:
 
 def _resolve_chain(setup: InductionSetup, w: WeylElement, chain):
     if chain is None:
-        chain = admissible_chain(setup.datum, w)
+        chain = setup.least_chain(w)
         if chain is None:
             word = ' '.join(str(i) for i in w.word_1based()) or 'e'
             subset = ','.join(str(i + 1) for i in setup.subset)
@@ -342,56 +357,32 @@ def induce_module(setup: InductionSetup, module, w: WeylElement,
 
 def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
            chain=None) -> FormalComplex:
-    """Minimized ind_w D^I_x, with the calibrated tensor step.
+    """Minimized ind_w D^I_x along `chain`, by default the least
+    admissible chain of w.
 
-    With an explicit chain the complex is computed from scratch.
-    Otherwise it is kept in setup.induced, and a miss resolves the
-    admissible chain of w once and walks it (:func:`_induce_along`).
+    Inflation sends D^I_x to D_x (verify_base_case certifies it), so the
+    complex depends only on x and the chain.  It is kept in the root
+    system's store, setup.side.induced, under (x, chain prefix) and
+    shared by every parabolic subset.  The start (x, ()) is made once by
+    inflating D^I_x (induce_module), and each prefix missing from the
+    store costs one tensor step from the prefix before it.
     """
-    if chain is not None:
-        return induce_module(setup, setup.sub_catalog.entry(x), w, chain)
-    cpx = setup.induced.get((x, w))
-    if cpx is None:
-        cpx = _induce_along(setup, x, _resolve_chain(setup, w, None))
-    return cpx
-
-
-def _induce_along(setup: InductionSetup, x: WeylElement,
-                  chain) -> FormalComplex:
-    """ind_w D^I_x for w the product of its admissible chain ``chain``.
-
-    For chain = s_1...s_n, ind_w D^I_x is one tensor step with s_n
-    applied to ind_{w s_n} D^I_x; every prefix found in setup.induced
-    is reused, and every one computed is stored there.  Both this walk
-    and an explicit chain take the same steps: admissible_chain
-    returns the lexicographically least chain, and the least chain of
-    w s_n is s_1...s_{n-1} (a smaller one, followed by s_n, would be a
-    smaller chain of w), so each stored prefix was computed along the
-    prefix of ``chain``.
-    """
-    u = setup.rs.identity
-    cpx = setup.induced.get((x, u))
-    if cpx is None:
-        cpx = setup.induced[(x, u)] = induce_module(
-            setup, setup.sub_catalog.entry(x), u, ())
-    for s in chain:
-        u = u * setup.rs.simple_reflection(s)
-        step = setup.induced.get((x, u))
-        if step is None:
-            step = setup.induced[(x, u)] = _tensor_step(s, cpx)
-        cpx = step
-    return cpx
+    chain = _resolve_chain(setup, w, chain)
+    start = setup.sub_catalog.entry(x)  # refuses x outside W_I
+    store = setup.side.induced
+    if (x, ()) not in store:
+        store[(x, ())] = induce_module(setup, start, setup.rs.identity, ())
+    for n, s in enumerate(chain):
+        if (x, chain[:n + 1]) not in store:
+            store[(x, chain[:n + 1])] = _tensor_step(s, store[(x, chain[:n])])
+    return store[(x, chain)]
 
 
 def induce_all(setup: InductionSetup) -> dict:
-    """Induce every x along every w with an admissible chain.
-
-    Returns setup.induced.  Coset representatives come by increasing
-    length, so each complex is one tensor step from a stored one.
-    """
-    for x, w in induced_class_instances(setup):
-        induce(setup, x, w)
-    return setup.induced
+    """{(x, w): ind_w D^I_x} for every x in W_I and every w with an
+    admissible chain."""
+    return {(x, w): induce(setup, x, w)
+            for x, w in induced_class_instances(setup)}
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +460,8 @@ def verify_induced_class(setup: InductionSetup, x: WeylElement,
     details, so the character-level identity can be audited on its own.
     """
     t0 = time.perf_counter()
-    if chain is None:
-        chain = _resolve_chain(setup, w, None)
-        cpx = _induce_along(setup, x, chain)
-    else:
-        cpx = induce(setup, x, w, chain)
+    chain = _resolve_chain(setup, w, chain)
+    cpx = induce(setup, x, w, chain)
     computed = k0_class(cpx)
     predicted = predicted_class(setup.datum, x, w)
     shift = x.length + w.length

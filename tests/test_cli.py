@@ -131,6 +131,15 @@ def test_group_with_parabolic(capsys):
     assert '3 2 1' in out
 
 
+@pytest.mark.parametrize('parabolic', ['0', '3', '1,x'])
+def test_group_with_a_bad_parabolic_prints_nothing(capsys, parabolic):
+    assert main(['group', '--type', 'A', '--rank', '2',
+                 '--parabolic', parabolic]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert 'parabolic index' in captured.err
+
+
 def test_kl_element(capsys):
     assert main(['kl', '--type', 'A', '--rank', '3',
                  '--w', 's2 s1 s3 s2']) == 0

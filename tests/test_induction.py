@@ -79,6 +79,16 @@ def test_wrong_calibrations_fail_loudly():
         assert k0_class(cpx) != good
 
 
+def test_calibration_signs_differ_by_the_sign_of_the_vertical_map():
+    setup = make_setup('A', 2, ())
+    base = induce(setup, setup.rs.identity, setup.rs.identity)
+    for s in range(2):
+        plus, minus = (gaussian_eliminate(tensor_rouquier(s, base, sign=sign))
+                       for sign in (1, -1))
+        assert induction._sign_flipped(plus, minus)
+        assert not induction._sign_flipped(plus, plus)
+
+
 # ---------------------------------------------------------------------------
 # frozen instances in A2 with I = {s1}
 
@@ -172,14 +182,63 @@ def test_bad_chains_are_rejected(a2s1):
 
 @pytest.mark.parametrize('family,rank,subset', [('A', 2, ()), ('B', 2, (0,))])
 def test_stored_route_equals_the_explicit_chain(family, rank, subset):
+    # the stored complex equals one computed from scratch along the chain
     setup = make_setup(family, rank, subset)
     for x in setup.parabolic_elements():
         for w in setup.coset_reps():
             chain = admissible_chain(setup.datum, w)
             stored = induce(setup, x, w)
-            fresh = induce(setup, x, w, chain=chain)
+            fresh = induce_module(setup, setup.sub_catalog.entry(x), w, chain)
             assert fresh is not stored
             assert stored.to_json() == fresh.to_json()
+
+
+def test_setups_of_one_root_system_share_the_store(monkeypatch):
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    small, large = make_setup('A', 2, ()), make_setup('A', 2, (0,))
+    rs = small.rs
+    e, s1 = rs.identity, word_el(rs, 1)
+    w0 = word_el(rs, 1, 2, 1)
+    cpx = induce(small, e, w0, chain=(1, 0, 1))
+    assert set(small.side.induced) == {
+        (e, ()), (e, (1,)), (e, (1, 0)), (e, (1, 0, 1))}
+    assert induce(large, e, word_el(rs, 2)) is small.side.induced[(e, (1,))]
+    assert induce(small, e, w0, chain=[1, 0, 1]) is cpx
+    # a stored start does not let x leave W_I
+    induce(large, s1, e)
+    with pytest.raises(ConfigurationError):
+        induce(small, s1, e)
+
+
+def _untimed(result: dict) -> dict:
+    return {name: [dict(r.to_json(), timing=0.0) for r in reports]
+            for name, reports in result.items()}
+
+
+def test_the_store_computes_each_step_once_and_changes_no_report(
+        monkeypatch):
+    steps = []
+    tensor_step = induction._tensor_step
+
+    def counted(s, cpx):
+        steps.append(s)
+        return tensor_step(s, cpx)
+
+    monkeypatch.setattr(induction, '_tensor_step', counted)
+    groups = [(family, rank, subset) for family, rank in (('A', 2), ('B', 2))
+              for subset in proper_subsets(rank)]
+    alone = {}
+    for group in groups:
+        monkeypatch.setattr(induction, '_SYSTEMS', {})
+        alone[group] = _untimed(run_group(*group))
+    steps_alone = len(steps)
+    steps.clear()
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    for group in groups:
+        assert _untimed(run_group(*group)) == alone[group], group
+    stored = [key for side in induction._SYSTEMS.values()
+              for key in side.induced if key[1]]
+    assert len(steps) == len(stored) < steps_alone
 
 
 def test_induce_all_fills_the_cache():
