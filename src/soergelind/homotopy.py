@@ -44,18 +44,18 @@ from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import invert, solve_matrix, sparse_nullspace, zeros
-from .hecke import HeckeElement, kl_basis, wall_crossing_summands
+from .exactla import invert, solve_matrix, sparse_nullspace
+from .hecke import HeckeElement, kl_basis
 from .laurent import LaurentPoly
-from .smod import (GradedModule, IndecomposableCatalog, ModuleMap,
-                   _split_pair, decompose, direct_sum, induce_frobenius)
+from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
+                   decompose, direct_sum, theta_of_map, theta_summands,
+                   unit_map)
 
 __all__ = [
     'FormalComplex', 'one_term_complex', 'complex_from_module',
-    'direct_sum_complexes', 'theta_summands', 'coev_map', 'unit_map',
-    'theta_of_map', 'tensor_rouquier', 'theta_complex', 'gaussian_eliminate',
-    'is_minimal', 'k0_class', 'hom_complex_basis', 'hom_complex_vanishing',
-    'complexes_isomorphic',
+    'direct_sum_complexes', 'tensor_rouquier', 'theta_complex',
+    'gaussian_eliminate', 'is_minimal', 'k0_class', 'hom_complex_basis',
+    'hom_complex_vanishing', 'complexes_isomorphic',
 ]
 
 
@@ -138,16 +138,6 @@ class FormalComplex:
     def summands(self, i: int) -> tuple:
         return self.terms.get(i, ())
 
-    def component(self, i: int, b: int, a: int) -> ModuleMap:
-        comps = self.diffs.get(i, {})
-        phi = comps.get((b, a))
-        if phi is not None:
-            return phi
-        ya, ka = self.terms[i][a]
-        yb, kb = self.terms[i + 1][b]
-        return ModuleMap.zero(self.catalog.entry(ya),
-                              self.catalog.entry(yb), ka - kb)
-
     def term_module(self, i: int):
         """Assemble the term as one module: (module, inclusions, projections)."""
         parts = [self.catalog.entry(y).shift(k)
@@ -217,127 +207,8 @@ def direct_sum_complexes(x: FormalComplex, y: FormalComplex) -> FormalComplex:
 
 
 # ---------------------------------------------------------------------------
-# theta_s on catalog summands, with cached splittings
-
-
-def theta_summands(catalog: IndecomposableCatalog, s: int, y):
-    """Split theta_s D_y into catalog summands, cached.
-
-    Returns (theta_module, pieces) where pieces is a list of
-    (z, shift, incl, proj): incl is a degree-(shift) map D_z ->
-    theta_module and proj its one-sided inverse of degree -shift.  The
-    summands are the ones b_y b_s predicts, in its order, and nothing
-    may be left over.  Each is peeled as a certified split pair, the
-    way build_catalog splits theta_s D_y (and keeps the splitting) when
-    it builds D_ys: if s is an ascent of y, every predicted summand but
-    D_ys<0> is peeled first, and what is left must have the graded
-    dimensions of D_ys.  When its action matrices also equal those of
-    the entry, the identity is the isomorphism and its inclusion and
-    projection are the split pair; otherwise a split pair of hom-basis
-    maps between the two is solved.  If s is a descent, the predicted
-    summands are peeled in order.  The result is kept in the catalog's
-    theta_splittings.
-    """
-    cache = catalog.theta_splittings
-    key = (s, y)
-    if key in cache:
-        return cache[key]
-    theta = induce_frobenius(s, catalog.entry(y))
-    predicted = wall_crossing_summands(y, s)
-    if y.has_right_descent(s):
-        pieces = decompose(theta, catalog.entries, predicted)
-        if pieces and pieces[-1][0] is None:
-            raise InternalCheckError(
-                f"theta_s{s + 1} D_{y!r} has a summand with graded "
-                f"character {pieces[-1][2].source.graded_dims} beyond "
-                f"b_y b_s")
-    else:
-        ys = y * y.root_system.simple_reflection(s)
-        entry = catalog.entry(ys)
-        pieces = decompose(theta, catalog.entries,
-                           [t for t in predicted if t != (ys, 0)])
-        if not pieces or pieces[-1][:2] != (None, 0) \
-                or pieces[-1][2].source.graded_dims != entry.graded_dims:
-            raise InternalCheckError(
-                f"theta_s{s + 1} D_{y!r} leaves no D_{ys!r}<0> once the "
-                f"other summands of b_y b_s are peeled")
-        _none, _k, incl, proj = pieces.pop()
-        rest = incl.source
-        if rest.actions == entry.actions:
-            incl = ModuleMap(entry, theta, 0, incl.blocks)
-            proj = ModuleMap(theta, entry, 0, proj.blocks)
-        else:
-            pair = _split_pair(rest, entry, 0)
-            if pair is None:
-                raise InternalCheckError(
-                    f"predicted summand D_{ys!r}<0> does not split off "
-                    f"theta_s{s + 1} D_{y!r}")
-            incl, proj = incl.compose(pair[0]), pair[1].compose(proj)
-        pieces.insert(predicted.index((ys, 0)), (ys, 0, incl, proj))
-    cache[key] = (theta, pieces)
-    return cache[key]
-
-
-def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
-    """m |-> (1/2)(1 (x) alpha_s m + alpha_s (x) m), a degree-2 map."""
-    half = Fraction(1, 2)
-    blocks = {}
-    for d in module.degrees():
-        rows_one = module.dim_at(d + 2)
-        rows_al = module.dim_at(d)
-        cols = module.dim_at(d)
-        block = zeros(rows_one + rows_al, cols)
-        xs = module.action(s, d)
-        for r in range(rows_one):
-            for c in range(cols):
-                block[r][c] = half * xs[r][c]
-        for c in range(cols):
-            block[rows_one + c][c] = half
-        blocks[d] = block
-    return ModuleMap(module, theta, 2, blocks)
-
-
-def unit_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
-    """m |-> 1 (x) m, the degree-0 adjunction unit.
-
-    Degree d of theta_s M is (1 (x) M_d) + (alpha (x) M_{d-2}); the unit
-    hits the first part identically.
-    """
-    blocks = {}
-    for d in module.degrees():
-        rows_one = module.dim_at(d)
-        rows_al = module.dim_at(d - 2)
-        cols = module.dim_at(d)
-        block = zeros(rows_one + rows_al, cols)
-        for c in range(cols):
-            block[c][c] = Fraction(1)
-        blocks[d] = block
-    return ModuleMap(module, theta, 0, blocks)
-
-
-def theta_of_map(s: int, phi: ModuleMap, theta_src: GradedModule,
-                 theta_tgt: GradedModule) -> ModuleMap:
-    """theta_s phi = id (x) phi, block-diagonal over the Frobenius basis."""
-    src, tgt, k = phi.source, phi.target, phi.degree
-    blocks = {}
-    for d in theta_src.degrees():
-        cols_one = src.dim_at(d)
-        cols_al = src.dim_at(d - 2)
-        rows_one = tgt.dim_at(d + k)
-        rows_al = tgt.dim_at(d + k - 2)
-        if cols_one + cols_al == 0 or rows_one + rows_al == 0:
-            continue
-        block = zeros(rows_one + rows_al, cols_one + cols_al)
-        top = phi.block(d)
-        for r in range(rows_one):
-            for c in range(cols_one):
-                block[r][c] = top[r][c]
-        bot = phi.block(d - 2)
-        for r in range(rows_al):
-            for c in range(cols_al):
-                block[rows_one + r][cols_one + c] = bot[r][c]
-        blocks[d] = block
-    return ModuleMap(theta_src, theta_tgt, k, blocks)
+# the Rouquier tensor step and term-wise theta_s, through the catalog's
+# theta splittings
 
 
 def _vertical_component(catalog, s, y, shift):

@@ -737,7 +737,8 @@ def run_corpus(scope: str = 'full', jobs: int = 1,
 
     Groups (one per parabolic subset) are independent; with jobs > 1
     they run in separate processes and the reports are merged in group
-    order, so the output is stable across job counts.
+    order, so the output is stable across job counts.  A worker process
+    that dies raises InternalCheckError.
     """
     groups = corpus_groups(scope)
     merged: dict = {name: [] for name in checks}
@@ -747,10 +748,16 @@ def run_corpus(scope: str = 'full', jobs: int = 1,
     else:
         # imported here: it loads multiprocessing, which only --jobs needs
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         tasks = [(f, r, subset, checks, cache_dir) for f, r, subset in groups]
         # the fork start method starts every worker at once
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_group_task, tasks))
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(tasks))) as pool:
+                results = list(pool.map(_run_group_task, tasks))
+        except BrokenProcessPool as exc:
+            raise InternalCheckError(
+                f"a verification worker died: {exc}") from None
     for result in results:
         for name in checks:
             merged[name].extend(result.get(name, []))

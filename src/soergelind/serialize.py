@@ -88,7 +88,6 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
     # immutable Fraction shared by every matrix that holds it
     decode = functools.cache(fraction_from_str)
     entries = {}
-    provenance = {}
     for item in data['entries']:
         w = rs.element_from_word([i - 1 for i in item['word']])
         if w not in members or w in entries:
@@ -101,11 +100,10 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
                 f"{module.graded_dims}; Kazhdan-Lusztig predicts "
                 f"{expected_graded_dims(w)}")
         entries[w] = module
-        provenance[w] = {'built_from': 'cache'}
     if len(entries) != len(members):
         raise InternalCheckError(
             f"catalog file has {len(entries)} of the {len(members)} entries")
-    return IndecomposableCatalog(algebra, entries, provenance)
+    return IndecomposableCatalog(algebra, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ variable, the degree +2 action matrices between graded pieces; a
 polynomial acts by the matching products of these matrices.
 The workhorses are:
 
-  * induce_frobenius -- the functor C (x)_{C^s} (-), realized through
-    the Frobenius splitting c = f + g alpha_s of the algebra: on the
-    space (1 (x) M) + (alpha_s (x) M) (the second shifted up by 2) a
-    ring element c acts by c(1 (x) m) = 1 (x) fm + alpha_s (x) gm and
-    c(alpha_s (x) m) = 1 (x) alpha_s^2 g m + alpha_s (x) fm.
+  * induce_frobenius -- the functor theta_s = C (x)_{C^s} (-), realized
+    through the Frobenius splitting c = f + g alpha_s of the algebra:
+    on the space (1 (x) M) + (alpha_s (x) M) (the second shifted up by
+    2) a ring element c acts by c(1 (x) m) = 1 (x) fm + alpha_s (x) gm
+    and c(alpha_s (x) m) = 1 (x) alpha_s^2 g m + alpha_s (x) fm;
+    coev_map, unit_map and theta_of_map are written in that basis.
   * hom_space -- exact solution of the intertwining equations, degree
     block by degree block, through a sparse kernel computation.
   * decompose -- deterministic peeling of catalog summands.  A
@@ -17,13 +18,15 @@ The workhorses are:
     maps D_z -> M -> D_z has a composite with nonzero trace; since
     End^0(D_z) = Q that composite is a scalar, the pair is rescaled
     to a split pair, and the rest is ker(proj).  The summands are
-    either the ones the Hecke algebra predicts (b_y b_s = sum_z
-    m_z b_z for theta_s D_y, hecke.wall_crossing_summands) or found
-    by trying catalog entries at the bottom degree of what is left.
+    either given or found by trying catalog entries at the bottom
+    degree of what is left.
+  * theta_summands -- the one split of theta_s D_y into the summands
+    b_y b_s = sum_z m_z b_z predicts (hecke.wall_crossing_summands),
+    kept in the catalog: build_catalog admits each entry through it,
+    and homotopy's tensor steps and wall-crossings transport through it.
   * build_catalog -- the indecomposable modules D_y, one per group
-    element: D_y is what is left of C (x)_{C^s} D_{ys} once the
-    predicted shorter summands are peeled off, and that splitting is
-    kept for the wall-crossings of complexes.  Each entry is
+    element: D_y is what is left of theta_s D_{ys} once the predicted
+    shorter summands are peeled off (theta_summands).  Each entry is
     validated against the Kazhdan-Lusztig base: the graded character
     of D_y must equal the intersection-cohomology Poincare polynomial
     computed from the coefficients of b_y.
@@ -51,10 +54,11 @@ from .hecke import kl_basis, wall_crossing_summands
 
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
-    'trivial_module', 'zero_module', 'induce_frobenius', 'bott_samelson',
-    'RestrictionMap', 'restrict_module', 'direct_sum', 'hom_space',
-    'end_space', 'verify_relations',
-    'decompose', 'is_isomorphic', 'build_catalog', 'expected_graded_dims',
+    'trivial_module', 'zero_module', 'induce_frobenius', 'coev_map',
+    'unit_map', 'theta_of_map', 'bott_samelson', 'RestrictionMap',
+    'restrict_module', 'direct_sum', 'hom_space', 'end_space',
+    'verify_relations', 'decompose', 'is_isomorphic', 'theta_summands',
+    'build_catalog', 'expected_graded_dims',
 ]
 
 
@@ -305,6 +309,68 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
                             big[r][cols_one + c] = g * sq[r][c]
             actions[(j, d)] = big
     return GradedModule(alg, dims, actions)
+
+
+def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
+    """m |-> (1/2)(1 (x) alpha_s m + alpha_s (x) m), a degree-2 map."""
+    half = Fraction(1, 2)
+    blocks = {}
+    for d in module.degrees():
+        rows_one = module.dim_at(d + 2)
+        rows_al = module.dim_at(d)
+        cols = module.dim_at(d)
+        block = zeros(rows_one + rows_al, cols)
+        xs = module.action(s, d)
+        for r in range(rows_one):
+            for c in range(cols):
+                block[r][c] = half * xs[r][c]
+        for c in range(cols):
+            block[rows_one + c][c] = half
+        blocks[d] = block
+    return ModuleMap(module, theta, 2, blocks)
+
+
+def unit_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
+    """m |-> 1 (x) m, the degree-0 adjunction unit.
+
+    Degree d of theta_s M is (1 (x) M_d) + (alpha (x) M_{d-2}); the unit
+    hits the first part identically.
+    """
+    blocks = {}
+    for d in module.degrees():
+        rows_one = module.dim_at(d)
+        rows_al = module.dim_at(d - 2)
+        cols = module.dim_at(d)
+        block = zeros(rows_one + rows_al, cols)
+        for c in range(cols):
+            block[c][c] = Fraction(1)
+        blocks[d] = block
+    return ModuleMap(module, theta, 0, blocks)
+
+
+def theta_of_map(s: int, phi: ModuleMap, theta_src: GradedModule,
+                 theta_tgt: GradedModule) -> ModuleMap:
+    """theta_s phi = id (x) phi, block-diagonal over the Frobenius basis."""
+    src, tgt, k = phi.source, phi.target, phi.degree
+    blocks = {}
+    for d in theta_src.degrees():
+        cols_one = src.dim_at(d)
+        cols_al = src.dim_at(d - 2)
+        rows_one = tgt.dim_at(d + k)
+        rows_al = tgt.dim_at(d + k - 2)
+        if cols_one + cols_al == 0 or rows_one + rows_al == 0:
+            continue
+        block = zeros(rows_one + rows_al, cols_one + cols_al)
+        top = phi.block(d)
+        for r in range(rows_one):
+            for c in range(cols_one):
+                block[r][c] = top[r][c]
+        bot = phi.block(d - 2)
+        for r in range(rows_al):
+            for c in range(cols_al):
+                block[rows_one + r][cols_one + c] = bot[r][c]
+        blocks[d] = block
+    return ModuleMap(theta_src, theta_tgt, k, blocks)
 
 
 def bott_samelson(algebra: AlgebraRecord, word) -> GradedModule:
@@ -870,20 +936,18 @@ class IndecomposableCatalog:
 
     The catalog also owns what is computed from its entries and reused
     by every complex over it: theta_splittings maps (s, y) to the
-    splitting of theta_s D_y into entries (homotopy.theta_summands;
-    build_catalog keeps the splittings it builds the entries from), and
-    hom_bases maps (y, z, degree) to a basis of Hom(D_y, D_z) in that
-    degree (hom_basis; homotopy's hom complexes and the base case of
-    induction read it), and degree_sets maps y to the generator and
-    socle degrees of D_y (entry_degrees), which let hom_basis answer a
-    space that vanishes for degree reasons without solving it.
+    splitting of theta_s D_y into entries (theta_summands, which also
+    admits the entries of a build), and hom_bases maps (y, z, degree)
+    to a basis of Hom(D_y, D_z) in that degree (hom_basis; homotopy's
+    hom complexes and the base case of induction read it), and
+    degree_sets maps y to the generator and socle degrees of D_y
+    (entry_degrees), which let hom_basis answer a space that vanishes
+    for degree reasons without solving it.
     """
 
-    def __init__(self, algebra: AlgebraRecord, entries: dict,
-                 provenance: dict):
+    def __init__(self, algebra: AlgebraRecord, entries: dict):
         self.algebra = algebra
         self.entries = entries
-        self.provenance = provenance
         self.theta_splittings: dict = {}
         self.hom_bases: dict = {}
         self.degree_sets: dict = {}
@@ -930,61 +994,92 @@ class IndecomposableCatalog:
                 f'{len(self.entries)} entries)')
 
 
+def _admit(catalog: IndecomposableCatalog, w, module: GradedModule) -> None:
+    """Store module as D_w once End^0 = Q and the relations hold."""
+    if len(end_space(module)) != 1:
+        raise InternalCheckError(f"the module left for {w!r} is decomposable")
+    sets = _degree_sets(module)
+    _check_relations(module, sets[0])
+    catalog.entries[w] = module
+    catalog.degree_sets[w] = sets
+
+
+def theta_summands(catalog: IndecomposableCatalog, s: int, y):
+    """Split theta_s D_y into catalog summands, kept in theta_splittings.
+
+    Returns (theta_module, pieces) where pieces is a list of
+    (z, shift, incl, proj): incl is a degree-(shift) map D_z ->
+    theta_module and proj its one-sided inverse of degree -shift.  The
+    summands are the ones b_y b_s predicts, in its order, each peeled as
+    a certified split pair (decompose), and nothing may be left over.
+    If s is an ascent of y, D_ys<0> is what is left, which must have the
+    Kazhdan-Lusztig graded dimensions of D_ys.  Without an entry for ys
+    (build_catalog) it is admitted as D_ys; with an entry of equal
+    action matrices the identity matches the two, so a reloaded catalog
+    splits exactly as the build did; otherwise a split pair is solved.
+    """
+    cache = catalog.theta_splittings
+    key = (s, y)
+    if key in cache:
+        return cache[key]
+    theta = induce_frobenius(s, catalog.entry(y))
+    predicted = wall_crossing_summands(y, s)
+    if y.has_right_descent(s):
+        pieces = decompose(theta, catalog.entries, predicted)
+        if pieces and pieces[-1][0] is None:
+            raise InternalCheckError(
+                f"theta_s{s + 1} D_{y!r} has a summand with graded "
+                f"character {pieces[-1][2].source.graded_dims} beyond "
+                f"b_y b_s")
+    else:
+        ys = y * y.root_system.simple_reflection(s)
+        pieces = decompose(theta, catalog.entries,
+                           [t for t in predicted if t != (ys, 0)])
+        expected = expected_graded_dims(ys)
+        if (ys, 0) not in predicted or not pieces \
+                or pieces[-1][:2] != (None, 0) \
+                or pieces[-1][2].source.graded_dims != expected:
+            raise InternalCheckError(
+                f"theta_s{s + 1} D_{y!r} leaves no D_{ys!r}<0> of graded "
+                f"character {expected} beside the rest of b_y b_s")
+        _none, _k, incl, proj = pieces.pop()
+        rest = incl.source
+        entry = catalog.entries.get(ys)
+        if entry is None:
+            _admit(catalog, ys, rest)
+        elif rest.actions == entry.actions:
+            incl = ModuleMap(entry, theta, 0, incl.blocks)
+            proj = ModuleMap(theta, entry, 0, proj.blocks)
+        else:
+            pair = _split_pair(rest, entry, 0)
+            if pair is None:
+                raise InternalCheckError(
+                    f"predicted summand D_{ys!r}<0> does not split off "
+                    f"theta_s{s + 1} D_{y!r}")
+            incl, proj = incl.compose(pair[0]), pair[1].compose(proj)
+        pieces.insert(predicted.index((ys, 0)), (ys, 0, incl, proj))
+    cache[key] = (theta, pieces)
+    return cache[key]
+
+
 def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     """All D_y by increasing length, with Kazhdan-Lusztig validation.
 
-    D_y is what is left of C (x)_{C^s} D_{ys} (s a descent) once the
-    other summands b_{ys} b_s predicts are peeled off (decompose).  Hard
-    checks on every entry: it is what is left in bottom degree 0, its
-    degree-0 endomorphisms are the scalars, its graded dimensions equal
-    the Kazhdan-Lusztig prediction, and the invariant ideal kills it.
-    The splitting of C (x)_{C^s} D_{ys}, with D_y as its summand in
-    degree 0, is kept in the catalog's theta_splittings under (s, ys),
-    in the order and form homotopy.theta_summands gives, and the
-    entry's generator and socle degrees, found for the relation check,
-    under w in degree_sets.  Every call builds afresh; induction keeps
-    and caches the result.
+    D_e is the trivial module, and theta_summands(catalog, s, ws), s
+    the first right descent of w, admits D_w as what is left of theta_s
+    D_{ws} in bottom degree 0.  Hard checks on every entry: its graded
+    dimensions equal the Kazhdan-Lusztig prediction, its degree-0
+    endomorphisms are the scalars, and the invariant ideal kills it.
+    Every call builds afresh; induction keeps and caches the result.
     """
     rs = algebra.root_system
     members = [w for w in rs.elements if set(w.word) <= set(algebra.subset)]
     members.sort(key=lambda w: (w.length, w.word))
-    catalog = IndecomposableCatalog(algebra, {}, {})
-    entries, provenance = catalog.entries, catalog.provenance
+    catalog = IndecomposableCatalog(algebra, {})
     for w in members:
         if w.length == 0:
-            entries[w] = trivial_module(algebra)
-            provenance[w] = {'built_from': None}
-            continue
-        i = w.right_descents()[0]
-        shorter = w * rs.simple_reflection(i)
-        predicted = wall_crossing_summands(shorter, i)
-        if (w, 0) not in predicted:
-            raise InternalCheckError(
-                f"b_{shorter!r} b_s{i + 1} does not contain b_{w!r}")
-        peeled = [t for t in predicted if t != (w, 0)]
-        theta = induce_frobenius(i, entries[shorter])
-        pieces = decompose(theta, entries, peeled)
-        if len(pieces) != len(peeled) + 1 or pieces[-1][:2] != (None, 0):
-            raise InternalCheckError(
-                f"peeling for {w!r} leaves no summand in degree 0")
-        _none, _k, rest_incl, rest_proj = pieces.pop()
-        d_w = rest_incl.source
-        if len(end_space(d_w)) != 1:
-            raise InternalCheckError(
-                f"the module left for {w!r} is decomposable")
-        expected = expected_graded_dims(w)
-        if d_w.graded_dims != expected:
-            raise InternalCheckError(
-                f"graded character of D_{w!r} is {d_w.graded_dims}, "
-                f"Kazhdan-Lusztig predicts {expected}")
-        sets = _degree_sets(d_w)
-        _check_relations(d_w, sets[0])
-        entries[w] = d_w
-        catalog.degree_sets[w] = sets
-        pieces.insert(predicted.index((w, 0)), (w, 0, rest_incl, rest_proj))
-        catalog.theta_splittings[(i, shorter)] = (theta, pieces)
-        provenance[w] = {
-            'built_from': (shorter, i),
-            'peeled': sorted(((z.word, k) for z, k in peeled)),
-        }
+            catalog.entries[w] = trivial_module(algebra)
+        else:
+            i = w.right_descents()[0]
+            theta_summands(catalog, i, w * rs.simple_reflection(i))
     return catalog

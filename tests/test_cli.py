@@ -199,6 +199,33 @@ def test_verify_reports_are_stable(tmp_path):
     assert a == b
 
 
+DEAD_WORKER = """
+import os, sys
+from soergelind import induction
+from soergelind.cli import main
+
+def die(args):
+    os._exit(9)
+
+induction._run_group_task = die
+sys.exit(main(['verify', '--corpus', 'quick', '--jobs', '2']))
+"""
+
+
+def test_a_dead_jobs_worker_exits_3_without_a_traceback():
+    # a worker that dies is a broken internal invariant, not a
+    # verification mismatch (exit 1)
+    src = pathlib.Path(soergelind.cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop('SOERGELIND_CACHE_DIR', None)
+    run = subprocess.run([sys.executable, '-c', DEAD_WORKER], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3, run.stderr
+    assert 'Traceback' not in run.stderr
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith('internal assertion failed')
+
+
 def test_verify_rejects_a_calibration_it_does_not_use(monkeypatch, capsys):
     monkeypatch.setattr(soergelind.cli, 'calibrate_shift',
                         lambda: CalibrationRecord(shift=0, sign=1))

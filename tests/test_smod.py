@@ -7,6 +7,8 @@ multiset of summands (with shifts) must match the coefficients of the
 product, and neither computation knows about the other.
 """
 
+import ast
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,19 +18,18 @@ import pytest
 from soergelind import coinvariants
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
-from soergelind import exactla, smod
+from soergelind import exactla, homotopy, smod
 from soergelind.errors import (ConfigurationError, IncompatibilityError,
                                InternalCheckError)
 from soergelind.exactla import (identity as id_matrix, invert,
                                 is_zero_matrix, mat_mul, mat_scale, nullspace)
 from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
-from soergelind.homotopy import theta_summands
 from soergelind.laurent import LaurentPoly
 from soergelind.smod import (AlgebraRecord, GradedModule, ModuleMap,
                              RestrictionMap, bott_samelson,
                              build_catalog, decompose, direct_sum, end_space,
                              hom_space, induce_frobenius, is_isomorphic,
-                             restrict_module, trivial_module,
+                             restrict_module, theta_summands, trivial_module,
                              verify_relations, zero_module)
 
 _RS = {}
@@ -384,6 +385,24 @@ def test_a_missing_predicted_summand_stops_the_catalog(monkeypatch):
         build_catalog(algebra('A', 2))
 
 
+def test_theta_s_is_split_in_smod_alone():
+    # one owner for the split of theta_s D_y and for the Frobenius
+    # basis it is written in: homotopy imports neither, and the build
+    # admits its entries through theta_summands, not a peeling of its own
+    tree = ast.parse(pathlib.Path(homotopy.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {'_split_pair', 'induce_frobenius',
+                           'wall_crossing_summands'}
+    tree = ast.parse(pathlib.Path(smod.__file__).read_text())
+    build, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == 'build_catalog']
+    called = {getattr(node.func, 'id', getattr(node.func, 'attr', None))
+              for node in ast.walk(build) if isinstance(node, ast.Call)}
+    assert 'theta_summands' in called and 'decompose' not in called
+
+
 def test_descent_case_gives_two_shifted_copies():
     # theta_s D_s = D_s<0> + D_s<2>, the categorified (v + 1/v) b_s
     # in its bottom-0 normalization
@@ -537,7 +556,7 @@ def test_degree_pretest_skips_only_empty_hom_spaces(family, rank,
                                                     monkeypatch):
     full = catalog_of(family, rank)
     # the same entries with empty hom_bases and degree_sets
-    catalog = smod.IndecomposableCatalog(full.algebra, full.entries, {})
+    catalog = smod.IndecomposableCatalog(full.algebra, full.entries)
     elements = catalog.elements()
     for y in elements:
         assert catalog.entry_degrees(y) == rank_degrees(catalog.entry(y))
