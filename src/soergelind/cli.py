@@ -22,8 +22,8 @@ from .coxeter import RootSystem, build_root_system, build_parabolic
 from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
 from .hecke import kl_basis
-from .induction import (CALIBRATION_SYSTEMS, DEFAULT_RECORD, calibrate_shift,
-                        make_setup, induce, verify_induced_class, run_corpus)
+from .induction import (DEFAULT_RECORD, calibrate_shift, make_setup, induce,
+                        verify_induced_class, run_corpus)
 from .serialize import dump_json
 
 __all__ = ['main', 'build_parser', 'parse_word']
@@ -46,10 +46,7 @@ def parse_word(rs: RootSystem, text: str):
             raise ConfigurationError(
                 f"generator {token!r} out of range 1..{rs.rank}")
         letters.append(i - 1)
-    w = rs.identity
-    for i in letters:
-        w = w * rs.simple_reflection(i)
-    return w
+    return rs.element_from_word(letters)
 
 
 def _parse_parabolic(arg: str, rank: int) -> tuple:
@@ -164,12 +161,7 @@ def cmd_indw(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     _check_paths(args)
-    if args.cache_dir:
-        # calibration runs on the full catalogs of these root systems:
-        # load them from the cache directory, or store them there
-        for family, rank in CALIBRATION_SYSTEMS:
-            make_setup(family, rank, (), args.cache_dir)
-    record = calibrate_shift()
+    record = calibrate_shift(args.cache_dir)
     print(f'calibration: shift={record.shift} sign={record.sign}')
     if record != DEFAULT_RECORD:
         raise CalibrationError(

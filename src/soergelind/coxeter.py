@@ -375,7 +375,8 @@ def _admissible_chain_search(datum: ParabolicDatum, w: WeylElement):
 
     Depth first over reduced words, trying letters in increasing order
     (left_descents lists them so), and keeping a letter only when the
-    prefix it makes is a minimal representative.
+    prefix it makes is a minimal representative.  admissible_chains runs
+    it, as a reference for admissible_chain.
     """
     rs = datum.root_system
 
@@ -394,14 +395,17 @@ def _admissible_chain_search(datum: ParabolicDatum, w: WeylElement):
 
 
 def admissible_chain(datum: ParabolicDatum, w: WeylElement):
-    """A reduced word of w all of whose left-to-right prefixes are
-    minimal coset representatives, or None when no such word exists.
+    """The least reduced word of w all of whose left-to-right prefixes
+    are minimal coset representatives, or None if w is not one.
 
-    Existence is not assumed; the search is exhaustive over reduced
-    words and stops at the first admissible one, which is the
-    lexicographically least.
+    Every reduced word of a minimal representative qualifies (the prefix
+    property of W^I; Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    2.4): if w = s_1 ... s_n and u = s_1 ... s_j had l(s_i u) < l(u) for
+    an i in I, then l(s_i w) <= l(s_i u) + n - j < l(w), and s_i would
+    be a left descent of w.  So the least is w.word, the
+    lexicographically least reduced word enumerate_group assigns.
     """
-    return next(_admissible_chain_search(datum, w), None)
+    return w.word if datum.is_min_rep(w) else None
 
 
 def admissible_chains(datum: ParabolicDatum, w: WeylElement) -> list[tuple]:

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import invert, solve_matrix, sparse_nullspace
+from .exactla import solve_matrix, sparse_nullspace
 from .hecke import HeckeElement, kl_basis
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
@@ -226,7 +226,7 @@ def _vertical_component(catalog, s, y, shift):
     if shift == 2:
         vert = coev_map(s, entry, theta)
     elif shift == 0:
-        vert = unit_map(s, entry, theta)
+        vert = unit_map(entry, theta)
     elif shift == -2:
         return ModuleMap.zero(entry, theta, -2)
     else:
@@ -326,7 +326,7 @@ def _add_theta_row(comps: dict, s: int, cpx: FormalComplex, i: int,
         yb, _kb = cpx.summands(i + 1)[b]
         theta_a, pieces_a = theta_summands(catalog, s, ya)
         theta_b, pieces_b = theta_summands(catalog, s, yb)
-        big = theta_of_map(s, phi, theta_a, theta_b)
+        big = theta_of_map(phi, theta_a, theta_b)
         for ja, (_za, _ma, incl_a, _pa) in enumerate(pieces_a):
             half = big.compose(incl_a)
             for jb, (_zb, _mb, _ib, proj_b) in enumerate(pieces_b):
@@ -339,24 +339,24 @@ def _add_theta_row(comps: dict, s: int, cpx: FormalComplex, i: int,
 
 
 def _find_iso_component(terms: dict, diffs: dict):
-    """(i, b, a, phi^{-1}) for the first invertible component phi of d^i
-    from summand a to summand b, or None.
+    """(i, b, a, c) for the first component phi = c id of d^i from
+    summand a to an equal summand b, or None.
 
     terms[i] holds the summands at i, as a tuple or as a dict keyed by
     stable indices, which diffs uses too; indices are tried in order.
+    Such a phi is a nonzero element of End^0(D_z) = Q, an isomorphism;
+    one that is not c id raises InternalCheckError.
     """
     for i in sorted(diffs):
         src, tgt = terms.get(i, ()), terms.get(i + 1, ())
         for (b, a), phi in sorted(diffs[i].items()):
             if src[a] != tgt[b]:
                 continue
-            try:
-                inv_blocks = {d + phi.degree: invert(phi.block(d))
-                              for d in phi.source.degrees()}
-            except ValueError:
-                continue
-            return i, b, a, ModuleMap(phi.target, phi.source, -phi.degree,
-                                      inv_blocks)
+            c = phi.block(phi.source.bottom_degree())[0][0]
+            if phi != ModuleMap.identity(phi.source).scale(c):
+                raise InternalCheckError(
+                    f"a component on D_{src[a][0]!r} is not a scalar")
+            return i, b, a, c
     return None
 
 
@@ -367,11 +367,12 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
     isomorphism phi from summand a to summand b, both are removed and
     the components from the other summands of position i to the other
     summands of position i + 1 pick up the correction -gamma phi^{-1}
-    beta.  The pass works in place on the summands' original indices,
-    which keep their order as summands go, and builds one complex at
-    the end; its constructor checks d^2 = 0.  A complex with nothing to
-    eliminate is returned as it is.  The K_0 class is preserved; this is
-    asserted whenever something was eliminated.
+    beta, which is -(1/c) gamma beta since phi = c id.  The pass works
+    in place on the summands' original indices, which keep their order
+    as summands go, and builds one complex at the end; its constructor
+    checks d^2 = 0.  A complex with nothing to eliminate is returned as
+    it is.  The K_0 class is preserved; this is asserted whenever
+    something was eliminated.
     """
     found = _find_iso_component(cpx.terms, cpx.diffs)
     if found is None:
@@ -380,7 +381,7 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
     terms = {i: dict(enumerate(t)) for i, t in cpx.terms.items()}
     diffs = {i: dict(comps) for i, comps in cpx.diffs.items()}
     while found is not None:
-        i, b, a, phi_inv = found
+        i, b, a, c = found
         comps = diffs[i]
         # gamma: out of a into another row; beta: from another column into b
         betas = [(col, beta) for (row, col), beta in comps.items()
@@ -395,11 +396,11 @@ def gaussian_eliminate(cpx: FormalComplex) -> FormalComplex:
             for key in [k for k in at_j if k[0] == into or k[1] == out_of]:
                 del at_j[key]
         for row, gamma in gammas:
-            gamma_phi_inv = gamma.compose(phi_inv)
+            gamma_c = gamma.scale(Fraction(-1) / c)
             for col, beta in betas:
-                corr = gamma_phi_inv.compose(beta)
+                corr = gamma_c.compose(beta)
                 key = (row, col)
-                total = comps[key] - corr if key in comps else -corr
+                total = comps[key] + corr if key in comps else corr
                 if total.is_zero():
                     comps.pop(key, None)
                 else:

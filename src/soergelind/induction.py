@@ -4,7 +4,9 @@ For a subset I of the simple reflections, the parabolic coinvariant
 algebra C_I is a quotient of the full one, so a C_I-module inflates to
 a C-module with the same matrices.  Given x in W_I and a minimal coset
 representative w with an admissible chain s_1 ... s_n (every prefix a
-minimal representative), the induced object is the minimized complex
+minimal representative; by the prefix property of W^I these are
+exactly the reduced words of w, see coxeter.admissible_chain), the
+induced object is the minimized complex
 
     ind_w D^I_x  =  minimize( R_{s_n} (x) ... (x) R_{s_1} (x) infl D^I_x ),
 
@@ -23,7 +25,7 @@ shift -- one v per chain letter plus v^len(x) from the inflated start
 directly against the character prediction.  Everything here is checked
 at that K_0 level, with explicit module isomorphisms where the
 underlying facts live at the module level: inflation of D^I_x is D_x
-(the base case; Krull-Schmidt against the catalog gives the map), and
+(the base case; one split pair against D_x gives the map), and
 inflation commutes with the wall-crossing functor of any generator
 inside I (the canonical map, the identity on the Frobenius basis).
 
@@ -56,8 +58,8 @@ from .homotopy import (FormalComplex, complex_from_module,
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
-                   RestrictionMap, build_catalog, direct_sum,
-                   induce_frobenius, is_isomorphic, restrict_module)
+                   RestrictionMap, build_catalog, decompose, direct_sum,
+                   induce_frobenius, restrict_module)
 
 __all__ = [
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
@@ -147,8 +149,7 @@ class InductionSetup:
     """A parabolic subset of a root system, with both catalogs.
 
     side is the root system's _FullSide, which owns the full catalog
-    and the induced complexes.  chains maps w to its least admissible
-    chain, or to None when w has none; least_chain fills it.
+    and the induced complexes.
     """
 
     def __init__(self, side: _FullSide, subset, cache_dir=None):
@@ -165,7 +166,6 @@ class InductionSetup:
         self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
         self.rmap = RestrictionMap(self.algebra, self.sub_algebra)
-        self.chains: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:
         return sorted(self.datum.elements_WI,
@@ -173,18 +173,6 @@ class InductionSetup:
 
     def coset_reps(self) -> list[WeylElement]:
         return sorted(self.datum.min_reps, key=lambda u: (u.length, u.word))
-
-    def least_chain(self, w: WeylElement):
-        """The least admissible chain of w, or None; searched once."""
-        if w not in self.chains:
-            self.chains[w] = admissible_chain(self.datum, w)
-        return self.chains[w]
-
-    def admissible_reps(self) -> list[WeylElement]:
-        """The coset representatives with an admissible chain, in
-        coset_reps order."""
-        return [w for w in self.coset_reps()
-                if self.least_chain(w) is not None]
 
     def instance(self, **extra) -> dict:
         base = {'family': self.family, 'rank': self.rank,
@@ -218,9 +206,9 @@ def make_setup(family: str, rank: int, subset,
 # calibration
 
 
-def _calibrate_on(family: str, rank: int):
+def _calibrate_on(family: str, rank: int, cache_dir=None):
     """Survivors of the (shift, sign) grid on one root system."""
-    side = _full_side(family, rank)
+    side = _full_side(family, rank, cache_dir)
     rs, catalog = side.rs, side.catalog
     e = rs.identity
     v = LaurentPoly({1: 1})
@@ -266,7 +254,7 @@ def _sign_flipped(plus: FormalComplex, minus: FormalComplex) -> bool:
             and all(d_minus[key] == -phi for key, phi in d_plus.items()))
 
 
-def calibrate_shift() -> CalibrationRecord:
+def calibrate_shift(cache_dir=None) -> CalibrationRecord:
     """Determine the unique shift exponent, fixing the sign gauge.
 
     Grid search over shift in {-2, 0, 2} and sign in {+1, -1} on the
@@ -279,11 +267,12 @@ def calibrate_shift() -> CalibrationRecord:
     the same terms and opposite d^{-1} (_sign_flipped): then -1 on
     degree -1 plus the identity on degree 0 is an isomorphism, and the
     positive sign is recorded.  The whole derivation is then repeated
-    on the rank-2 system and must give the same record.
+    on the rank-2 system and must give the same record (both catalogs
+    loaded from cache_dir, or stored there).
     """
     records = []
     for family, rank in CALIBRATION_SYSTEMS:
-        survivors, outputs = _calibrate_on(family, rank)
+        survivors, outputs = _calibrate_on(family, rank, cache_dir)
         shifts = sorted({a for a, _ in survivors})
         if len(shifts) != 1:
             raise CalibrationError(
@@ -311,28 +300,23 @@ def calibrate_shift() -> CalibrationRecord:
 
 
 def _resolve_chain(setup: InductionSetup, w: WeylElement, chain):
+    """The given chain, checked to be a reduced word of w, or else the
+    least admissible chain of w, which must be a minimal representative:
+    its reduced words are its admissible chains (admissible_chain)."""
+    if not setup.datum.is_min_rep(w):
+        word = ' '.join(str(i) for i in w.word_1based()) or 'e'
+        subset = ','.join(str(i + 1) for i in setup.subset)
+        raise ConfigurationError(
+            f"w = {word} is not a minimal representative for "
+            f"I = {{{subset}}}")
     if chain is None:
-        chain = setup.least_chain(w)
-        if chain is None:
-            word = ' '.join(str(i) for i in w.word_1based()) or 'e'
-            subset = ','.join(str(i + 1) for i in setup.subset)
-            raise ConfigurationError(
-                f"w = {word} is not a minimal representative with an "
-                f"admissible chain for I = {{{subset}}}")
-        return chain
+        return admissible_chain(setup.datum, w)
     chain = tuple(chain)
     if len(chain) != w.length:
         raise ConfigurationError("chain length differs from the length "
                                  "of w; the word is not reduced")
-    prefix = setup.rs.identity
-    for i in chain:
-        if not 0 <= i < setup.rs.rank:
-            raise ConfigurationError(f"chain letter {i} out of range")
-        prefix = prefix * setup.rs.simple_reflection(i)
-        if not setup.datum.is_min_rep(prefix):
-            raise ConfigurationError(
-                f"chain prefix {prefix!r} is not a minimal representative")
-    if prefix != w:
+    # element_from_word refuses a letter out of range
+    if setup.rs.element_from_word(chain) != w:
         raise ConfigurationError("chain does not multiply to w")
     return chain
 
@@ -355,23 +339,35 @@ def induce_module(setup: InductionSetup, module, w: WeylElement,
     return cpx
 
 
+def _inflation_is_entry(setup: InductionSetup, x: WeylElement) -> bool:
+    """True iff decompose, offered D_x alone, peels exactly D_x<0> off
+    infl D^I_x and leaves nothing: then the split inclusion of that one
+    pair is an isomorphism D_x -> infl D^I_x."""
+    inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
+    pieces = decompose(inflated, {x: setup.catalog.entry(x)})
+    return [(z, k) for z, k, _i, _p in pieces] == [(x, 0)]
+
+
 def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
            chain=None) -> FormalComplex:
     """Minimized ind_w D^I_x along `chain`, by default the least
     admissible chain of w.
 
-    Inflation sends D^I_x to D_x (verify_base_case certifies it), so the
-    complex depends only on x and the chain.  It is kept in the root
-    system's store, setup.side.induced, under (x, chain prefix) and
-    shared by every parabolic subset.  The start (x, ()) is made once by
-    inflating D^I_x (induce_module), and each prefix missing from the
-    store costs one tensor step from the prefix before it.
+    Inflation sends D^I_x to D_x, so the complex depends only on x and
+    the chain.  It is kept in the root system's store,
+    setup.side.induced, under (x, chain prefix) and shared by every
+    parabolic subset.  The start (x, ()) is D_x<0>, once the base case's
+    certificate (_inflation_is_entry) holds, else InternalCheckError.
+    Each prefix missing from the store costs one tensor step.
     """
     chain = _resolve_chain(setup, w, chain)
-    start = setup.sub_catalog.entry(x)  # refuses x outside W_I
+    setup.sub_catalog.entry(x)  # refuses x outside W_I
     store = setup.side.induced
     if (x, ()) not in store:
-        store[(x, ())] = induce_module(setup, start, setup.rs.identity, ())
+        if not _inflation_is_entry(setup, x):
+            raise InternalCheckError(
+                f"the inflation of D^I_{x!r} is not D_{x!r}")
+        store[(x, ())] = one_term_complex(setup.catalog, [(x, 0)])
     for n, s in enumerate(chain):
         if (x, chain[:n + 1]) not in store:
             store[(x, chain[:n + 1])] = _tensor_step(s, store[(x, chain[:n])])
@@ -379,8 +375,8 @@ def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
 
 
 def induce_all(setup: InductionSetup) -> dict:
-    """{(x, w): ind_w D^I_x} for every x in W_I and every w with an
-    admissible chain."""
+    """{(x, w): ind_w D^I_x} for every x in W_I and every minimal coset
+    representative w."""
     return {(x, w): induce(setup, x, w)
             for x, w in induced_class_instances(setup)}
 
@@ -488,27 +484,20 @@ def verify_induced_class(setup: InductionSetup, x: WeylElement,
 def verify_base_case(setup: InductionSetup) -> VerificationReport:
     """Inflation sends D^I_x to D_x, and hom dimensions match.
 
-    Checks an explicit isomorphism infl(D^I_x) = D_x for every x in the
-    parabolic subgroup: is_isomorphic decomposes both sides against D_x
-    alone, and the matched summands give the map, which is certified
-    blockwise.  D_x always peels off itself, so an inflation that is not
-    D_x leaves a rest on one side only and is reported as a failure.
-    Offering no other catalog entry keeps each member to one split pair
-    per side.  Then it compares the full matrices of degree-0 hom
-    dimensions over W_I x W_I on both sides (the finite shadow of full
-    faithfulness).
+    infl(D^I_x) = D_x is certified for every x in W_I by one split pair
+    (_inflation_is_entry, which the start of induce rests on too).
+    Then it compares the full matrices of degree-0 hom dimensions over
+    W_I x W_I on both sides (the finite shadow of full faithfulness).
     """
     t0 = time.perf_counter()
     members = setup.parabolic_elements()
     failures = []
     for x in members:
-        inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
-        target = setup.catalog.entry(x)
-        if is_isomorphic(inflated, target, {x: target}) is None:
+        if not _inflation_is_entry(setup, x):
             failures.append({
                 'x': x.word_1based(),
-                'inflated_dims': dict(inflated.graded_dims),
-                'catalog_dims': dict(target.graded_dims)})
+                'inflated_dims': dict(setup.sub_catalog.entry(x).graded_dims),
+                'catalog_dims': dict(setup.catalog.entry(x).graded_dims)})
     sub_dims = [[len(setup.sub_catalog.hom_basis(a, b, 0))
                  for b in members] for a in members]
     full_dims = [[len(setup.catalog.hom_basis(a, b, 0))
@@ -675,14 +664,14 @@ def corpus_groups(scope: str = 'full') -> list[tuple]:
 
 def induced_class_instances(setup: InductionSetup) -> list[tuple]:
     return [(x, w) for x in setup.parabolic_elements()
-            for w in setup.admissible_reps()]
+            for w in setup.coset_reps()]
 
 
 def wall_crossing_triples(setup: InductionSetup) -> list[tuple]:
-    """(x, w, s) with w admissible, ws a longer minimal representative."""
+    """(x, w, s) with w and ws minimal representatives, ws longer."""
     out = []
     for x in setup.parabolic_elements():
-        for w in setup.admissible_reps():
+        for w in setup.coset_reps():
             for s in range(setup.rs.rank):
                 ws = w * setup.rs.simple_reflection(s)
                 if ws.length > w.length and setup.datum.is_min_rep(ws):

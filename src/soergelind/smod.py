@@ -330,7 +330,7 @@ def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
     return ModuleMap(module, theta, 2, blocks)
 
 
-def unit_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
+def unit_map(module: GradedModule, theta: GradedModule) -> ModuleMap:
     """m |-> 1 (x) m, the degree-0 adjunction unit.
 
     Degree d of theta_s M is (1 (x) M_d) + (alpha (x) M_{d-2}); the unit
@@ -348,7 +348,7 @@ def unit_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
     return ModuleMap(module, theta, 0, blocks)
 
 
-def theta_of_map(s: int, phi: ModuleMap, theta_src: GradedModule,
+def theta_of_map(phi: ModuleMap, theta_src: GradedModule,
                  theta_tgt: GradedModule) -> ModuleMap:
     """theta_s phi = id (x) phi, block-diagonal over the Frobenius basis."""
     src, tgt, k = phi.source, phi.target, phi.degree

@@ -228,7 +228,8 @@ def test_a_dead_jobs_worker_exits_3_without_a_traceback():
 
 def test_verify_rejects_a_calibration_it_does_not_use(monkeypatch, capsys):
     monkeypatch.setattr(soergelind.cli, 'calibrate_shift',
-                        lambda: CalibrationRecord(shift=0, sign=1))
+                        lambda cache_dir=None: CalibrationRecord(shift=0,
+                                                                 sign=1))
 
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep must not start")

@@ -228,9 +228,13 @@ def test_admissible_chains_enumerates_all():
 
 @pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3), ('G', 2)])
 def test_first_admissible_chain_is_the_least(family, rank):
-    # one search serves both: the single chain is the first of the
-    # list, and the list comes out sorted
+    # the search is the reference: its chains come out sorted, and the
+    # single chain is the first of them.  The chains of a minimal
+    # representative are all of its reduced words (the chains for
+    # I = empty), so the least is the element's own word
     rs = RootSystem(family, rank)
+    empty = build_parabolic(rs, ())
+    reduced_words = {w: admissible_chains(empty, w) for w in rs.elements}
     for mask in range(1 << rank):
         subset = tuple(i for i in range(rank) if mask >> i & 1)
         datum = build_parabolic(rs, subset)
@@ -239,3 +243,7 @@ def test_first_admissible_chain_is_the_least(family, rank):
             assert chains == sorted(chains)
             assert admissible_chain(datum, w) == \
                 (chains[0] if chains else None)
+            minimal = datum.is_min_rep(w)
+            assert chains == (reduced_words[w] if minimal else [])
+            assert admissible_chain(datum, w) == (w.word if minimal
+                                                  else None)

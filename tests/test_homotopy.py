@@ -379,6 +379,23 @@ def test_elimination_reaches_a_minimal_complex():
     assert k0_class(raw) == k0_class(gaussian_eliminate(raw))
 
 
+def test_elimination_refuses_a_component_that_is_not_a_scalar():
+    # the one entry trivial + trivial has End^0 = 2x2 matrices, so
+    # diag(1, 2) between two copies of it is invertible but no scalar;
+    # a genuine catalog entry has End^0 = Q, and elimination relies on it
+    rs = RootSystem('A', 1)
+    algebra = build_coinvariants(rs, (0,))
+    e = rs.identity
+    double, _incls, _projs = direct_sum([smod.trivial_module(algebra)] * 2)
+    catalog = IndecomposableCatalog(algebra, {e: double})
+    diag = ModuleMap(double, double, 0, {0: [[Fraction(1), Fraction(0)],
+                                             [Fraction(0), Fraction(2)]]})
+    cpx = FormalComplex(catalog, {-1: ((e, 0),), 0: ((e, 0),)},
+                        {-1: {(0, 0): diag}})
+    with pytest.raises(InternalCheckError, match='not a scalar'):
+        gaussian_eliminate(cpx)
+
+
 # ---------------------------------------------------------------------------
 # direct sums of complexes
 

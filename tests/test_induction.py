@@ -8,11 +8,15 @@ and check the structural properties -- chain independence, additivity,
 the wall-crossing cone -- that make the sweep meaningful.
 """
 
+import ast
+import pathlib
+
 import pytest
 
-from soergelind import coinvariants, induction, smod
+from soergelind import coinvariants, coxeter, homotopy, induction, smod
 from soergelind.coxeter import admissible_chain, admissible_chains
-from soergelind.errors import CalibrationError, ConfigurationError
+from soergelind.errors import (CalibrationError, ConfigurationError,
+                               InternalCheckError)
 from soergelind.hecke import hecke_standard, kl_basis, predicted_class
 from soergelind.homotopy import (complexes_isomorphic, direct_sum_complexes,
                                  FormalComplex, gaussian_eliminate, k0_class,
@@ -153,6 +157,28 @@ def test_every_induced_class_instance_in_a2(a2s1):
 
 # ---------------------------------------------------------------------------
 # chains: independence, reuse, validation
+
+
+def test_the_theory_replaces_three_searches():
+    # chains are reduced words, isomorphism components are scalars and
+    # the inflation is certified by one split pair: homotopy inverts no
+    # block, induction decides no isomorphism by Krull-Schmidt, and
+    # admissible_chain runs no search
+    def imported(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        return {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+
+    assert 'invert' not in imported(homotopy)
+    assert 'is_isomorphic' not in imported(induction)
+    tree = ast.parse(pathlib.Path(coxeter.__file__).read_text())
+    chain, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == 'admissible_chain']
+    called = {getattr(node.func, 'id', getattr(node.func, 'attr', None))
+              for node in ast.walk(chain) if isinstance(node, ast.Call)}
+    assert called <= {'is_min_rep'}
+
 
 
 def test_chain_independence_up_to_isomorphism():
@@ -333,8 +359,9 @@ def test_base_case_hom_matrices_come_from_the_catalogs(a2s1):
 
 
 def test_base_case_splits_one_pair_per_side(monkeypatch):
-    # each side of infl(D^I_x) = D_x is offered D_x alone, so every
-    # member costs one split pair per side and no other entry is tried
+    # infl(D^I_x) = D_x is certified by one split pair per member, and
+    # the start of induce rests on the same certificate: with an empty
+    # store, inducing along w = e costs one split pair per x
     setup = make_setup('A', 3, (0, 1))
     calls = []
     split_pair = smod._split_pair
@@ -346,7 +373,33 @@ def test_base_case_splits_one_pair_per_side(monkeypatch):
     monkeypatch.setattr(smod, '_split_pair', counted)
     report = verify_base_case(setup)
     assert report.ok()
-    assert len(calls) == 2 * report.details['members'] == 12
+    assert len(calls) == report.details['members'] == 6
+    calls.clear()
+    monkeypatch.setattr(setup.side, 'induced', {})
+    e = setup.rs.identity
+    for x in setup.parabolic_elements():
+        assert induce(setup, x, e).terms == {0: ((x, 0),)}
+    assert len(calls) == 6
+
+
+def test_an_inflation_that_is_not_the_entry_is_refused(monkeypatch):
+    # D^I_{s1} replaced by the trivial module: no split pair peels D_{s1}
+    # off its inflation, so the base case fails that member and induce
+    # refuses to start from it
+    setup = make_setup('A', 2, (0,))
+    e, s1 = setup.rs.identity, word_el(setup.rs, 1)
+    sub = setup.sub_catalog
+    monkeypatch.setitem(sub.entries, s1, sub.entry(e))
+    for catalog, attr in ((sub, 'hom_bases'), (sub, 'degree_sets'),
+                          (setup.catalog, 'hom_bases')):
+        monkeypatch.setattr(catalog, attr, {})
+    monkeypatch.setattr(setup.side, 'induced', {})
+    report = verify_base_case(setup)
+    assert not report.ok()
+    assert [f.get('x') for f in report.details['failures']] == [[1], None]
+    with pytest.raises(InternalCheckError, match='inflation'):
+        induce(setup, s1, e)
+    assert induce(setup, e, e).terms == {0: ((e, 0),)}
 
 
 def test_theta_restriction_inside_parabolic(a2s1):
