@@ -15,6 +15,10 @@ can only mean an arithmetic bug.
 For a standard parabolic W_I the same recursion, run on an element of
 W_I, never leaves W_I (descents of x in W_I lie in I by the subword
 property), and produces the KL polynomials of W_I itself.
+
+Two readings feed the module side's checks: wall_crossing_summands
+expands b_y b_s into the summands of theta_s D_y, and
+expected_graded_dims reads the graded character of D_w off b_w.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .laurent import LaurentPoly
 
 __all__ = [
     'HeckeElement', 'hecke_unit', 'hecke_standard', 'hecke_multiply',
-    'kl_basis', 'wall_crossing_summands', 'parabolic_kl', 'predicted_class',
-    'bar_involution',
+    'kl_basis', 'wall_crossing_summands', 'expected_graded_dims',
+    'parabolic_kl', 'predicted_class', 'bar_involution',
 ]
 
 
@@ -255,6 +259,32 @@ def wall_crossing_summands(y: WeylElement, i: int) -> list:
             out.extend([(z, y.length + 1 + j - z.length)] * c)
         prod = prod - kl_basis(z).scale(m_z)
     return sorted(out, key=lambda t: (t[1], t[0].length, t[0].word))
+
+
+def expected_graded_dims(w) -> dict[int, int]:
+    """Graded dimensions of D_w predicted by Kazhdan-Lusztig data.
+
+    The graded character of D_w is the intersection-cohomology
+    Poincare polynomial of the Schubert variety of w,
+
+        sum over z <= w of  q^(2 l(z)) P_{z,w}(q^2),
+
+    which in terms of the self-dual basis coefficients
+    h_{z,w} = sum_j c_j v^j reads sum_{z,j} c_j q^(l(w)+l(z)-j).
+    It is palindromic; the naive substitution sum_z h_{z,w}(q^2) is
+    not the graded character (the two differ at singular elements,
+    first at s2 s1 s3 s2 in type A3).
+    """
+    total: dict[int, int] = {}
+    lw = w.length
+    for z, h in kl_basis(w).terms.items():
+        for exp, c in h.terms.items():
+            d = lw + z.length - exp
+            if d < 0 or d % 2 or c.denominator != 1 or c < 0:
+                raise InternalCheckError(
+                    f"unexpected KL coefficient {h} at {z!r}")
+            total[d] = total.get(d, 0) + int(c)
+    return {d: n for d, n in sorted(total.items())}
 
 
 def parabolic_kl(datum: ParabolicDatum, x: WeylElement) -> dict:

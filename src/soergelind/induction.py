@@ -149,7 +149,9 @@ class InductionSetup:
     """A parabolic subset of a root system, with both catalogs.
 
     side is the root system's _FullSide, which owns the full catalog
-    and the induced complexes.
+    and the induced complexes.  inflation maps x in W_I to the verdict
+    of the inflation certificate (_inflation_is_entry), which induce
+    and verify_base_case both read.
     """
 
     def __init__(self, side: _FullSide, subset, cache_dir=None):
@@ -166,6 +168,7 @@ class InductionSetup:
         self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
         self.rmap = RestrictionMap(self.algebra, self.sub_algebra)
+        self.inflation: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:
         return sorted(self.datum.elements_WI,
@@ -342,10 +345,15 @@ def induce_module(setup: InductionSetup, module, w: WeylElement,
 def _inflation_is_entry(setup: InductionSetup, x: WeylElement) -> bool:
     """True iff decompose, offered D_x alone, peels exactly D_x<0> off
     infl D^I_x and leaves nothing: then the split inclusion of that one
-    pair is an isomorphism D_x -> infl D^I_x."""
-    inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
-    pieces = decompose(inflated, {x: setup.catalog.entry(x)})
-    return [(z, k) for z, k, _i, _p in pieces] == [(x, 0)]
+    pair is an isomorphism D_x -> infl D^I_x.  Decided once per setup
+    and x, and kept in setup.inflation."""
+    verdict = setup.inflation.get(x)
+    if verdict is None:
+        inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
+        pieces = decompose(inflated, {x: setup.catalog.entry(x)})
+        verdict = setup.inflation[x] = \
+            [(z, k) for z, k, _i, _p in pieces] == [(x, 0)]
+    return verdict
 
 
 def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
@@ -485,7 +493,8 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
     """Inflation sends D^I_x to D_x, and hom dimensions match.
 
     infl(D^I_x) = D_x is certified for every x in W_I by one split pair
-    (_inflation_is_entry, which the start of induce rests on too).
+    (_inflation_is_entry); the start of induce rests on the same
+    verdict, which the setup keeps, so each x is certified once.
     Then it compares the full matrices of degree-0 hom dimensions over
     W_I x W_I on both sides (the finite shadow of full faithfulness).
     """

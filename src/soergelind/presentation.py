@@ -1,0 +1,174 @@
+"""What the action matrices of a graded module present.
+
+A smod.GradedModule is given by its graded dimensions and the matrices
+of the variables between its degrees.  This module reads off that
+presentation, exactly and in integers (GradedModule._integer_actions):
+
+  * degree_sets -- the generator degrees (where the variables' images
+    from below do not span) and the socle degrees (where some vector is
+    killed by every variable);
+  * is_cyclic -- whether the module is generated by a one-dimensional
+    bottom degree, which makes its degree-0 endomorphisms the scalars;
+  * verify_relations -- that the variables commute and the invariant
+    ideal of the coinvariant algebra acts by zero.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+
+from .errors import IncompatibilityError, InternalCheckError
+from .exactla import sparse_nullspace
+
+__all__ = ['degree_sets', 'is_cyclic', 'verify_relations',
+           'check_relations']
+
+
+def _monomial_images(module, mono: tuple, d: int,
+                     products: dict) -> tuple:
+    """(den, columns): a monomial applied to the basis of degree d.
+
+    columns[c] maps each row r to the integer den * (mono e_c)[r], its
+    nonzeros only, computed from the module's integer actions
+    (GradedModule._integer_actions).  The variables act in index order,
+    x_0 first: a monomial is the variable of its last factor applied to
+    its prefix, the monomial with that exponent lowered by one, and
+    ``products`` keeps every monomial met so far, so polynomials acting
+    from the same degree pay for a common monomial once.
+    """
+    got = products.get(mono)
+    if got is not None:
+        return got
+    factors = [i for i, e in enumerate(mono) if e]
+    if not factors:
+        got = (1, [{c: 1} for c in range(module.dim_at(d))])
+    else:
+        last = factors[-1]
+        prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+        den, cols = _monomial_images(module, prefix, d, products)
+        x = module._integer_actions().get((last, d + 2 * (sum(mono) - 1)))
+        if x is None:
+            got = (1, [{} for _ in cols])
+        else:
+            images = []
+            for col in cols:
+                img: dict = {}
+                for k, v in col.items():
+                    for r, u in x[2][k]:
+                        img[r] = img.get(r, 0) + u * v
+                images.append({r: v for r, v in img.items() if v})
+            got = (den * x[0], images)
+    products[mono] = got
+    return got
+
+
+def _polynomial_images(module, poly, d: int,
+                       products: dict) -> list:
+    """A homogeneous polynomials.Polynomial applied to the basis of
+    degree d, as integer columns up to one positive factor.
+
+    Each column maps rows to nonzero integers, as in
+    :func:`_monomial_images`, whose ``products`` it shares; the
+    polynomial kills M_d exactly when every column is empty.
+    """
+    if len(poly.homogeneous_components()) > 1:
+        raise IncompatibilityError("polynomial action needs homogeneity")
+    terms = []
+    for mono, coeff in poly.terms.items():
+        den, cols = _monomial_images(module, mono, d, products)
+        terms.append((coeff / den, cols))
+    scale = lcm(*(w.denominator for w, _cols in terms))
+    out = [{} for _ in range(module.dim_at(d))]
+    for w, cols in terms:
+        w = w.numerator * (scale // w.denominator)
+        for img, col in zip(out, cols):
+            for r, v in col.items():
+                img[r] = img.get(r, 0) + w * v
+    return [{r: v for r, v in img.items() if v} for img in out]
+
+
+def _integer_product(a, b) -> tuple:
+    """(den, entries) of the product of two integer action forms.
+
+    entries maps (r, c) to den times entry (r, c) of the product, its
+    nonzeros only; a missing factor (None) is a zero matrix.
+    """
+    if a is None or b is None:
+        return 1, {}
+    out: dict = {}
+    for c, col in enumerate(b[2]):
+        for k, v in col:
+            for r, u in a[2][k]:
+                out[(r, c)] = out.get((r, c), 0) + u * v
+    return a[0] * b[0], {key: v for key, v in out.items() if v}
+
+
+def degree_sets(module) -> tuple:
+    """(generator degrees, socle degrees) of a module, decided exactly.
+
+    d is a generator degree when the images x_j M_{d-2} do not span
+    M_d, that is when the columns of the x_j out of degree d - 2, taken
+    as rows, leave a kernel on M_d; d is a socle degree when the rows
+    of the x_j out of degree d leave one, some nonzero vector of M_d
+    killed by every x_j.  sparse_nullspace decides each exactly, and a
+    full rank ends its elimination early.
+    """
+    acts = module._integer_actions()
+    n = module.algebra.root_system.rank
+    generators, socle = set(), set()
+    for d, dim in module.graded_dims.items():
+        for found, source, part in ((generators, d - 2, 2), (socle, d, 1)):
+            rows = [dict(v) for i in range(n) if (i, source) in acts
+                    for v in acts[(i, source)][part] if v]
+            if len(rows) < dim or sparse_nullspace(rows, dim):
+                found.add(d)
+    return frozenset(generators), frozenset(socle)
+
+
+def verify_relations(module) -> None:
+    """Assert commutativity and that the invariant ideal acts by zero.
+
+    Commutativity is checked in every degree, the invariants only out
+    of the generator degrees (degree_sets).  That certifies the
+    same: once the variables commute, an invariant f that kills M_{d-2}
+    kills every x_j M_{d-2}, and those span each degree that is not a
+    generator degree.
+    """
+    check_relations(module, degree_sets(module)[0])
+
+
+def check_relations(module, generator_degrees) -> None:
+    """verify_relations in integers, from the module's integer actions."""
+    acts = module._integer_actions()
+    n = module.algebra.root_system.rank
+    for d in module.degrees():
+        for i in range(n):
+            for j in range(i + 1, n):
+                den_l, lhs = _integer_product(acts.get((i, d + 2)),
+                                              acts.get((j, d)))
+                den_r, rhs = _integer_product(acts.get((j, d + 2)),
+                                              acts.get((i, d)))
+                if {k: v * den_r for k, v in lhs.items()} \
+                        != {k: v * den_l for k, v in rhs.items()}:
+                    raise InternalCheckError(
+                        f"variables x{i + 1}, x{j + 1} fail to commute "
+                        f"at degree {d}")
+    for d in sorted(generator_degrees):
+        products: dict = {}
+        for f in module.algebra.fundamental_invariants:
+            if any(_polynomial_images(module, f, d, products)):
+                raise InternalCheckError(
+                    f"invariant of degree {2 * f.total_degree()} acts "
+                    f"nontrivially at degree {d}")
+
+
+def is_cyclic(module, generator_degrees) -> bool:
+    """Whether module is generated by a one-dimensional bottom degree.
+
+    generator_degrees are the module's (degree_sets); the bottom degree
+    is always one of them.  A degree-0 endomorphism f of a cyclic module
+    is a scalar: f(m_0) lies in the bottom degree, Q m_0, and m_0
+    generates.
+    """
+    return (len(generator_degrees) == 1
+            and module.dim_at(module.bottom_degree()) == 1)

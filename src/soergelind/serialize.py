@@ -26,8 +26,9 @@ import sys
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
+from .hecke import expected_graded_dims
 from .laurent import fraction_from_str, fraction_to_str
-from .smod import (GradedModule, IndecomposableCatalog, expected_graded_dims)
+from .smod import GradedModule, IndecomposableCatalog
 
 __all__ = [
     'fraction_to_str', 'fraction_from_str', 'matrix_to_json',

@@ -20,10 +20,17 @@ The workhorses are:
     to a split pair, and the rest is ker(proj).  The summands are
     either given or found by trying catalog entries at the bottom
     degree of what is left.
+  * map_from_generator -- the map out of a cyclic module (one
+    generated by a one-dimensional bottom degree) fixed by the image of
+    its generator, extended degree by degree and certified by
+    intertwining.  A cyclic module has End^0 = Q without a solve.
   * theta_summands -- the one split of theta_s D_y into the summands
     b_y b_s = sum_z m_z b_z predicts (hecke.wall_crossing_summands),
     kept in the catalog: build_catalog admits each entry through it,
     and homotopy's tensor steps and wall-crossings transport through it.
+    A descent split theta_s D_y = D_y<0> + D_y<2> is written down from
+    the multiplication, its section and the coevaluation; an ascent
+    peels the shorter summands by decompose.
   * build_catalog -- the indecomposable modules D_y, one per group
     element: D_y is what is left of theta_s D_{ys} once the predicted
     shorter summands are peeled off (theta_summands).  Each entry is
@@ -50,15 +57,18 @@ from .errors import (ConfigurationError, IncompatibilityError,
 from .exactla import (_frac, identity as id_matrix, invert, is_zero_matrix,
                       mat_mul, mat_scale, mat_sub, rref, sparse_nullspace,
                       zeros)
-from .hecke import kl_basis, wall_crossing_summands
+from .hecke import expected_graded_dims, wall_crossing_summands
+from .presentation import (check_relations, degree_sets, is_cyclic,
+                           verify_relations)
 
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
     'trivial_module', 'zero_module', 'induce_frobenius', 'coev_map',
-    'unit_map', 'theta_of_map', 'bott_samelson', 'RestrictionMap',
-    'restrict_module', 'direct_sum', 'hom_space', 'end_space',
+    'unit_map', 'mult_map', 'theta_of_map', 'bott_samelson',
+    'RestrictionMap', 'restrict_module', 'direct_sum', 'hom_space',
+    'end_space', 'is_cyclic', 'map_from_generator',
     'verify_relations', 'decompose', 'is_isomorphic', 'theta_summands',
-    'build_catalog', 'expected_graded_dims',
+    'build_catalog',
 ]
 
 
@@ -348,6 +358,20 @@ def unit_map(module: GradedModule, theta: GradedModule) -> ModuleMap:
     return ModuleMap(module, theta, 0, blocks)
 
 
+def mult_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
+    """c (x) m |-> cm, the degree-0 multiplication theta_s M -> M.
+
+    In the Frobenius basis 1 (x) m |-> m and alpha_s (x) m |-> alpha_s m.
+    """
+    blocks = {}
+    for d in theta.degrees():
+        n = module.dim_at(d)
+        xs = module.action(s, d - 2)
+        blocks[d] = [[Fraction(int(r == c)) for c in range(n)] + list(xs[r])
+                     for r in range(n)]
+    return ModuleMap(theta, module, 0, blocks)
+
+
 def theta_of_map(phi: ModuleMap, theta_src: GradedModule,
                  theta_tgt: GradedModule) -> ModuleMap:
     """theta_s phi = id (x) phi, block-diagonal over the Frobenius basis."""
@@ -421,113 +445,6 @@ def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
             "module is not over the target of the restriction map")
     return GradedModule(rmap.source, dict(module.graded_dims),
                         dict(module.actions))
-
-
-def _polynomial_action(module: GradedModule, poly, d: int, products: dict):
-    """Matrix of a homogeneous polynomials.Polynomial from degree d up.
-
-    ``products`` maps each monomial met so far to its matrix out of
-    degree d (:func:`_monomial_action`), so polynomials acting from the
-    same degree pay for a common monomial once.
-    """
-    comps = poly.homogeneous_components()
-    if len(comps) > 1:
-        raise IncompatibilityError("polynomial action needs homogeneity")
-    if not comps:
-        return zeros(0, module.dim_at(d))
-    (k, comp), = comps.items()
-    out = None
-    for mono, coeff in comp.terms.items():
-        cur = mat_scale(coeff, _monomial_action(module, mono, d, products))
-        out = cur if out is None else [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(out, cur)]
-    return out
-
-
-def _monomial_action(module: GradedModule, mono: tuple, d: int,
-                     products: dict):
-    """Matrix of a monomial from degree d upward, memoized in products.
-
-    The variables act in index order, x_0 first.  A monomial is the
-    variable of its last factor applied to its prefix, the monomial
-    with that exponent lowered by one, so each monomial costs at most
-    one matrix product.
-    """
-    m = products.get(mono)
-    if m is not None:
-        return m
-    factors = [i for i, e in enumerate(mono) if e]
-    if not factors:
-        m = id_matrix(module.dim_at(d))
-    else:
-        last = factors[-1]
-        prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
-        top = d + 2 * (sum(mono) - 1)
-        m = module.action(last, top)
-        if any(prefix):
-            m = _mul(m, _monomial_action(module, prefix, d, products),
-                     module.dim_at(top + 2), module.dim_at(d))
-    products[mono] = m
-    return m
-
-
-def _degree_sets(module: GradedModule) -> tuple:
-    """(generator degrees, socle degrees) of a module, decided exactly.
-
-    d is a generator degree when the images x_j M_{d-2} do not span
-    M_d, that is when the columns of the x_j out of degree d - 2, taken
-    as rows, leave a kernel on M_d; d is a socle degree when the rows
-    of the x_j out of degree d leave one, some nonzero vector of M_d
-    killed by every x_j.  sparse_nullspace decides each exactly, and a
-    full rank ends its elimination early.
-    """
-    acts = module._integer_actions()
-    n = module.algebra.root_system.rank
-    generators, socle = set(), set()
-    for d, dim in module.graded_dims.items():
-        for found, source, part in ((generators, d - 2, 2), (socle, d, 1)):
-            rows = [dict(v) for i in range(n) if (i, source) in acts
-                    for v in acts[(i, source)][part] if v]
-            if len(rows) < dim or sparse_nullspace(rows, dim):
-                found.add(d)
-    return frozenset(generators), frozenset(socle)
-
-
-def verify_relations(module: GradedModule) -> None:
-    """Assert commutativity and that the invariant ideal acts by zero.
-
-    Commutativity is checked in every degree, the invariants only out
-    of the generator degrees (_degree_sets).  That certifies the
-    same: once the variables commute, an invariant f that kills M_{d-2}
-    kills every x_j M_{d-2}, and those span each degree that is not a
-    generator degree.
-    """
-    _check_relations(module, _degree_sets(module)[0])
-
-
-def _check_relations(module: GradedModule, generator_degrees) -> None:
-    alg = module.algebra
-    n = alg.root_system.rank
-    for d in module.degrees():
-        for i in range(n):
-            for j in range(i + 1, n):
-                shape = (module.dim_at(d + 4), module.dim_at(d))
-                lhs = _mul(module.action(i, d + 2), module.action(j, d),
-                           *shape)
-                rhs = _mul(module.action(j, d + 2), module.action(i, d),
-                           *shape)
-                if lhs != rhs:
-                    raise InternalCheckError(
-                        f"variables x{i + 1}, x{j + 1} fail to commute "
-                        f"at degree {d}")
-    for d in sorted(generator_degrees):
-        products: dict = {}
-        for f in alg.fundamental_invariants:
-            m = _polynomial_action(module, f, d, products)
-            if not is_zero_matrix(m):
-                raise InternalCheckError(
-                    f"invariant of degree {2 * f.total_degree()} acts "
-                    f"nontrivially at degree {d}")
 
 
 class ModuleMap:
@@ -702,6 +619,42 @@ def hom_space(source: GradedModule, target: GradedModule,
                              for r in range(rows)]
         maps.append(ModuleMap(source, target, degree, blocks))
     return maps
+
+
+def map_from_generator(source: GradedModule, target: GradedModule,
+                       degree: int, image) -> ModuleMap | None:
+    """The degree-`degree` map out of a cyclic source with m_0 |-> image.
+
+    m_0 spans the bottom degree b of source (is_cyclic); image is a
+    vector of target_{b + degree}.  Each higher M_d is spanned by the
+    x_j M_{d-2}, so f_d solves f_d X_j = Y_j f_{d-2} for all j, read off
+    at the pivots of the stacked actions [X_0 | ... | X_{n-1}].  The
+    result is certified by check_intertwines.  None when no map sends
+    m_0 to image, or m_0 does not generate source.
+    """
+    n = source.algebra.root_system.rank
+    bottom, *higher = source.degrees()
+    blocks = {bottom: [[_frac(v)] for v in image]}
+    for d in higher:
+        dim, rows = source.dim_at(d), target.dim_at(d + degree)
+        low = source.dim_at(d - 2)
+        # f_d S = R transposed: one row per (j, column of X_j), holding
+        # that column of X_j and the same column of Y_j f_{d-2}
+        system = []
+        for j in range(n):
+            x = source.action(j, d - 2)
+            y = _mul(target.action(j, d - 2 + degree), blocks[d - 2],
+                     rows, low)
+            system.extend([x[r][c] for r in range(dim)]
+                          + [y[r][c] for r in range(rows)]
+                          for c in range(low))
+        red, pivots = rref(system)
+        if pivots != list(range(dim)):
+            return None
+        blocks[d] = [[red[i][dim + r] for i in range(dim)]
+                     for r in range(rows)]
+    phi = ModuleMap(source, target, degree, blocks)
+    return phi if phi.check_intertwines() else None
 
 
 def end_space(module: GradedModule) -> list[ModuleMap]:
@@ -905,32 +858,6 @@ def is_isomorphic(a: GradedModule, b: GradedModule, entries: dict):
     return phi
 
 
-def expected_graded_dims(w) -> dict[int, int]:
-    """Graded dimensions of D_w predicted by Kazhdan-Lusztig data.
-
-    The graded character of D_w is the intersection-cohomology
-    Poincare polynomial of the Schubert variety of w,
-
-        sum over z <= w of  q^(2 l(z)) P_{z,w}(q^2),
-
-    which in terms of the self-dual basis coefficients
-    h_{z,w} = sum_j c_j v^j reads sum_{z,j} c_j q^(l(w)+l(z)-j).
-    It is palindromic; the naive substitution sum_z h_{z,w}(q^2) is
-    not the graded character (the two differ at singular elements,
-    first at s2 s1 s3 s2 in type A3).
-    """
-    total: dict[int, int] = {}
-    lw = w.length
-    for z, h in kl_basis(w).terms.items():
-        for exp, c in h.terms.items():
-            d = lw + z.length - exp
-            if d < 0 or d % 2 or c.denominator != 1 or c < 0:
-                raise InternalCheckError(
-                    f"unexpected KL coefficient {h} at {z!r}")
-            total[d] = total.get(d, 0) + int(c)
-    return {d: n for d, n in sorted(total.items())}
-
-
 class IndecomposableCatalog:
     """The indecomposables D_y, y in the algebra's Weyl group.
 
@@ -964,8 +891,12 @@ class IndecomposableCatalog:
         """(generator degrees, socle degrees) of D_y, decided once."""
         sets = self.degree_sets.get(y)
         if sets is None:
-            sets = self.degree_sets[y] = _degree_sets(self.entry(y))
+            sets = self.degree_sets[y] = degree_sets(self.entry(y))
         return sets
+
+    def is_cyclic(self, y) -> bool:
+        """Whether D_y is generated by its bottom degree (is_cyclic)."""
+        return is_cyclic(self.entry(y), self.entry_degrees(y)[0])
 
     def hom_basis(self, y, z, degree: int) -> list:
         """A basis of Hom(D_y, D_z) in degree `degree`, found once.
@@ -995,13 +926,89 @@ class IndecomposableCatalog:
 
 
 def _admit(catalog: IndecomposableCatalog, w, module: GradedModule) -> None:
-    """Store module as D_w once End^0 = Q and the relations hold."""
-    if len(end_space(module)) != 1:
+    """Store module as D_w once End^0 = Q and the relations hold.
+
+    End^0 = Q is proven for a cyclic module (is_cyclic) and solved for
+    (end_space) otherwise.
+    """
+    sets = degree_sets(module)
+    if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
         raise InternalCheckError(f"the module left for {w!r} is decomposable")
-    sets = _degree_sets(module)
-    _check_relations(module, sets[0])
+    check_relations(module, sets[0])
     catalog.entries[w] = module
     catalog.degree_sets[w] = sets
+
+
+def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
+                    theta: GradedModule) -> list:
+    """theta_s D_y = D_y<0> + D_y<2> for s a right descent of y.
+
+    mult (c (x) m |-> cm) projects onto D_y<0>.  Its section sigma, with
+    mult o sigma = id, sends m_0 to 1 (x) m_0 when D_y is cyclic
+    (map_from_generator), else it is the one basis map of Hom^0(D_y,
+    theta), rescaled.  incl2 = coev - sigma o mult o coev includes
+    D_y<2>; the projections are the rows of the blockwise inverse of
+    [sigma | incl2].  sigma is a module map by construction; incl2 and
+    proj2 must intertwine.
+    """
+    entry = catalog.entry(y)
+    mult = mult_map(s, entry, theta)
+    if catalog.is_cyclic(y):
+        sigma = map_from_generator(entry, theta, 0, [1])
+    else:
+        maps = hom_space(entry, theta, 0)
+        sigma = maps[0] if len(maps) == 1 else None
+    if sigma is not None:
+        c = _pair_trace(mult, sigma) / entry.total_dim()
+        sigma = sigma.scale(1 / c) if c else None
+    if sigma is None or mult.compose(sigma) != ModuleMap.identity(entry):
+        raise InternalCheckError(
+            f"theta_s{s + 1} D_{y!r} has no section of its multiplication")
+    coev = coev_map(s, entry, theta)
+    incl2 = coev - sigma.compose(mult.compose(coev))
+    proj0, proj2 = {}, {}
+    for d in theta.degrees():
+        square = [a + b for a, b in zip(sigma.block(d), incl2.block(d - 2))]
+        try:
+            inverse = invert(square)
+        except ValueError:
+            raise InternalCheckError(
+                f"D_{y!r}<0> + D_{y!r}<2> does not map onto theta_s{s + 1} "
+                f"D_{y!r}") from None
+        top = entry.dim_at(d)
+        proj0[d], proj2[d] = inverse[:top], inverse[top:]
+    proj0 = ModuleMap(theta, entry, 0, proj0)
+    proj2 = ModuleMap(theta, entry, -2, proj2)
+    if not (incl2.check_intertwines() and proj2.check_intertwines()):
+        raise InternalCheckError(
+            f"the split of theta_s{s + 1} D_{y!r} fails to intertwine")
+    return [(y, 0, sigma, proj0), (y, 2, incl2, proj2)]
+
+
+def _matched_rest(catalog: IndecomposableCatalog, ys, rest: GradedModule,
+                  incl: ModuleMap, proj: ModuleMap) -> tuple:
+    """(incl, proj) through D_ys of the rest of a split, D_ys in
+    another basis, or None.
+
+    For a cyclic D_ys the isomorphism D_ys -> rest sends m_0 to m_0: a
+    module map (map_from_generator) with a blockwise inverse.  Else a
+    split pair is solved.
+    """
+    entry = catalog.entry(ys)
+    if not catalog.is_cyclic(ys):
+        pair = _split_pair(rest, entry, 0)
+        if pair is None:
+            return None
+        return incl.compose(pair[0]), pair[1].compose(proj)
+    phi = map_from_generator(entry, rest, 0, [1])
+    if phi is None:
+        return None
+    try:
+        inverse = ModuleMap(rest, entry, 0, {d: invert(phi.block(d))
+                                             for d in rest.degrees()})
+    except ValueError:
+        return None
+    return incl.compose(phi), inverse.compose(proj)
 
 
 def theta_summands(catalog: IndecomposableCatalog, s: int, y):
@@ -1009,14 +1016,15 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
 
     Returns (theta_module, pieces) where pieces is a list of
     (z, shift, incl, proj): incl is a degree-(shift) map D_z ->
-    theta_module and proj its one-sided inverse of degree -shift.  The
-    summands are the ones b_y b_s predicts, in its order, each peeled as
-    a certified split pair (decompose), and nothing may be left over.
-    If s is an ascent of y, D_ys<0> is what is left, which must have the
-    Kazhdan-Lusztig graded dimensions of D_ys.  Without an entry for ys
-    (build_catalog) it is admitted as D_ys; with an entry of equal
-    action matrices the identity matches the two, so a reloaded catalog
-    splits exactly as the build did; otherwise a split pair is solved.
+    theta_module and proj its one-sided inverse of degree -shift, in the
+    order b_y b_s predicts.  For a descent s of y, b_y b_s must read
+    D_y<0> + D_y<2>, split by explicit maps (_descent_pieces).  For an
+    ascent the other predicted summands are peeled as certified split
+    pairs (decompose), and what is left must have the Kazhdan-Lusztig
+    graded dimensions of D_ys.  Without an entry for ys (build_catalog)
+    it is admitted as D_ys; with an entry of equal action matrices the
+    identity matches the two, so a reloaded catalog splits exactly as
+    the build did; otherwise _matched_rest matches them.
     """
     cache = catalog.theta_splittings
     key = (s, y)
@@ -1025,12 +1033,11 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     theta = induce_frobenius(s, catalog.entry(y))
     predicted = wall_crossing_summands(y, s)
     if y.has_right_descent(s):
-        pieces = decompose(theta, catalog.entries, predicted)
-        if pieces and pieces[-1][0] is None:
+        if predicted != [(y, 0), (y, 2)]:
             raise InternalCheckError(
-                f"theta_s{s + 1} D_{y!r} has a summand with graded "
-                f"character {pieces[-1][2].source.graded_dims} beyond "
-                f"b_y b_s")
+                f"b_y b_s reads {predicted} at the descent s{s + 1} of "
+                f"{y!r}, not (v + 1/v) b_y")
+        pieces = _descent_pieces(catalog, s, y, theta)
     else:
         ys = y * y.root_system.simple_reflection(s)
         pieces = decompose(theta, catalog.entries,
@@ -1051,12 +1058,12 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
             incl = ModuleMap(entry, theta, 0, incl.blocks)
             proj = ModuleMap(theta, entry, 0, proj.blocks)
         else:
-            pair = _split_pair(rest, entry, 0)
+            pair = _matched_rest(catalog, ys, rest, incl, proj)
             if pair is None:
                 raise InternalCheckError(
                     f"predicted summand D_{ys!r}<0> does not split off "
                     f"theta_s{s + 1} D_{y!r}")
-            incl, proj = incl.compose(pair[0]), pair[1].compose(proj)
+            incl, proj = pair
         pieces.insert(predicted.index((ys, 0)), (ys, 0, incl, proj))
     cache[key] = (theta, pieces)
     return cache[key]
@@ -1069,7 +1076,8 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     the first right descent of w, admits D_w as what is left of theta_s
     D_{ws} in bottom degree 0.  Hard checks on every entry: its graded
     dimensions equal the Kazhdan-Lusztig prediction, its degree-0
-    endomorphisms are the scalars, and the invariant ideal kills it.
+    endomorphisms are the scalars (proven for a cyclic entry, solved
+    for the others), and the invariant ideal kills it.
     Every call builds afresh; induction keeps and caches the result.
     """
     rs = algebra.root_system

@@ -294,19 +294,28 @@ def with_entry(catalog, w, module):
     return IndecomposableCatalog(catalog.algebra, entries)
 
 
-def test_a_rebased_entry_is_split_through_a_solved_pair(monkeypatch):
-    catalog = catalog_of('B', 2)
+@pytest.mark.parametrize('family,rank', [('B', 2), ('A', 3)])
+def test_a_rebased_entry_is_matched_through_its_generator(family, rank,
+                                                         monkeypatch):
+    # a cyclic D_ys is matched to the rest by m_0 |-> m_0 without a
+    # solve; the two non-cyclic A3 entries still need a split pair
+    catalog = catalog_of(family, rank)
     rs = catalog.algebra.root_system
     calls = count_split_pairs(monkeypatch)
     ascents = [(s, y) for y in catalog.elements() for s in range(rs.rank)
                if not y.has_right_descent(s)]
+    if family == 'A':
+        ascents = [(s, y) for s, y in ascents
+                   if not catalog.is_cyclic(y * rs.simple_reflection(s))]
     assert ascents
     for s, y in ascents:
         ys = y * rs.simple_reflection(s)
         other = with_entry(catalog, ys, rescaled(catalog.entry(ys)))
         del calls[:]
         theta, pieces = theta_summands(other, s, y)
-        assert fallback_solves(calls, other, s, y) == [0], (s, y)
+        assert fallback_solves(calls, other, s, y) == \
+            ([] if other.is_cyclic(ys) else [0]), (s, y)
+        assert other.is_cyclic(ys) == (family == 'B')
         assert [(z, k) for z, k, _i, _p in pieces] == \
             wall_crossing_summands(y, s)
         assert_split(other, theta, pieces)

@@ -360,9 +360,11 @@ def test_base_case_hom_matrices_come_from_the_catalogs(a2s1):
 
 def test_base_case_splits_one_pair_per_side(monkeypatch):
     # infl(D^I_x) = D_x is certified by one split pair per member, and
-    # the start of induce rests on the same certificate: with an empty
-    # store, inducing along w = e costs one split pair per x
+    # the start of induce rests on the same verdict, which the setup
+    # keeps: with an empty store, inducing along w = e then solves none,
+    # and without the verdicts one split pair per x again
     setup = make_setup('A', 3, (0, 1))
+    monkeypatch.setattr(setup, 'inflation', {})
     calls = []
     split_pair = smod._split_pair
 
@@ -375,11 +377,55 @@ def test_base_case_splits_one_pair_per_side(monkeypatch):
     assert report.ok()
     assert len(calls) == report.details['members'] == 6
     calls.clear()
-    monkeypatch.setattr(setup.side, 'induced', {})
+    assert verify_base_case(setup).details == report.details and not calls
     e = setup.rs.identity
-    for x in setup.parabolic_elements():
-        assert induce(setup, x, e).terms == {0: ((x, 0),)}
-    assert len(calls) == 6
+    for verdicts, solves in (({**setup.inflation}, 0), ({}, 6)):
+        calls.clear()
+        monkeypatch.setattr(setup, 'inflation', verdicts)
+        monkeypatch.setattr(setup.side, 'induced', {})
+        for x in setup.parabolic_elements():
+            assert induce(setup, x, e).terms == {0: ((x, 0),)}
+        assert len(calls) == solves
+
+
+def test_an_a3_group_solves_only_where_the_theory_names_no_map(monkeypatch):
+    # the A3 I = {1, 2} group from scratch: End^0 is solved only for the
+    # catalog entries that are not cyclic, a descent split of a cyclic
+    # entry solves nothing, and the group makes no more hom solves than
+    # it does with both
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    solves = {'hom': 0, 'end': 0}
+    descents = []
+    hom_space, end_space = smod.hom_space, smod.end_space
+    descent_pieces = smod._descent_pieces
+
+    def counted_hom(*args):
+        solves['hom'] += 1
+        return hom_space(*args)
+
+    def counted_end(module):
+        solves['end'] += 1
+        return end_space(module)
+
+    def counted_descent(catalog, s, y, theta):
+        before = solves['hom']
+        pieces = descent_pieces(catalog, s, y, theta)
+        descents.append((catalog.is_cyclic(y), solves['hom'] - before))
+        return pieces
+
+    monkeypatch.setattr(smod, 'hom_space', counted_hom)
+    monkeypatch.setattr(smod, 'end_space', counted_end)
+    monkeypatch.setattr(smod, '_descent_pieces', counted_descent)
+    out = run_group('A', 3, (0, 1))
+    assert all(r.ok() for reports in out.values() for r in reports)
+    setup = make_setup('A', 3, (0, 1))
+    built = [catalog.is_cyclic(y) for catalog in (setup.catalog,
+                                                  setup.sub_catalog)
+             for y in catalog.entries]
+    assert len(built) == 30 and solves['end'] == built.count(False) == 2
+    # every descent split of the group is of a cyclic entry
+    assert descents == [(True, 0)] * 9
+    assert solves['hom'] <= 176
 
 
 def test_an_inflation_that_is_not_the_entry_is_refused(monkeypatch):
@@ -394,6 +440,7 @@ def test_an_inflation_that_is_not_the_entry_is_refused(monkeypatch):
                           (setup.catalog, 'hom_bases')):
         monkeypatch.setattr(catalog, attr, {})
     monkeypatch.setattr(setup.side, 'induced', {})
+    monkeypatch.setattr(setup, 'inflation', {})
     report = verify_base_case(setup)
     assert not report.ok()
     assert [f.get('x') for f in report.details['failures']] == [[1], None]
