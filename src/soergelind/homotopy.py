@@ -13,10 +13,13 @@ The two-term complex
 
     X<2>  --(1/2)(1 (x) alpha_s . m  +  alpha_s (x) m)-->  theta_s X
 
-(sources in relative degree -1, the Frobenius induction theta_s in
-relative degree 0) is the tensor step; iterating it along an
-admissible chain is how induced complexes are produced.  The vertical
-map is the coevaluation of the Frobenius self-adjunction -- the unit
+(sources in relative degree -1, the theta row theta_complex builds in
+relative degree 0) is the tensor step: the cone of the vertical map.
+Iterating it along an admissible chain is how induced complexes are
+produced.  The step keeps its row minimized on X, where wall_crossed
+finds it for the cone identity of the wall checks, so each row is
+built once per complex and s.  The vertical map is the
+coevaluation of the Frobenius self-adjunction -- the unit
 m |-> 1 (x) m has internal degree 0 and cannot connect the shifted
 rows, so the degree-2 coevaluation is the faithful reading; the
 shift of the tensor step selects the map, and calibration fixes the
@@ -54,8 +57,8 @@ from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
 __all__ = [
     'FormalComplex', 'one_term_complex', 'complex_from_module',
     'direct_sum_complexes', 'tensor_rouquier', 'theta_complex',
-    'gaussian_eliminate', 'is_minimal', 'k0_class', 'hom_complex_basis',
-    'hom_complex_vanishing', 'complexes_isomorphic',
+    'wall_crossed', 'gaussian_eliminate', 'is_minimal', 'k0_class',
+    'hom_complex_basis', 'hom_complex_vanishing', 'complexes_isomorphic',
 ]
 
 
@@ -67,10 +70,11 @@ class FormalComplex:
     stored between unshifted entries with degree shift_col - shift_row.
     The constructor drops empty terms and zero components and validates
     every complex it builds, d^2 = 0 included.  Nothing changes a
-    complex after that, so k0_class keeps its class on it.
+    complex after that, so k0_class keeps its class on it and
+    wall_crossed its minimized theta rows.
     """
 
-    __slots__ = ('catalog', 'terms', 'diffs', '_k0')
+    __slots__ = ('catalog', 'terms', 'diffs', '_k0', '_crossed')
 
     def __init__(self, catalog: IndecomposableCatalog, terms: dict,
                  diffs: dict):
@@ -87,6 +91,7 @@ class FormalComplex:
                 self.diffs[i] = keep
         self._validate()
         self._k0 = None  # the K_0 class, once k0_class computes it
+        self._crossed = {}  # s -> the minimized theta row, see wall_crossed
 
     def _validate(self):
         for i, comps in self.diffs.items():
@@ -240,98 +245,84 @@ def _vertical_component(catalog, s, y, shift):
 
 def tensor_rouquier(s: int, cpx: FormalComplex, shift: int = 2,
                     sign: int = 1) -> FormalComplex:
-    """One Rouquier tensor step: totalize  X<shift> -> theta_s X.
+    """One Rouquier tensor step: the cone of X<shift> -> theta_complex(s, X).
 
-    The X row sits in relative degree -1 with its inner differential
-    negated; the theta_s row keeps the inner differential (transported
-    through the cached splittings); the vertical map is sign * (the
-    adjunction map the shift selects, see _vertical_component).  The
-    defaults are the calibrated convention.  d^2 = 0 is verified by the
-    constructor.
+    Degree i holds X^{i+1}<shift>, inner differential negated, then the
+    row's summands, its components copied at an offset.  Only the
+    vertical components are new: sign * (the adjunction map the shift
+    selects, _vertical_component), cut by the cached splittings.  The
+    defaults are the calibrated convention.  The row is kept minimized
+    on X for wall_crossed.  The constructor verifies d^2 = 0.
     """
     catalog = cpx.catalog
+    row = theta_complex(s, cpx)
+    if s not in cpx._crossed:
+        cpx._crossed[s] = gaussian_eliminate(row)
     new_terms: dict[int, list] = {}
-    # index maps: at total degree i, first the X^{i+1}<shift> summands,
-    # then the theta-splittings of X^i summands in order.
-    theta_offsets: dict[int, list] = {}
-    for i in set(list(cpx.terms)) | {j - 1 for j in cpx.terms}:
-        row = [(y, k + shift) for (y, k) in cpx.summands(i + 1)]
-        offs = []
-        for (y, k) in cpx.summands(i):
-            offs.append(len(row))
-            _theta, pieces = theta_summands(catalog, s, y)
-            row.extend((z, m + k) for (z, m, _, _) in pieces)
-        if row:
-            new_terms[i] = row
-            theta_offsets[i] = offs
-    new_diffs: dict[int, dict] = {i: {} for i in new_terms}
-    for i, comps in new_diffs.items():
-        # negated inner differential on the shifted row
-        for (b, a), phi in cpx.diffs.get(i + 1, {}).items():
-            _add_component(comps, b, a, -phi)
-        # vertical adjunction maps: summand a of X^{i+1} at level i maps
-        # into the theta block of the same summand at level i + 1
-        for a, (y, k) in enumerate(cpx.summands(i + 1)):
+    new_diffs: dict[int, dict] = {}
+    for i in set(cpx.terms) | {j - 1 for j in cpx.terms}:
+        shifted, below = cpx.summands(i + 1), len(cpx.summands(i + 2))
+        new_terms[i] = [(y, k + shift) for (y, k) in shifted] \
+            + list(row.summands(i))
+        comps = new_diffs[i] = {key: -phi for key, phi
+                                in cpx.diffs.get(i + 1, {}).items()}
+        # summand a of X^{i+1} maps into its theta block at i + 1, which
+        # comes after the summands of X^{i+2}
+        base = below
+        for a, (y, _k) in enumerate(shifted):
             vert = _vertical_component(catalog, s, y, shift)
             _theta, pieces = theta_summands(catalog, s, y)
-            base = theta_offsets[i + 1][a]
-            for j, (z, m, _incl, proj) in enumerate(pieces):
-                comp = proj.compose(vert).scale(Fraction(sign))
-                _add_component(comps, base + j, a, comp)
-        # transported inner differential on the theta row
-        if cpx.diffs.get(i):
-            _add_theta_row(comps, s, cpx, i, theta_offsets[i],
-                           theta_offsets[i + 1])
+            for j, (_z, _m, _incl, proj) in enumerate(pieces):
+                comps[(base + j, a)] = proj.compose(vert).scale(
+                    Fraction(sign))
+            base += len(pieces)
+        for (b, a), phi in row.diffs.get(i, {}).items():
+            comps[(b + below, a + len(shifted))] = phi
     return FormalComplex(catalog, new_terms, new_diffs)
 
 
 def theta_complex(s: int, cpx: FormalComplex) -> FormalComplex:
-    """Term-wise Frobenius induction of a complex (no totalization)."""
+    """Term-wise Frobenius induction of a complex (no totalization).
+
+    Each summand D_y<k> becomes the summands of theta_s D_y, shifted by
+    k, in the order of the cached splitting.  Each component
+    phi: D_ya -> D_yb becomes theta_s phi cut by the splittings.  This
+    is the only code that builds a theta row.
+    """
     catalog = cpx.catalog
     new_terms: dict[int, list] = {}
     offsets: dict[int, list] = {}
     for i, summands in cpx.terms.items():
-        row = []
-        offs = []
+        row = new_terms[i] = []
+        offs = offsets[i] = []
         for (y, k) in summands:
             offs.append(len(row))
             _theta, pieces = theta_summands(catalog, s, y)
             row.extend((z, m + k) for (z, m, _, _) in pieces)
-        new_terms[i] = row
-        offsets[i] = offs
-    new_diffs: dict[int, dict] = {i: {} for i in cpx.diffs}
-    for i, comps in new_diffs.items():
-        _add_theta_row(comps, s, cpx, i, offsets[i], offsets[i + 1])
+    new_diffs: dict[int, dict] = {}
+    for i, diff in cpx.diffs.items():
+        comps = new_diffs[i] = {}
+        for (b, a), phi in diff.items():
+            theta_a, pieces_a = theta_summands(catalog, s,
+                                               cpx.summands(i)[a][0])
+            theta_b, pieces_b = theta_summands(catalog, s,
+                                               cpx.summands(i + 1)[b][0])
+            big = theta_of_map(phi, theta_a, theta_b)
+            for ja, (_za, _ma, incl_a, _pa) in enumerate(pieces_a):
+                half = big.compose(incl_a)
+                for jb, (_zb, _mb, _ib, proj_b) in enumerate(pieces_b):
+                    comps[(offsets[i + 1][b] + jb, offsets[i][a] + ja)] = \
+                        proj_b.compose(half)
     return FormalComplex(catalog, new_terms, new_diffs)
 
 
-def _add_component(comps: dict, b: int, a: int, phi: ModuleMap) -> None:
-    """Accumulate phi into the differential component (b, a)."""
-    if phi.is_zero():
-        return
-    comps[(b, a)] = comps[(b, a)] + phi if (b, a) in comps else phi
-
-
-def _add_theta_row(comps: dict, s: int, cpx: FormalComplex, i: int,
-                   src_offsets: list, tgt_offsets: list) -> None:
-    """Accumulate theta_s d^i of cpx, split into catalog summands.
-
-    Each component phi: D_ya -> D_yb becomes theta_s phi cut by the
-    cached splittings; the summands of theta_s D_ya start at column
-    src_offsets[a], those of theta_s D_yb at row tgt_offsets[b].
-    """
-    catalog = cpx.catalog
-    for (b, a), phi in cpx.diffs[i].items():
-        ya, _ka = cpx.summands(i)[a]
-        yb, _kb = cpx.summands(i + 1)[b]
-        theta_a, pieces_a = theta_summands(catalog, s, ya)
-        theta_b, pieces_b = theta_summands(catalog, s, yb)
-        big = theta_of_map(phi, theta_a, theta_b)
-        for ja, (_za, _ma, incl_a, _pa) in enumerate(pieces_a):
-            half = big.compose(incl_a)
-            for jb, (_zb, _mb, _ib, proj_b) in enumerate(pieces_b):
-                _add_component(comps, tgt_offsets[b] + jb,
-                               src_offsets[a] + ja, proj_b.compose(half))
+def wall_crossed(s: int, cpx: FormalComplex) -> FormalComplex:
+    """The minimized theta_s X: the row the tensor step kept on X, or
+    else one built, minimized and kept here."""
+    crossed = cpx._crossed.get(s)
+    if crossed is None:
+        crossed = cpx._crossed[s] = gaussian_eliminate(theta_complex(s, cpx))
+    return crossed
 
 
 # ---------------------------------------------------------------------------

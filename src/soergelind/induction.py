@@ -54,7 +54,7 @@ from .exactla import identity
 from .hecke import HeckeElement, hecke_standard, kl_basis, predicted_class
 from .homotopy import (FormalComplex, complex_from_module,
                        gaussian_eliminate, hom_complex_vanishing, k0_class,
-                       one_term_complex, tensor_rouquier, theta_complex)
+                       one_term_complex, tensor_rouquier, wall_crossed)
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
@@ -219,7 +219,7 @@ def _calibrate_on(family: str, rank: int, cache_dir=None):
     # sanity independent of the grid: plain wall-crossing categorifies
     # multiplication by v.b_s
     for s in range(rs.rank):
-        plain = gaussian_eliminate(theta_complex(s, base))
+        plain = wall_crossed(s, base)
         if k0_class(plain) != kl_basis(rs.simple_reflection(s)).scale(v):
             raise CalibrationError(
                 "plain wall-crossing of the trivial module does not "
@@ -590,7 +590,7 @@ def verify_wall_crossing(setup: InductionSetup, x: WeylElement,
     t0 = time.perf_counter()
     ws = _require_wall_hypotheses(setup, w, s)
     base = induce(setup, x, w)
-    crossed = gaussian_eliminate(theta_complex(s, base))
+    crossed = wall_crossed(s, base)
     lhs = k0_class(crossed)
     cls_w = k0_class(base)
     cls_ws = k0_class(induce(setup, x, ws))

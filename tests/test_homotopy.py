@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from soergelind.coinvariants import build_coinvariants
-from soergelind.coxeter import RootSystem
+from soergelind.coxeter import RootSystem, admissible_chain
 from soergelind.errors import (ConfigurationError, IncompatibilityError,
                                InternalCheckError)
 from soergelind.hecke import hecke_multiply, hecke_standard, kl_basis
@@ -25,9 +25,9 @@ from soergelind.homotopy import (FormalComplex, _coords_in_basis,
                                  gaussian_eliminate, hom_complex_basis,
                                  hom_complex_vanishing, is_minimal, k0_class,
                                  one_term_complex, tensor_rouquier,
-                                 theta_complex)
+                                 theta_complex, wall_crossed)
 from soergelind.laurent import LaurentPoly
-from soergelind import smod
+from soergelind import homotopy, induction, smod
 from soergelind.hecke import wall_crossing_summands
 from soergelind.homotopy import theta_summands
 from soergelind.serialize import load_cached_catalog, store_catalog
@@ -217,6 +217,100 @@ def test_theta_acts_degreewise():
         n = sum(cpx.term_module(i)[0].graded_dims.values())
         m = sum(crossed.term_module(i)[0].graded_dims.values())
         assert m == 2 * n
+
+
+def stored_complexes(family, rank):
+    """Every complex the induction store of the root system holds once
+    each of its parabolic groups has induced all its classes."""
+    for subset in induction.proper_subsets(rank):
+        setup = induction.make_setup(family, rank, subset)
+        induction.induce_all(setup)
+    return list(setup.side.induced.values())
+
+
+@pytest.mark.parametrize('family,rank', [('A', 2), ('B', 2), ('G', 2)])
+def test_the_tensor_step_is_the_cone_over_the_theta_row(family, rank):
+    # degree i lists X^{i+1}<2>, then the row; the row's components are
+    # copied at an offset, the X block carries -d_X, and every other
+    # component is vertical: from a summand of X^{i+1} into its own
+    # theta block
+    for cpx in stored_complexes(family, rank):
+        for s in range(rank):
+            row, cone = theta_complex(s, cpx), tensor_rouquier(s, cpx)
+            degrees = set(cpx.terms) | {j - 1 for j in cpx.terms}
+            assert set(cone.terms) <= degrees
+            for i in degrees:
+                shifted = cpx.summands(i + 1)
+                n1, n2 = len(shifted), len(cpx.summands(i + 2))
+                assert cone.summands(i) == tuple(
+                    (y, k + 2) for (y, k) in shifted) + row.summands(i)
+                comps = cone.diffs.get(i, {})
+                assert {(b - n2, a - n1): phi for (b, a), phi in comps.items()
+                        if a >= n1} == row.diffs.get(i, {})
+                assert {(b, a): phi for (b, a), phi in comps.items()
+                        if a < n1 and b < n2} == {
+                    key: -phi for key, phi in cpx.diffs.get(i + 1, {}).items()}
+                starts = [n2]
+                for (y, _k) in shifted:
+                    starts.append(
+                        starts[-1] + len(theta_summands(cpx.catalog, s, y)[1]))
+                for (b, a), phi in comps.items():
+                    if a < n1 and b >= n2:
+                        assert starts[a] <= b < starts[a + 1], (i, b, a)
+
+
+@pytest.mark.parametrize('family,rank', [('A', 2), ('B', 2)])
+def test_wall_crossed_is_the_minimized_theta_row_kept_once(family, rank):
+    for cpx in stored_complexes(family, rank):
+        for s in range(rank):
+            crossed = wall_crossed(s, cpx)
+            assert wall_crossed(s, cpx) is crossed
+            assert crossed.to_json() == gaussian_eliminate(
+                theta_complex(s, cpx)).to_json()
+
+
+def count_theta_rows(monkeypatch):
+    """A list that gains one entry per theta row built."""
+    rows = []
+    original = homotopy.theta_complex
+
+    def counted(s, cpx):
+        rows.append(s)
+        return original(s, cpx)
+
+    monkeypatch.setattr(homotopy, 'theta_complex', counted)
+    return rows
+
+
+def test_every_prefix_keeps_its_row_for_the_next_letter(monkeypatch):
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    setup = induction.make_setup('B', 2, ())
+    w0 = setup.coset_reps()[-1]
+    chain = admissible_chain(setup.datum, w0)
+    e = setup.rs.identity
+    induction.induce(setup, e, w0)
+    rows = count_theta_rows(monkeypatch)
+    for n, s in enumerate(chain):
+        wall_crossed(s, setup.side.induced[(e, chain[:n])])
+    assert rows == []
+
+
+def test_a_wall_check_off_the_chain_builds_its_row_once(monkeypatch):
+    # the word of ws is not the word of w followed by s, so no tensor
+    # step crossed ind_w with s
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    setup = induction.make_setup('A', 2, ())
+    induction.induce_all(setup)
+    word = {w: admissible_chain(setup.datum, w)
+            for w in setup.coset_reps()}
+    x, w, s = next(
+        (x, w, s) for x, w, s in induction.wall_crossing_triples(setup)
+        if word[w * setup.rs.simple_reflection(s)] != word[w] + (s,))
+    rows = count_theta_rows(monkeypatch)
+    first = induction.verify_wall_crossing(setup, x, w, s)
+    second = induction.verify_wall_crossing(setup, x, w, s)
+    assert rows == [s] and first.ok()
+    assert dict(first.to_json(), timing=0) == dict(second.to_json(), timing=0)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,36 @@ def test_the_store_computes_each_step_once_and_changes_no_report(
     assert len(steps) == len(stored) < steps_alone
 
 
+def test_an_a3_group_builds_each_theta_row_once(monkeypatch):
+    # the A3 I = {1, 2} group from scratch: its tensor steps build 18
+    # theta rows and keep them minimized, and its 18 wall checks read
+    # those rows instead of building them again
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    rows, walls, inside = [], [], []
+    theta_complex = homotopy.theta_complex
+    wall_check = induction.verify_wall_crossing
+
+    def counted_theta(s, cpx):
+        rows.append('wall' if inside else 'tensor')
+        return theta_complex(s, cpx)
+
+    def counted_wall(*args):
+        walls.append(args)
+        inside.append(args)
+        report = wall_check(*args)
+        inside.pop()
+        return report
+
+    # a binding of theta_complex in induction is counted too
+    for module in (homotopy, induction):
+        monkeypatch.setattr(module, 'theta_complex', counted_theta,
+                            raising=False)
+    monkeypatch.setattr(induction, 'verify_wall_crossing', counted_wall)
+    out = run_group('A', 3, (0, 1))
+    assert all(r.ok() for reports in out.values() for r in reports)
+    assert len(walls) == 18 and rows == ['tensor'] * 18
+
+
 def test_induce_all_fills_the_cache():
     setup = make_setup('B', 2, (0,))
     cache = induce_all(setup)
