@@ -5,11 +5,15 @@ here is textbook Gaussian elimination; no floating point is allowed
 anywhere in the package, since the verification criteria demand exact
 equality of Laurent polynomials and module maps.
 
-The two hot kernels skip zeros and compute in Python ints inside, with
-Fractions only at their edges.  :func:`mat_mul` multiplies only nonzero
-entries, clears the denominators of b and of each row of a with one
-integer factor each, and divides once per nonzero output entry; its
-inputs may hold ints or Fractions, and its output holds Fractions only.
+The module maps and actions of ``smod`` are kept in a second, exact
+representation: the integer form (den, rows) of a nonzero matrix A,
+with den > 0, the int rows den * A and gcd(den, every entry) = 1, and
+None for a zero matrix.  The form is unique, so equal matrices have
+equal forms, and :func:`form_mul`, :func:`form_add`, :func:`form_scale`
+and :func:`place` compute on forms in Python ints, skipping zeros, and
+return forms.  :func:`to_form` and :func:`from_form` convert at the
+edges; :func:`mat_mul` is :func:`form_mul` between the two.
+
 :func:`sparse_nullspace`, which solves the hom systems, eliminates
 rows of dicts by descending leading column and finds the pivots a row
 meets through a min-heap instead of rescanning the row.  Its result is
@@ -37,13 +41,14 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     'Matrix',
-    'zeros', 'identity', 'mat_sub', 'mat_scale', 'mat_mul',
+    'zeros', 'identity', 'mat_scale', 'mat_mul',
     'is_zero_matrix', 'rref', 'rank', 'nullspace', 'sparse_nullspace',
-    'solve_matrix', 'invert',
+    'solve_matrix', 'invert', 'to_form', 'from_form', 'normal', 'id_form',
+    'form_mul', 'form_add', 'form_scale', 'place',
 ]
 
 Matrix = list  # list[list[Fraction]]
@@ -73,58 +78,23 @@ def identity(n: int) -> Matrix:
             for i in range(n)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     c = _frac(c)
     return [[c * x if x else _ZERO for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with exact rational entries.
-
-    Computed in integers: b is scaled by the lcm D_b of its
-    denominators and each row of a by the lcm D_r of that row's, the
-    nonzero entries of each row of b are listed once, and a row of a
-    adds x * (row j of b) only where its entry x is nonzero.  Each
-    nonzero sum n of the row becomes one Fraction(n, D_r * D_b); the
-    zero entries share one Fraction(0).  The entries of a and b may be
-    ints or Fractions, anything else is a TypeError; every output entry
-    is a Fraction.
+    """Matrix product a @ b with exact rational entries, through the
+    integer forms of both (:func:`form_mul`).  The entries of a and b
+    may be ints or Fractions, anything else is a TypeError; every output
+    entry is a Fraction.
     """
     if a and b and len(a[0]) != len(b):
         raise ValueError(
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    if not a or not b:
-        return zeros(len(a), len(b[0]) if b else 0)
-    ncols = len(b[0])
-    try:
-        den_b = lcm(*{y.denominator for row in b for y in row if y})
-    except AttributeError:
-        raise TypeError("mat_mul entries are ints or Fractions") from None
-    b_nonzero = [[(j, y.numerator * (den_b // y.denominator))
-                  for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        terms = [(x, entries) for x, entries in zip(row, b_nonzero)
-                 if x and entries]
-        if not terms:
-            out.append([_ZERO] * ncols)
-            continue
-        try:
-            den = lcm(*{x.denominator for x, _ in terms})
-        except AttributeError:
-            raise TypeError("mat_mul entries are ints or Fractions") from None
-        acc = [0] * ncols
-        for x, entries in terms:
-            x = x.numerator * (den // x.denominator)
-            for j, y in entries:
-                acc[j] += x * y
-        den *= den_b
-        out.append([Fraction(n, den) if n else _ZERO for n in acc])
-    return out
+    ncols = len(b[0]) if b else 0
+    return from_form(form_mul(to_form(a), to_form(b)) if a and b else None,
+                     len(a), ncols)
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -204,7 +174,7 @@ def invert(a: Matrix) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("cannot invert a non-square matrix")
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -456,3 +426,99 @@ def _back_substitute(pivots: dict, _mod: int = 0) -> None:
                     qrow[c2] = nv
                 else:
                     qrow.pop(c2, None)
+
+
+# ---------------------------------------------------------------------------
+# integer forms (see the module docstring); None is the zero matrix
+
+
+def normal(den: int, rows: list):
+    """The form of the matrix rows / den, or None when it is zero."""
+    g = den
+    for row in rows:
+        g = gcd(g, *row)
+        if g == 1:
+            break
+    if g == den and not any(map(any, rows)):
+        return None
+    if g == 1:
+        return den, rows
+    return den // g, [[x // g for x in row] for row in rows]
+
+
+def to_form(m: Matrix):
+    """The form of a matrix of ints or Fractions; anything else is a
+    TypeError."""
+    try:
+        den = lcm(*{x.denominator for row in m for x in row})
+        rows = [[x.numerator * (den // x.denominator) for x in row]
+                for row in m]
+    except AttributeError:
+        raise TypeError("an exact entry is an int or a Fraction") from None
+    return normal(den, rows)
+
+
+def from_form(form, nrows: int, ncols: int) -> Matrix:
+    """The Fraction matrix of a form, zeros(nrows, ncols) for None."""
+    if form is None:
+        return zeros(nrows, ncols)
+    den, rows = form
+    return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
+
+
+def id_form(n: int) -> tuple:
+    return 1, [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def form_mul(a, b):
+    """The form of the product of two forms' matrices.
+
+    Each row of a adds x * (row j of b) only where its entry x is
+    nonzero, and only the nonzero entries of that row of b.
+    """
+    if a is None or b is None:
+        return None
+    (den_a, rows_a), (den_b, rows_b) = a, b
+    out = []
+    for row in rows_a:
+        acc = [0] * len(rows_b[0])
+        for x, row_b in zip(row, rows_b):
+            if x:
+                for j, y in enumerate(row_b):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return normal(den_a * den_b, out)
+
+
+def form_add(a, b):
+    """The form of the sum of two same-shaped forms' matrices."""
+    if a is None or b is None:
+        return b if a is None else a
+    (den_a, rows_a), (den_b, rows_b) = a, b
+    den = lcm(den_a, den_b)
+    ka, kb = den // den_a, den // den_b
+    return normal(den, [[x * ka + y * kb for x, y in zip(ra, rb)]
+                        for ra, rb in zip(rows_a, rows_b)])
+
+
+def form_scale(c, a):
+    """The form of c times a form's matrix, c an int or a Fraction."""
+    if a is None or not c:
+        return None
+    den, rows = a
+    p = c.numerator
+    return normal(den * c.denominator, [[p * x for x in row] for row in rows])
+
+
+def place(nrows: int, ncols: int, pieces):
+    """The form of the nrows x ncols matrix that holds each (r0, c0, form)
+    of pieces with its top left entry at (r0, c0), and zeros elsewhere."""
+    pieces = [p for p in pieces if p[2] is not None]
+    den = lcm(*[form[0] for _r, _c, form in pieces])
+    out = [[0] * ncols for _ in range(nrows)]
+    for r0, c0, (d, rows) in pieces:
+        k = den // d
+        for r, row in enumerate(rows, r0):
+            out[r][c0:c0 + len(row)] = [k * x for x in row]
+    return normal(den, out)

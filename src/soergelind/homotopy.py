@@ -343,7 +343,7 @@ def _find_iso_component(terms: dict, diffs: dict):
         for (b, a), phi in sorted(diffs[i].items()):
             if src[a] != tgt[b]:
                 continue
-            c = phi.block(phi.source.bottom_degree())[0][0]
+            c = phi.entry(phi.source.bottom_degree(), 0, 0)
             if phi != ModuleMap.identity(phi.source).scale(c):
                 raise InternalCheckError(
                     f"a component on D_{src[a][0]!r} is not a scalar")

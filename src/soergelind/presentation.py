@@ -2,7 +2,7 @@
 
 A smod.GradedModule is given by its graded dimensions and the matrices
 of the variables between its degrees.  This module reads off that
-presentation, exactly and in integers (GradedModule._integer_actions):
+presentation, exactly and in integers (the actions' integer forms):
 
   * degree_sets -- the generator degrees (where the variables' images
     from below do not span) and the socle degrees (where some vector is
@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import IncompatibilityError, InternalCheckError
-from .exactla import sparse_nullspace
+from .exactla import form_mul, sparse_nullspace
 
 __all__ = ['degree_sets', 'is_cyclic', 'verify_relations',
            'check_relations']
@@ -29,8 +29,8 @@ def _monomial_images(module, mono: tuple, d: int,
     """(den, columns): a monomial applied to the basis of degree d.
 
     columns[c] maps each row r to the integer den * (mono e_c)[r], its
-    nonzeros only, computed from the module's integer actions
-    (GradedModule._integer_actions).  The variables act in index order,
+    nonzeros only, computed from the integer forms of the module's
+    actions (GradedModule.forms).  The variables act in index order,
     x_0 first: a monomial is the variable of its last factor applied to
     its prefix, the monomial with that exponent lowered by one, and
     ``products`` keeps every monomial met so far, so polynomials acting
@@ -46,15 +46,17 @@ def _monomial_images(module, mono: tuple, d: int,
         last = factors[-1]
         prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
         den, cols = _monomial_images(module, prefix, d, products)
-        x = module._integer_actions().get((last, d + 2 * (sum(mono) - 1)))
+        x = module.forms.get((last, d + 2 * (sum(mono) - 1)))
         if x is None:
             got = (1, [{} for _ in cols])
         else:
+            x_cols = [[(r, u) for r, u in enumerate(col) if u]
+                      for col in zip(*x[1])]
             images = []
             for col in cols:
                 img: dict = {}
                 for k, v in col.items():
-                    for r, u in x[2][k]:
+                    for r, u in x_cols[k]:
                         img[r] = img.get(r, 0) + u * v
                 images.append({r: v for r, v in img.items() if v})
             got = (den * x[0], images)
@@ -87,22 +89,6 @@ def _polynomial_images(module, poly, d: int,
     return [{r: v for r, v in img.items() if v} for img in out]
 
 
-def _integer_product(a, b) -> tuple:
-    """(den, entries) of the product of two integer action forms.
-
-    entries maps (r, c) to den times entry (r, c) of the product, its
-    nonzeros only; a missing factor (None) is a zero matrix.
-    """
-    if a is None or b is None:
-        return 1, {}
-    out: dict = {}
-    for c, col in enumerate(b[2]):
-        for k, v in col:
-            for r, u in a[2][k]:
-                out[(r, c)] = out.get((r, c), 0) + u * v
-    return a[0] * b[0], {key: v for key, v in out.items() if v}
-
-
 def degree_sets(module) -> tuple:
     """(generator degrees, socle degrees) of a module, decided exactly.
 
@@ -113,13 +99,16 @@ def degree_sets(module) -> tuple:
     killed by every x_j.  sparse_nullspace decides each exactly, and a
     full rank ends its elimination early.
     """
-    acts = module._integer_actions()
+    acts = module.forms
     n = module.algebra.root_system.rank
     generators, socle = set(), set()
     for d, dim in module.graded_dims.items():
-        for found, source, part in ((generators, d - 2, 2), (socle, d, 1)):
-            rows = [dict(v) for i in range(n) if (i, source) in acts
-                    for v in acts[(i, source)][part] if v]
+        for found, source, by_cols in ((generators, d - 2, True),
+                                       (socle, d, False)):
+            rows = [{k: v for k, v in enumerate(vec) if v}
+                    for i in range(n) if acts.get((i, source))
+                    for vec in (zip(*acts[(i, source)][1]) if by_cols
+                                else acts[(i, source)][1]) if any(vec)]
             if len(rows) < dim or sparse_nullspace(rows, dim):
                 found.add(d)
     return frozenset(generators), frozenset(socle)
@@ -138,18 +127,14 @@ def verify_relations(module) -> None:
 
 
 def check_relations(module, generator_degrees) -> None:
-    """verify_relations in integers, from the module's integer actions."""
-    acts = module._integer_actions()
+    """verify_relations in integers, from the actions' integer forms."""
+    acts = module.forms
     n = module.algebra.root_system.rank
     for d in module.degrees():
         for i in range(n):
             for j in range(i + 1, n):
-                den_l, lhs = _integer_product(acts.get((i, d + 2)),
-                                              acts.get((j, d)))
-                den_r, rhs = _integer_product(acts.get((j, d + 2)),
-                                              acts.get((i, d)))
-                if {k: v * den_r for k, v in lhs.items()} \
-                        != {k: v * den_l for k, v in rhs.items()}:
+                if form_mul(acts.get((i, d + 2)), acts.get((j, d))) \
+                        != form_mul(acts.get((j, d + 2)), acts.get((i, d))):
                     raise InternalCheckError(
                         f"variables x{i + 1}, x{j + 1} fail to commute "
                         f"at degree {d}")

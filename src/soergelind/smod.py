@@ -2,7 +2,14 @@
 
 A module stores its graded dimensions and, for every polynomial
 variable, the degree +2 action matrices between graded pieces; a
-polynomial acts by the matching products of these matrices.
+polynomial acts by the matching products of these matrices.  A module
+map stores one block per degree.  Both keep each matrix as its integer
+form (exactla.to_form: one int matrix over one positive denominator,
+in lowest terms), so map arithmetic, intertwining checks and the
+builders below run in ints, and two maps are equal exactly when their
+forms are.  Fractions appear only where matrices come in or are read
+out (the constructors, actions, blocks, the cache file and JSON) and in
+the dense eliminations (rref, invert).
 The workhorses are:
 
   * induce_frobenius -- the functor theta_s = C (x)_{C^s} (-), realized
@@ -50,13 +57,12 @@ Everything is exact; no tolerances appear anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import (_frac, identity as id_matrix, invert, is_zero_matrix,
-                      mat_mul, mat_scale, mat_sub, rref, sparse_nullspace,
-                      zeros)
+from .exactla import (_frac, form_add, form_mul, form_scale, from_form,
+                      id_form, invert, is_zero_matrix, normal, place, rref,
+                      sparse_nullspace, to_form)
 from .hecke import expected_graded_dims, wall_crossing_summands
 from .presentation import (check_relations, degree_sets, is_cyclic,
                            verify_relations)
@@ -70,18 +76,6 @@ __all__ = [
     'verify_relations', 'decompose', 'is_isomorphic', 'theta_summands',
     'build_catalog',
 ]
-
-
-def _mul(a, b, rows: int, cols: int):
-    """a @ b with the output shape given explicitly.
-
-    A matrix with zero rows is just [], which loses its column count,
-    so products through a zero-dimensional graded piece need the shape
-    supplied from the graded dimensions.
-    """
-    if not a or not b or not b[0]:
-        return zeros(rows, cols)
-    return mat_mul(a, b)
 
 
 class AlgebraRecord:
@@ -115,28 +109,18 @@ class AlgebraRecord:
         return f'AlgebraRecord({self.root_system!r}, {{{gens}}})'
 
 
-def _integer_form(m) -> tuple:
-    den = lcm(*{v.denominator for row in m for v in row if v})
-    rows = [[(k, v.numerator * (den // v.denominator))
-             for k, v in enumerate(row) if v] for row in m]
-    cols = [[] for _ in m[0]]
-    for r, row in enumerate(rows):
-        for k, v in row:
-            cols[k].append((r, v))
-    return den, rows, cols
-
-
 class GradedModule:
     """Evenly graded module given by dimensions and generator actions.
 
-    actions maps (variable index, source degree) to the matrix of
-    multiplication by that variable from degree d to degree d + 2;
-    matrices for zero-dimensional source or target are omitted.
-    Nothing changes actions after the constructor, so their integer
-    form (_integer_actions) is kept from its first use on.
+    The constructor takes, for each (variable index, source degree), the
+    matrix of multiplication by that variable from degree d to degree
+    d + 2; matrices for zero-dimensional source or target are omitted.
+    forms keeps each as its integer form (exactla.to_form), None for a
+    zero matrix, and nothing changes them after the constructor.
+    actions and action() read them back as Fraction matrices.
     """
 
-    __slots__ = ('algebra', 'graded_dims', 'actions', '_integer')
+    __slots__ = ('algebra', 'graded_dims', 'forms')
 
     def __init__(self, algebra: AlgebraRecord, graded_dims: dict,
                  actions: dict):
@@ -146,7 +130,7 @@ class GradedModule:
             if d % 2:
                 raise ConfigurationError(
                     f"modules must be evenly graded; got degree {d}")
-        self.actions = {}
+        self.forms = {}
         n = algebra.root_system.rank
         for (i, d), m in actions.items():
             if not 0 <= i < n:
@@ -163,20 +147,20 @@ class GradedModule:
                 raise IncompatibilityError(
                     f"action matrix for variable {i} at degree {d} "
                     f"has wrong shape")
-            self.actions[(i, d)] = m
-        self._integer = None  # built on first use
+            self.forms[(i, d)] = to_form(m)
 
-    def _integer_actions(self) -> dict:
-        """(i, d) -> (den, rows, cols) for each stored action.
+    @classmethod
+    def _of(cls, algebra, graded_dims: dict, forms: dict) -> 'GradedModule':
+        """A module with these integer forms, taken as they are."""
+        module = cls.__new__(cls)
+        module.algebra, module.forms = algebra, forms
+        module.graded_dims = {d: n for d, n in sorted(graded_dims.items())
+                              if n}
+        return module
 
-        den is the lcm of the matrix's denominators; rows and cols list
-        the nonzero entries of den times the matrix, as (index, int)
-        pairs, by row and by column.
-        """
-        if self._integer is None:
-            self._integer = {key: _integer_form(m)
-                             for key, m in self.actions.items()}
-        return self._integer
+    @property
+    def actions(self) -> dict:
+        return {key: self.action(*key) for key in self.forms}
 
     def dim_at(self, d: int) -> int:
         return self.graded_dims.get(d, 0)
@@ -194,19 +178,17 @@ class GradedModule:
         return not self.graded_dims
 
     def action(self, i: int, d: int):
-        m = self.actions.get((i, d))
-        if m is None:
-            return zeros(self.dim_at(d + 2), self.dim_at(d))
-        return m
+        return from_form(self.forms.get((i, d)), self.dim_at(d + 2),
+                         self.dim_at(d))
 
     def shift(self, k: int) -> 'GradedModule':
         """M<k>: degree d piece is the old degree d - k piece."""
         if k % 2:
             raise ConfigurationError("shifts must be even")
-        return GradedModule(
+        return GradedModule._of(
             self.algebra,
             {d + k: n for d, n in self.graded_dims.items()},
-            {(i, d + k): m for (i, d), m in self.actions.items()})
+            {(i, d + k): m for (i, d), m in self.forms.items()})
 
     def __repr__(self):
         return f'GradedModule(dims={self.graded_dims})'
@@ -234,37 +216,20 @@ def direct_sum(modules: list) -> tuple:
         offsets.append({d: dims.get(d, 0) for d in m.graded_dims})
         for d, n in m.graded_dims.items():
             dims[d] = dims.get(d, 0) + n
-    actions: dict = {}
-    all_keys = {key for m in modules for key in m.actions}
-    for (i, d) in all_keys:
-        rows, cols = dims.get(d + 2, 0), dims.get(d, 0)
-        big = zeros(rows, cols)
-        for m, off in zip(modules, offsets):
-            block = m.actions.get((i, d))
-            if block is None:
-                continue
-            r0 = off.get(d + 2, 0)
-            c0 = off.get(d, 0)
-            for r, row in enumerate(block):
-                for c, x in enumerate(row):
-                    big[r0 + r][c0 + c] = x
-        actions[(i, d)] = big
-    total = GradedModule(algebra, dims, actions)
+    actions = {(i, d): place(dims.get(d + 2, 0), dims.get(d, 0),
+                             [(off[d + 2], off[d], m.forms[(i, d)])
+                              for m, off in zip(modules, offsets)
+                              if (i, d) in m.forms])
+               for (i, d) in {key for m in modules for key in m.forms}}
+    total = GradedModule._of(algebra, dims, actions)
     incls, projs = [], []
     for m, off in zip(modules, offsets):
-        inc_blocks, proj_blocks = {}, {}
-        for d, n in m.graded_dims.items():
-            big_n = dims[d]
-            r0 = off[d]
-            inc = zeros(big_n, n)
-            proj = zeros(n, big_n)
-            for k in range(n):
-                inc[r0 + k][k] = Fraction(1)
-                proj[k][r0 + k] = Fraction(1)
-            inc_blocks[d] = inc
-            proj_blocks[d] = proj
-        incls.append(ModuleMap(m, total, 0, inc_blocks))
-        projs.append(ModuleMap(total, m, 0, proj_blocks))
+        incls.append(ModuleMap._of(m, total, 0, {
+            d: place(dims[d], n, [(off[d], 0, id_form(n))])
+            for d, n in m.graded_dims.items()}))
+        projs.append(ModuleMap._of(total, m, 0, {
+            d: place(n, dims[d], [(0, off[d], id_form(n))])
+            for d, n in m.graded_dims.items()}))
     return total, incls, projs
 
 
@@ -280,14 +245,14 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
         dims[d] = dims.get(d, 0) + n          # 1 (x) M_d
         dims[d + 2] = dims.get(d + 2, 0) + n  # alpha (x) M_d
     actions: dict = {}
+    acts = module.forms
     degrees = sorted(dims)
     for j in range(alg.root_system.rank):
         g = Fraction(cartan[i][j], 2)
 
         def f_op(d):
             # operator of f_j = x_j - g * x_i on M at degree d
-            return mat_sub(module.action(j, d),
-                           mat_scale(g, module.action(i, d)))
+            return form_add(acts.get((j, d)), form_scale(-g, acts.get((i, d))))
 
         for d in degrees:
             cols_one = module.dim_at(d)       # 1 (x) M_d
@@ -296,48 +261,25 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
             rows_al = module.dim_at(d)
             if cols_one + cols_al == 0 or rows_one + rows_al == 0:
                 continue
-            big = zeros(rows_one + rows_al, cols_one + cols_al)
-            if cols_one:
-                fo = f_op(d)
-                for r in range(rows_one):
-                    for c in range(cols_one):
-                        big[r][c] = fo[r][c]
-                if g:
-                    for c in range(cols_one):
-                        big[rows_one + c][c] = g
-            if cols_al:
-                fo = f_op(d - 2)
-                for r in range(rows_al):
-                    for c in range(cols_al):
-                        big[rows_one + r][cols_one + c] = fo[r][c]
-                if g:
-                    # alpha_i^2 * g acting M_{d-2} -> M_{d+2}
-                    sq = _mul(module.action(i, d), module.action(i, d - 2),
-                              rows_one, cols_al)
-                    for r in range(rows_one):
-                        for c in range(cols_al):
-                            big[r][cols_one + c] = g * sq[r][c]
-            actions[(j, d)] = big
-    return GradedModule(alg, dims, actions)
+            # alpha_i^2 * g acting M_{d-2} -> M_{d+2} in the top right
+            actions[(j, d)] = place(rows_one + rows_al, cols_one + cols_al, [
+                (0, 0, f_op(d)),
+                (rows_one, 0, form_scale(g, id_form(cols_one))),
+                (rows_one, cols_one, f_op(d - 2)),
+                (0, cols_one, form_scale(g, form_mul(acts.get((i, d)),
+                                                     acts.get((i, d - 2)))))])
+    return GradedModule._of(alg, dims, actions)
 
 
 def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
     """m |-> (1/2)(1 (x) alpha_s m + alpha_s (x) m), a degree-2 map."""
     half = Fraction(1, 2)
     blocks = {}
-    for d in module.degrees():
+    for d, n in module.graded_dims.items():
         rows_one = module.dim_at(d + 2)
-        rows_al = module.dim_at(d)
-        cols = module.dim_at(d)
-        block = zeros(rows_one + rows_al, cols)
-        xs = module.action(s, d)
-        for r in range(rows_one):
-            for c in range(cols):
-                block[r][c] = half * xs[r][c]
-        for c in range(cols):
-            block[rows_one + c][c] = half
-        blocks[d] = block
-    return ModuleMap(module, theta, 2, blocks)
+        blocks[d] = form_scale(half, place(rows_one + n, n, [
+            (0, 0, module.forms.get((s, d))), (rows_one, 0, id_form(n))]))
+    return ModuleMap._of(module, theta, 2, blocks)
 
 
 def unit_map(module: GradedModule, theta: GradedModule) -> ModuleMap:
@@ -346,16 +288,9 @@ def unit_map(module: GradedModule, theta: GradedModule) -> ModuleMap:
     Degree d of theta_s M is (1 (x) M_d) + (alpha (x) M_{d-2}); the unit
     hits the first part identically.
     """
-    blocks = {}
-    for d in module.degrees():
-        rows_one = module.dim_at(d)
-        rows_al = module.dim_at(d - 2)
-        cols = module.dim_at(d)
-        block = zeros(rows_one + rows_al, cols)
-        for c in range(cols):
-            block[c][c] = Fraction(1)
-        blocks[d] = block
-    return ModuleMap(module, theta, 0, blocks)
+    return ModuleMap._of(module, theta, 0, {
+        d: place(n + module.dim_at(d - 2), n, [(0, 0, id_form(n))])
+        for d, n in module.graded_dims.items()})
 
 
 def mult_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
@@ -363,13 +298,10 @@ def mult_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
 
     In the Frobenius basis 1 (x) m |-> m and alpha_s (x) m |-> alpha_s m.
     """
-    blocks = {}
-    for d in theta.degrees():
-        n = module.dim_at(d)
-        xs = module.action(s, d - 2)
-        blocks[d] = [[Fraction(int(r == c)) for c in range(n)] + list(xs[r])
-                     for r in range(n)]
-    return ModuleMap(theta, module, 0, blocks)
+    return ModuleMap._of(theta, module, 0, {
+        d: place(n, n + module.dim_at(d - 2), [
+            (0, 0, id_form(n)), (0, n, module.forms.get((s, d - 2)))])
+        for d, n in module.graded_dims.items()})
 
 
 def theta_of_map(phi: ModuleMap, theta_src: GradedModule,
@@ -378,23 +310,12 @@ def theta_of_map(phi: ModuleMap, theta_src: GradedModule,
     src, tgt, k = phi.source, phi.target, phi.degree
     blocks = {}
     for d in theta_src.degrees():
-        cols_one = src.dim_at(d)
-        cols_al = src.dim_at(d - 2)
         rows_one = tgt.dim_at(d + k)
-        rows_al = tgt.dim_at(d + k - 2)
-        if cols_one + cols_al == 0 or rows_one + rows_al == 0:
-            continue
-        block = zeros(rows_one + rows_al, cols_one + cols_al)
-        top = phi.block(d)
-        for r in range(rows_one):
-            for c in range(cols_one):
-                block[r][c] = top[r][c]
-        bot = phi.block(d - 2)
-        for r in range(rows_al):
-            for c in range(cols_al):
-                block[rows_one + r][cols_one + c] = bot[r][c]
-        blocks[d] = block
-    return ModuleMap(theta_src, theta_tgt, k, blocks)
+        blocks[d] = place(rows_one + tgt.dim_at(d + k - 2),
+                          src.dim_at(d) + src.dim_at(d - 2), [
+                              (0, 0, phi.forms.get(d)),
+                              (rows_one, src.dim_at(d), phi.forms.get(d - 2))])
+    return ModuleMap._of(theta_src, theta_tgt, k, blocks)
 
 
 def bott_samelson(algebra: AlgebraRecord, word) -> GradedModule:
@@ -443,21 +364,24 @@ def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
     if module.algebra is not rmap.target:
         raise IncompatibilityError(
             "module is not over the target of the restriction map")
-    return GradedModule(rmap.source, dict(module.graded_dims),
-                        dict(module.actions))
+    return GradedModule._of(rmap.source, module.graded_dims, module.forms)
 
 
 class ModuleMap:
-    """Graded map of modules; degree k sends M_d to N_{d + k}."""
+    """Graded map of modules; degree k sends M_d to N_{d + k}.
 
-    __slots__ = ('source', 'target', 'degree', 'blocks')
+    The constructor takes the blocks M_d -> N_{d + k} as matrices, and
+    forms keeps the nonzero ones as integer forms (exactla.to_form).
+    The form of a matrix is unique, so the arithmetic below runs in
+    ints, and two maps are equal exactly when their forms are.  blocks
+    and block() read them back as Fraction matrices.
+    """
+
+    __slots__ = ('source', 'target', 'degree', 'forms')
 
     def __init__(self, source: GradedModule, target: GradedModule,
                  degree: int, blocks: dict):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.blocks = {}
+        forms = {}
         for d, m in blocks.items():
             rows = target.dim_at(d + degree)
             cols = source.dim_at(d)
@@ -466,90 +390,95 @@ class ModuleMap:
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise IncompatibilityError(
                     f"map block at degree {d} has wrong shape")
-            self.blocks[d] = m
+            forms[d] = to_form(m)
+        self.source, self.target, self.degree = source, target, degree
+        self.forms = {d: f for d, f in forms.items() if f is not None}
+
+    @classmethod
+    def _of(cls, source, target, degree: int, forms: dict) -> 'ModuleMap':
+        """A map with these integer forms, None for a zero block."""
+        phi = cls.__new__(cls)
+        phi.source, phi.target, phi.degree = source, target, degree
+        phi.forms = {d: f for d, f in forms.items() if f is not None}
+        return phi
 
     @classmethod
     def identity(cls, module: GradedModule) -> 'ModuleMap':
-        return cls(module, module, 0,
-                   {d: id_matrix(n) for d, n in module.graded_dims.items()})
+        return cls._of(module, module, 0,
+                       {d: id_form(n) for d, n in module.graded_dims.items()})
 
     @classmethod
     def zero(cls, source, target, degree=0) -> 'ModuleMap':
-        return cls(source, target, degree, {})
+        return cls._of(source, target, degree, {})
 
     def block(self, d: int):
-        m = self.blocks.get(d)
-        if m is None:
-            return zeros(self.target.dim_at(d + self.degree),
+        return from_form(self.forms.get(d), self.target.dim_at(d + self.degree),
                          self.source.dim_at(d))
-        return m
+
+    @property
+    def blocks(self) -> dict:
+        """Every block between nonzero pieces, zero blocks included."""
+        return {d: self.block(d) for d in self.source.degrees()
+                if self.target.dim_at(d + self.degree)}
+
+    def entry(self, d: int, r: int, c: int) -> Fraction:
+        form = self.forms.get(d)
+        return Fraction(form[1][r][c], form[0]) if form else Fraction(0)
 
     def compose(self, other: 'ModuleMap') -> 'ModuleMap':
         """self after other."""
         if other.target is not self.source:
             raise IncompatibilityError("composition source/target mismatch")
-        deg = self.degree + other.degree
-        blocks = {}
-        for d in other.source.degrees():
-            blocks[d] = _mul(self.block(d + other.degree), other.block(d),
-                             self.target.dim_at(d + deg),
-                             other.source.dim_at(d))
-        return ModuleMap(other.source, self.target, deg, blocks)
+        return ModuleMap._of(
+            other.source, self.target, self.degree + other.degree,
+            {d: form_mul(self.forms.get(d + other.degree), f)
+             for d, f in other.forms.items()})
 
     def __add__(self, other: 'ModuleMap') -> 'ModuleMap':
         if (other.source is not self.source or other.target is not self.target
                 or other.degree != self.degree):
             raise IncompatibilityError("cannot add incompatible maps")
-        blocks = {}
-        for d in set(self.blocks) | set(other.blocks):
-            a, b = self.block(d), other.block(d)
-            blocks[d] = [[x + y for x, y in zip(r1, r2)]
-                         for r1, r2 in zip(a, b)]
-        return ModuleMap(self.source, self.target, self.degree, blocks)
+        return ModuleMap._of(
+            self.source, self.target, self.degree,
+            {d: form_add(self.forms.get(d), other.forms.get(d))
+             for d in self.forms.keys() | other.forms.keys()})
 
     def __sub__(self, other: 'ModuleMap') -> 'ModuleMap':
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> 'ModuleMap':
         c = _frac(c)
-        return ModuleMap(self.source, self.target, self.degree,
-                         {d: mat_scale(c, m) for d, m in self.blocks.items()})
+        return ModuleMap._of(self.source, self.target, self.degree,
+                             {d: form_scale(c, f)
+                              for d, f in self.forms.items()})
 
     def __neg__(self) -> 'ModuleMap':
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def is_zero(self) -> bool:
-        return all(is_zero_matrix(m) for m in self.blocks.values())
+        return not self.forms
 
     def __eq__(self, other):
         if not isinstance(other, ModuleMap):
             return NotImplemented
-        if (self.source is not other.source
-                or self.target is not other.target
-                or self.degree != other.degree):
-            return False
-        return (self - other).is_zero()
+        return (self.source is other.source and self.target is other.target
+                and self.degree == other.degree and self.forms == other.forms)
 
     def __hash__(self):
         raise TypeError("module maps are not hashable")
 
     def check_intertwines(self) -> bool:
-        n = self.source.algebra.root_system.rank
-        for i in range(n):
+        src, tgt, k = self.source.forms, self.target.forms, self.degree
+        for i in range(self.source.algebra.root_system.rank):
             for d in self.source.degrees():
-                shape = (self.target.dim_at(d + self.degree + 2),
-                         self.source.dim_at(d))
-                lhs = _mul(self.target.action(i, d + self.degree),
-                           self.block(d), *shape)
-                rhs = _mul(self.block(d + 2), self.source.action(i, d),
-                           *shape)
-                if lhs != rhs:
+                if form_mul(tgt.get((i, d + k)), self.forms.get(d)) \
+                        != form_mul(self.forms.get(d + 2), src.get((i, d))):
                     return False
         return True
 
     def __repr__(self):
         return (f'ModuleMap(degree={self.degree}, '
-                f'blocks at {sorted(self.blocks)})')
+                f'blocks at {sorted(self.forms)})')
 
 
 def hom_space(source: GradedModule, target: GradedModule,
@@ -560,13 +489,13 @@ def hom_space(source: GradedModule, target: GradedModule,
     homogeneous system in the block entries; its kernel basis is
     returned as maps.  The unknowns are numbered block by block, in
     increasing source degree: entry (r, c) of block d is
-    base[d] + r * cols + c.  The equations are assembled from each
-    module's integer actions (GradedModule._integer_actions), the
-    equations of one (variable, degree) pair multiplied by the
-    denominators of both actions, so :func:`sparse_nullspace` receives
-    integer rows; a nonzero factor per equation leaves the kernel, and
-    so the basis, as it is.  Deterministic: unknowns and equations are
-    enumerated in a fixed order.
+    base[d] + r * cols + c.  The equations are assembled from the
+    integer forms of both modules' actions, the equations of one
+    (variable, degree) pair multiplied by the denominators of both
+    actions, so :func:`sparse_nullspace` receives integer rows; a
+    nonzero factor per equation leaves the kernel, and so the basis, as
+    it is.  Deterministic: unknowns and equations are enumerated in a
+    fixed order.
     """
     if source.algebra is not target.algebra:
         raise IncompatibilityError("hom requires a common algebra")
@@ -574,7 +503,7 @@ def hom_space(source: GradedModule, target: GradedModule,
     for d in source.degrees():
         base[d] = nvars
         nvars += target.dim_at(d + degree) * source.dim_at(d)
-    xs, xt = source._integer_actions(), target._integer_actions()
+    xs, xt = source.forms, target.forms
     eqs: list[dict] = []
     n = source.algebra.root_system.rank
     for i in range(n):
@@ -591,12 +520,14 @@ def hom_space(source: GradedModule, target: GradedModule,
             # Each term is kept as (its unknown at c = 0 or r = 0,
             # coefficient), the equation scaled by both denominators.
             den_n, den_m = xn[0] if xn else 1, xm[0] if xm else 1
-            left = [[(base[d] + k * cols, v * den_m) for k, v in row]
+            left = [[(base[d] + k * cols, v * den_m)
+                     for k, v in enumerate(row) if v]
                     for row in xn[1]] if xn else [()] * rows_out
             if xm:
                 cols_up = source.dim_at(d + 2)
-                right = [[(base[d + 2] + k, -v * den_n) for k, v in col]
-                         for col in xm[2]]
+                right = [[(base[d + 2] + k, -v * den_n)
+                          for k, v in enumerate(col) if v]
+                         for col in zip(*xm[1])]
             else:
                 cols_up, right = 0, [()] * cols
             for r in range(rows_out):
@@ -610,14 +541,12 @@ def hom_space(source: GradedModule, target: GradedModule,
     kernel = sparse_nullspace(eqs, nvars)
     maps = []
     for vec in kernel:
-        blocks: dict[int, list] = {}
+        blocks = {}
         for d, start in base.items():
             rows, cols = target.dim_at(d + degree), source.dim_at(d)
-            seg = vec[start:start + rows * cols]
-            if any(seg):
-                blocks[d] = [seg[r * cols:(r + 1) * cols]
-                             for r in range(rows)]
-        maps.append(ModuleMap(source, target, degree, blocks))
+            blocks[d] = to_form([vec[k:k + cols] for k in
+                                 range(start, start + rows * cols, cols)])
+        maps.append(ModuleMap._of(source, target, degree, blocks))
     return maps
 
 
@@ -634,7 +563,7 @@ def map_from_generator(source: GradedModule, target: GradedModule,
     """
     n = source.algebra.root_system.rank
     bottom, *higher = source.degrees()
-    blocks = {bottom: [[_frac(v)] for v in image]}
+    blocks = {bottom: to_form([[v] for v in image])}
     for d in higher:
         dim, rows = source.dim_at(d), target.dim_at(d + degree)
         low = source.dim_at(d - 2)
@@ -643,17 +572,17 @@ def map_from_generator(source: GradedModule, target: GradedModule,
         system = []
         for j in range(n):
             x = source.action(j, d - 2)
-            y = _mul(target.action(j, d - 2 + degree), blocks[d - 2],
-                     rows, low)
+            y = from_form(form_mul(target.forms.get((j, d - 2 + degree)),
+                                   blocks[d - 2]), rows, low)
             system.extend([x[r][c] for r in range(dim)]
                           + [y[r][c] for r in range(rows)]
                           for c in range(low))
         red, pivots = rref(system)
         if pivots != list(range(dim)):
             return None
-        blocks[d] = [[red[i][dim + r] for i in range(dim)]
-                     for r in range(rows)]
-    phi = ModuleMap(source, target, degree, blocks)
+        blocks[d] = to_form([[red[i][dim + r] for i in range(dim)]
+                             for r in range(rows)])
+    phi = ModuleMap._of(source, target, degree, blocks)
     return phi if phi.check_intertwines() else None
 
 
@@ -661,40 +590,14 @@ def end_space(module: GradedModule) -> list[ModuleMap]:
     return hom_space(module, module, 0)
 
 
-def _restrict_to_subspace(module: GradedModule, basis: dict,
-                          proj_rows: dict) -> tuple:
-    """Present a graded C-stable subspace as a module of its own.
-
-    basis[d] has the subspace basis as columns; proj_rows[d] maps the
-    module onto coordinates in that basis, so proj . incl = id.
-    Returns (module, incl, proj).
-    """
-    algebra = module.algebra
-    dims = {d: len(b[0]) for d, b in basis.items() if b and b[0]}
-    n = algebra.root_system.rank
-    actions = {}
-    for d in dims:
-        for i in range(n):
-            if dims.get(d + 2):
-                big = _mul(module.action(i, d), basis[d],
-                           module.dim_at(d + 2), dims[d])
-                actions[(i, d)] = _mul(proj_rows[d + 2], big,
-                                       dims[d + 2], dims[d])
-    sub = GradedModule(algebra, dims, actions)
-    incl = ModuleMap(sub, module, 0, {d: basis[d] for d in dims})
-    proj = ModuleMap(module, sub, 0,
-                     {d: proj_rows[d] for d in dims})
-    return sub, incl, proj
-
-
 def _pair_trace(p: ModuleMap, i: ModuleMap) -> Fraction:
     """Trace of p o i, without forming the composite."""
     total = Fraction(0)
-    for d, ib in i.blocks.items():
-        pb = p.blocks.get(d + i.degree)
+    for d, (den, ib) in i.forms.items():
+        pb = p.forms.get(d + i.degree)
         if pb is not None:
-            total += sum(x * ib[c][r] for r, row in enumerate(pb)
-                         for c, x in enumerate(row) if x)
+            total += Fraction(sum(x * y for row, col in zip(pb[1], zip(*ib))
+                                  for x, y in zip(row, col)), pb[0] * den)
     return total
 
 
@@ -732,24 +635,33 @@ def _complement(module: GradedModule, incl: ModuleMap, proj: ModuleMap):
     degree the kernel basis has a 1 in each free column of proj's
     echelon form, so the coordinates of a kernel vector are its free
     entries, and rest_proj is read off the rows of id - incl o proj.
+    The rest acts by rest_proj o x o rest_incl.
     """
-    basis, rows = {}, {}
+    dims, basis, rows = {}, {}, {}
     for d, n in module.graded_dims.items():
-        p = proj.block(d)
-        red, pivots = rref(p)
+        red, pivots = rref(proj.block(d))
         free = [c for c in range(n) if c not in pivots]
+        if not free:
+            continue
         kernel = []
         for f in free:
-            vec = [Fraction(0)] * n
-            vec[f] = Fraction(1)
+            vec = [0] * n
+            vec[f] = 1
             for r, c in enumerate(pivots):
                 vec[c] = -red[r][f]
             kernel.append(vec)
-        basis[d] = [[vec[r] for vec in kernel] for r in range(n)]
-        ip = _mul(incl.block(d - incl.degree), p, n, n)
-        rows[d] = [[(1 if c == f else 0) - ip[f][c] for c in range(n)]
-                   for f in free]
-    return _restrict_to_subspace(module, basis, rows)
+        dims[d] = len(free)
+        basis[d] = to_form([[vec[r] for vec in kernel] for r in range(n)])
+        den, rest = form_add(id_form(n), form_scale(-1, form_mul(
+            incl.forms.get(d - incl.degree), proj.forms.get(d))))
+        rows[d] = normal(den, [rest[f] for f in free])
+    actions = {(i, d): form_mul(rows[d + 2],
+                                form_mul(module.forms.get((i, d)), basis[d]))
+               for d in dims if d + 2 in dims
+               for i in range(module.algebra.root_system.rank)}
+    sub = GradedModule._of(module.algebra, dims, actions)
+    return (sub, ModuleMap._of(sub, module, 0, basis),
+            ModuleMap._of(module, sub, 0, rows))
 
 
 def decompose(module: GradedModule, entries: dict, summands=None) -> list:
@@ -805,9 +717,9 @@ def decompose(module: GradedModule, entries: dict, summands=None) -> list:
         k = rest.bottom_degree()
         left = rest.shift(-k)
         result.append((None, k,
-                       ModuleMap(left, module, k,
-                                 {d - k: b for d, b in incl.blocks.items()}),
-                       ModuleMap(module, left, -k, proj.blocks)))
+                       ModuleMap._of(left, module, k,
+                                     {d - k: f for d, f in incl.forms.items()}),
+                       ModuleMap._of(module, left, -k, proj.forms)))
     if sum(p.target.total_dim() for _z, _k, _i, p in result) \
             != module.total_dim():
         raise InternalCheckError("decomposition loses dimensions")
@@ -1054,9 +966,9 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
         entry = catalog.entries.get(ys)
         if entry is None:
             _admit(catalog, ys, rest)
-        elif rest.actions == entry.actions:
-            incl = ModuleMap(entry, theta, 0, incl.blocks)
-            proj = ModuleMap(theta, entry, 0, proj.blocks)
+        elif rest.forms == entry.forms:
+            incl = ModuleMap._of(entry, theta, 0, incl.forms)
+            proj = ModuleMap._of(theta, entry, 0, proj.forms)
         else:
             pair = _matched_rest(catalog, ys, rest, incl, proj)
             if pair is None:

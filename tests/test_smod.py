@@ -130,8 +130,9 @@ def plain_product(module, mono, d):
     deg = d
     for var, e in enumerate(mono):
         for _ in range(e):
-            cur = smod._mul(module.action(var, deg), cur,
-                            module.dim_at(deg + 2), module.dim_at(d))
+            rows = module.dim_at(deg + 2)
+            cur = mat_mul(module.action(var, deg), cur) \
+                if rows and cur and cur[0] else zeros(rows, module.dim_at(d))
             deg += 2
     return cur
 
