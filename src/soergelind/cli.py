@@ -71,6 +71,8 @@ def _check_paths(args) -> None:
 
     The cache directory is created here, so a path that cannot be a
     directory fails now instead of after the first catalog is built.
+    The report replaces the file --json names (through symlinks) whole,
+    so an existing path that is not a regular file is refused.
     """
     if args.cache_dir:
         try:
@@ -79,10 +81,12 @@ def _check_paths(args) -> None:
             raise ConfigurationError(
                 f"cannot use --cache-dir {args.cache_dir!r}: {exc}") from exc
     if args.json:
-        if os.path.isdir(args.json):
+        target = os.path.realpath(args.json)
+        if os.path.exists(target) and not os.path.isfile(target):
+            kind = 'directory' if os.path.isdir(target) else 'special file'
             raise ConfigurationError(
-                f"--json {args.json!r} is a directory, not a file")
-        folder = os.path.dirname(os.path.abspath(args.json))
+                f"--json {args.json!r} is a {kind}, not a regular file")
+        folder = os.path.dirname(target)
         if not os.path.isdir(folder):
             raise ConfigurationError(
                 f"--json {args.json!r}: no directory {folder!r}")

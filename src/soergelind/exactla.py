@@ -1,46 +1,34 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals; no floating point anywhere.
 
-Matrices are plain lists of lists of ``fractions.Fraction``.  Everything
-here is textbook Gaussian elimination; no floating point is allowed
-anywhere in the package, since the verification criteria demand exact
-equality of Laurent polynomials and module maps.
+The pipeline computes on integer forms: the form (den, rows) of a
+nonzero matrix A has den > 0, the int rows den * A and gcd(den, every
+entry) = 1, and None is the form of a zero matrix.  Equal matrices have
+equal forms.  :func:`form_mul`, :func:`form_add`, :func:`form_scale`
+and :func:`place` compute on forms in ints, skipping zeros;
+:func:`to_form` and :func:`from_form` convert at the edges, where a
+matrix is a list of lists of Fraction.
 
-The module maps and actions of ``smod`` are kept in a second, exact
-representation: the integer form (den, rows) of a nonzero matrix A,
-with den > 0, the int rows den * A and gcd(den, every entry) = 1, and
-None for a zero matrix.  The form is unique, so equal matrices have
-equal forms, and :func:`form_mul`, :func:`form_add`, :func:`form_scale`
-and :func:`place` compute on forms in Python ints, skipping zeros, and
-return forms.  :func:`to_form` and :func:`from_form` convert at the
-edges; :func:`mat_mul` is :func:`form_mul` between the two.
+Every elimination runs through :func:`sparse_nullspace`, directly (hom
+systems, kernels) or through :func:`form_solve`, the unique X with
+X A = B (inverses, maps out of a generator, coordinates in a basis).
+It eliminates rows of dicts by descending leading column, modulo the
+prime p = 2^61 - 1 first, lifts the reduced rows to fractions and
+checks the lift exactly in integers, else falls back to the same
+elimination over Fraction; the argument is in its docstring.  Its two
+steps, :func:`_reduce_into` and :func:`_back_substitute`, also build
+the coinvariant algebras (``coinvariants.build_coinvariants``).
 
-:func:`sparse_nullspace`, which solves the hom systems, eliminates
-rows of dicts by descending leading column and finds the pivots a row
-meets through a min-heap instead of rescanning the row.  Its result is
-the kernel read off the reduced row echelon form, which is unique, so
-the row order changes the cost and never the basis.  Its two steps,
-reducing one row into an echelon (:func:`_reduce_into`, which also says
-whether the row was new) and back-substitution
-(:func:`_back_substitute`), are shared with the construction of the
-coinvariant algebras (``coinvariants.build_coinvariants``), so both
-run one sparse elimination.
-
-:func:`sparse_nullspace` runs that elimination modulo the prime
-p = 2^61 - 1 first, on integers instead of Fractions, lifts the reduced
-rows back to fractions by rational reconstruction and checks the lifted
-kernel exactly, in integers, against every input row.  A lift that
-passes the check is the exact rational answer (the argument is in the
-docstring of :func:`sparse_nullspace`); anything else falls back to
-the same elimination over Fraction.  Once the echelon holds a pivot
-in every column, the kernel is zero and the rest is skipped.  Its rows
-may hold ints or Fractions; ``smod.hom_space`` hands it integer rows,
-and the modular path answers every hom system of the corpus.
+:func:`rref`, :func:`nullspace` and :func:`rank` are dense Gaussian
+elimination over Fraction, kept as the reference the tests compare
+against; :func:`invert` and :func:`solve_matrix` wrap
+:func:`form_solve` for Fraction matrices.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 __all__ = [
@@ -48,7 +36,7 @@ __all__ = [
     'zeros', 'identity', 'mat_scale', 'mat_mul',
     'is_zero_matrix', 'rref', 'rank', 'nullspace', 'sparse_nullspace',
     'solve_matrix', 'invert', 'to_form', 'from_form', 'normal', 'id_form',
-    'form_mul', 'form_add', 'form_scale', 'place',
+    'form_mul', 'form_add', 'form_scale', 'place', 'form_solve',
 ]
 
 Matrix = list  # list[list[Fraction]]
@@ -153,36 +141,30 @@ def nullspace(a: Matrix) -> list[list[Fraction]]:
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a X = B column by column (any solution; free vars set to 0)."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    nrhs = len(b[0]) if b else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(nrows)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and any(x != 0 for x in row[ncols:]):
-            raise ValueError("inconsistent linear system")
-    x = zeros(ncols, nrhs)
-    for i, p in enumerate(pivots):
-        if p < ncols:
-            for j in range(nrhs):
-                x[p][j] = red[i][ncols + j]
-    return x
+    """The unique X with a X = b, through X^T a^T = b^T (form_solve); a
+    ValueError when there is none or more than one."""
+    ncols, nrhs = len(a[0]) if a else 0, len(b[0]) if b else 0
+    xt = form_solve(to_form(list(zip(*a))), to_form(list(zip(*b))), ncols)
+    if xt is False or len(a) != len(b):
+        raise ValueError("the linear system has no unique solution")
+    x = from_form(xt, nrhs, ncols)
+    return [[row[c] for row in x] for c in range(ncols)]
 
 
 def invert(a: Matrix) -> Matrix:
+    """The inverse of a square matrix (form_solve); a ValueError when it
+    is singular or not square."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("cannot invert a non-square matrix")
-    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    inverse = form_solve(to_form(a), id_form(n), n)
+    if inverse is False:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return from_form(inverse, n, n)
 
 
 def sparse_nullspace(rows: list, ncols: int) -> list:
-    """Kernel basis of a sparse matrix given as dicts {col: Fraction}.
+    """Kernel basis of a sparse matrix given as dicts {col: int or Fraction}.
 
     Forward elimination (:func:`_reduce_into`) keeps a dict of pivot
     rows keyed by pivot column, and takes the rows by descending
@@ -200,9 +182,6 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
     The non-pivot columns parametrize the kernel, in increasing order:
     the vector of a free column f is 1 at f, 0 at the other free
     columns and minus the pivot rows' entries in column f elsewhere.
-    Intended for the large, very sparse intertwining systems of
-    module-map solving, where dense elimination would be quadratically
-    wasteful.
 
     The elimination runs modulo the prime p = 2^61 - 1 first
     (:func:`_modular_rref`): small integers instead of Fraction gcds.
@@ -522,3 +501,27 @@ def place(nrows: int, ncols: int, pieces):
         for r, row in enumerate(rows, r0):
             out[r][c0:c0 + len(row)] = [k * x for x in row]
     return normal(den, out)
+
+
+def form_solve(a, b, n: int):
+    """The form of the unique X with X A = B, or False if there is none
+    or more than one.
+
+    A is the matrix of the form a, with n rows, and B that of b; a
+    zero B (None) has no rows.  (x, y) is in the kernel of [A^T | -B^T]
+    (sparse_nullspace, on integer rows) iff x A = y B, so X is unique
+    exactly when the free columns are the n + j, one per row j of B;
+    the vector of a free column f is 1 at f and 0 after it, and that of
+    n + j holds row j of X.
+    """
+    den_a, rows_a = a or (1, [])
+    den_b, rows_b = b or (1, [])
+    eqs = [{i: x * den_b for i, x in enumerate(col_a) if x}
+           | {n + j: -y * den_a for j, y in enumerate(col_b) if y}
+           for col_a, col_b in zip_longest(zip(*rows_a), zip(*rows_b),
+                                           fillvalue=())]
+    kernel = sparse_nullspace(eqs, n + len(rows_b))
+    if len(kernel) != len(rows_b) \
+            or not all(vec[n + j] for j, vec in enumerate(kernel)):
+        return False
+    return to_form([vec[:n] for vec in kernel])

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import solve_matrix, sparse_nullspace
+from .exactla import form_solve, from_form, place, sparse_nullspace
 from .hecke import HeckeElement, kl_basis
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
@@ -452,26 +452,28 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
 
 
 def _coords_in_basis(maps: list, basis: list) -> list:
-    """Exact coordinates of each of maps in a hom-space basis.
+    """Exact coordinates of each of maps (one or more) in a hom-space basis.
 
-    A map outside the span of the basis raises InternalCheckError.
+    Each map is flattened into one row, its blocks side by side, and the
+    coordinates C solve C (basis rows) = (map rows) (form_solve).  A map
+    outside the span of the basis, which may be empty, raises
+    InternalCheckError.
     """
-    if not basis:
-        if all(phi.is_zero() for phi in maps):
-            return [[] for _ in maps]
-        raise InternalCheckError("map outside the empty hom space")
-    degrees = basis[0].source.degrees()
-    flat = [[v for d in degrees for row in m.block(d) for v in row]
-            for m in basis + maps]
-    # one equation per matrix entry; an entry zero in every map is void
-    system = [r for r in zip(*flat) if any(r)]
-    n = len(basis)
-    try:
-        solution = solve_matrix([r[:n] for r in system],
-                                [r[n:] for r in system])
-    except ValueError:
-        raise InternalCheckError("map outside its hom space span") from None
-    return [list(coords) for coords in zip(*solution)]
+    source, target, k = maps[0].source, maps[0].target, maps[0].degree
+    offset, width = {}, 0
+    for d, n in source.graded_dims.items():
+        offset[d] = width
+        width += n * target.dim_at(d + k)
+
+    def rows(ms):
+        return place(len(ms), width, [
+            (r, offset[d], (den, [[x for row in block for x in row]]))
+            for r, m in enumerate(ms) for d, (den, block) in m.forms.items()])
+
+    coords = form_solve(rows(basis), rows(maps), len(basis))
+    if coords is False:
+        raise InternalCheckError("map outside its hom space span")
+    return from_form(coords, len(maps), len(basis))
 
 
 class _HomGrid:

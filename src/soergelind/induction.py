@@ -50,7 +50,6 @@ from .coxeter import (WeylElement, admissible_chain, build_parabolic,
                       build_root_system)
 from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
-from .exactla import identity
 from .hecke import HeckeElement, hecke_standard, kl_basis, predicted_class
 from .homotopy import (FormalComplex, complex_from_module,
                        gaussian_eliminate, hom_complex_vanishing, k0_class,
@@ -554,9 +553,8 @@ def verify_theta_restriction(setup: InductionSetup, s: int
                              'sub_dims': dict(via_sub.graded_dims),
                              'full_dims': dict(via_full.graded_dims)})
             continue
-        canonical = ModuleMap(via_sub, via_full, 0,
-                              {d: identity(n)
-                               for d, n in via_sub.graded_dims.items()})
+        canonical = ModuleMap._of(via_sub, via_full, 0,
+                                  ModuleMap.identity(via_sub).forms)
         if not canonical.check_intertwines():
             failures.append({'module': label, 'reason': 'no isomorphism'})
     return VerificationReport(

@@ -178,9 +178,10 @@ def store_catalog(catalog: IndecomposableCatalog, cache_dir: str) -> str:
 def dump_json(data, path: str) -> None:
     """Write data to path through a temporary file in the same directory.
 
-    The file appears complete or not at all, and a failed write leaves
-    an older file in place.
+    The file appears complete or not at all, a failed write leaves an
+    older file in place, and a symlink is followed to the file it names.
     """
+    path = os.path.realpath(path)
     tmp = f'{path}.{os.getpid()}.tmp'
     try:
         with open(tmp, 'w') as fh:

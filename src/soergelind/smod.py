@@ -7,9 +7,9 @@ map stores one block per degree.  Both keep each matrix as its integer
 form (exactla.to_form: one int matrix over one positive denominator,
 in lowest terms), so map arithmetic, intertwining checks and the
 builders below run in ints, and two maps are equal exactly when their
-forms are.  Fractions appear only where matrices come in or are read
-out (the constructors, actions, blocks, the cache file and JSON) and in
-the dense eliminations (rref, invert).
+forms are.  Every elimination solves on forms (exactla.form_solve and
+sparse_nullspace); Fractions appear only where matrices come in or are
+read out (the constructors, actions, blocks, the cache file and JSON).
 The workhorses are:
 
   * induce_frobenius -- the functor theta_s = C (x)_{C^s} (-), realized
@@ -60,8 +60,8 @@ from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import (_frac, form_add, form_mul, form_scale, from_form,
-                      id_form, invert, is_zero_matrix, normal, place, rref,
+from .exactla import (_frac, form_add, form_mul, form_scale, form_solve,
+                      from_form, id_form, is_zero_matrix, normal, place,
                       sparse_nullspace, to_form)
 from .hecke import expected_graded_dims, wall_crossing_summands
 from .presentation import (check_relations, degree_sets, is_cyclic,
@@ -556,32 +556,24 @@ def map_from_generator(source: GradedModule, target: GradedModule,
 
     m_0 spans the bottom degree b of source (is_cyclic); image is a
     vector of target_{b + degree}.  Each higher M_d is spanned by the
-    x_j M_{d-2}, so f_d solves f_d X_j = Y_j f_{d-2} for all j, read off
-    at the pivots of the stacked actions [X_0 | ... | X_{n-1}].  The
-    result is certified by check_intertwines.  None when no map sends
-    m_0 to image, or m_0 does not generate source.
+    x_j M_{d-2}, so f_d is the unique solution of
+    f_d [X_0 | ... | X_{n-1}] = [Y_0 f_{d-2} | ... | Y_{n-1} f_{d-2}]
+    (form_solve).  The result is certified by check_intertwines.  None
+    when no map sends m_0 to image, or m_0 does not generate source.
     """
     n = source.algebra.root_system.rank
     bottom, *higher = source.degrees()
     blocks = {bottom: to_form([[v] for v in image])}
     for d in higher:
-        dim, rows = source.dim_at(d), target.dim_at(d + degree)
-        low = source.dim_at(d - 2)
-        # f_d S = R transposed: one row per (j, column of X_j), holding
-        # that column of X_j and the same column of Y_j f_{d-2}
-        system = []
-        for j in range(n):
-            x = source.action(j, d - 2)
-            y = from_form(form_mul(target.forms.get((j, d - 2 + degree)),
-                                   blocks[d - 2]), rows, low)
-            system.extend([x[r][c] for r in range(dim)]
-                          + [y[r][c] for r in range(rows)]
-                          for c in range(low))
-        red, pivots = rref(system)
-        if pivots != list(range(dim)):
+        dim, low = source.dim_at(d), source.dim_at(d - 2)
+        stacked = place(dim, n * low, [
+            (0, j * low, source.forms.get((j, d - 2))) for j in range(n)])
+        images = place(target.dim_at(d + degree), n * low, [
+            (0, j * low, form_mul(target.forms.get((j, d - 2 + degree)),
+                                  blocks[d - 2])) for j in range(n)])
+        blocks[d] = form_solve(stacked, images, dim)
+        if blocks[d] is False:
             return None
-        blocks[d] = to_form([[red[i][dim + r] for i in range(dim)]
-                             for r in range(rows)])
     phi = ModuleMap._of(source, target, degree, blocks)
     return phi if phi.check_intertwines() else None
 
@@ -632,26 +624,21 @@ def _complement(module: GradedModule, incl: ModuleMap, proj: ModuleMap):
 
     Returns (rest, rest_incl, rest_proj); rest_proj projects along the
     image of incl, so incl o proj + rest_incl o rest_proj = id.  In each
-    degree the kernel basis has a 1 in each free column of proj's
-    echelon form, so the coordinates of a kernel vector are its free
-    entries, and rest_proj is read off the rows of id - incl o proj.
-    The rest acts by rest_proj o x o rest_incl.
+    degree the kernel vectors of proj (sparse_nullspace) are 1 at one
+    free column each, their last nonzero entry, and 0 at the others, so
+    rest_proj is read off the free rows of id - incl o proj.  The rest
+    acts by rest_proj o x o rest_incl.
     """
     dims, basis, rows = {}, {}, {}
     for d, n in module.graded_dims.items():
-        red, pivots = rref(proj.block(d))
-        free = [c for c in range(n) if c not in pivots]
-        if not free:
+        _den, block = proj.forms.get(d) or (1, [])
+        kernel = sparse_nullspace(
+            [{c: x for c, x in enumerate(row) if x} for row in block], n)
+        if not kernel:
             continue
-        kernel = []
-        for f in free:
-            vec = [0] * n
-            vec[f] = 1
-            for r, c in enumerate(pivots):
-                vec[c] = -red[r][f]
-            kernel.append(vec)
+        free = [max(c for c, x in enumerate(vec) if x) for vec in kernel]
         dims[d] = len(free)
-        basis[d] = to_form([[vec[r] for vec in kernel] for r in range(n)])
+        basis[d] = to_form(list(zip(*kernel)))
         den, rest = form_add(id_form(n), form_scale(-1, form_mul(
             incl.forms.get(d - incl.degree), proj.forms.get(d))))
         rows[d] = normal(den, [rest[f] for f in free])
@@ -726,6 +713,19 @@ def decompose(module: GradedModule, entries: dict, summands=None) -> list:
     return result
 
 
+def _inverse(phi: ModuleMap):
+    """The blockwise inverse of a degree-0 map (form_solve), or None
+    when its source and target differ in a graded dimension or a block
+    is singular."""
+    if phi.source.graded_dims != phi.target.graded_dims:
+        return None
+    forms = {d: form_solve(phi.forms.get(d), id_form(n), n)
+             for d, n in phi.source.graded_dims.items()}
+    if any(f is False for f in forms.values()):
+        return None
+    return ModuleMap._of(phi.target, phi.source, 0, forms)
+
+
 def is_isomorphic(a: GradedModule, b: GradedModule, entries: dict):
     """An isomorphism a -> b, or None, decided by Krull-Schmidt.
 
@@ -758,12 +758,10 @@ def is_isomorphic(a: GradedModule, b: GradedModule, entries: dict):
     phi = ModuleMap.zero(a, b, 0)
     for piece_a, piece_b in zip(pieces_a, pieces_b):
         phi = phi + piece_b[2].compose(piece_a[3])
-    try:
-        inverse = ModuleMap(b, a, 0,
-                            {d: invert(phi.block(d)) for d in a.degrees()})
-    except ValueError:
+    inverse = _inverse(phi)
+    if inverse is None:
         raise InternalCheckError(
-            "matched summands give a map that is not invertible") from None
+            "matched summands give a map that is not invertible")
     if not (phi.check_intertwines() and inverse.check_intertwines()):
         raise InternalCheckError(
             "the isomorphism or its blockwise inverse fails to intertwine")
@@ -879,18 +877,19 @@ def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
     coev = coev_map(s, entry, theta)
     incl2 = coev - sigma.compose(mult.compose(coev))
     proj0, proj2 = {}, {}
-    for d in theta.degrees():
-        square = [a + b for a, b in zip(sigma.block(d), incl2.block(d - 2))]
-        try:
-            inverse = invert(square)
-        except ValueError:
+    for d, n in theta.graded_dims.items():
+        top = entry.dim_at(d)
+        inverse = form_solve(place(n, n, [(0, 0, sigma.forms.get(d)),
+                                          (0, top, incl2.forms.get(d - 2))]),
+                             id_form(n), n)
+        if inverse is False:
             raise InternalCheckError(
                 f"D_{y!r}<0> + D_{y!r}<2> does not map onto theta_s{s + 1} "
-                f"D_{y!r}") from None
-        top = entry.dim_at(d)
-        proj0[d], proj2[d] = inverse[:top], inverse[top:]
-    proj0 = ModuleMap(theta, entry, 0, proj0)
-    proj2 = ModuleMap(theta, entry, -2, proj2)
+                f"D_{y!r}")
+        den, rows = inverse
+        proj0[d], proj2[d] = normal(den, rows[:top]), normal(den, rows[top:])
+    proj0 = ModuleMap._of(theta, entry, 0, proj0)
+    proj2 = ModuleMap._of(theta, entry, -2, proj2)
     if not (incl2.check_intertwines() and proj2.check_intertwines()):
         raise InternalCheckError(
             f"the split of theta_s{s + 1} D_{y!r} fails to intertwine")
@@ -913,12 +912,8 @@ def _matched_rest(catalog: IndecomposableCatalog, ys, rest: GradedModule,
             return None
         return incl.compose(pair[0]), pair[1].compose(proj)
     phi = map_from_generator(entry, rest, 0, [1])
-    if phi is None:
-        return None
-    try:
-        inverse = ModuleMap(rest, entry, 0, {d: invert(phi.block(d))
-                                             for d in rest.degrees()})
-    except ValueError:
+    inverse = None if phi is None else _inverse(phi)
+    if inverse is None:
         return None
     return incl.compose(phi), inverse.compose(proj)
 

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -441,6 +442,32 @@ def test_a_json_path_that_cannot_be_written_exits_two_before_the_work(
             assert main(argv + ['--json', str(target)]) == 2
             err = capsys.readouterr().err
             assert 'usage error' in err and why in err
+
+
+def test_a_json_path_that_is_not_a_regular_file_is_left_in_place(
+        tmp_path, no_work, capsys):
+    fifo = tmp_path / 'pipe'
+    os.mkfifo(fifo)
+    for argv in COMMANDS:
+        assert main(argv + ['--json', str(fifo)]) == 2
+        assert 'not a regular file' in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+@pytest.mark.parametrize('exists', [True, False])
+def test_a_json_symlink_writes_the_file_it_names(tmp_path, exists, capsys):
+    target = tmp_path / 'reports' / 'report.json'
+    target.parent.mkdir()
+    if exists:
+        target.write_text('stale')
+    link = tmp_path / 'link.json'
+    os.symlink(target, link)
+    assert main(INDW_A2 + ['--json', str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())['report']['status'] == 'pass'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['link.json',
+                                                          'reports']
+    assert [p.name for p in target.parent.iterdir()] == ['report.json']
 
 
 def test_a_failed_json_write_exits_two(tmp_path, monkeypatch, capsys):

@@ -14,9 +14,15 @@ an entry does not lift, a lift is wrong) the exact check must refuse it
 and the Fraction elimination answer, so the dense reference still
 agrees.  Once the rows have a pivot in every column mod p, the kernel is
 zero and nothing after that is computed: no further row, no
-back-substitution, no lift and no check.
+back-substitution, no lift and no check.  form_solve, which the
+pipeline's inverses, sections and coordinates run through, must return
+the one X with X A = B that the dense reference finds, and False where
+that finds none or more than one; no module but exactla uses the dense
+routines.
 """
 
+import ast
+import pathlib
 from fractions import Fraction
 from unittest import mock
 
@@ -299,3 +305,96 @@ def test_the_a3_parabolic_group_never_falls_back(monkeypatch):
     results = induction.run_group('A', 3, (0, 1))
     assert all(r.ok() for reports in results.values() for r in reports)
     assert len(solved) > 100
+
+
+# ---------------------------------------------------------------------------
+# form_solve: the unique X with X A = B, against the dense reference
+
+
+@st.composite
+def solve_systems(draw):
+    """(a, b, n): a n x m, b k x m; half the time b = X a is consistent."""
+    n, m, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(matrices(n, m))
+    if draw(st.booleans()):
+        return a, mat_mul(draw(matrices(k, n)), a) if n else [[0] * m] * k, n
+    return a, draw(matrices(k, m)), n
+
+
+def dense_solution(a, b, n):
+    """X with X a = b read off the rref of [a^T | b^T], or False unless
+    there is exactly one."""
+    m = len((a or b or [[]])[0])
+    red, pivots = exactla.rref([[row[c] for row in a] + [row[c] for row in b]
+                                for c in range(m)])
+    if pivots != list(range(n)):
+        return False
+    return [[red[i][n + j] for i in range(n)] for j in range(len(b))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_systems())
+@example(([[0, 0], [0, 0]], [[1, 2]], 2))                 # zero A
+@example(([[1, 2], [3, 4]], [[0, 0], [0, 0]], 2))         # zero B
+@example(([[1, 2], [2, 4]], [[1, 2]], 2))                 # singular square
+@example(([[1, 1]], [[1, 2]], 1))                         # inconsistent
+@example(([[1], [1]], [[Fraction(1, 3)]], 2))             # not unique
+@example(([[Fraction(1, 2), 3], [0, Fraction(2, 7)]], [[1, 1]], 2))
+def test_form_solve_equals_the_dense_solution(system):
+    a, b, n = system
+    expected = dense_solution(a, b, n)
+    got = exactla.form_solve(exactla.to_form(a), exactla.to_form(b), n)
+    if expected is False:
+        assert got is False
+    else:
+        assert got == exactla.to_form(expected)
+
+
+@pytest.mark.parametrize('a', [[[1, 2], [2, 4]], [[0]], [[1, 2]],
+                               [[1], [2]]],
+                         ids=['singular', 'zero', 'wide', 'tall'])
+def test_invert_refuses_a_singular_or_non_square_matrix(a):
+    with pytest.raises(ValueError):
+        exactla.invert(a)
+
+
+@pytest.mark.parametrize('a, b', [([[1], [1]], [[1], [2]]),
+                                  ([[1, 1], [2, 2]], [[1], [2]]),
+                                  ([[1, 2]], [[1]]),
+                                  ([[1]], [[1], [1]])],
+                         ids=['inconsistent', 'singular', 'wide', 'shape'])
+def test_solve_matrix_refuses_a_system_without_one_solution(a, b):
+    with pytest.raises(ValueError):
+        exactla.solve_matrix(a, b)
+
+
+def test_invert_and_solve_matrix_answer_through_form_solve():
+    a = [[Fraction(1, 2), 1], [3, 4]]
+    inverse = exactla.invert(a)
+    assert mat_mul(a, inverse) == exactla.identity(2)
+    assert exactla.solve_matrix(a, [[1], [0]]) == [row[:1] for row in inverse]
+    assert exactla.solve_matrix([[1], [1]], [[2], [2]]) == [[2]]
+
+
+DENSE_ONLY = {'rref', 'nullspace', 'rank', 'invert', 'solve_matrix'}
+
+
+def test_no_module_but_exactla_uses_the_dense_elimination():
+    # every elimination of the pipeline runs through sparse_nullspace;
+    # the dense routines are the reference of these tests
+    src = pathlib.Path(exactla.__file__).parent
+    for path in sorted(src.glob('*.py')):
+        if path.name == 'exactla.py':
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or '').split('.')[-1] == 'exactla':
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == 'exactla':
+                named = {node.attr}
+            else:
+                continue
+            assert not named & DENSE_ONLY, (path.name, named & DENSE_ONLY)

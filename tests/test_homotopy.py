@@ -590,6 +590,10 @@ def test_coords_in_basis_rejects_a_map_outside_the_span():
     assert not half.check_intertwines()
     with pytest.raises(InternalCheckError):
         _coords_in_basis([half], basis)
+    # the empty basis spans the zero map only
+    assert _coords_in_basis([ModuleMap.zero(entry, entry)], []) == [[]]
+    with pytest.raises(InternalCheckError):
+        _coords_in_basis([half], [])
 
 
 def test_isomorphism_test_rejects_distinct_classes():

@@ -6,6 +6,7 @@ the full structural validation.
 """
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,18 @@ def test_dump_json_failure_keeps_the_old_file(tmp_path):
         dump_json({'a': object()}, str(target))
     assert target.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ['data.json']
+
+
+def test_dump_json_writes_through_a_symlink(tmp_path):
+    # a cache file or report that is a link keeps the link, and the file
+    # it names gets the data instead of going stale
+    target, link = tmp_path / 'data.json', tmp_path / 'link.json'
+    target.write_text('stale')
+    os.symlink(target, link)
+    dump_json({'a': 1}, str(link))
+    assert link.is_symlink() and json.loads(target.read_text()) == {'a': 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['data.json',
+                                                          'link.json']
 
 
 def test_dump_json_is_deterministic(tmp_path):
