@@ -9,8 +9,11 @@ sit in degree 2), algebraic degrees internally (half of cohomological).
 Construction is degree-truncated linear algebra: the invariant ideal
 is accumulated as ideal_d = S_1 * ideal_{d-1} + invariants_d, with the
 degree-d invariants obtained by Reynolds averaging of monomials over
-W_I.  By Chevalley's theorem the invariants form a polynomial ring on
-rank-many generators, and prod_i (1 - q^{d_i}) = P_{W_I}(q) (1 - q)^n
+W_I.  An element w sends x_j to the root in column j of its integer
+matrix, so the average of a monomial is a sum of products of powers of
+roots, expanded in ints and divided by |W_I| once.  By Chevalley's
+theorem the invariants form a polynomial ring on rank-many
+generators, and prod_i (1 - q^{d_i}) = P_{W_I}(q) (1 - q)^n
 gives how many generators each degree has from the length generating
 function P_{W_I}; monomials are averaged, in graded-lex order, only
 until that many averages are new to the echelon, so most degrees
@@ -111,6 +114,54 @@ def _invariant_degrees(length_counts: dict, rank: int) -> dict[int, int]:
     return degrees
 
 
+def _root_power(root: tuple, e: int, powers: dict) -> dict:
+    """(sum_r root[r] x_r)^e as {monomial: int}, kept in ``powers``."""
+    key = (root, e)
+    got = powers.get(key)
+    if got is None:
+        n = len(root)
+        if e == 0:
+            got = {(0,) * n: 1}
+        else:
+            got = {}
+            for m, c in _root_power(root, e - 1, powers).items():
+                for r, a in enumerate(root):
+                    if a:
+                        mm = m[:r] + (m[r] + 1,) + m[r + 1:]
+                        got[mm] = got.get(mm, 0) + c * a
+            got = {m: c for m, c in got.items() if c}
+        powers[key] = got
+    return got
+
+
+def _average(columns: list, mono: tuple, powers: dict) -> Polynomial:
+    """The Reynolds average of a monomial over a group.
+
+    ``columns`` holds, for each group element w, the images w x_j as
+    integer root coordinates (the columns of w.matrix).  The average
+    is sum_w prod_j (w x_j)^{mono_j} / |group|: the sum is expanded in
+    ints, from the powers of each root (``powers``, kept across calls,
+    since roots repeat across the group), and divided once.
+    """
+    total: dict = {}
+    for roots in columns:
+        part = {(0,) * len(mono): 1}
+        for root, e in zip(roots, mono):
+            if not e:
+                continue
+            nxt: dict = {}
+            for m1, c1 in part.items():
+                for m2, c2 in _root_power(root, e, powers).items():
+                    m = tuple([a + b for a, b in zip(m1, m2)])
+                    nxt[m] = nxt.get(m, 0) + c1 * c2
+            part = nxt
+        for m, c in part.items():
+            total[m] = total.get(m, 0) + c
+    order = len(columns)
+    return Polynomial(len(mono), {m: Fraction(c, order)
+                                  for m, c in total.items() if c})
+
+
 def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     """Construct C_I for I = subset (the full algebra when I is all).
 
@@ -121,7 +172,8 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     function; a degree that needs none averages nothing.  Rows go
     through the sparse echelon of ``exactla`` and are back-substituted
     into the reduced row echelon form, which the ideal alone
-    determines.  The ideal built is generated by invariants, so it lies
+    determines; its sparser rows make the next degree's rows cheaper to
+    reduce.  The ideal built is generated by invariants, so it lies
     inside the true one; graded dimensions are asserted to match the
     length generating function, which certifies equality, as do the
     count of fundamental invariants (the rank) and the total dimension
@@ -144,7 +196,9 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     basis_by_algdeg: dict[int, list] = {0: [(0,) * rs.rank]}
     ideal_rows: list[dict] = []          # RREF of ideal_{d-1}, by monomial
     fundamental: list[Polynomial] = []   # invariants not in S_1 * ideal
-    inv_factor = Fraction(1, order)
+    # w x_j is column j of w.matrix, a root in integer coordinates
+    columns = [tuple(zip(*w.matrix)) for w in group]
+    powers: dict = {}
 
     for d in range(1, top + 2):
         monos = ring.monomials_of_degree(d)
@@ -161,11 +215,7 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
         for m in monos:
             if found == needed.get(d, 0):
                 break
-            mono_poly = Polynomial(rs.rank, {m: Fraction(1)})
-            avg = Polynomial.zero(rs.rank)
-            for w in group:
-                avg = avg + ring.apply_weyl(w, mono_poly)
-            avg = avg.scale(inv_factor)
+            avg = _average(columns, m, powers)
             if _reduce_into(pivots, {col[mm]: c
                                      for mm, c in avg.terms.items()}):
                 fundamental.append(avg)

@@ -202,15 +202,32 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     return RootSystem(cartan_type, rank)
 
 
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """The product of two integer matrices given as tuples of rows."""
+    cols = list(zip(*b))
+    return tuple([tuple([sum([x * y for x, y in zip(row, col)])
+                         for col in cols]) for row in a])
+
+
 class WeylElement:
     """A Weyl group element: an integer matrix in the simple root basis.
 
     The inverse matrix, the length and a lexicographically least
-    reduced word are cached at enumeration time; equality and hashing
-    only look at the matrix itself.
+    reduced word are fixed at enumeration time, which also sets
+    ``index``, the element's position in ``rs.elements``.  What depends
+    only on the matrix is computed once, at construction: the hash,
+    ``hash((matrix,))``, a value of the matrix alone and so the same in
+    every process, and the right and left descent flags, read from the
+    signs of the columns of ``matrix`` and ``inv_matrix``.  Equality
+    compares the matrices.  Products are kept in a memo keyed by the
+    right factor's ``index``, filled on first use; the root-system check
+    comes first, since elements of two groups can share an index.  An
+    element made outside the enumeration has index None, and products
+    with it on the right are not kept.
     """
 
-    __slots__ = ('root_system', 'matrix', 'inv_matrix', 'length', 'word')
+    __slots__ = ('root_system', 'matrix', 'inv_matrix', 'length', 'word',
+                 'index', '_hash', '_right', '_left', '_products')
 
     def __init__(self, root_system: RootSystem, matrix: tuple,
                  inv_matrix: tuple, length: int, word: tuple):
@@ -219,14 +236,24 @@ class WeylElement:
         self.inv_matrix = inv_matrix
         self.length = length
         self.word = word
+        self.index = None
+        self._hash = hash((matrix,))
+        # s_i is a right descent iff w(alpha_i), column i, is negative,
+        # a left descent iff w^{-1}(alpha_i) is
+        self._right = tuple(all(x <= 0 for x in col) for col in zip(*matrix))
+        self._left = tuple(all(x <= 0 for x in col)
+                           for col in zip(*inv_matrix))
+        self._products: dict[int, WeylElement] = {}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.matrix,))
+        return self._hash
 
     def _check_same_group(self, other: 'WeylElement') -> None:
         if self.root_system is not other.root_system:
@@ -235,12 +262,13 @@ class WeylElement:
 
     def __mul__(self, other: 'WeylElement') -> 'WeylElement':
         self._check_same_group(other)
-        n = self.root_system.rank
-        prod = tuple([
-            tuple([sum([self.matrix[r][k] * other.matrix[k][c]
-                        for k in range(n)]) for c in range(n)])
-            for r in range(n)])
-        return self.root_system.element_from_matrix(prod)
+        got = self._products.get(other.index)
+        if got is None:
+            got = self.root_system.element_from_matrix(
+                _matmul(self.matrix, other.matrix))
+            if other.index is not None:
+                self._products[other.index] = got
+        return got
 
     def inverse(self) -> 'WeylElement':
         return self.root_system.element_from_matrix(self.inv_matrix)
@@ -253,22 +281,17 @@ class WeylElement:
 
     def has_right_descent(self, i: int) -> bool:
         """True iff l(w s_i) < l(w), i.e. w(alpha_i) is a negative root."""
-        col = tuple(self.matrix[r][i] for r in range(self.root_system.rank))
-        return all(x <= 0 for x in col)
+        return self._right[i]
 
     def has_left_descent(self, i: int) -> bool:
         """True iff l(s_i w) < l(w), i.e. w^{-1}(alpha_i) is negative."""
-        col = tuple(self.inv_matrix[r][i]
-                    for r in range(self.root_system.rank))
-        return all(x <= 0 for x in col)
+        return self._left[i]
 
     def right_descents(self) -> list[int]:
-        return [i for i in range(self.root_system.rank)
-                if self.has_right_descent(i)]
+        return [i for i, d in enumerate(self._right) if d]
 
     def left_descents(self) -> list[int]:
-        return [i for i in range(self.root_system.rank)
-                if self.has_left_descent(i)]
+        return [i for i, d in enumerate(self._left) if d]
 
     def inversion_count(self) -> int:
         neg = 0
@@ -290,19 +313,13 @@ class WeylElement:
 def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     """All elements by breadth-first closure, sorted by (length, word).
 
-    Each element receives its lexicographically least reduced word, and
-    the bookkeeping length of every element is checked against its
-    inversion count.
+    Each element receives its lexicographically least reduced word and
+    its index in that order, and the bookkeeping length of every element
+    is checked against its inversion count.
     """
     if rs._elements is not None:
         return rs._elements
     n = rs.rank
-
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-            for r in range(n))
-
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     registry: dict[tuple, WeylElement] = {}
     e = WeylElement(rs, ident, ident, 0, ())
@@ -315,11 +332,11 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
                 if w.has_right_descent(i):
                     continue
                 refl = rs.reflection_matrices[i]
-                prod = matmul(w.matrix, refl)
+                prod = _matmul(w.matrix, refl)
                 if prod in registry or prod in nxt:
                     continue
                 # (w s_i)^{-1} = s_i w^{-1}, reflections being involutions
-                nxt[prod] = WeylElement(rs, prod, matmul(refl, w.inv_matrix),
+                nxt[prod] = WeylElement(rs, prod, _matmul(refl, w.inv_matrix),
                                         w.length + 1, w.word + (i,))
         registry.update(nxt)
         level = list(nxt.values())
@@ -329,8 +346,10 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
             raise AssertionError(
                 f"length bookkeeping broken at {w!r}: "
                 f"{w.length} != inversion count {w.inversion_count()}")
-        if matmul(w.matrix, w.inv_matrix) != ident:
+        if _matmul(w.matrix, w.inv_matrix) != ident:
             raise AssertionError(f"inverse bookkeeping broken at {w!r}")
+    for k, w in enumerate(elements):
+        w.index = k
     rs._registry = registry
     rs._elements = elements
     return elements

@@ -71,18 +71,20 @@ def _polynomial_images(module, poly, d: int,
 
     Each column maps rows to nonzero integers, as in
     :func:`_monomial_images`, whose ``products`` it shares; the
-    polynomial kills M_d exactly when every column is empty.
+    polynomial kills M_d exactly when every column is empty.  A term's
+    weight is the int numerator of its coefficient over the coefficient's
+    denominator times the monomial's, brought to the lcm of those.
     """
     if len(poly.homogeneous_components()) > 1:
         raise IncompatibilityError("polynomial action needs homogeneity")
     terms = []
     for mono, coeff in poly.terms.items():
         den, cols = _monomial_images(module, mono, d, products)
-        terms.append((coeff / den, cols))
-    scale = lcm(*(w.denominator for w, _cols in terms))
+        terms.append((coeff.numerator, coeff.denominator * den, cols))
+    scale = lcm(*(den for _num, den, _cols in terms))
     out = [{} for _ in range(module.dim_at(d))]
-    for w, cols in terms:
-        w = w.numerator * (scale // w.denominator)
+    for num, den, cols in terms:
+        w = num * (scale // den)
         for img, col in zip(out, cols):
             for r, v in col.items():
                 img[r] = img.get(r, 0) + w * v

@@ -200,6 +200,32 @@ def test_verify_reports_are_stable(tmp_path):
     assert a == b
 
 
+CLI_MAIN = 'import sys; from soergelind.cli import main; ' \
+    'sys.exit(main(sys.argv[1:]))'
+
+
+@pytest.mark.parametrize('argv', [
+    ['verify', '--corpus', 'quick'],
+    ['indw', '--type', 'A', '--rank', '3', '--parabolic', '1,2',
+     '--x', '2 1', '--w', '3 2 1'],
+], ids=['verify', 'indw'])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, argv):
+    # sets of Weyl elements iterate in the order of their hashes, values
+    # of their matrices; the reports, differentials included, must come
+    # out the same under any seed
+    src = pathlib.Path(soergelind.cli.__file__).parents[1]
+    texts = []
+    for seed in ('1', '7'):
+        target = tmp_path / f'{seed}.json'
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        env.pop('SOERGELIND_CACHE_DIR', None)
+        subprocess.run([sys.executable, '-c', CLI_MAIN, *argv,
+                        '--json', str(target)], env=env, capture_output=True,
+                       check=True, timeout=300)
+        texts.append(json.dumps(strip_timing(json.loads(target.read_text()))))
+    assert texts[0] == texts[1]
+
+
 DEAD_WORKER = """
 import os, sys
 from soergelind import induction

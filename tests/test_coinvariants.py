@@ -101,7 +101,8 @@ def reference_coinvariants(rs, subset):
 
 
 ALL_SUBSETS = [(family, rank, subset)
-               for family, rank in [('A', 1), ('A', 2), ('B', 2), ('A', 3)]
+               for family, rank in [('A', 1), ('A', 2), ('B', 2), ('G', 2),
+                                    ('A', 3)]
                for k in range(rank + 1)
                for subset in combinations(range(rank), k)]
 
@@ -147,18 +148,47 @@ def test_a_missing_generator_fails_the_dimension_check(monkeypatch):
 
 
 def test_full_a3_averages_only_a_few_monomials(monkeypatch):
-    # full averaging would make 24 x 119 = 2856 calls
+    # full averaging would average all 119 monomials of degrees 1..7,
+    # 24 x 119 = 2856 element applications; six make 144
     rs = RootSystem('A', 3)
-    calls = []
-    apply_weyl = PolyRing.apply_weyl
+    applied = []
+    average = coinvariants._average
 
-    def counted(self, w, f):
-        calls.append(w)
-        return apply_weyl(self, w, f)
+    def counted(columns, mono, powers):
+        applied.append(len(columns))
+        return average(columns, mono, powers)
 
-    monkeypatch.setattr(PolyRing, 'apply_weyl', counted)
+    monkeypatch.setattr(coinvariants, '_average', counted)
     build_coinvariants(rs, (0, 1, 2))
-    assert 0 < len(calls) <= len(rs.elements) * 6
+    assert 0 < len(applied) <= 6
+    assert sum(applied) <= len(rs.elements) * 6
+
+
+ORACLE_GROUPS = [(family, rank, subset)
+                 for family, rank in [('A', 2), ('B', 2), ('G', 2),
+                                      ('A', 3), ('B', 3)]
+                 for k in range(rank + 1)
+                 for subset in combinations(range(rank), k)]
+
+
+@pytest.mark.parametrize('family,rank,subset', ORACLE_GROUPS, ids=[
+    f"{f}{n}-I{''.join(str(i + 1) for i in sub) or 'none'}"
+    for f, n, sub in ORACLE_GROUPS])
+def test_integer_average_equals_the_fraction_average(family, rank, subset):
+    # the reference averages through PolyRing.apply_weyl, in Fractions
+    rs = RootSystem(family, rank)
+    ring = PolyRing(rs)
+    group = [w for w in rs.elements if set(w.word) <= set(subset)]
+    columns = [tuple(zip(*w.matrix)) for w in group]
+    powers = {}
+    for d in range(5):
+        for m in ring.monomials_of_degree(d):
+            mono = Polynomial(rs.rank, {m: 1})
+            ref = Polynomial.zero(rs.rank)
+            for w in group:
+                ref = ref + ring.apply_weyl(w, mono)
+            ref = ref.scale(Fraction(1, len(group)))
+            assert coinvariants._average(columns, m, powers) == ref, m
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,55 @@ def test_elements_compare_by_matrix_alone():
     assert len({w, twin, rs.identity}) == 2
 
 
+def int_matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3), ('G', 2),
+                                         ('F', 4)])
+def test_products_are_the_registered_matrix_products(family, rank):
+    # all pairs, but for F4 every element times every generator; the
+    # second product comes from the memo
+    rs = RootSystem(family, rank)
+    rights = ([rs.simple_reflection(i) for i in range(rank)]
+              if family == 'F' else rs.elements)
+    for a in rs.elements:
+        for b in rights:
+            expected = rs.element_from_matrix(int_matmul(a.matrix, b.matrix))
+            assert a * b is expected
+            assert a * b is expected
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3), ('G', 2),
+                                         ('F', 4)])
+def test_kept_descents_hash_and_index(family, rank):
+    rs = RootSystem(family, rank)
+    for k, w in enumerate(rs.elements):
+        right = [all(row[i] <= 0 for row in w.matrix) for i in range(rank)]
+        left = [all(row[i] <= 0 for row in w.inv_matrix)
+                for i in range(rank)]
+        assert [w.has_right_descent(i) for i in range(rank)] == right
+        assert [w.has_left_descent(i) for i in range(rank)] == left
+        assert w.right_descents() == [i for i in range(rank) if right[i]]
+        assert w.left_descents() == [i for i in range(rank) if left[i]]
+        assert hash(w) == hash((w.matrix,))
+        assert w.index == k
+
+
+def test_a_warm_product_memo_still_refuses_another_group():
+    # two A2 systems share matrices and indices, so only the group check
+    # tells their elements apart
+    rs, other = RootSystem('A', 2), RootSystem('A', 2)
+    s1, s2 = rs.simple_reflection(0), rs.simple_reflection(1)
+    assert s1 * s2 is rs.element_from_word([0, 1])
+    assert s2.index == other.simple_reflection(1).index
+    with pytest.raises(IncompatibilityError):
+        s1 * other.simple_reflection(1)
+    with pytest.raises(IncompatibilityError):
+        other.simple_reflection(1) * s1
+
+
 def test_parabolic_repr():
     rs = RootSystem('B', 3)
     assert repr(build_parabolic(rs, (2, 0))) == \
