@@ -9,8 +9,8 @@ and :func:`place` compute on forms in ints, skipping zeros;
 matrix is a list of lists of Fraction.
 
 Every elimination runs through :func:`sparse_nullspace`, directly (hom
-systems, kernels) or through :func:`form_solve`, the unique X with
-X A = B (inverses, maps out of a generator, coordinates in a basis).
+systems, hom complexes, kernels) or through :func:`form_solve`, the
+unique X with X A = B (inverses, maps out of a generator).
 It eliminates rows of dicts by descending leading column, modulo the
 prime p = 2^61 - 1 first, lifts the reduced rows to fractions and
 checks the lift exactly in integers, else falls back to the same

@@ -38,7 +38,8 @@ the catalog's hom bases, and its differential is
 D_h f = d_Y f - (-1)^h f d_X.  The chain maps are ker D_0 and the
 null-homotopic maps im D_{-1}; every chain map is null-homotopic iff
 the two have the same dimension (hom_complex_vanishing).  One function
-builds D_h for both.
+writes the equations D_h f = 0 for both, one per matrix entry of the
+composites, so only the bases of Hom^h are ever fetched.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
-from .exactla import form_solve, from_form, place, sparse_nullspace
+from .exactla import sparse_nullspace
 from .hecke import HeckeElement, kl_basis
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
@@ -151,11 +152,12 @@ class FormalComplex:
             return None
         return direct_sum(parts)
 
+    def terms_json(self) -> dict:
+        return {str(i): [{'word': [j + 1 for j in y.word], 'shift': k}
+                         for (y, k) in summands]
+                for i, summands in self.terms.items()}
+
     def to_json(self) -> dict:
-        terms = {
-            str(i): [{'word': [j + 1 for j in y.word], 'shift': k}
-                     for (y, k) in summands]
-            for i, summands in self.terms.items()}
         diffs = {}
         for i, comps in self.diffs.items():
             entries = []
@@ -165,7 +167,7 @@ class FormalComplex:
                     'blocks': {str(d): [[str(x) for x in row] for row in m]
                                for d, m in sorted(phi.blocks.items())}})
             diffs[str(i)] = entries
-        return {'terms': terms, 'differentials': diffs}
+        return {'terms': self.terms_json(), 'differentials': diffs}
 
     def __repr__(self):
         shape = {i: len(t) for i, t in self.terms.items()}
@@ -448,32 +450,7 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
 
 
 # ---------------------------------------------------------------------------
-# hom complexes, in hom-basis coordinates
-
-
-def _coords_in_basis(maps: list, basis: list) -> list:
-    """Exact coordinates of each of maps (one or more) in a hom-space basis.
-
-    Each map is flattened into one row, its blocks side by side, and the
-    coordinates C solve C (basis rows) = (map rows) (form_solve).  A map
-    outside the span of the basis, which may be empty, raises
-    InternalCheckError.
-    """
-    source, target, k = maps[0].source, maps[0].target, maps[0].degree
-    offset, width = {}, 0
-    for d, n in source.graded_dims.items():
-        offset[d] = width
-        width += n * target.dim_at(d + k)
-
-    def rows(ms):
-        return place(len(ms), width, [
-            (r, offset[d], (den, [[x for row in block for x in row]]))
-            for r, m in enumerate(ms) for d, (den, block) in m.forms.items()])
-
-    coords = form_solve(rows(basis), rows(maps), len(basis))
-    if coords is False:
-        raise InternalCheckError("map outside its hom space span")
-    return from_form(coords, len(maps), len(basis))
+# hom complexes, on the hom bases of Hom^h
 
 
 class _HomGrid:
@@ -484,14 +461,13 @@ class _HomGrid:
     """
 
     def __init__(self, x: FormalComplex, y: FormalComplex, h: int):
-        self.catalog = x.catalog
         self.slots = []        # (i, a, b, basis)
         self.offset = {}
         n = 0
         for i in x.terms:
             for a, (ya, ka) in enumerate(x.summands(i)):
                 for b, (yb, kb) in enumerate(y.summands(i + h)):
-                    basis = self.catalog.hom_basis(ya, yb, ka - kb)
+                    basis = x.catalog.hom_basis(ya, yb, ka - kb)
                     if not basis:
                         continue
                     self.offset[(i, a, b)] = n
@@ -500,17 +476,19 @@ class _HomGrid:
         self.size = n
 
 
-def _hom_differential(x: FormalComplex, y: FormalComplex, h: int):
-    """The differential D f = d_Y f - (-1)^h f d_X on Hom^h(X, Y).
+def _hom_equations(x: FormalComplex, y: FormalComplex, h: int):
+    """The equations D f = d_Y f - (-1)^h f d_X = 0 on Hom^h(X, Y).
 
-    Returns the grid of Hom^h and one sparse column per unknown: D f of
-    that basis map f, keyed by (i, a, b, t) for basis map t of
-    Hom(X^i_a, Y^{i+h+1}_b).  A target basis is fetched only for a
-    slot that some nonzero composite reaches.
+    Returns the grid of Hom^h and one sparse row per matrix entry that
+    D f can reach, keyed by (j, p, q, d, r, c): entry (r, c) of block d
+    of the component X^j_p -> Y^{j+h+1}_q.  Its value at each unknown is
+    that entry of the basis map's composite, times the composite's sign
+    in D f.  D f is zero exactly when every entry is, so the kernel
+    needs no basis of Hom^{h+1}.
     """
     grid = _HomGrid(x, y, h)
-    sign = Fraction(1 if h % 2 else -1)
-    columns = [{} for _ in range(grid.size)]
+    sign = 1 if h % 2 else -1
+    rows: dict = {}
     for (i, a, b, basis) in grid.slots:
         # f: X^i_a -> Y^{i+h}_b reaches X^i_a -> Y^{i+h+1}_b2 through
         # d_Y, and X^{i-1}_a0 -> Y^{i+h}_b through d_X
@@ -520,36 +498,22 @@ def _hom_differential(x: FormalComplex, y: FormalComplex, h: int):
         landings += [((i - 1, a0, b), sign, [f.compose(d) for f in basis])
                      for (a1, a0), d in x.diffs.get(i - 1, {}).items()
                      if a1 == a]
-        for (j, p, q), c, maps in landings:
-            if all(m.is_zero() for m in maps):
-                continue
-            yp, kp = x.summands(j)[p]
-            yq, kq = y.summands(j + h + 1)[q]
-            target = grid.catalog.hom_basis(yp, yq, kp - kq)
-            for e, coords in enumerate(_coords_in_basis(maps, target),
-                                       grid.offset[(i, a, b)]):
-                col = columns[e]
-                for t, v in enumerate(coords):
-                    if v:
-                        col[(j, p, q, t)] = col.get((j, p, q, t), 0) + c * v
-    return grid, columns
-
-
-def _kernel(columns: list) -> list:
-    """Kernel basis of the sparse matrix with the given columns."""
-    rows: dict = {}
-    for e, col in enumerate(columns):
-        for key, v in col.items():
-            if v:
-                rows.setdefault(key, {})[e] = v
-    return sparse_nullspace(list(rows.values()), len(columns))
+        for slot, c, maps in landings:
+            for e, m in enumerate(maps, grid.offset[(i, a, b)]):
+                for d, (den, block) in m.forms.items():
+                    for r, line in enumerate(block):
+                        for col, v in enumerate(line):
+                            if v:
+                                rows.setdefault((*slot, d, r, col), {})[e] = \
+                                    c * v if den == 1 else Fraction(c * v, den)
+    return grid, list(rows.values())
 
 
 def hom_complex_basis(x: FormalComplex, y: FormalComplex,
                       relative_degree: int = 0):
     """(grid, chain-map coefficient vectors) for maps X -> Y[h]: ker D_h."""
-    grid, columns = _hom_differential(x, y, relative_degree)
-    return grid, _kernel(columns)
+    grid, rows = _hom_equations(x, y, relative_degree)
+    return grid, sparse_nullspace(rows, grid.size)
 
 
 def hom_complex_vanishing(x: FormalComplex, y: FormalComplex) -> bool:
@@ -559,9 +523,9 @@ def hom_complex_vanishing(x: FormalComplex, y: FormalComplex) -> bool:
     _grid, chain_maps = hom_complex_basis(x, y, 0)
     if not chain_maps:
         return True
-    _hgrid, columns = _hom_differential(x, y, -1)
+    grid, homotopies = hom_complex_basis(x, y, -1)
     # im D_{-1} lies in ker D_0, so it is all of it iff the dimensions agree
-    return len(columns) - len(_kernel(columns)) == len(chain_maps)
+    return grid.size - len(homotopies) == len(chain_maps)
 
 
 def _determinant(matrix: list):
@@ -617,7 +581,7 @@ def complexes_isomorphic(x: FormalComplex, y: FormalComplex) -> bool:
         for b, summand in enumerate(y.summands(i)):
             copies[summand][1].append(b)
         for (z, _k), (xs, ys) in copies.items():
-            if len(grid.catalog.hom_basis(z, z, 0)) != 1:
+            if len(x.catalog.hom_basis(z, z, 0)) != 1:
                 raise InternalCheckError(
                     f"the hom basis of End^0(D_{z!r}) does not hold "
                     f"exactly one map")

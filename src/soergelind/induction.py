@@ -25,7 +25,7 @@ shift -- one v per chain letter plus v^len(x) from the inflated start
 directly against the character prediction.  Everything here is checked
 at that K_0 level, with explicit module isomorphisms where the
 underlying facts live at the module level: inflation of D^I_x is D_x
-(the base case; one split pair against D_x gives the map), and
+(the base case; smod.match_entry gives the map), and
 inflation commutes with the wall-crossing functor of any generator
 inside I (the canonical map, the identity on the Frobenius basis).
 
@@ -57,8 +57,8 @@ from .homotopy import (FormalComplex, complex_from_module,
 from .laurent import LaurentPoly
 from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
-                   RestrictionMap, build_catalog, decompose, direct_sum,
-                   induce_frobenius, restrict_module)
+                   RestrictionMap, build_catalog, direct_sum,
+                   induce_frobenius, match_entry, restrict_module)
 
 __all__ = [
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
@@ -342,16 +342,13 @@ def induce_module(setup: InductionSetup, module, w: WeylElement,
 
 
 def _inflation_is_entry(setup: InductionSetup, x: WeylElement) -> bool:
-    """True iff decompose, offered D_x alone, peels exactly D_x<0> off
-    infl D^I_x and leaves nothing: then the split inclusion of that one
-    pair is an isomorphism D_x -> infl D^I_x.  Decided once per setup
-    and x, and kept in setup.inflation."""
+    """True iff match_entry finds an isomorphism D_x -> infl D^I_x.
+    Decided once per setup and x, and kept in setup.inflation."""
     verdict = setup.inflation.get(x)
     if verdict is None:
         inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
-        pieces = decompose(inflated, {x: setup.catalog.entry(x)})
         verdict = setup.inflation[x] = \
-            [(z, k) for z, k, _i, _p in pieces] == [(x, 0)]
+            match_entry(setup.catalog, x, inflated) is not None
     return verdict
 
 
@@ -439,7 +436,7 @@ class VerificationReport:
 
 
 def _summary(cpx: FormalComplex) -> dict:
-    return {'terms': cpx.to_json()['terms']}
+    return {'terms': cpx.terms_json()}
 
 
 def _mass(element: HeckeElement) -> dict:
@@ -491,8 +488,8 @@ def verify_induced_class(setup: InductionSetup, x: WeylElement,
 def verify_base_case(setup: InductionSetup) -> VerificationReport:
     """Inflation sends D^I_x to D_x, and hom dimensions match.
 
-    infl(D^I_x) = D_x is certified for every x in W_I by one split pair
-    (_inflation_is_entry); the start of induce rests on the same
+    infl(D^I_x) = D_x is certified for every x in W_I by an explicit
+    isomorphism (_inflation_is_entry); the start of induce rests on the same
     verdict, which the setup keeps, so each x is certified once.
     Then it compares the full matrices of degree-0 hom dimensions over
     W_I x W_I on both sides (the finite shadow of full faithfulness).

@@ -38,6 +38,11 @@ The workhorses are:
     A descent split theta_s D_y = D_y<0> + D_y<2> is written down from
     the multiplication, its section and the coevaluation; an ascent
     peels the shorter summands by decompose.
+  * match_entry -- an isomorphism between a catalog entry and a module
+    of its graded dimensions: the identity when the action matrices
+    agree, the map fixed by the generator for a cyclic entry, else one
+    split pair.  theta_summands matches the rest of an ascent split to
+    its entry through it, and induction the inflation of D^I_x to D_x.
   * build_catalog -- the indecomposable modules D_y, one per group
     element: D_y is what is left of theta_s D_{ys} once the predicted
     shorter summands are peeled off (theta_summands).  Each entry is
@@ -73,8 +78,8 @@ __all__ = [
     'unit_map', 'mult_map', 'theta_of_map', 'bott_samelson',
     'RestrictionMap', 'restrict_module', 'direct_sum', 'hom_space',
     'end_space', 'is_cyclic', 'map_from_generator',
-    'verify_relations', 'decompose', 'is_isomorphic', 'theta_summands',
-    'build_catalog',
+    'verify_relations', 'decompose', 'is_isomorphic', 'match_entry',
+    'theta_summands', 'build_catalog',
 ]
 
 
@@ -896,26 +901,29 @@ def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
     return [(y, 0, sigma, proj0), (y, 2, incl2, proj2)]
 
 
-def _matched_rest(catalog: IndecomposableCatalog, ys, rest: GradedModule,
-                  incl: ModuleMap, proj: ModuleMap) -> tuple:
-    """(incl, proj) through D_ys of the rest of a split, D_ys in
-    another basis, or None.
+def match_entry(catalog: IndecomposableCatalog, z, module: GradedModule):
+    """(iso, inverse) between D_z and module, or None.
 
-    For a cyclic D_ys the isomorphism D_ys -> rest sends m_0 to m_0: a
-    module map (map_from_generator) with a blockwise inverse.  Else a
-    split pair is solved.
+    Checked in this order: unequal graded dimensions give None; equal
+    action matrices give the identity maps; for a cyclic D_z the
+    isomorphism sends generator to generator (map_from_generator) and
+    has a blockwise inverse; otherwise a split pair is solved, whose
+    inclusion is an isomorphism because the dimensions agree.
     """
-    entry = catalog.entry(ys)
-    if not catalog.is_cyclic(ys):
-        pair = _split_pair(rest, entry, 0)
-        if pair is None:
-            return None
-        return incl.compose(pair[0]), pair[1].compose(proj)
-    phi = map_from_generator(entry, rest, 0, [1])
-    inverse = None if phi is None else _inverse(phi)
-    if inverse is None:
+    if module.algebra is not catalog.algebra:
+        raise IncompatibilityError("matching an entry needs a common algebra")
+    entry = catalog.entry(z)
+    if module.graded_dims != entry.graded_dims:
         return None
-    return incl.compose(phi), inverse.compose(proj)
+    if module.forms == entry.forms:
+        forms = {d: id_form(n) for d, n in entry.graded_dims.items()}
+        return (ModuleMap._of(entry, module, 0, forms),
+                ModuleMap._of(module, entry, 0, forms))
+    if not catalog.is_cyclic(z):
+        return _split_pair(module, entry, 0)
+    phi = map_from_generator(entry, module, 0, [1])
+    inverse = None if phi is None else _inverse(phi)
+    return None if inverse is None else (phi, inverse)
 
 
 def theta_summands(catalog: IndecomposableCatalog, s: int, y):
@@ -929,9 +937,9 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     ascent the other predicted summands are peeled as certified split
     pairs (decompose), and what is left must have the Kazhdan-Lusztig
     graded dimensions of D_ys.  Without an entry for ys (build_catalog)
-    it is admitted as D_ys; with an entry of equal action matrices the
-    identity matches the two, so a reloaded catalog splits exactly as
-    the build did; otherwise _matched_rest matches them.
+    it is admitted as D_ys; otherwise match_entry matches the two, by
+    the identity when their action matrices agree, so a reloaded
+    catalog splits exactly as the build did.
     """
     cache = catalog.theta_splittings
     key = (s, y)
@@ -957,20 +965,15 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
                 f"theta_s{s + 1} D_{y!r} leaves no D_{ys!r}<0> of graded "
                 f"character {expected} beside the rest of b_y b_s")
         _none, _k, incl, proj = pieces.pop()
-        rest = incl.source
-        entry = catalog.entries.get(ys)
-        if entry is None:
-            _admit(catalog, ys, rest)
-        elif rest.forms == entry.forms:
-            incl = ModuleMap._of(entry, theta, 0, incl.forms)
-            proj = ModuleMap._of(theta, entry, 0, proj.forms)
+        if ys not in catalog.entries:
+            _admit(catalog, ys, incl.source)
         else:
-            pair = _matched_rest(catalog, ys, rest, incl, proj)
+            pair = match_entry(catalog, ys, incl.source)
             if pair is None:
                 raise InternalCheckError(
                     f"predicted summand D_{ys!r}<0> does not split off "
                     f"theta_s{s + 1} D_{y!r}")
-            incl, proj = pair
+            incl, proj = incl.compose(pair[0]), pair[1].compose(proj)
         pieces.insert(predicted.index((ys, 0)), (ys, 0, incl, proj))
     cache[key] = (theta, pieces)
     return cache[key]

@@ -30,7 +30,7 @@ from soergelind.induction import (CalibrationRecord, VerificationReport,
                                   verify_theta_restriction,
                                   verify_wall_crossing, wall_crossing_triples)
 from soergelind.laurent import LaurentPoly
-from soergelind.smod import direct_sum
+from soergelind.smod import GradedModule, direct_sum
 
 
 def word_el(rs, *letters_1based):
@@ -160,10 +160,11 @@ def test_every_induced_class_instance_in_a2(a2s1):
 
 
 def test_the_theory_replaces_three_searches():
-    # chains are reduced words, isomorphism components are scalars and
-    # the inflation is certified by one split pair: homotopy inverts no
-    # block, induction decides no isomorphism by Krull-Schmidt, and
-    # admissible_chain runs no search
+    # chains are reduced words, isomorphism components are scalars, a
+    # hom complex is solved on the composites' entries and the inflation
+    # is matched to its one entry: homotopy inverts no block and solves
+    # no coordinates, induction decides no isomorphism by Krull-Schmidt
+    # and searches no catalog, and admissible_chain runs no search
     def imported(module):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         return {alias.name for node in ast.walk(tree)
@@ -171,7 +172,9 @@ def test_the_theory_replaces_three_searches():
                 for alias in node.names}
 
     assert 'invert' not in imported(homotopy)
+    assert 'form_solve' not in imported(homotopy)
     assert 'is_isomorphic' not in imported(induction)
+    assert 'decompose' not in imported(induction)
     tree = ast.parse(pathlib.Path(coxeter.__file__).read_text())
     chain, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
               and node.name == 'admissible_chain']
@@ -388,21 +391,21 @@ def test_base_case_hom_matrices_come_from_the_catalogs(a2s1):
     assert pairs <= set(a2s1.sub_catalog.hom_bases)
 
 
-def test_base_case_splits_one_pair_per_side(monkeypatch):
-    # infl(D^I_x) = D_x is certified by one split pair per member, and
+def test_base_case_matches_one_entry_per_member(monkeypatch):
+    # infl(D^I_x) = D_x is certified by one match_entry per member, and
     # the start of induce rests on the same verdict, which the setup
-    # keeps: with an empty store, inducing along w = e then solves none,
-    # and without the verdicts one split pair per x again
+    # keeps: with an empty store, inducing along w = e then matches
+    # none, and without the verdicts one entry per x again
     setup = make_setup('A', 3, (0, 1))
     monkeypatch.setattr(setup, 'inflation', {})
     calls = []
-    split_pair = smod._split_pair
+    match_entry = induction.match_entry
 
     def counted(*args):
         calls.append(args)
-        return split_pair(*args)
+        return match_entry(*args)
 
-    monkeypatch.setattr(smod, '_split_pair', counted)
+    monkeypatch.setattr(induction, 'match_entry', counted)
     report = verify_base_case(setup)
     assert report.ok()
     assert len(calls) == report.details['members'] == 6
@@ -456,6 +459,28 @@ def test_an_a3_group_solves_only_where_the_theory_names_no_map(monkeypatch):
     # every descent split of the group is of a cyclic entry
     assert descents == [(True, 0)] * 9
     assert solves['hom'] <= 176
+
+
+def test_base_case_holds_with_the_parabolic_entries_in_another_basis(
+        monkeypatch):
+    # the inflations then differ from the entries in their matrices, so
+    # match_entry certifies each by an explicit isomorphism
+    setup = make_setup('A', 3, (0, 1))
+    sub = setup.sub_catalog
+    for x in setup.parabolic_elements():
+        entry = sub.entry(x)
+        # the basis e_r / (d + 2) of each graded piece d
+        actions = {(i, d): [[v * (d + 4) / (d + 2) for v in row] for row in m]
+                   for (i, d), m in entry.actions.items()}
+        moved = GradedModule(entry.algebra, entry.graded_dims, actions)
+        assert x.length == 0 or moved.forms != entry.forms
+        monkeypatch.setitem(sub.entries, x, moved)
+    for attr in ('hom_bases', 'degree_sets'):
+        monkeypatch.setattr(sub, attr, {})
+    monkeypatch.setattr(setup, 'inflation', {})
+    report = verify_base_case(setup)
+    assert report.ok(), report.details
+    assert list(setup.inflation.values()) == [True] * 6
 
 
 def test_an_inflation_that_is_not_the_entry_is_refused(monkeypatch):

@@ -30,8 +30,8 @@ from soergelind.smod import (AlgebraRecord, GradedModule, ModuleMap,
                              RestrictionMap, bott_samelson,
                              build_catalog, decompose, direct_sum, end_space,
                              hom_space, induce_frobenius, is_isomorphic,
-                             restrict_module, theta_summands, trivial_module,
-                             verify_relations, zero_module)
+                             match_entry, restrict_module, theta_summands,
+                             trivial_module, verify_relations, zero_module)
 
 _RS = {}
 _ALG = {}
@@ -801,6 +801,81 @@ def test_is_isomorphic_decides_only_sums_of_catalog_entries():
                          catalog.entries) is None
     with pytest.raises(InternalCheckError):
         is_isomorphic(m, m, catalog.entries)
+
+
+# ---------------------------------------------------------------------------
+# matching a module to its catalog entry
+
+
+def diagonally_rebased(module):
+    """The module in the basis e_r / (d + r + 2) of each graded piece d."""
+    scale = {d: [Fraction(1, d + r + 2) for r in range(n)]
+             for d, n in module.graded_dims.items()}
+    actions = {(i, d): [[v * scale[d][c] / scale[d + 2][r]
+                         for c, v in enumerate(row)]
+                        for r, row in enumerate(m)]
+               for (i, d), m in module.actions.items()}
+    return GradedModule(module.algebra, module.graded_dims, actions)
+
+
+def test_match_entry_finds_every_a3_entry_in_another_basis(monkeypatch):
+    # a cyclic entry is matched generator to generator, the two that
+    # are not cyclic through a split pair
+    catalog = catalog_of('A', 3)
+    rs = catalog.algebra.root_system
+    split_pairs = []
+    split_pair = smod._split_pair
+
+    def counted(*args):
+        split_pairs.append(args[1])
+        return split_pair(*args)
+
+    monkeypatch.setattr(smod, '_split_pair', counted)
+    for y in catalog.elements():
+        entry = catalog.entry(y)
+        module = diagonally_rebased(entry)
+        assert y.length == 0 or module.forms != entry.forms
+        iso, inverse = match_entry(catalog, y, module)
+        assert iso.source is entry and iso.target is module
+        assert inverse.compose(iso) == ModuleMap.identity(entry)
+        assert iso.compose(inverse) == ModuleMap.identity(module)
+        assert iso.check_intertwines() and inverse.check_intertwines()
+    assert len(non_cyclic(catalog)) == 2
+    assert split_pairs == [catalog.entry(rs.element_from_word(
+        [i - 1 for i in word])) for word in non_cyclic(catalog)]
+
+
+def test_match_entry_is_the_identity_on_equal_matrices():
+    catalog = catalog_of('A', 2)
+    y = word_el(catalog.algebra.root_system, 1, 2)
+    entry = catalog.entry(y)
+    twin = GradedModule(entry.algebra, entry.graded_dims, entry.actions)
+    iso, inverse = match_entry(catalog, y, twin)
+    assert iso.forms == inverse.forms == ModuleMap.identity(entry).forms
+    assert iso.target is twin and inverse.source is twin
+
+
+def test_match_entry_refuses_modules_that_are_not_the_entry():
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    e, s1 = rs.identity, word_el(rs, 1)
+    assert match_entry(catalog, s1, catalog.entry(e)) is None
+    assert match_entry(catalog, s1, catalog.entry(word_el(rs, 1, 2))) is None
+    # the graded dimensions of D_s1, but x acts by zero
+    pair, _incls, _projs = direct_sum([catalog.entry(e),
+                                       catalog.entry(e).shift(2)])
+    assert pair.graded_dims == catalog.entry(s1).graded_dims
+    assert match_entry(catalog, s1, pair) is None
+
+
+def test_match_entry_refuses_a_foreign_algebra():
+    catalog = catalog_of('A', 2)
+    y = word_el(catalog.algebra.root_system, 1)
+    entry = catalog.entry(y)
+    foreign = AlgebraRecord(catalog.algebra.root_system, (0, 1))
+    twin = GradedModule(foreign, entry.graded_dims, entry.actions)
+    with pytest.raises(IncompatibilityError):
+        match_entry(catalog, y, twin)
 
 
 # ---------------------------------------------------------------------------
