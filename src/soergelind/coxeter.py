@@ -16,7 +16,6 @@ Generator indices are 0-based everywhere in code; serialized words are
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ConfigurationError, IncompatibilityError
 
@@ -109,9 +108,6 @@ class RootSystem:
         self.cartan_type = str(cartan_type).upper()
         self.rank = rank
         self.cartan = _cartan_matrix(self.cartan_type, rank)
-        self.simple_roots = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(rank)]
-            for i in range(rank)]
         # column j of reflection_matrices[i] is s_i(alpha_j)
         self.reflection_matrices = []
         for i in range(rank):
@@ -175,15 +171,6 @@ class RootSystem:
 
     def __repr__(self):
         return f'RootSystem({self.cartan_type}{self.rank})'
-
-    def to_json(self) -> dict:
-        return {
-            'type': self.cartan_type,
-            'rank': self.rank,
-            'cartan_matrix': [list(row) for row in self.cartan],
-            'simple_roots': [[str(x) for x in root]
-                             for root in self.simple_roots],
-        }
 
 
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:

@@ -122,20 +122,6 @@ class HeckeElement:
                 bits.append(f'({c})*{name}')
         return ' + '.join(bits)
 
-    def to_json(self) -> dict:
-        return {'terms': [
-            {'word': w.word_1based(), 'poly': self.terms[w].to_json()}
-            for w in self.support_sorted()]}
-
-    @classmethod
-    def from_json(cls, root_system: RootSystem, data: dict) -> 'HeckeElement':
-        terms = {}
-        for entry in data['terms']:
-            w = root_system.element_from_word(
-                [i - 1 for i in entry['word']])
-            terms[w] = LaurentPoly.from_json(entry['poly'])
-        return cls(root_system, terms)
-
 
 def hecke_unit(rs: RootSystem) -> HeckeElement:
     return HeckeElement(rs, {rs.identity: LaurentPoly.one()})

@@ -390,7 +390,7 @@ def induce_all(setup: InductionSetup) -> dict:
 
 
 class VerificationReport:
-    """The outcome of one check; reports are equal when all fields are."""
+    """The outcome of one check."""
 
     def __init__(self, instance: dict, status: str,
                  computed_class: str | None = None,
@@ -404,11 +404,6 @@ class VerificationReport:
         self.timing = timing
         self.complex_summary = complex_summary
         self.details = {} if details is None else details
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def __repr__(self):
         fields = ', '.join(f'{k}={v!r}' for k, v in vars(self).items())
@@ -424,15 +419,6 @@ class VerificationReport:
                 'timing': self.timing,
                 'complex_summary': self.complex_summary,
                 'details': self.details}
-
-    @classmethod
-    def from_json(cls, data: dict) -> 'VerificationReport':
-        return cls(instance=data['instance'], status=data['status'],
-                   computed_class=data.get('computed_class'),
-                   predicted_class=data.get('predicted_class'),
-                   timing=data.get('timing', 0.0),
-                   complex_summary=data.get('complex_summary'),
-                   details=data.get('details', {}))
 
 
 def _summary(cpx: FormalComplex) -> dict:
@@ -688,7 +674,6 @@ def run_group(family: str, rank: int, subset,
               cache_dir=None) -> dict:
     """All requested verifications for one (family, rank, subset)."""
     setup = make_setup(family, rank, subset, cache_dir)
-    induce_all(setup)
     out: dict = {name: [] for name in checks}
     if 'induced' in out:
         for x, w in induced_class_instances(setup):

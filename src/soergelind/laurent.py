@@ -10,9 +10,10 @@ after every sum, so equal polynomials have equal terms; anything other
 than an int or a Fraction (a float, a bool, a string) is a TypeError.
 The bar involution v -> 1/v is just negation of exponents.
 
-The JSON form maps exponents to the strings :func:`fraction_to_str`
-writes, "p" or "p/q" in lowest terms, and :func:`fraction_from_str`
-accepts exactly those strings and nothing else.
+The catalog cache writes rationals as the strings
+:func:`fraction_to_str` writes, "p" or "p/q" in lowest terms, and
+:func:`fraction_from_str` accepts exactly those strings and nothing
+else.
 """
 
 from __future__ import annotations
@@ -183,11 +184,6 @@ class LaurentPoly:
         return all(k >= 1 and type(c) is int and c >= 0
                    for k, c in self.terms.items())
 
-    def max_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.terms)
-
     # -- comparisons and display -------------------------------------
 
     def __eq__(self, other):
@@ -218,12 +214,3 @@ class LaurentPoly:
                              else f'{cs}*{vs}')
         out = ' + '.join(parts)
         return out.replace('+ -', '- ')
-
-    # -- serialization -----------------------------------------------
-
-    def to_json(self) -> dict:
-        return {str(k): str(c) for k, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, data: dict) -> 'LaurentPoly':
-        return cls({int(k): fraction_from_str(c) for k, c in data.items()})

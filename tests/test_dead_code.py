@@ -1,0 +1,50 @@
+"""Every method of the package is read somewhere.
+
+A method that no code reads, neither the package nor its tests nor the
+benchmark, is dead weight: it has to be kept correct and compiled by
+every process.  A method counts as read when its name appears as an
+attribute (`x.name`) or as the name string of a `getattr`, `setattr`,
+`hasattr` or `delattr` call in `src/`, `tests/` or `perfbench/`.
+Dunder methods are read by the interpreter and are not checked.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / 'src' / 'soergelind'
+ATTR_CALLS = {'getattr', 'setattr', 'hasattr', 'delattr'}
+
+
+def parsed(directory):
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.rglob('*.py'))]
+
+
+def read_names(trees) -> set:
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ATTR_CALLS and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_every_method_is_read_somewhere():
+    package = parsed(PACKAGE)
+    names = read_names(package + parsed(ROOT / 'tests')
+                       + parsed(ROOT / 'perfbench'))
+    unread = sorted(
+        f'{cls.name}.{item.name}'
+        for tree in package for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith('__') and item.name.endswith('__'))
+        and item.name not in names)
+    assert unread == []

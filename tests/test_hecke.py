@@ -274,15 +274,3 @@ def test_predicted_class_lengths_are_additive():
                 assert zw.length >= w.length
                 # the coefficient of H_{xw} itself is exactly 1
             assert cls.terms[x * w] == LaurentPoly.one()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_hecke_json_round_trip():
-    rs = RootSystem('A', 2)
-    a = kl_basis(word_el(rs, 1, 2)).scale(LaurentPoly({-1: Fraction(3, 2)}))
-    data = a.to_json()
-    back = HeckeElement.from_json(rs, data)
-    assert back == a

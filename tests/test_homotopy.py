@@ -9,6 +9,7 @@ class that no bottom-normalized exponent convention can produce since
 it has a negative-power coefficient.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -479,6 +480,60 @@ def test_elimination_reaches_a_minimal_complex():
     assert not is_minimal(raw)
     assert is_minimal(gaussian_eliminate(raw))
     assert k0_class(raw) == k0_class(gaussian_eliminate(raw))
+
+
+def removes_adjacent_pairs(before, after):
+    """True when the summands of before missing from after are a
+    nonempty union of pairs D_z<k> in degree i, D_z<k> in degree i + 1."""
+    lost = Counter((i, yk) for i, row in before.terms.items() for yk in row)
+    lost.subtract((i, yk) for i, row in after.terms.items() for yk in row)
+    if any(n < 0 for n in lost.values()) or not +lost:
+        return False
+    # the copies in the lowest degree can only pair with the next one up
+    for i, yk in sorted(lost, key=lambda key: key[0]):
+        n = lost[(i, yk)]
+        if lost[(i + 1, yk)] < n:
+            return False
+        lost[(i + 1, yk)] -= n
+    return True
+
+
+def test_every_elimination_removes_pairs_and_keeps_the_class(monkeypatch):
+    # gaussian_eliminate keeps the class by construction and does not
+    # check it; every minimization of the corpus's tensor steps is
+    # checked here
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    eliminate, changed = homotopy.gaussian_eliminate, []
+
+    def checked(cpx):
+        out = eliminate(cpx)
+        if out is not cpx:
+            changed.append(out)
+            assert removes_adjacent_pairs(cpx, out), (cpx.terms, out.terms)
+            assert k0_class(out) == k0_class(cpx)
+        return out
+
+    for module in (homotopy, induction):
+        monkeypatch.setattr(module, 'gaussian_eliminate', checked)
+    for family, rank, subset in induction.corpus_groups('full'):
+        induction.induce_all(induction.make_setup(family, rank, subset))
+    assert changed
+
+
+def test_elimination_reads_nothing_from_the_hecke_side(monkeypatch):
+    catalog = catalog_of('A', 2)
+    raw = tensor_rouquier(1, rouquier_chain(catalog, [1, 0]))
+    assert not is_minimal(raw)
+
+    def refused(*args):
+        raise AssertionError('elimination reached the Hecke side')
+
+    monkeypatch.setattr(homotopy, 'k0_class', refused)
+    monkeypatch.setattr(homotopy, 'kl_basis', refused)
+    slim = gaussian_eliminate(raw)
+    assert is_minimal(slim)
+    assert sum(map(len, slim.terms.values())) < \
+        sum(map(len, raw.terms.values()))
 
 
 def test_elimination_refuses_a_component_that_is_not_a_scalar():

@@ -64,15 +64,6 @@ def test_operations_match_the_fraction_reference(p, q, k):
     assert_matches(a.shift(k), {e + k: c for e, c in ra.items()})
 
 
-@settings(max_examples=100, deadline=None)
-@given(pairs)
-def test_json_round_trip(p):
-    a = LaurentPoly(p)
-    back = LaurentPoly.from_json(a.to_json())
-    assert back == a
-    assert_matches(back, reference(p))
-
-
 def test_integral_fractions_are_stored_as_ints():
     p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)})
     assert p.terms == {0: 2, 1: Fraction(1, 2)}
@@ -87,10 +78,3 @@ def test_a_coefficient_that_is_not_exact_is_refused(bad):
         LaurentPoly({0: bad})
     with pytest.raises(TypeError):
         LaurentPoly.one() + bad
-
-
-@pytest.mark.parametrize('data', [{'0': 1}, {'0': 0.5}, {'0': '1.5'},
-                                  {'0': '2/4'}, {'0': True}])
-def test_from_json_reads_only_fraction_strings(data):
-    with pytest.raises((TypeError, ValueError)):
-        LaurentPoly.from_json(data)
