@@ -16,9 +16,10 @@ For a standard parabolic W_I the same recursion, run on an element of
 W_I, never leaves W_I (descents of x in W_I lie in I by the subword
 property), and produces the KL polynomials of W_I itself.
 
-Two readings feed the module side's checks: wall_crossing_summands
-expands b_y b_s into the summands of theta_s D_y, and
-expected_graded_dims reads the graded character of D_w off b_w.
+Two readings off the KL table feed the module side's checks:
+wall_crossing_summands reads the summands of theta_s D_y off the
+mu-coefficients of b_y, and expected_graded_dims the graded character
+of D_w off b_w.
 """
 
 from __future__ import annotations
@@ -225,25 +226,20 @@ def kl_basis(w: WeylElement) -> HeckeElement:
 def wall_crossing_summands(y: WeylElement, i: int) -> list:
     """The summands (z, k) of theta_s D_y predicted by b_y b_s, s = s_i.
 
-    Expands b_y b_s = sum_z m_z(v) b_z by peeling the longest term.  A
-    term c v^j b_z stands for c copies of D_z<k> with
+    For ys < y, b_y b_s = (v + v^{-1}) b_y; otherwise b_y b_s = b_{ys}
+    + sum of mu(z, y) b_z over z < y with zs < z, mu(z, y) the
+    coefficient of v in h_{z,y}.  A term v^j b_z stands for D_z<k> with
     k = l(y) + 1 + j - l(z): a summand's shift measures its distance
     from the self-dual centering, and one wall-crossing moves the
     center up by one.  A summand of multiplicity c appears c times; the
     list is sorted by (k, l(z), word of z).
     """
-    rs = y.root_system
-    prod = hecke_multiply(kl_basis(y), kl_basis(rs.simple_reflection(i)))
-    out = []
-    while prod.terms:
-        z = max(prod.terms, key=lambda u: (u.length, u.word))
-        m_z = prod.terms[z]
-        for j, c in m_z.terms.items():
-            if type(c) is not int or c < 0:
-                raise InternalCheckError(
-                    f"b_y b_s has coefficient {m_z} at b_{z!r}")
-            out.extend([(z, y.length + 1 + j - z.length)] * c)
-        prod = prod - kl_basis(z).scale(m_z)
+    if y.has_right_descent(i):
+        return [(y, 0), (y, 2)]
+    out = [(y * y.root_system.simple_reflection(i), 0)]
+    for z, h in kl_basis(y).terms.items():
+        if z.has_right_descent(i) and z != y:
+            out.extend([(z, y.length + 1 - z.length)] * h.terms.get(1, 0))
     return sorted(out, key=lambda t: (t[1], t[0].length, t[0].word))
 
 

@@ -429,20 +429,21 @@ def k0_class(cpx: FormalComplex) -> HeckeElement:
     if cpx._k0 is not None:
         return cpx._k0
     rs = cpx.catalog.algebra.root_system
-    # the signed powers of v collected per y, so each b_y is added once
-    coeffs: dict = {}
+    # the signed powers of v times h_{z,y}, in one table per z
+    table: dict = {}
     for i, summands in cpx.terms.items():
         sign = (-1) ** (i % 2)
         for (y, k) in summands:
             if k % 2:
                 raise InternalCheckError("odd internal shift in a complex")
-            powers = coeffs.setdefault(y, {})
-            powers[k + y.length] = powers.get(k + y.length, 0) + sign
-    total = HeckeElement(rs, {})
-    for y, powers in coeffs.items():
-        total = total + kl_basis(y).scale(LaurentPoly(powers))
-    cpx._k0 = total
-    return total
+            for z, h in kl_basis(y).terms.items():
+                row = table.setdefault(z, {})
+                for e, c in h.terms.items():
+                    e += k + y.length
+                    row[e] = row.get(e, 0) + sign * c
+    cpx._k0 = HeckeElement(rs, {z: LaurentPoly(row)
+                                for z, row in table.items()})
+    return cpx._k0
 
 
 # ---------------------------------------------------------------------------

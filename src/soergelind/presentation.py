@@ -9,6 +9,8 @@ presentation, exactly and in integers (the actions' integer forms):
     killed by every variable);
   * is_cyclic -- whether the module is generated by a one-dimensional
     bottom degree, which makes its degree-0 endomorphisms the scalars;
+  * generator_data -- right inverses of the actions from below, which
+    fix a map out of a cyclic module by the image of its generator;
   * verify_relations -- that the variables commute and the invariant
     ideal of the coinvariant algebra acts by zero.
 """
@@ -18,9 +20,9 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import IncompatibilityError, InternalCheckError
-from .exactla import form_mul, sparse_nullspace
+from .exactla import form_mul, id_form, place, sparse_nullspace, to_form
 
-__all__ = ['degree_sets', 'is_cyclic', 'verify_relations',
+__all__ = ['degree_sets', 'is_cyclic', 'generator_data', 'verify_relations',
            'check_relations']
 
 
@@ -159,3 +161,32 @@ def is_cyclic(module, generator_degrees) -> bool:
     """
     return (len(generator_degrees) == 1
             and module.dim_at(module.bottom_degree()) == 1)
+
+
+def generator_data(module) -> dict:
+    """{d: (S_d, P_d)} for each degree d above the bottom.
+
+    S_d = [X_0 | ... | X_{n-1}] holds the actions out of degree d - 2;
+    P_d is E = S_d[:, J_d]^-1 in the rows J_d, S_d's pivot columns.
+    [S_d | I] reduces to [E S_d | E], so sparse_nullspace's vector of
+    I's column j is -(column j of E) on J_d and 0 on S_d's other
+    columns.  InternalCheckError unless S_d P_d = I: then the module is
+    cyclic, and a map f out of it has f_d = [Y_j f_{d-2}]_j P_d.
+    """
+    n = module.algebra.root_system.rank
+    bottom, *higher = module.degrees()
+    record = {}
+    for d in higher:
+        dim, low = module.dim_at(d), module.dim_at(d - 2)
+        stacked = place(dim, n * low, [
+            (0, j * low, module.forms.get((j, d - 2))) for j in range(n)])
+        den, rows = stacked or (1, [[0] * n * low] * dim)
+        kernel = sparse_nullspace(
+            [{c: x for c, x in enumerate(row) if x} | {n * low + r: den}
+             for r, row in enumerate(rows)], n * low + dim)
+        record[d] = (stacked, to_form([[-vec[c] for vec in kernel[-dim:]]
+                                       for c in range(n * low)]))
+    if module.dim_at(bottom) != 1 or any(
+            form_mul(*record[d]) != id_form(module.dim_at(d)) for d in higher):
+        raise InternalCheckError("the module is not cyclic")
+    return record

@@ -185,8 +185,8 @@ def dump_json(data, path: str) -> None:
     tmp = f'{path}.{os.getpid()}.tmp'
     try:
         with open(tmp, 'w') as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write('\n')
+            # one line: without indent, json.dumps runs the C encoder
+            fh.write(json.dumps(data, sort_keys=True) + '\n')
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

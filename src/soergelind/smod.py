@@ -27,10 +27,10 @@ The workhorses are:
     to a split pair, and the rest is ker(proj).  The summands are
     either given or found by trying catalog entries at the bottom
     degree of what is left.
-  * map_from_generator -- the map out of a cyclic module (one
+  * map_from_generator -- the map out of a cyclic catalog entry (one
     generated by a one-dimensional bottom degree) fixed by the image of
-    its generator, extended degree by degree and certified by
-    intertwining.  A cyclic module has End^0 = Q without a solve.
+    its generator, extended through the entry's generator record and
+    certified by intertwining.  A cyclic module has End^0 = Q.
   * theta_summands -- the one split of theta_s D_y into the summands
     b_y b_s = sum_z m_z b_z predicts (hecke.wall_crossing_summands),
     kept in the catalog: build_catalog admits each entry through it,
@@ -69,8 +69,8 @@ from .exactla import (_frac, form_add, form_mul, form_scale, form_solve,
                       from_form, id_form, is_zero_matrix, normal, place,
                       sparse_nullspace, to_form)
 from .hecke import expected_graded_dims, wall_crossing_summands
-from .presentation import (check_relations, degree_sets, is_cyclic,
-                           verify_relations)
+from .presentation import (check_relations, degree_sets, generator_data,
+                           is_cyclic, verify_relations)
 
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
@@ -555,32 +555,64 @@ def hom_space(source: GradedModule, target: GradedModule,
     return maps
 
 
-def map_from_generator(source: GradedModule, target: GradedModule,
-                       degree: int, image) -> ModuleMap | None:
-    """The degree-`degree` map out of a cyclic source with m_0 |-> image.
-
-    m_0 spans the bottom degree b of source (is_cyclic); image is a
-    vector of target_{b + degree}.  Each higher M_d is spanned by the
-    x_j M_{d-2}, so f_d is the unique solution of
-    f_d [X_0 | ... | X_{n-1}] = [Y_0 f_{d-2} | ... | Y_{n-1} f_{d-2}]
-    (form_solve).  The result is certified by check_intertwines.  None
-    when no map sends m_0 to image, or m_0 does not generate source.
-    """
-    n = source.algebra.root_system.rank
-    bottom, *higher = source.degrees()
-    blocks = {bottom: to_form([[v] for v in image])}
-    for d in higher:
-        dim, low = source.dim_at(d), source.dim_at(d - 2)
-        stacked = place(dim, n * low, [
-            (0, j * low, source.forms.get((j, d - 2))) for j in range(n)])
+def _extend(catalog: 'IndecomposableCatalog', y, target: GradedModule,
+            degree: int, image, stop: bool):
+    """(phi, residues) for f_b = image, f_d = R_d P_d, R_d = [Y_j f_{d-2}]_j,
+    (S_d, P_d) the generator record of D_y; residues maps each degree up
+    to top + 2 to f_d S_d - R_d where it is nonzero; stop ends at the first."""
+    source, record = catalog.entry(y), catalog.generator_data(y)
+    n, bottom = source.algebra.root_system.rank, source.bottom_degree()
+    blocks, residues = {bottom: to_form([[v] for v in image])}, {}
+    for d in range(bottom + 2, max(source.graded_dims) + 4, 2):
+        low = source.dim_at(d - 2)
         images = place(target.dim_at(d + degree), n * low, [
             (0, j * low, form_mul(target.forms.get((j, d - 2 + degree)),
                                   blocks[d - 2])) for j in range(n)])
-        blocks[d] = form_solve(stacked, images, dim)
-        if blocks[d] is False:
-            return None
-    phi = ModuleMap._of(source, target, degree, blocks)
-    return phi if phi.check_intertwines() else None
+        stacked, section = record.get(d, (None, None))
+        blocks[d] = form_mul(images, section)
+        residue = form_add(form_mul(blocks[d], stacked),
+                           form_scale(-1, images))
+        if residue is not None:
+            residues[d] = residue
+            if stop:
+                break
+    return ModuleMap._of(source, target, degree, blocks), residues
+
+
+def map_from_generator(catalog: 'IndecomposableCatalog', y,
+                       target: GradedModule, degree: int,
+                       image) -> ModuleMap | None:
+    """The degree-`degree` map out of the cyclic D_y with m_0 |-> image,
+    a vector of target_{b + degree} (b the bottom of D_y), or None: f_d
+    follows from f_{d-2} through the catalog's generator record
+    (_extend), and a map is certified by check_intertwines."""
+    phi, residues = _extend(catalog, y, target, degree, image, True)
+    return None if residues or not phi.check_intertwines() else phi
+
+
+def _generator_basis(catalog: 'IndecomposableCatalog', y,
+                     target: GradedModule, degree: int) -> list:
+    """A basis of Hom(D_y, target) in degree `degree`, D_y cyclic: for
+    t = dim target_{b + degree} = 1 the map m_0 |-> 1 if any, else the
+    residues of the unit images (_extend) are linear in the image, and
+    one sparse_nullspace call over t unknowns gives a basis."""
+    t = target.dim_at(catalog.entry(y).bottom_degree() + degree)
+    if t == 1:
+        phi = map_from_generator(catalog, y, target, degree, [1])
+        return [] if phi is None else [phi]
+    eqs: dict = {}
+    for i in range(t):
+        _phi, residues = _extend(catalog, y, target, degree,
+                                 [int(i == j) for j in range(t)], False)
+        for d, (den, rows) in residues.items():
+            for k, x in enumerate(x for row in rows for x in row):
+                if x:
+                    eqs.setdefault((d, k), {})[i] = Fraction(x, den)
+    basis = [map_from_generator(catalog, y, target, degree, vec)
+             for vec in sparse_nullspace(list(eqs.values()), t)]
+    if None in basis:
+        raise InternalCheckError(f"a map out of D_{y!r} fails to intertwine")
+    return basis
 
 
 def end_space(module: GradedModule) -> list[ModuleMap]:
@@ -784,7 +816,8 @@ class IndecomposableCatalog:
     hom complexes and the base case of induction read it), and
     degree_sets maps y to the generator and socle degrees of D_y
     (entry_degrees), which let hom_basis answer a space that vanishes
-    for degree reasons without solving it.
+    for degree reasons without solving it, and generator_records maps
+    a cyclic y to the record every map out of D_y is found through.
     """
 
     def __init__(self, algebra: AlgebraRecord, entries: dict):
@@ -793,6 +826,7 @@ class IndecomposableCatalog:
         self.theta_splittings: dict = {}
         self.hom_bases: dict = {}
         self.degree_sets: dict = {}
+        self.generator_records: dict = {}
 
     def elements(self) -> list:
         return sorted(self.entries, key=lambda w: (w.length, w.word))
@@ -809,6 +843,12 @@ class IndecomposableCatalog:
             sets = self.degree_sets[y] = degree_sets(self.entry(y))
         return sets
 
+    def generator_data(self, y) -> dict:
+        """The generator record of the cyclic D_y (generator_data), once."""
+        if y not in self.generator_records:
+            self.generator_records[y] = generator_data(self.entry(y))
+        return self.generator_records[y]
+
     def is_cyclic(self, y) -> bool:
         """Whether D_y is generated by its bottom degree (is_cyclic)."""
         return is_cyclic(self.entry(y), self.entry_degrees(y)[0])
@@ -821,7 +861,8 @@ class IndecomposableCatalog:
         has (D_y)_{s-degree} nonzero: a nonzero map is nonzero on some
         generator, and the top degree of its image, a nonzero
         submodule, is killed by every variable, so it lies in the socle
-        of D_z.
+        of D_z.  Otherwise a cyclic D_y is solved through its generator
+        (_generator_basis), any other through hom_space.
         """
         key = (y, z, degree)
         if key not in self.hom_bases:
@@ -830,7 +871,10 @@ class IndecomposableCatalog:
                     for g in self.entry_degrees(y)[0])
                     and any(source.dim_at(s - degree)
                             for s in self.entry_degrees(z)[1])):
-                self.hom_bases[key] = hom_space(source, target, degree)
+                self.hom_bases[key] = (
+                    _generator_basis(self, y, target, degree)
+                    if self.is_cyclic(y)
+                    else hom_space(source, target, degree))
             else:
                 self.hom_bases[key] = []
         return self.hom_bases[key]
@@ -869,7 +913,7 @@ def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
     entry = catalog.entry(y)
     mult = mult_map(s, entry, theta)
     if catalog.is_cyclic(y):
-        sigma = map_from_generator(entry, theta, 0, [1])
+        sigma = map_from_generator(catalog, y, theta, 0, [1])
     else:
         maps = hom_space(entry, theta, 0)
         sigma = maps[0] if len(maps) == 1 else None
@@ -921,7 +965,7 @@ def match_entry(catalog: IndecomposableCatalog, z, module: GradedModule):
                 ModuleMap._of(module, entry, 0, forms))
     if not catalog.is_cyclic(z):
         return _split_pair(module, entry, 0)
-    phi = map_from_generator(entry, module, 0, [1])
+    phi = map_from_generator(catalog, z, module, 0, [1])
     inverse = None if phi is None else _inverse(phi)
     return None if inverse is None else (phi, inverse)
 
@@ -948,18 +992,13 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
     theta = induce_frobenius(s, catalog.entry(y))
     predicted = wall_crossing_summands(y, s)
     if y.has_right_descent(s):
-        if predicted != [(y, 0), (y, 2)]:
-            raise InternalCheckError(
-                f"b_y b_s reads {predicted} at the descent s{s + 1} of "
-                f"{y!r}, not (v + 1/v) b_y")
         pieces = _descent_pieces(catalog, s, y, theta)
     else:
         ys = y * y.root_system.simple_reflection(s)
         pieces = decompose(theta, catalog.entries,
                            [t for t in predicted if t != (ys, 0)])
         expected = expected_graded_dims(ys)
-        if (ys, 0) not in predicted or not pieces \
-                or pieces[-1][:2] != (None, 0) \
+        if not pieces or pieces[-1][:2] != (None, 0) \
                 or pieces[-1][2].source.graded_dims != expected:
             raise InternalCheckError(
                 f"theta_s{s + 1} D_{y!r} leaves no D_{ys!r}<0> of graded "

@@ -19,7 +19,8 @@ from soergelind.coxeter import RootSystem, build_parabolic
 from soergelind.errors import ConfigurationError, IncompatibilityError
 from soergelind.hecke import (HeckeElement, bar_involution, hecke_multiply,
                               hecke_standard, hecke_unit, kl_basis,
-                              parabolic_kl, predicted_class)
+                              parabolic_kl, predicted_class,
+                              wall_crossing_summands)
 from soergelind.laurent import LaurentPoly
 
 V = LaurentPoly({1: 1})
@@ -182,6 +183,32 @@ def test_kl_basis_characterizing_properties(family, rank):
         b = kl_basis(w)
         assert bar_involution(b) == b
         coefficients_lower_terms_positive(rs, w, b)
+
+
+def product_and_peel(y, i):
+    """b_y b_s multiplied out and peeled longest term first: the
+    expansion wall_crossing_summands reads off the mu-coefficients."""
+    rs = y.root_system
+    prod = hecke_multiply(kl_basis(y), kl_basis(rs.simple_reflection(i)))
+    out = []
+    while prod.terms:
+        z = max(prod.terms, key=lambda u: (u.length, u.word))
+        m_z = prod.terms[z]
+        for j, c in m_z.terms.items():
+            assert type(c) is int and c > 0
+            out.extend([(z, y.length + 1 + j - z.length)] * c)
+        prod = prod - kl_basis(z).scale(m_z)
+    return sorted(out, key=lambda t: (t[1], t[0].length, t[0].word))
+
+
+@pytest.mark.parametrize('family,rank',
+                         [('A', 2), ('B', 2), ('G', 2), ('A', 3), ('B', 3)])
+def test_wall_crossing_summands_equal_the_peeled_product(family, rank):
+    rs = RootSystem(family, rank)
+    for y in rs.elements:
+        for i in range(rank):
+            assert wall_crossing_summands(y, i) == product_and_peel(y, i), \
+                (y, i)
 
 
 def test_kl_literals_dihedral():

@@ -478,6 +478,30 @@ def test_an_a3_group_solves_only_where_the_theory_names_no_map(monkeypatch):
     assert solves['hom'] <= 176
 
 
+VERIFY_LIGHT_GROUPS = [('A', 2, ()), ('A', 2, (0,)), ('A', 2, (1,)),
+                       ('B', 2, ()), ('B', 2, (0,)), ('B', 2, (1,)),
+                       ('A', 3, (0, 1))]
+
+
+def test_the_light_sweep_solves_few_hom_spaces(monkeypatch):
+    # maps out of a cyclic entry come from its generator, so a full
+    # hom_space solve is left for the entries that are not cyclic, split
+    # pairs and End^0 only: 43 solves, 189 before the generator records
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    solved = []
+    hom_space = smod.hom_space
+
+    def counted(*args):
+        solved.append(args)
+        return hom_space(*args)
+
+    monkeypatch.setattr(smod, 'hom_space', counted)
+    for group in VERIFY_LIGHT_GROUPS:
+        out = run_group(*group)
+        assert all(r.ok() for reports in out.values() for r in reports)
+    assert len(solved) <= 60
+
+
 def test_base_case_holds_with_the_parabolic_entries_in_another_basis(
         monkeypatch):
     # the inflations then differ from the entries in their matrices, so
@@ -492,7 +516,7 @@ def test_base_case_holds_with_the_parabolic_entries_in_another_basis(
         moved = GradedModule(entry.algebra, entry.graded_dims, actions)
         assert x.length == 0 or moved.forms != entry.forms
         monkeypatch.setitem(sub.entries, x, moved)
-    for attr in ('hom_bases', 'degree_sets'):
+    for attr in ('hom_bases', 'degree_sets', 'generator_records'):
         monkeypatch.setattr(sub, attr, {})
     monkeypatch.setattr(setup, 'inflation', {})
     report = verify_base_case(setup)
@@ -509,6 +533,7 @@ def test_an_inflation_that_is_not_the_entry_is_refused(monkeypatch):
     sub = setup.sub_catalog
     monkeypatch.setitem(sub.entries, s1, sub.entry(e))
     for catalog, attr in ((sub, 'hom_bases'), (sub, 'degree_sets'),
+                          (sub, 'generator_records'),
                           (setup.catalog, 'hom_bases')):
         monkeypatch.setattr(catalog, attr, {})
     monkeypatch.setattr(setup.side, 'induced', {})

@@ -282,13 +282,18 @@ def test_catalog_hom_basis_solves_each_key_once(monkeypatch):
     rs = catalog.algebra.root_system
     s1, e = word_el(rs, 1), rs.identity
     solved = []
-    solve = smod.hom_space
+    solve, through_generator = smod.hom_space, smod._generator_basis
 
     def counted(source, target, degree):
         solved.append((source, target, degree))
         return solve(source, target, degree)
 
+    def counted_generator(cat, y, target, degree):
+        solved.append((cat.entry(y), target, degree))
+        return through_generator(cat, y, target, degree)
+
     monkeypatch.setattr(smod, 'hom_space', counted)
+    monkeypatch.setattr(smod, '_generator_basis', counted_generator)
     quotient = catalog.hom_basis(s1, e, 0)
     assert catalog.hom_basis(s1, e, 0) is quotient
     assert len(quotient) == 1 and catalog.hom_basis(e, s1, 0) == []
@@ -554,14 +559,87 @@ def test_a_descent_split_solves_only_for_an_entry_that_is_not_cyclic(
 def test_a_map_from_a_generator_is_none_when_no_map_exists():
     catalog = catalog_of('A', 2)
     rs = catalog.algebra.root_system
-    e, s1 = catalog.entry(rs.identity), catalog.entry(word_el(rs, 1))
+    e, s1 = rs.identity, word_el(rs, 1)
     # D_s1 -> D_e in degree 0 is the quotient; D_e -> D_s1 has none,
     # since the bottom of D_s1 is not killed by the variables
-    quotient = smod.map_from_generator(s1, e, 0, [1])
+    quotient = smod.map_from_generator(catalog, s1, catalog.entry(e), 0, [1])
     assert quotient is not None and quotient.check_intertwines()
     assert quotient.block(0) == [[Fraction(1)]]
-    assert smod.map_from_generator(e, s1, 0, [1]) is None
-    assert smod.map_from_generator(e, s1, 2, [0]).is_zero()
+    assert smod.map_from_generator(catalog, e, catalog.entry(s1), 0,
+                                   [1]) is None
+    assert smod.map_from_generator(catalog, e, catalog.entry(s1), 2,
+                                   [0]).is_zero()
+
+
+def form_solve_map(source, target, degree, image):
+    """The map out of a cyclic source with m_0 |-> image, each f_d solved
+    from f_d [X_0 | ... | X_{n-1}] = [Y_0 f_{d-2} | ... | Y_{n-1} f_{d-2}]
+    by form_solve; None when no map sends m_0 to image."""
+    n = source.algebra.root_system.rank
+    bottom, *higher = source.degrees()
+    blocks = {bottom: exactla.to_form([[v] for v in image])}
+    for d in higher:
+        dim, low = source.dim_at(d), source.dim_at(d - 2)
+        stacked = exactla.place(dim, n * low, [
+            (0, j * low, source.forms.get((j, d - 2))) for j in range(n)])
+        images = exactla.place(target.dim_at(d + degree), n * low, [
+            (0, j * low, exactla.form_mul(
+                target.forms.get((j, d - 2 + degree)), blocks[d - 2]))
+            for j in range(n)])
+        blocks[d] = exactla.form_solve(stacked, images, dim)
+        if blocks[d] is False:
+            return None
+    phi = ModuleMap._of(source, target, degree, blocks)
+    return phi if phi.check_intertwines() else None
+
+
+def degree_range(source, target):
+    return range(-max(source.graded_dims), max(target.graded_dims) + 1, 2)
+
+
+@pytest.mark.parametrize('family,rank',
+                         [('A', 2), ('B', 2), ('G', 2), ('A', 3)])
+def test_map_from_generator_agrees_with_form_solve(family, rank):
+    # every unit image and their sum, into every entry and into the
+    # theta_s D_y whose descent splits take the map m_0 |-> 1 (x) m_0
+    catalog = catalog_of(family, rank)
+    outcomes = Counter()
+    for y in catalog.elements():
+        if not catalog.is_cyclic(y):
+            continue
+        source = catalog.entry(y)
+        targets = [(catalog.entry(z), degree_range(source, catalog.entry(z)))
+                   for z in catalog.elements()]
+        targets += [(induce_frobenius(s, source), [0]) for s in range(rank)]
+        for target, degrees in targets:
+            for k in degrees:
+                t = target.dim_at(k)
+                for image in ([[int(i == j) for j in range(t)]
+                               for i in range(t)] + [[1] * t]):
+                    got = smod.map_from_generator(catalog, y, target, k,
+                                                  image)
+                    want = form_solve_map(source, target, k, image)
+                    assert (got is None) == (want is None), (y, k, image)
+                    assert got is None or got.forms == want.forms
+                    outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize('family,rank',
+                         [('A', 2), ('B', 2), ('G', 2), ('A', 3)])
+def test_generator_basis_has_the_dimension_of_hom_space(family, rank):
+    catalog = catalog_of(family, rank)
+    cyclic = [y for y in catalog.elements() if catalog.is_cyclic(y)]
+    assert cyclic
+    for y in cyclic:
+        source = catalog.entry(y)
+        for z in catalog.elements():
+            target = catalog.entry(z)
+            for k in degree_range(source, target):
+                basis = smod._generator_basis(catalog, y, target, k)
+                assert len(basis) == len(hom_space(source, target, k)), \
+                    (y, z, k)
+                assert all(phi.check_intertwines() for phi in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +788,18 @@ def test_degree_pretest_skips_only_empty_hom_spaces(family, rank,
     for y in elements:
         assert catalog.entry_degrees(y) == rank_degrees(catalog.entry(y))
     solved = set()
-    solve = smod.hom_space
+    solve, through_generator = smod.hom_space, smod._generator_basis
 
     def recorded(source, target, degree):
         solved.add((source, target, degree))
         return solve(source, target, degree)
 
+    def recorded_generator(cat, y, target, degree):
+        solved.add((cat.entry(y), target, degree))
+        return through_generator(cat, y, target, degree)
+
     monkeypatch.setattr(smod, 'hom_space', recorded)
+    monkeypatch.setattr(smod, '_generator_basis', recorded_generator)
     skipped = 0
     for y in elements:
         source = catalog.entry(y)
