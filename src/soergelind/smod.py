@@ -29,8 +29,8 @@ The workhorses are:
     degree of what is left.
   * map_from_generator -- the map out of a cyclic catalog entry (one
     generated by a one-dimensional bottom degree) fixed by the image of
-    its generator, extended through the entry's generator record and
-    certified by intertwining.  A cyclic module has End^0 = Q.
+    its generator through the entry's generator record, certified by
+    intertwining; the catalog's maps_from takes hom_space for the rest.
   * theta_summands -- the one split of theta_s D_y into the summands
     b_y b_s = sum_z m_z b_z predicts (hecke.wall_crossing_summands),
     kept in the catalog: build_catalog admits each entry through it,
@@ -40,9 +40,9 @@ The workhorses are:
     peels the shorter summands by decompose.
   * match_entry -- an isomorphism between a catalog entry and a module
     of its graded dimensions: the identity when the action matrices
-    agree, the map fixed by the generator for a cyclic entry, else one
-    split pair.  theta_summands matches the rest of an ascent split to
-    its entry through it, and induction the inflation of D^I_x to D_x.
+    agree, else the one map of Hom^0(entry, module) if it inverts.
+    theta_summands matches the rest of an ascent split to its entry
+    through it, and induction the inflation of D^I_x to D_x.
   * build_catalog -- the indecomposable modules D_y, one per group
     element: D_y is what is left of theta_s D_{ys} once the predicted
     shorter summands are peeled off (theta_summands).  Each entry is
@@ -62,6 +62,7 @@ Everything is exact; no tolerances appear anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
@@ -595,22 +596,25 @@ def _generator_basis(catalog: 'IndecomposableCatalog', y,
     """A basis of Hom(D_y, target) in degree `degree`, D_y cyclic: for
     t = dim target_{b + degree} = 1 the map m_0 |-> 1 if any, else the
     residues of the unit images (_extend) are linear in the image, and
-    one sparse_nullspace call over t unknowns gives a basis."""
+    each vector of one sparse_nullspace call over t unknowns gives that
+    combination of the unit-image maps."""
     t = target.dim_at(catalog.entry(y).bottom_degree() + degree)
     if t == 1:
         phi = map_from_generator(catalog, y, target, degree, [1])
         return [] if phi is None else [phi]
-    eqs: dict = {}
+    units, eqs = [], {}
     for i in range(t):
-        _phi, residues = _extend(catalog, y, target, degree,
-                                 [int(i == j) for j in range(t)], False)
+        phi, residues = _extend(catalog, y, target, degree,
+                                [int(i == j) for j in range(t)], False)
+        units.append(phi)
         for d, (den, rows) in residues.items():
             for k, x in enumerate(x for row in rows for x in row):
                 if x:
                     eqs.setdefault((d, k), {})[i] = Fraction(x, den)
-    basis = [map_from_generator(catalog, y, target, degree, vec)
+    basis = [sum((phi.scale(c) for phi, c in zip(units, vec) if c),
+                 ModuleMap.zero(catalog.entry(y), target, degree))
              for vec in sparse_nullspace(list(eqs.values()), t)]
-    if None in basis:
+    if not all(phi.check_intertwines() for phi in basis):
         raise InternalCheckError(f"a map out of D_{y!r} fails to intertwine")
     return basis
 
@@ -751,11 +755,8 @@ def decompose(module: GradedModule, entries: dict, summands=None) -> list:
 
 
 def _inverse(phi: ModuleMap):
-    """The blockwise inverse of a degree-0 map (form_solve), or None
-    when its source and target differ in a graded dimension or a block
-    is singular."""
-    if phi.source.graded_dims != phi.target.graded_dims:
-        return None
+    """The blockwise inverse of a degree-0 map between modules of equal
+    graded dimensions (form_solve), or None when a block is singular."""
     forms = {d: form_solve(phi.forms.get(d), id_form(n), n)
              for d, n in phi.source.graded_dims.items()}
     if any(f is False for f in forms.values()):
@@ -808,21 +809,25 @@ def is_isomorphic(a: GradedModule, b: GradedModule, entries: dict):
 class IndecomposableCatalog:
     """The indecomposables D_y, y in the algebra's Weyl group.
 
-    The catalog also owns what is computed from its entries and reused
-    by every complex over it: theta_splittings maps (s, y) to the
-    splitting of theta_s D_y into entries (theta_summands, which also
-    admits the entries of a build), and hom_bases maps (y, z, degree)
-    to a basis of Hom(D_y, D_z) in that degree (hom_basis; homotopy's
-    hom complexes and the base case of induction read it), and
-    degree_sets maps y to the generator and socle degrees of D_y
-    (entry_degrees), which let hom_basis answer a space that vanishes
-    for degree reasons without solving it, and generator_records maps
-    a cyclic y to the record every map out of D_y is found through.
+    entries is a read-only view of the catalog's copy of the entries
+    given, and admit is its one writer.  The catalog also owns what is
+    computed from its entries and reused by every complex over it:
+    theta_splittings maps (s, y) to the splitting of theta_s D_y into
+    entries (theta_summands, which also admits the entries of a
+    build), and hom_bases maps (y, z, degree) to a basis of Hom(D_y,
+    D_z) in that degree (hom_basis; homotopy's hom complexes and the
+    base case of induction read it), and degree_sets maps y to the
+    generator and socle degrees of D_y (entry_degrees), which let
+    hom_basis answer a space that vanishes for degree reasons without
+    solving it, and generator_records maps a cyclic y to the record
+    every map out of D_y is found through (maps_from, the one place
+    that chooses it over hom_space).
     """
 
     def __init__(self, algebra: AlgebraRecord, entries: dict):
         self.algebra = algebra
-        self.entries = entries
+        self._entries = dict(entries)
+        self.entries = MappingProxyType(self._entries)
         self.theta_splittings: dict = {}
         self.hom_bases: dict = {}
         self.degree_sets: dict = {}
@@ -832,9 +837,9 @@ class IndecomposableCatalog:
         return sorted(self.entries, key=lambda w: (w.length, w.word))
 
     def entry(self, w) -> GradedModule:
-        if w not in self.entries:
+        if w not in self._entries:
             raise ConfigurationError(f"{w!r} has no catalog entry")
-        return self.entries[w]
+        return self._entries[w]
 
     def entry_degrees(self, y) -> tuple:
         """(generator degrees, socle degrees) of D_y, decided once."""
@@ -853,6 +858,13 @@ class IndecomposableCatalog:
         """Whether D_y is generated by its bottom degree (is_cyclic)."""
         return is_cyclic(self.entry(y), self.entry_degrees(y)[0])
 
+    def maps_from(self, y, target: GradedModule, degree: int) -> list:
+        """A basis of Hom(D_y, target) in degree `degree`: by the record
+        of a cyclic D_y (_generator_basis), else by hom_space."""
+        if self.is_cyclic(y):
+            return _generator_basis(self, y, target, degree)
+        return hom_space(self.entry(y), target, degree)
+
     def hom_basis(self, y, z, degree: int) -> list:
         """A basis of Hom(D_y, D_z) in degree `degree`, found once.
 
@@ -861,8 +873,7 @@ class IndecomposableCatalog:
         has (D_y)_{s-degree} nonzero: a nonzero map is nonzero on some
         generator, and the top degree of its image, a nonzero
         submodule, is killed by every variable, so it lies in the socle
-        of D_z.  Otherwise a cyclic D_y is solved through its generator
-        (_generator_basis), any other through hom_space.
+        of D_z.  Otherwise it is solved by maps_from.
         """
         key = (y, z, degree)
         if key not in self.hom_bases:
@@ -871,31 +882,28 @@ class IndecomposableCatalog:
                     for g in self.entry_degrees(y)[0])
                     and any(source.dim_at(s - degree)
                             for s in self.entry_degrees(z)[1])):
-                self.hom_bases[key] = (
-                    _generator_basis(self, y, target, degree)
-                    if self.is_cyclic(y)
-                    else hom_space(source, target, degree))
+                self.hom_bases[key] = self.maps_from(y, target, degree)
             else:
                 self.hom_bases[key] = []
         return self.hom_bases[key]
 
+    def admit(self, w, module: GradedModule) -> None:
+        """Store module as D_w once End^0 = Q and the relations hold.
+
+        The one writer of entries.  End^0 = Q is proven for a cyclic
+        module (is_cyclic) and solved for (end_space) otherwise.
+        """
+        sets = degree_sets(module)
+        if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
+            raise InternalCheckError(
+                f"the module left for {w!r} is decomposable")
+        check_relations(module, sets[0])
+        self._entries[w] = module
+        self.degree_sets[w] = sets
+
     def __repr__(self):
         return (f'IndecomposableCatalog({self.algebra!r}, '
-                f'{len(self.entries)} entries)')
-
-
-def _admit(catalog: IndecomposableCatalog, w, module: GradedModule) -> None:
-    """Store module as D_w once End^0 = Q and the relations hold.
-
-    End^0 = Q is proven for a cyclic module (is_cyclic) and solved for
-    (end_space) otherwise.
-    """
-    sets = degree_sets(module)
-    if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
-        raise InternalCheckError(f"the module left for {w!r} is decomposable")
-    check_relations(module, sets[0])
-    catalog.entries[w] = module
-    catalog.degree_sets[w] = sets
+                f'{len(self._entries)} entries)')
 
 
 def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
@@ -903,20 +911,16 @@ def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
     """theta_s D_y = D_y<0> + D_y<2> for s a right descent of y.
 
     mult (c (x) m |-> cm) projects onto D_y<0>.  Its section sigma, with
-    mult o sigma = id, sends m_0 to 1 (x) m_0 when D_y is cyclic
-    (map_from_generator), else it is the one basis map of Hom^0(D_y,
-    theta), rescaled.  incl2 = coev - sigma o mult o coev includes
+    mult o sigma = id, is the one basis map of Hom^0(D_y, theta)
+    (maps_from), rescaled.  incl2 = coev - sigma o mult o coev includes
     D_y<2>; the projections are the rows of the blockwise inverse of
     [sigma | incl2].  sigma is a module map by construction; incl2 and
     proj2 must intertwine.
     """
     entry = catalog.entry(y)
     mult = mult_map(s, entry, theta)
-    if catalog.is_cyclic(y):
-        sigma = map_from_generator(catalog, y, theta, 0, [1])
-    else:
-        maps = hom_space(entry, theta, 0)
-        sigma = maps[0] if len(maps) == 1 else None
+    maps = catalog.maps_from(y, theta, 0)
+    sigma = maps[0] if len(maps) == 1 else None
     if sigma is not None:
         c = _pair_trace(mult, sigma) / entry.total_dim()
         sigma = sigma.scale(1 / c) if c else None
@@ -949,10 +953,9 @@ def match_entry(catalog: IndecomposableCatalog, z, module: GradedModule):
     """(iso, inverse) between D_z and module, or None.
 
     Checked in this order: unequal graded dimensions give None; equal
-    action matrices give the identity maps; for a cyclic D_z the
-    isomorphism sends generator to generator (map_from_generator) and
-    has a blockwise inverse; otherwise a split pair is solved, whose
-    inclusion is an isomorphism because the dimensions agree.
+    action matrices give the identity maps; otherwise Hom^0(D_z,
+    module) (maps_from) must be one map with a blockwise inverse: if
+    module = D_z, that space is End^0(D_z) = Q.
     """
     if module.algebra is not catalog.algebra:
         raise IncompatibilityError("matching an entry needs a common algebra")
@@ -963,11 +966,9 @@ def match_entry(catalog: IndecomposableCatalog, z, module: GradedModule):
         forms = {d: id_form(n) for d, n in entry.graded_dims.items()}
         return (ModuleMap._of(entry, module, 0, forms),
                 ModuleMap._of(module, entry, 0, forms))
-    if not catalog.is_cyclic(z):
-        return _split_pair(module, entry, 0)
-    phi = map_from_generator(catalog, z, module, 0, [1])
-    inverse = None if phi is None else _inverse(phi)
-    return None if inverse is None else (phi, inverse)
+    maps = catalog.maps_from(z, module, 0)
+    inverse = _inverse(maps[0]) if len(maps) == 1 else None
+    return None if inverse is None else (maps[0], inverse)
 
 
 def theta_summands(catalog: IndecomposableCatalog, s: int, y):
@@ -1005,7 +1006,7 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
                 f"character {expected} beside the rest of b_y b_s")
         _none, _k, incl, proj = pieces.pop()
         if ys not in catalog.entries:
-            _admit(catalog, ys, incl.source)
+            catalog.admit(ys, incl.source)
         else:
             pair = match_entry(catalog, ys, incl.source)
             if pair is None:
@@ -1035,7 +1036,7 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     catalog = IndecomposableCatalog(algebra, {})
     for w in members:
         if w.length == 0:
-            catalog.entries[w] = trivial_module(algebra)
+            catalog.admit(w, trivial_module(algebra))
         else:
             i = w.right_descents()[0]
             theta_summands(catalog, i, w * rs.simple_reflection(i))

@@ -1,15 +1,19 @@
-"""Every method of the package is read somewhere.
+"""Every method and private function of the package is read somewhere.
 
 A method that no code reads, neither the package nor its tests nor the
 benchmark, is dead weight: it has to be kept correct and compiled by
 every process.  A method counts as read when its name appears as an
 attribute (`x.name`) or as the name string of a `getattr`, `setattr`,
 `hasattr` or `delattr` call in `src/`, `tests/` or `perfbench/`.
-Dunder methods are read by the interpreter and are not checked.
+Dunder methods are read by the interpreter and are not checked.  A
+private module-level function (`def _name`) counts as read when its
+name appears outside its own body: as a name, an attribute, an
+imported name or a string of its own.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / 'src' / 'soergelind'
@@ -47,4 +51,33 @@ def test_every_method_is_read_somewhere():
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (item.name.startswith('__') and item.name.endswith('__'))
         and item.name not in names)
+    assert unread == []
+
+
+def named(node) -> Counter:
+    """How often each name appears under node, as a name, an attribute,
+    an imported name or a whole string."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def test_every_private_function_is_read_outside_itself():
+    package = parsed(PACKAGE)
+    everywhere = Counter()
+    for tree in package + parsed(ROOT / 'tests') + parsed(ROOT / 'perfbench'):
+        everywhere.update(named(tree))
+    unread = sorted(
+        func.name for tree in package for func in tree.body
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and func.name.startswith('_') and not func.name.endswith('__')
+        and everywhere[func.name] == named(func)[func.name])
     assert unread == []

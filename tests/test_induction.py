@@ -502,42 +502,63 @@ def test_the_light_sweep_solves_few_hom_spaces(monkeypatch):
     assert len(solved) <= 60
 
 
-def test_base_case_holds_with_the_parabolic_entries_in_another_basis(
-        monkeypatch):
+def with_entries(monkeypatch, setup, replaced):
+    """The setup with a new sub catalog: its entries, those in replaced
+    swapped in.  The new catalog has derived nothing from the old
+    entries yet, and no inflation verdict is kept."""
+    sub = setup.sub_catalog
+    entries = dict(sub.entries)
+    entries.update(replaced)
+    monkeypatch.setattr(setup, 'sub_catalog',
+                        smod.IndecomposableCatalog(sub.algebra, entries))
+    monkeypatch.setattr(setup, 'inflation', {})
+
+
+def base_case_in_another_basis(monkeypatch, setup):
     # the inflations then differ from the entries in their matrices, so
     # match_entry certifies each by an explicit isomorphism
-    setup = make_setup('A', 3, (0, 1))
-    sub = setup.sub_catalog
+    moved = {}
     for x in setup.parabolic_elements():
-        entry = sub.entry(x)
+        entry = setup.sub_catalog.entry(x)
         # the basis e_r / (d + 2) of each graded piece d
         actions = {(i, d): [[v * (d + 4) / (d + 2) for v in row] for row in m]
                    for (i, d), m in entry.actions.items()}
-        moved = GradedModule(entry.algebra, entry.graded_dims, actions)
-        assert x.length == 0 or moved.forms != entry.forms
-        monkeypatch.setitem(sub.entries, x, moved)
-    for attr in ('hom_bases', 'degree_sets', 'generator_records'):
-        monkeypatch.setattr(sub, attr, {})
-    monkeypatch.setattr(setup, 'inflation', {})
+        moved[x] = GradedModule(entry.algebra, entry.graded_dims, actions)
+        assert x.length == 0 or moved[x].forms != entry.forms
+    with_entries(monkeypatch, setup, moved)
     report = verify_base_case(setup)
     assert report.ok(), report.details
     assert list(setup.inflation.values()) == [True] * 6
 
 
+def test_base_case_holds_with_the_parabolic_entries_in_another_basis(
+        monkeypatch):
+    base_case_in_another_basis(monkeypatch, make_setup('A', 3, (0, 1)))
+
+
+def test_the_rebased_base_case_holds_after_the_catalog_was_used(
+        monkeypatch):
+    # every record the old sub catalog keeps (hom bases, degree sets,
+    # generator records) is filled first; none of them reaches the new
+    # catalog, so the verdict does not depend on the order of the tests
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    setup = make_setup('A', 3, (0, 1))
+    assert verify_base_case(setup).ok()
+    sub = setup.sub_catalog
+    for x in setup.parabolic_elements():
+        sub.generator_data(x)
+    assert sub.hom_bases and sub.degree_sets and sub.generator_records
+    base_case_in_another_basis(monkeypatch, setup)
+
+
 def test_an_inflation_that_is_not_the_entry_is_refused(monkeypatch):
-    # D^I_{s1} replaced by the trivial module: no split pair peels D_{s1}
-    # off its inflation, so the base case fails that member and induce
-    # refuses to start from it
+    # D^I_{s1} replaced by the trivial module: its inflation does not
+    # have the graded dimensions of D_{s1}, so the base case fails that
+    # member and induce refuses to start from it
     setup = make_setup('A', 2, (0,))
     e, s1 = setup.rs.identity, word_el(setup.rs, 1)
-    sub = setup.sub_catalog
-    monkeypatch.setitem(sub.entries, s1, sub.entry(e))
-    for catalog, attr in ((sub, 'hom_bases'), (sub, 'degree_sets'),
-                          (sub, 'generator_records'),
-                          (setup.catalog, 'hom_bases')):
-        monkeypatch.setattr(catalog, attr, {})
+    with_entries(monkeypatch, setup, {s1: setup.sub_catalog.entry(e)})
     monkeypatch.setattr(setup.side, 'induced', {})
-    monkeypatch.setattr(setup, 'inflation', {})
     report = verify_base_case(setup)
     assert not report.ok()
     assert [f.get('x') for f in report.details['failures']] == [[1], None]

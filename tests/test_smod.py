@@ -523,9 +523,9 @@ def test_admission_refuses_a_decomposable_module():
     double, _incls, _projs = direct_sum([s1, s1])
     fresh = smod.IndecomposableCatalog(catalog.algebra, {})
     with pytest.raises(InternalCheckError, match='decomposable'):
-        smod._admit(fresh, word_el(rs, 1), double)
+        fresh.admit(word_el(rs, 1), double)
     assert not fresh.entries
-    smod._admit(fresh, word_el(rs, 1), s1)
+    fresh.admit(word_el(rs, 1), s1)
     assert fresh.entry(word_el(rs, 1)) is s1
 
 
@@ -903,9 +903,9 @@ def diagonally_rebased(module):
 
 def test_match_entry_finds_every_a3_entry_in_another_basis(monkeypatch):
     # a cyclic entry is matched generator to generator, the two that
-    # are not cyclic through a split pair
+    # are not cyclic by the one basis map of Hom^0 and its inverse; no
+    # split pair is solved
     catalog = catalog_of('A', 3)
-    rs = catalog.algebra.root_system
     split_pairs = []
     split_pair = smod._split_pair
 
@@ -924,8 +924,7 @@ def test_match_entry_finds_every_a3_entry_in_another_basis(monkeypatch):
         assert iso.compose(inverse) == ModuleMap.identity(module)
         assert iso.check_intertwines() and inverse.check_intertwines()
     assert len(non_cyclic(catalog)) == 2
-    assert split_pairs == [catalog.entry(rs.element_from_word(
-        [i - 1 for i in word])) for word in non_cyclic(catalog)]
+    assert split_pairs == []
 
 
 def test_match_entry_is_the_identity_on_equal_matrices():
@@ -959,6 +958,60 @@ def test_match_entry_refuses_a_foreign_algebra():
     twin = GradedModule(foreign, entry.graded_dims, entry.actions)
     with pytest.raises(IncompatibilityError):
         match_entry(catalog, y, twin)
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3)])
+def test_match_entry_gives_the_split_pair_of_its_entry(family, rank):
+    # the split pair route, solving Hom^0 both ways, is the reference:
+    # for an entry that is not cyclic the match is the same pair, and
+    # for a cyclic one the match sends m_0 to the generator, so it is
+    # that pair rescaled by one scalar
+    catalog = catalog_of(family, rank)
+    for y in catalog.elements():
+        entry = catalog.entry(y)
+        module = diagonally_rebased(entry)
+        iso, inverse = match_entry(catalog, y, module)
+        incl, proj = smod._split_pair(module, entry, 0)
+        c = iso.entry(0, 0, 0) / incl.entry(0, 0, 0)
+        assert c == 1 or catalog.is_cyclic(y), y
+        assert iso == incl.scale(c) and inverse == proj.scale(1 / c), y
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3)])
+def test_match_entry_refuses_what_the_split_pair_refuses(family, rank):
+    # modules of an entry's graded dimensions that are not the entry:
+    # every other entry of those dimensions, in another basis, and the
+    # module on which every variable acts by zero
+    catalog = catalog_of(family, rank)
+    elements = catalog.elements()
+    refused = Counter()
+    for z in elements[1:]:
+        entry = catalog.entry(z)
+        others = [diagonally_rebased(catalog.entry(y)) for y in elements
+                  if y != z and catalog.entry(y).graded_dims
+                  == entry.graded_dims]
+        for module in others + [GradedModule(entry.algebra,
+                                             entry.graded_dims, {})]:
+            assert smod._split_pair(module, entry, 0) is None, z
+            assert match_entry(catalog, z, module) is None, z
+            refused[catalog.is_cyclic(z)] += 1
+    # both routes of maps_from refuse
+    assert refused[True] > len(elements) and refused[False] >= 2
+
+
+def test_catalog_entries_are_written_by_admit_only():
+    catalog = catalog_of('A', 2)
+    e = catalog.algebra.root_system.identity
+    with pytest.raises(TypeError):
+        catalog.entries[e] = catalog.entry(e)
+    with pytest.raises(TypeError):
+        del catalog.entries[e]
+    # the catalog keeps its own copy of the entries it is given
+    given = dict(catalog.entries)
+    copy = smod.IndecomposableCatalog(catalog.algebra, given)
+    given.clear()
+    assert copy.entry(e) is catalog.entry(e)
+    assert list(copy.entries) == list(catalog.entries)
 
 
 # ---------------------------------------------------------------------------
