@@ -12,85 +12,51 @@ presentation, exactly and in integers (the actions' integer forms):
   * generator_data -- right inverses of the actions from below, which
     fix a map out of a cyclic module by the image of its generator;
   * verify_relations -- that the variables commute and the invariant
-    ideal of the coinvariant algebra acts by zero.
+    ideal of the coinvariant algebra acts by zero, each invariant
+    applied as a product of the action forms (exactla's form kernels).
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import IncompatibilityError, InternalCheckError
-from .exactla import form_mul, id_form, place, sparse_nullspace, to_form
+from .exactla import (form_add, form_mul, form_scale, id_form, place,
+                      sparse_nullspace, to_form)
 
 __all__ = ['degree_sets', 'is_cyclic', 'generator_data', 'verify_relations',
            'check_relations']
 
 
-def _monomial_images(module, mono: tuple, d: int,
-                     products: dict) -> tuple:
-    """(den, columns): a monomial applied to the basis of degree d.
+def _monomial_form(module, mono: tuple, d: int, products: dict):
+    """The form of a monomial's action out of degree d, None for zero.
 
-    columns[c] maps each row r to the integer den * (mono e_c)[r], its
-    nonzeros only, computed from the integer forms of the module's
-    actions (GradedModule.forms).  The variables act in index order,
-    x_0 first: a monomial is the variable of its last factor applied to
-    its prefix, the monomial with that exponent lowered by one, and
+    The variables act in index order, x_0 first: a monomial is the
+    action form of its last factor's variable times the form of its
+    prefix, the monomial with that exponent lowered by one.
     ``products`` keeps every monomial met so far, so polynomials acting
     from the same degree pay for a common monomial once.
     """
-    got = products.get(mono)
-    if got is not None:
-        return got
-    factors = [i for i, e in enumerate(mono) if e]
-    if not factors:
-        got = (1, [{c: 1} for c in range(module.dim_at(d))])
-    else:
-        last = factors[-1]
+    if mono not in products:
+        last = max(i for i, e in enumerate(mono) if e)
         prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
-        den, cols = _monomial_images(module, prefix, d, products)
         x = module.forms.get((last, d + 2 * (sum(mono) - 1)))
-        if x is None:
-            got = (1, [{} for _ in cols])
-        else:
-            x_cols = [[(r, u) for r, u in enumerate(col) if u]
-                      for col in zip(*x[1])]
-            images = []
-            for col in cols:
-                img: dict = {}
-                for k, v in col.items():
-                    for r, u in x_cols[k]:
-                        img[r] = img.get(r, 0) + u * v
-                images.append({r: v for r, v in img.items() if v})
-            got = (den * x[0], images)
-    products[mono] = got
-    return got
+        products[mono] = form_mul(
+            x, _monomial_form(module, prefix, d, products)) \
+            if x and any(prefix) else x
+    return products[mono]
 
 
-def _polynomial_images(module, poly, d: int,
-                       products: dict) -> list:
-    """A homogeneous polynomials.Polynomial applied to the basis of
-    degree d, as integer columns up to one positive factor.
-
-    Each column maps rows to nonzero integers, as in
-    :func:`_monomial_images`, whose ``products`` it shares; the
-    polynomial kills M_d exactly when every column is empty.  A term's
-    weight is the int numerator of its coefficient over the coefficient's
-    denominator times the monomial's, brought to the lcm of those.
+def _polynomial_form(module, poly, d: int, products: dict):
+    """The form of a homogeneous polynomials.Polynomial's action out of
+    degree d, the sum of its terms through :func:`_monomial_form`, whose
+    ``products`` it shares; None exactly when the polynomial kills M_d.
     """
     if len(poly.homogeneous_components()) > 1:
         raise IncompatibilityError("polynomial action needs homogeneity")
-    terms = []
+    total = None
     for mono, coeff in poly.terms.items():
-        den, cols = _monomial_images(module, mono, d, products)
-        terms.append((coeff.numerator, coeff.denominator * den, cols))
-    scale = lcm(*(den for _num, den, _cols in terms))
-    out = [{} for _ in range(module.dim_at(d))]
-    for num, den, cols in terms:
-        w = num * (scale // den)
-        for img, col in zip(out, cols):
-            for r, v in col.items():
-                img[r] = img.get(r, 0) + w * v
-    return [{r: v for r, v in img.items() if v} for img in out]
+        total = form_add(total, form_scale(
+            coeff, _monomial_form(module, mono, d, products)))
+    return total
 
 
 def degree_sets(module) -> tuple:
@@ -147,7 +113,7 @@ def check_relations(module, generator_degrees) -> None:
     for d in sorted(generator_degrees):
         products: dict = {}
         for f in module.algebra.fundamental_invariants:
-            if any(_polynomial_images(module, f, d, products)):
+            if _polynomial_form(module, f, d, products) is not None:
                 raise InternalCheckError(
                     f"invariant of degree {2 * f.total_degree()} acts "
                     f"nontrivially at degree {d}")

@@ -11,10 +11,11 @@ content hash of the root datum, so stale files from a different Cartan
 matrix or subset can never be picked up by accident.  A cache file
 that cannot be read (not JSON, JSON nested too deeply to parse, JSON of
 the wrong shape, or an entry that does not decode) counts as a miss,
-with a warning; one that reads but fails validation is an error, and
-so is a cache path the system refuses to read or write (a directory in
-the file's place, for instance).  Files are replaced atomically, so
-concurrent writers of the same file leave one complete copy.
+with a warning; one that reads but fails validation is an error that
+names the file, and so is a cache path the system refuses to read or
+write (a directory in the file's place, for instance).  Files are
+replaced atomically, so concurrent writers of the same file leave one
+complete copy.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ def load_cached_catalog(algebra, cache_dir: str):
 
     A file that is not JSON (or nested too deeply to parse), or JSON of
     the wrong shape, is a miss and is reported on stderr; a readable
-    file that fails validation raises InternalCheckError, and a path
-    that cannot be read ConfigurationError.
+    file that fails validation (an entry that GradedModule or
+    catalog_from_json refuses) raises InternalCheckError naming the
+    file, and a path that cannot be read ConfigurationError.
     """
     path = catalog_cache_path(cache_dir, algebra.root_system,
                               algebra.subset)
@@ -149,9 +151,10 @@ def load_cached_catalog(algebra, cache_dir: str):
         with open(path) as fh:
             data = json.load(fh)
         return catalog_from_json(algebra, data)
-    except (ConfigurationError, IncompatibilityError) as exc:
+    except (ConfigurationError, IncompatibilityError,
+            InternalCheckError) as exc:
         raise InternalCheckError(
-            f"cache file {path} does not decode: {exc}") from exc
+            f"cache file {path} fails validation: {exc}") from exc
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read cache file {path}: {exc}") from exc

@@ -4,21 +4,30 @@ A fast path is certified, not trusted: each check below stands between
 a computed object and its use.  Each test corrupts the one input the
 check guards (a catalog entry, a kept record, a map the check is handed)
 and asserts that the check raises InternalCheckError with its own
-message, so a certificate that could never fire shows up here.
+message, so a certificate that could never fire shows up here.  The
+table SITES at the end names, for every `raise InternalCheckError` in
+src/, the test that reaches it, or why none can; an ast guard fails when
+a site has no row or a row matches no site.
 """
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from soergelind import smod
+from soergelind import coinvariants, hecke, smod
 from soergelind.coinvariants import build_coinvariants
-from soergelind.coxeter import RootSystem
+from soergelind.coxeter import ParabolicDatum, RootSystem
 from soergelind.errors import InternalCheckError
 from soergelind.exactla import form_scale
+from soergelind.hecke import HeckeElement
+from soergelind.homotopy import complex_from_module
+from soergelind.laurent import LaurentPoly
+from soergelind.polynomials import Polynomial
 from soergelind.smod import (IndecomposableCatalog, ModuleMap, build_catalog,
                              decompose, direct_sum, induce_frobenius,
-                             trivial_module)
+                             is_isomorphic, trivial_module, zero_module)
 
 _CAT = {}
 
@@ -152,3 +161,327 @@ def test_an_entry_with_endomorphisms_beyond_the_scalars_is_refused():
     double = doubled(trivial_module(catalog.algebra))
     with pytest.raises(InternalCheckError, match='beyond the scalars'):
         decompose(double, fresh(catalog, {e: double}).entries)
+
+
+# ---------------------------------------------------------------------------
+# what is left of a decomposition, and isomorphisms through it
+
+
+def test_a_summand_that_matches_no_entry_is_refused():
+    # a catalog that holds D_e only: D_s1 has no summand in it
+    catalog = catalog_of('A', 2)
+    e = catalog.algebra.root_system.identity
+    s1 = catalog.algebra.root_system.element_from_word([0])
+    only_e = IndecomposableCatalog(catalog.algebra, {e: catalog.entry(e)})
+    with pytest.raises(InternalCheckError, match='matches no catalog entry'):
+        complex_from_module(only_e, catalog.entry(s1))
+
+
+def test_a_complement_that_drops_the_rest_is_refused(monkeypatch):
+    # theta_s1 D_s1 = D_s1<0> + D_s1<2>; a complement that returns
+    # nothing after the first summand loses D_s1<2>
+    catalog = catalog_of('A', 2)
+    s1 = catalog.algebra.root_system.element_from_word([0])
+    complement = smod._complement
+
+    def dropped(module, incl, proj):
+        _rest, rest_incl, rest_proj = complement(module, incl, proj)
+        return zero_module(module.algebra), rest_incl, rest_proj
+
+    monkeypatch.setattr(smod, '_complement', dropped)
+    with pytest.raises(InternalCheckError,
+                       match='decomposition loses dimensions'):
+        decompose(induce_frobenius(0, catalog.entry(s1)), catalog.entries)
+
+
+def bend_inclusions(monkeypatch, bend):
+    """decompose with each summand's inclusion replaced by bend(incl)."""
+    original = smod.decompose
+
+    def bent(module, entries, summands=None):
+        return [(z, k, bend(incl), proj)
+                for z, k, incl, proj in original(module, entries, summands)]
+
+    monkeypatch.setattr(smod, 'decompose', bent)
+
+
+def test_matched_summands_that_give_no_invertible_map_are_refused(
+        monkeypatch):
+    catalog = catalog_of('A', 2)
+    s1 = catalog.algebra.root_system.element_from_word([0])
+    bend_inclusions(monkeypatch, lambda incl: ModuleMap.zero(
+        incl.source, incl.target, incl.degree))
+    with pytest.raises(InternalCheckError, match='is not invertible'):
+        is_isomorphic(catalog.entry(s1), catalog.entry(s1), catalog.entries)
+
+
+def test_an_isomorphism_that_fails_to_intertwine_is_refused(monkeypatch):
+    # the inclusion of D_s1 with its bottom block doubled is invertible
+    # blockwise, but x_1 no longer commutes with it
+    catalog = catalog_of('A', 2)
+    s1 = catalog.algebra.root_system.element_from_word([0])
+
+    def doubled_bottom(incl):
+        forms = dict(incl.forms)
+        forms[0] = form_scale(2, forms[0])
+        return ModuleMap._of(incl.source, incl.target, incl.degree, forms)
+
+    bend_inclusions(monkeypatch, doubled_bottom)
+    with pytest.raises(InternalCheckError,
+                       match='blockwise inverse fails to intertwine'):
+        is_isomorphic(catalog.entry(s1), catalog.entry(s1), catalog.entries)
+
+
+# ---------------------------------------------------------------------------
+# the coinvariant algebra and Demazure division
+
+
+def test_length_counts_of_no_reflection_group_give_no_degrees():
+    # 1 + 2q + q^2 times (1 - q) is 1 + q - q^2 - q^3: its lowest
+    # positive term is no factor (1 - q^d)
+    with pytest.raises(InternalCheckError,
+                       match='so it gives no invariant degrees'):
+        coinvariants._invariant_degrees({0: 1, 1: 2, 2: 1}, 1)
+
+
+def test_dividing_by_a_variable_that_does_not_divide_is_refused():
+    with pytest.raises(InternalCheckError,
+                       match='polynomial not divisible by x_1'):
+        Polynomial(2, {(0, 1): 1}).divide_by_variable(0)
+
+
+# ---------------------------------------------------------------------------
+# the Hecke side, on a fresh root system with an empty KL table
+
+
+def test_a_kl_element_with_a_doubled_leading_term_is_refused(monkeypatch):
+    rs = RootSystem('A', 2)
+    multiply = hecke.hecke_multiply
+    monkeypatch.setattr(hecke, 'hecke_multiply',
+                        lambda a, b: multiply(a, b).scale(2))
+    with pytest.raises(InternalCheckError, match='has bad leading term'):
+        hecke.kl_basis(rs.element_from_word([0]))
+
+
+def test_a_negative_kl_coefficient_is_refused(monkeypatch):
+    # b_s1 = H_s1 + v H_e becomes H_s1 - v H_e
+    rs = RootSystem('A', 2)
+    multiply = hecke.hecke_multiply
+    monkeypatch.setattr(
+        hecke, 'hecke_multiply', lambda a, b: multiply(a, b) - HeckeElement(
+            rs, {rs.identity: LaurentPoly.v(1, 2)}))
+    with pytest.raises(InternalCheckError, match=r'is not in vZ>=0\[v\]'):
+        hecke.kl_basis(rs.element_from_word([0]))
+
+
+def kl_element(rs, terms):
+    """A Hecke element from {word: exponent of v}."""
+    return HeckeElement(rs, {rs.element_from_word(word): LaurentPoly.v(k)
+                             for word, k in terms.items()})
+
+
+def test_a_kl_coefficient_off_the_graded_character_is_refused(monkeypatch):
+    # h_{e,s1} = v^2 puts a dimension in degree 1 + 0 - 2 = -1
+    rs = RootSystem('A', 2)
+    monkeypatch.setattr(hecke, 'kl_basis',
+                        lambda w: kl_element(rs, {(0,): 0, (): 2}))
+    with pytest.raises(InternalCheckError, match='unexpected KL coefficient'):
+        hecke.expected_graded_dims(rs.element_from_word([0]))
+
+
+def test_a_kl_element_outside_the_parabolic_subgroup_is_refused(
+        monkeypatch):
+    rs = RootSystem('A', 2)
+    monkeypatch.setattr(hecke, 'kl_basis',
+                        lambda w: kl_element(rs, {(0,): 0, (1,): 1}))
+    with pytest.raises(InternalCheckError,
+                       match='escaped the parabolic subgroup'):
+        hecke.parabolic_kl(ParabolicDatum(rs, (0,)),
+                           rs.element_from_word([0]))
+
+
+def test_a_parabolic_term_whose_length_does_not_add_is_refused(
+        monkeypatch):
+    # z = s2 and the coset representative w = s2: z w = e
+    rs = RootSystem('A', 2)
+    s2 = rs.element_from_word([1])
+    monkeypatch.setattr(hecke, 'parabolic_kl',
+                        lambda datum, x: {s2: LaurentPoly.one()})
+    with pytest.raises(InternalCheckError, match='lengths fail to add'):
+        hecke.predicted_class(ParabolicDatum(rs, (0,)), rs.identity, s2)
+
+
+# ---------------------------------------------------------------------------
+# the guard: every certificate in src/ has a row here
+
+# (module, function, the message's leading words) -> the test that
+# reaches the site, as file::function, or 'unreached: ' and why no test
+# can reach it past the checks that fire first.  A message's formatted
+# fields read as {}.
+SITES = {
+    ('coinvariants', '_invariant_degrees', 'P_W(q) (1 - q)^{} has'):
+        'test_certificates.py::'
+        'test_length_counts_of_no_reflection_group_give_no_degrees',
+    ('coinvariants', 'build_coinvariants', 'coinvariant dimension in'):
+        'test_coinvariants.py::'
+        'test_a_missing_generator_fails_the_dimension_check',
+    ('coinvariants', 'build_coinvariants', 'found {} fundamental'):
+        'unreached: once the dimension check holds in every degree up to '
+        'top + 1, the invariants found generate the invariant ideal '
+        'there, and every fundamental degree is at most top + 1, so rank '
+        'of them are found',
+    ('coinvariants', 'build_coinvariants', 'total coinvariant dimension'):
+        'unreached: the dimension check holds in every degree, and the '
+        'length counts it compares with add up to the order of W_I',
+    ('hecke', 'kl_basis', 'KL element for'):
+        'test_certificates.py::'
+        'test_a_kl_element_with_a_doubled_leading_term_is_refused',
+    ('hecke', 'kl_basis', 'KL coefficient h_'):
+        'test_certificates.py::test_a_negative_kl_coefficient_is_refused',
+    ('hecke', 'expected_graded_dims', 'unexpected KL coefficient'):
+        'test_certificates.py::'
+        'test_a_kl_coefficient_off_the_graded_character_is_refused',
+    ('hecke', 'parabolic_kl', 'KL recursion escaped'):
+        'test_certificates.py::'
+        'test_a_kl_element_outside_the_parabolic_subgroup_is_refused',
+    ('hecke', 'predicted_class', 'lengths fail to add'):
+        'test_certificates.py::'
+        'test_a_parabolic_term_whose_length_does_not_add_is_refused',
+    ('homotopy', 'verify_d_squared', 'd o d != 0'):
+        'test_homotopy.py::test_d_squared_is_enforced',
+    ('homotopy', 'complex_from_module', 'a summand with graded character'):
+        'test_certificates.py::'
+        'test_a_summand_that_matches_no_entry_is_refused',
+    ('homotopy', '_find_iso_component', 'a component on D_{} is not'):
+        'test_homotopy.py::'
+        'test_elimination_refuses_a_component_that_is_not_a_scalar',
+    ('homotopy', 'k0_class', 'odd internal shift'):
+        'test_homotopy.py::test_k0_rejects_odd_shifts',
+    ('homotopy', 'complexes_isomorphic', 'the hom basis of End^0'):
+        'test_homotopy.py::'
+        'test_isomorphism_test_rejects_a_tampered_endomorphism_basis',
+    ('induction', 'induce', 'the inflation of D^I_'):
+        'test_induction.py::'
+        'test_an_inflation_that_is_not_the_entry_is_refused',
+    ('induction', 'run_corpus', 'a verification worker died'):
+        'test_cli.py::test_a_dead_jobs_worker_exits_3_without_a_traceback',
+    ('polynomials', 'divide_by_variable', 'polynomial not divisible'):
+        'test_certificates.py::'
+        'test_dividing_by_a_variable_that_does_not_divide_is_refused',
+    ('presentation', 'check_relations', 'variables x{}, x{} fail'):
+        'test_smod.py::test_relations_refuse_a_tampered_action_entry',
+    ('presentation', 'check_relations', 'invariant of degree'):
+        'test_smod.py::test_relations_refuse_a_tampered_action_entry',
+    ('presentation', 'generator_data', 'the module is not cyclic'):
+        'test_certificates.py::'
+        'test_the_generator_record_of_a_module_that_is_not_cyclic_is_refused',
+    ('serialize', 'catalog_from_json', 'catalog file does not describe'):
+        'test_cli.py::test_cache_file_with_a_foreign_header_exits_three',
+    ('serialize', 'catalog_from_json', 'catalog file has a stray'):
+        'test_serialize.py::'
+        'test_cache_file_with_broken_entries_fails_validation',
+    ('serialize', 'catalog_from_json', 'cached entry for'):
+        'test_cli.py::test_cache_entries_with_swapped_modules_exit_three',
+    ('serialize', 'catalog_from_json', 'catalog file has {} of the'):
+        'test_serialize.py::'
+        'test_cache_file_with_broken_entries_fails_validation',
+    ('serialize', 'load_cached_catalog', 'cache file {} fails validation'):
+        'test_cli.py::test_cache_file_with_broken_entries_exits_three',
+    ('smod', '_generator_basis', 'a map out of D_'):
+        'test_certificates.py::'
+        'test_a_generator_record_in_another_basis_is_refused',
+    ('smod', '_split_pair', 'a catalog entry has degree-0'):
+        'test_certificates.py::'
+        'test_an_entry_with_endomorphisms_beyond_the_scalars_is_refused',
+    ('smod', 'decompose', 'predicted summand D_{}<{}> does not split'):
+        'test_smod.py::test_a_bogus_predicted_summand_is_refused',
+    ('smod', 'decompose', 'predicted summand D_{}<{}> is missing'):
+        'test_smod.py::test_a_bogus_predicted_summand_is_refused',
+    ('smod', 'decompose', 'decomposition loses dimensions'):
+        'test_certificates.py::'
+        'test_a_complement_that_drops_the_rest_is_refused',
+    ('smod', 'is_isomorphic', 'neither module is a sum'):
+        'test_smod.py::'
+        'test_is_isomorphic_decides_only_sums_of_catalog_entries',
+    ('smod', 'is_isomorphic', 'matched summands give a map'):
+        'test_certificates.py::'
+        'test_matched_summands_that_give_no_invertible_map_are_refused',
+    ('smod', 'is_isomorphic', 'the isomorphism or its blockwise inverse'):
+        'test_certificates.py::'
+        'test_an_isomorphism_that_fails_to_intertwine_is_refused',
+    ('smod', 'admit', 'the module left for'):
+        'test_smod.py::test_admission_refuses_a_decomposable_module',
+    ('smod', '_descent_pieces', 'theta_s{} D_{} has no section'):
+        'test_certificates.py::'
+        'test_an_entry_without_a_section_of_the_multiplication_is_refused',
+    ('smod', '_descent_pieces', 'D_{}<0> + D_{}<2> does not map onto'):
+        'test_certificates.py::'
+        'test_a_coevaluation_that_misses_d_y_2_is_refused',
+    ('smod', '_descent_pieces', 'the split of theta_s'):
+        'test_certificates.py::'
+        'test_a_coevaluation_that_is_no_module_map_is_refused',
+    ('smod', 'theta_summands', 'theta_s{} D_{} leaves no'):
+        'test_smod.py::test_a_missing_predicted_summand_stops_the_catalog',
+    ('smod', 'theta_summands', 'predicted summand D_{}<0> does not split'):
+        'test_homotopy.py::'
+        'test_an_entry_that_does_not_split_off_theta_is_refused',
+}
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class _RaiseSites(ast.NodeVisitor):
+    """(module, innermost function, message) of each
+    `raise InternalCheckError(...)` under a tree."""
+
+    def __init__(self, module):
+        self.module, self.functions, self.sites = module, ['<module>'], []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        exc = node.exc
+        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) \
+                and exc.func.id == 'InternalCheckError':
+            text = exc.args[0] if exc.args else ast.Constant('')
+            parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+            self.sites.append((self.module, self.functions[-1], ''.join(
+                part.value if isinstance(part, ast.Constant) else '{}'
+                for part in parts)))
+
+
+def raise_sites() -> list:
+    sites = []
+    for path in sorted((ROOT / 'src' / 'soergelind').glob('*.py')):
+        finder = _RaiseSites(path.stem)
+        finder.visit(ast.parse(path.read_text(), str(path)))
+        sites.extend(finder.sites)
+    return sites
+
+
+def test_every_certificate_has_exactly_one_row():
+    sites = raise_sites()
+
+    def rows_of(site):
+        module, function, message = site
+        return [key for key in SITES if key[:2] == (module, function)
+                and message.startswith(key[2])]
+
+    assert [site for site in sites if len(rows_of(site)) != 1] == []
+    matched = [key for site in sites for key in rows_of(site)]
+    assert sorted(matched) == sorted(SITES)
+
+
+def test_every_row_names_a_test_that_exists():
+    for key, reached in SITES.items():
+        if reached.startswith('unreached: '):
+            continue
+        filename, name = reached.split('::')
+        tree = ast.parse((ROOT / 'tests' / filename).read_text())
+        assert name in {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}, key

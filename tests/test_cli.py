@@ -362,7 +362,9 @@ def test_cache_file_with_a_foreign_header_exits_three(tmp_path,
     restart()
     capsys.readouterr()
     assert main(INDW_A2 + ['--cache-dir', cache]) == 3
-    assert 'does not describe this algebra' in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert 'does not describe this algebra' in err
+    assert path.name in err
 
 
 def test_cache_file_with_broken_entries_exits_three(tmp_path, fresh_process,
@@ -379,6 +381,31 @@ def test_cache_file_with_broken_entries_exits_three(tmp_path, fresh_process,
     assert main(INDW_A2 + ['--cache-dir', cache]) == 3
     err = capsys.readouterr().err
     assert 'internal assertion failed' in err
+    assert path.name in err
+    assert 'Traceback' not in err
+
+
+def test_cache_entries_with_swapped_modules_exit_three(tmp_path,
+                                                       fresh_process, capsys):
+    # D_s1 and D_{w0} trade their dims and actions: each module is
+    # whole, so only the Kazhdan-Lusztig graded character tells
+    _built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    path = full_a2_file(cache)
+    data = json.loads(path.read_text())
+    s1 = next(e for e in data['entries'] if e['word'] == [1])
+    w0 = max(data['entries'], key=lambda e: len(e['word']))
+    for key in ('dims', 'actions'):
+        s1[key], w0[key] = w0[key], s1[key]
+    path.write_text(json.dumps(data))
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 3
+    err = capsys.readouterr().err
+    assert 'cached entry for s1 has graded character' in err
+    assert 'Kazhdan-Lusztig predicts' in err
+    assert path.name in err
     assert 'Traceback' not in err
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
-from soergelind.errors import ConfigurationError, InternalCheckError
+from soergelind.errors import (ConfigurationError, IncompatibilityError,
+                               InternalCheckError)
 from soergelind.serialize import (catalog_cache_path, catalog_from_json,
                                   catalog_to_json, content_key, dump_json,
                                   fraction_from_str, fraction_to_str,
@@ -90,7 +91,8 @@ def test_catalog_json_rejects_corrupted_dims():
     broken['entries'][-1] = {**broken['entries'][-1], 'dims': {'0': 2}}
     rs2 = RootSystem('A', 1)
     algebra2 = build_coinvariants(rs2, (0,))
-    with pytest.raises(Exception):
+    with pytest.raises(IncompatibilityError,
+                       match='nonzero action into a zero graded piece'):
         catalog_from_json(algebra2, broken)
 
 

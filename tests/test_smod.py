@@ -21,7 +21,7 @@ from soergelind.coxeter import RootSystem
 from soergelind import exactla, homotopy, presentation, smod
 from soergelind.errors import (ConfigurationError, IncompatibilityError,
                                InternalCheckError)
-from soergelind.exactla import (identity as id_matrix, invert,
+from soergelind.exactla import (from_form, identity as id_matrix, invert,
                                 is_zero_matrix, mat_mul, mat_scale, nullspace,
                                 zeros)
 from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
@@ -137,23 +137,25 @@ def plain_product(module, mono, d):
     return cur
 
 
-def test_shared_monomial_products_equal_the_plain_product():
-    catalog = catalog_of('A', 3)
+FOUR_SYSTEMS = [('A', 2), ('B', 2), ('G', 2), ('A', 3)]
+
+
+@pytest.mark.parametrize('family, rank', FOUR_SYSTEMS)
+def test_shared_monomial_products_equal_the_plain_product(family, rank):
+    catalog = catalog_of(family, rank)
     invariants = catalog.algebra.fundamental_invariants
     for y in catalog.elements():
         entry = catalog.entry(y)
         for d in entry.degrees():
             products = {}
             for f in invariants:
-                shared = presentation._polynomial_images(entry, f, d,
-                                                         products)
-                assert shared == [{}] * entry.dim_at(d)
+                assert presentation._polynomial_form(entry, f, d,
+                                                     products) is None
                 for mono in f.terms:
-                    den, cols = presentation._monomial_images(
-                        entry, mono, d, products)
-                    rows = entry.dim_at(d + 2 * sum(mono))
-                    assert [[Fraction(col.get(r, 0), den) for col in cols]
-                            for r in range(rows)] \
+                    form = presentation._monomial_form(entry, mono, d,
+                                                       products)
+                    assert from_form(form, entry.dim_at(d + 2 * sum(mono)),
+                                     entry.dim_at(d)) \
                         == plain_product(entry, mono, d)
 
 
@@ -164,7 +166,7 @@ def tampered(module, key):
     return smod.GradedModule(module.algebra, module.graded_dims, actions)
 
 
-@pytest.mark.parametrize('family, rank', [('A', 2), ('B', 2), ('A', 3)])
+@pytest.mark.parametrize('family, rank', FOUR_SYSTEMS)
 def test_relations_refuse_a_tampered_action_entry(family, rank):
     catalog = catalog_of(family, rank)
     longest = max(catalog.elements(), key=lambda w: w.length)
