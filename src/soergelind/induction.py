@@ -42,7 +42,6 @@ by (x, chain prefix).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import namedtuple
 
@@ -55,7 +54,7 @@ from .homotopy import (FormalComplex, complex_from_module,
                        gaussian_eliminate, hom_complex_vanishing, k0_class,
                        one_term_complex, tensor_rouquier, wall_crossed)
 from .laurent import LaurentPoly
-from .serialize import catalog_cache_path, load_cached_catalog, store_catalog
+from .serialize import load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
                    RestrictionMap, build_catalog, direct_sum,
                    induce_frobenius, match_entry, restrict_module)
@@ -85,28 +84,19 @@ CALIBRATION_SYSTEMS = (('A', 1), ('A', 2))
 # setups: one registry entry per root system
 
 
-def _provide_catalog(algebra, cache_dir,
-                     catalog: IndecomposableCatalog | None = None
-                     ) -> IndecomposableCatalog:
-    """The catalog of `algebra`: the one given, a cached one, or a new one.
+def _provide_catalog(algebra, cache_dir) -> IndecomposableCatalog:
+    """The catalog of `algebra`, loaded from cache_dir, else built (and
+    stored there when cache_dir is named).
 
-    This is the one place that decides "load, else build and store".
-    Without a catalog in hand it is loaded from cache_dir, or built and
-    stored there.  A catalog in hand (one built earlier without a cache
-    directory, for instance by calibration) is stored when its file is
-    missing from cache_dir.
+    The one "load, else build and store" path: each catalog of a process
+    comes through it once, the full one when its _FullSide is made and
+    a parabolic one when its InductionSetup is made.
     """
-    if not cache_dir:
-        return catalog or build_catalog(algebra)
+    catalog = load_cached_catalog(algebra, cache_dir) if cache_dir else None
     if catalog is None:
-        catalog = load_cached_catalog(algebra, cache_dir)
-        if catalog is not None:
-            return catalog
         catalog = build_catalog(algebra)
-    elif os.path.exists(catalog_cache_path(cache_dir, algebra.root_system,
-                                           algebra.subset)):
-        return catalog
-    store_catalog(catalog, cache_dir)
+        if cache_dir:
+            store_catalog(catalog, cache_dir)
     return catalog
 
 
@@ -115,20 +105,21 @@ class _FullSide:
     complexes.
 
     Calibration and every parabolic setup over the root system share
-    it, so the full catalog, its theta splittings and its hom bases are
-    made once per process; setups maps a sorted subset to its setup.
-    The algebra is an AlgebraRecord: building the catalog builds and
-    certifies the coinvariant algebra once, and loading the catalog
-    from the cache builds none.  induced maps (x, chain prefix) to the
-    minimized complex ind D^I_x along that prefix, the same for every
-    subset I with x in W_I; it is filled by induce.
+    it, so the full catalog (provided when the side is made), its theta
+    splittings and its hom bases are made once per process; setups maps
+    a sorted subset to its setup.  The algebra is an AlgebraRecord:
+    building the catalog builds and certifies the coinvariant algebra
+    once, and loading the catalog from the cache builds none.  induced
+    maps (x, chain prefix) to the minimized complex ind D^I_x along that
+    prefix, the same for every subset I with x in W_I; it is filled by
+    induce.
     """
 
-    def __init__(self, family: str, rank: int):
+    def __init__(self, family: str, rank: int, cache_dir=None):
         self.family, self.rank = family, rank
         self.rs = build_root_system(family, rank)
         self.algebra = AlgebraRecord(self.rs, range(self.rs.rank))
-        self.catalog: IndecomposableCatalog | None = None
+        self.catalog = _provide_catalog(self.algebra, cache_dir)
         self.setups: dict = {}
         self.induced: dict = {}
 
@@ -139,8 +130,7 @@ _SYSTEMS: dict = {}
 def _full_side(family: str, rank: int, cache_dir=None) -> _FullSide:
     side = _SYSTEMS.get((family, rank))
     if side is None:
-        side = _SYSTEMS[(family, rank)] = _FullSide(family, rank)
-    side.catalog = _provide_catalog(side.algebra, cache_dir, side.catalog)
+        side = _SYSTEMS[(family, rank)] = _FullSide(family, rank, cache_dir)
     return side
 
 
@@ -191,16 +181,14 @@ def make_setup(family: str, rank: int, subset,
                cache_dir=None) -> InductionSetup:
     """The setup of (family, rank, subset), made once per process.
 
-    A setup made earlier is returned again; with a cache directory, its
-    catalogs are stored there if their files are missing.
+    A setup made earlier is returned as it is; a new one provides its
+    catalogs (_provide_catalog).
     """
     side = _full_side(family, rank, cache_dir)
     key = tuple(sorted(subset))
     setup = side.setups.get(key)
     if setup is None:
         setup = side.setups[key] = InductionSetup(side, key, cache_dir)
-    else:
-        _provide_catalog(setup.sub_algebra, cache_dir, setup.sub_catalog)
     return setup
 
 

@@ -138,14 +138,6 @@ class LaurentPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     @staticmethod
     def _coerce(x) -> 'LaurentPoly':
         if isinstance(x, LaurentPoly):

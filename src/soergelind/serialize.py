@@ -6,16 +6,21 @@ through floating point, and only those strings are read back: a JSON
 number or any other string in their place makes the file unreadable.
 Catalog files carry enough data to rebuild every indecomposable
 without re-running the Bott-Samelson splittings: the graded dimensions
-and the generator action matrices.  Cache files are named by a
-content hash of the root datum, so stale files from a different Cartan
-matrix or subset can never be picked up by accident.  A cache file
-that cannot be read (not JSON, JSON nested too deeply to parse, JSON of
-the wrong shape, or an entry that does not decode) counts as a miss,
-with a warning; one that reads but fails validation is an error that
-names the file, and so is a cache path the system refuses to read or
-write (a directory in the file's place, for instance).  Files are
-replaced atomically, so concurrent writers of the same file leave one
-complete copy.
+and the generator action matrices.  Cache files are named by a content
+hash of the root datum, so stale files from a different Cartan matrix
+or subset can never be picked up by accident.  A cache file that
+cannot be read (not JSON, JSON nested too deeply to parse, JSON of the
+wrong shape, or an entry that does not decode) counts as a miss, with
+a warning, and is rebuilt; one that reads but fails validation is an
+error that names the file, and so is a cache path the system refuses
+to read or write (a directory in the file's place, for instance).  The
+shape is strict: where the format has a list or an object the file
+must have one, every integer field (rank, parabolic, word letters,
+dimensions, var, degree) must be a JSON integer, so an equal float or
+a boolean there is the wrong shape, a dims key must be an integer in
+canonical decimal form ("2", not "02" or " 2"), and a module has one
+action per (var, degree).  Files are replaced atomically, so
+concurrent writers of the same file leave one complete copy.
 """
 
 from __future__ import annotations
@@ -40,12 +45,28 @@ __all__ = [
 ]
 
 
+def _typed(x, kind):
+    """x, when its type is kind; else the file has the wrong shape."""
+    if type(x) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, not {x!r}")
+    return x
+
+
+def _degree(key: str) -> int:
+    """A dims key: an integer in canonical decimal form."""
+    d = int(key)
+    if str(d) != key:
+        raise ValueError(f"dims key {key!r} is not a canonical integer")
+    return d
+
+
 def matrix_to_json(m) -> list:
     return [[fraction_to_str(x) for x in row] for row in m]
 
 
 def matrix_from_json(data, decode=fraction_from_str) -> list:
-    return [[decode(x) for x in row] for row in data]
+    return [[decode(x) for x in _typed(row, list)]
+            for row in _typed(data, list)]
 
 
 def module_to_json(module: GradedModule) -> dict:
@@ -59,10 +80,15 @@ def module_to_json(module: GradedModule) -> dict:
 
 def module_from_json(algebra, data: dict,
                      decode=fraction_from_str) -> GradedModule:
-    dims = {int(d): n for d, n in data['dims'].items()}
-    actions = {(entry['var'] - 1, entry['degree']):
-               matrix_from_json(entry['matrix'], decode)
-               for entry in data['actions']}
+    dims = {_degree(d): _typed(n, int)
+            for d, n in _typed(data['dims'], dict).items()}
+    actions = {}
+    for entry in _typed(data['actions'], list):
+        key = (_typed(entry['var'], int) - 1, _typed(entry['degree'], int))
+        if key in actions:
+            raise ValueError(f"a second action of variable {key[0] + 1} "
+                             f"at degree {key[1]}")
+        actions[key] = matrix_from_json(entry['matrix'], decode)
     return GradedModule(algebra, dims, actions)
 
 
@@ -80,9 +106,11 @@ def catalog_to_json(catalog: IndecomposableCatalog) -> dict:
 
 def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
     rs = algebra.root_system
-    if (data['family'] != rs.cartan_type or data['rank'] != rs.rank
-            or tuple(i - 1 for i in data['parabolic'])
-            != tuple(sorted(algebra.subset))):
+    rank = _typed(data['rank'], int)
+    subset = tuple(_typed(i, int) - 1
+                   for i in _typed(data['parabolic'], list))
+    if (data['family'] != rs.cartan_type or rank != rs.rank
+            or subset != tuple(sorted(algebra.subset))):
         raise InternalCheckError(
             "catalog file does not describe this algebra")
     members = {w for w in rs.elements if set(w.word) <= set(algebra.subset)}
@@ -90,8 +118,9 @@ def catalog_from_json(algebra, data: dict) -> IndecomposableCatalog:
     # immutable Fraction shared by every matrix that holds it
     decode = functools.cache(fraction_from_str)
     entries = {}
-    for item in data['entries']:
-        w = rs.element_from_word([i - 1 for i in item['word']])
+    for item in _typed(data['entries'], list):
+        w = rs.element_from_word([_typed(i, int) - 1
+                                  for i in _typed(item['word'], list)])
         if w not in members or w in entries:
             raise InternalCheckError(
                 f"catalog file has a stray or second entry for {w!r}")

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from soergelind import coinvariants, hecke, smod
+from soergelind import coinvariants, hecke, induction, smod
+from soergelind.cli import main
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import ParabolicDatum, RootSystem
 from soergelind.errors import InternalCheckError
@@ -252,26 +253,28 @@ def test_dividing_by_a_variable_that_does_not_divide_is_refused():
 
 # ---------------------------------------------------------------------------
 # the Hecke side, on a fresh root system with an empty KL table
+#
+# Each corruption patches the Hecke side of every root system, so the
+# same fault is run in process and through the command line (kl for the
+# two kl_basis sites, indw in type A2 with I = {1} for the others).
 
 
-def test_a_kl_element_with_a_doubled_leading_term_is_refused(monkeypatch):
-    rs = RootSystem('A', 2)
+def doubled_leading_term(monkeypatch):
     multiply = hecke.hecke_multiply
     monkeypatch.setattr(hecke, 'hecke_multiply',
                         lambda a, b: multiply(a, b).scale(2))
-    with pytest.raises(InternalCheckError, match='has bad leading term'):
-        hecke.kl_basis(rs.element_from_word([0]))
 
 
-def test_a_negative_kl_coefficient_is_refused(monkeypatch):
+def negative_kl_coefficient(monkeypatch):
     # b_s1 = H_s1 + v H_e becomes H_s1 - v H_e
-    rs = RootSystem('A', 2)
     multiply = hecke.hecke_multiply
-    monkeypatch.setattr(
-        hecke, 'hecke_multiply', lambda a, b: multiply(a, b) - HeckeElement(
-            rs, {rs.identity: LaurentPoly.v(1, 2)}))
-    with pytest.raises(InternalCheckError, match=r'is not in vZ>=0\[v\]'):
-        hecke.kl_basis(rs.element_from_word([0]))
+
+    def product(a, b):
+        rs = a.root_system
+        return multiply(a, b) - HeckeElement(
+            rs, {rs.identity: LaurentPoly.v(1, 2)})
+
+    monkeypatch.setattr(hecke, 'hecke_multiply', product)
 
 
 def kl_element(rs, terms):
@@ -280,20 +283,51 @@ def kl_element(rs, terms):
                              for word, k in terms.items()})
 
 
-def test_a_kl_coefficient_off_the_graded_character_is_refused(monkeypatch):
+def corrupt_b_s1(monkeypatch, terms):
+    """b_s1 replaced by kl_element(terms); every other b_w kept."""
+    kl_basis = hecke.kl_basis
+    monkeypatch.setattr(hecke, 'kl_basis', lambda w: (
+        kl_element(w.root_system, terms) if w.word == (0,)
+        else kl_basis(w)))
+
+
+def kl_coefficient_off_the_graded_character(monkeypatch):
     # h_{e,s1} = v^2 puts a dimension in degree 1 + 0 - 2 = -1
-    rs = RootSystem('A', 2)
-    monkeypatch.setattr(hecke, 'kl_basis',
-                        lambda w: kl_element(rs, {(0,): 0, (): 2}))
+    corrupt_b_s1(monkeypatch, {(0,): 0, (): 2})
+
+
+def kl_element_outside_the_parabolic_subgroup(monkeypatch):
+    corrupt_b_s1(monkeypatch, {(0,): 0, (1,): 1})
+
+
+def parabolic_term_whose_length_does_not_add(monkeypatch):
+    # every b_x read as H_s2: z w = e for z = s2 and w = s2
+    monkeypatch.setattr(hecke, 'parabolic_kl', lambda datum, x: {
+        datum.root_system.element_from_word([1]): LaurentPoly.one()})
+
+
+def test_a_kl_element_with_a_doubled_leading_term_is_refused(monkeypatch):
+    doubled_leading_term(monkeypatch)
+    with pytest.raises(InternalCheckError, match='has bad leading term'):
+        hecke.kl_basis(RootSystem('A', 2).element_from_word([0]))
+
+
+def test_a_negative_kl_coefficient_is_refused(monkeypatch):
+    negative_kl_coefficient(monkeypatch)
+    with pytest.raises(InternalCheckError, match=r'is not in vZ>=0\[v\]'):
+        hecke.kl_basis(RootSystem('A', 2).element_from_word([0]))
+
+
+def test_a_kl_coefficient_off_the_graded_character_is_refused(monkeypatch):
+    kl_coefficient_off_the_graded_character(monkeypatch)
     with pytest.raises(InternalCheckError, match='unexpected KL coefficient'):
-        hecke.expected_graded_dims(rs.element_from_word([0]))
+        hecke.expected_graded_dims(RootSystem('A', 2).element_from_word([0]))
 
 
 def test_a_kl_element_outside_the_parabolic_subgroup_is_refused(
         monkeypatch):
+    kl_element_outside_the_parabolic_subgroup(monkeypatch)
     rs = RootSystem('A', 2)
-    monkeypatch.setattr(hecke, 'kl_basis',
-                        lambda w: kl_element(rs, {(0,): 0, (1,): 1}))
     with pytest.raises(InternalCheckError,
                        match='escaped the parabolic subgroup'):
         hecke.parabolic_kl(ParabolicDatum(rs, (0,)),
@@ -302,13 +336,55 @@ def test_a_kl_element_outside_the_parabolic_subgroup_is_refused(
 
 def test_a_parabolic_term_whose_length_does_not_add_is_refused(
         monkeypatch):
-    # z = s2 and the coset representative w = s2: z w = e
+    parabolic_term_whose_length_does_not_add(monkeypatch)
     rs = RootSystem('A', 2)
-    s2 = rs.element_from_word([1])
-    monkeypatch.setattr(hecke, 'parabolic_kl',
-                        lambda datum, x: {s2: LaurentPoly.one()})
     with pytest.raises(InternalCheckError, match='lengths fail to add'):
-        hecke.predicted_class(ParabolicDatum(rs, (0,)), rs.identity, s2)
+        hecke.predicted_class(ParabolicDatum(rs, (0,)), rs.identity,
+                              rs.element_from_word([1]))
+
+
+KL_S1 = ['kl', '--type', 'A', '--rank', '2', '--w', '1']
+INDW_A2 = ['indw', '--type', 'A', '--rank', '2', '--parabolic', '1',
+           '--x', '1', '--w', '2 1']
+
+
+CLI_CORRUPTIONS = [
+    (doubled_leading_term, KL_S1, 'has bad leading term'),
+    (negative_kl_coefficient, KL_S1, 'is not in vZ>=0[v]'),
+    # the catalog build reads the graded character of D_s1
+    (kl_coefficient_off_the_graded_character, INDW_A2,
+     'unexpected KL coefficient'),
+    (parabolic_term_whose_length_does_not_add, INDW_A2,
+     'lengths fail to add'),
+]
+
+
+@pytest.mark.parametrize('corrupt, argv, message', CLI_CORRUPTIONS,
+                         ids=[row[0].__name__ for row in CLI_CORRUPTIONS])
+def test_a_hecke_certificate_exits_three_through_the_cli(
+        monkeypatch, capsys, corrupt, argv, message):
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    corrupt(monkeypatch)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert 'internal assertion failed: ' in err
+    assert message in err
+    assert 'Traceback' not in err
+
+
+def test_a_kl_element_outside_the_parabolic_subgroup_exits_three(
+        monkeypatch, capsys):
+    # the catalog build reads b_s1 too, so the query runs once clean and
+    # its setup is kept; the second run reaches parabolic_kl first
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    assert main(INDW_A2) == 0
+    kl_element_outside_the_parabolic_subgroup(monkeypatch)
+    capsys.readouterr()
+    assert main(INDW_A2) == 3
+    err = capsys.readouterr().err
+    assert 'internal assertion failed: KL recursion escaped the ' \
+        'parabolic subgroup' in err
+    assert 'Traceback' not in err
 
 
 # ---------------------------------------------------------------------------

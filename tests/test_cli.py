@@ -1,14 +1,20 @@
 """Command-line interface: outputs, exit codes, JSON reports."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import pathlib
+import shutil
 import stat
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soergelind.cli
 import soergelind.induction
@@ -447,6 +453,152 @@ def test_a_too_deeply_nested_cache_file_is_rebuilt(tmp_path, fresh_process,
     assert 'unreadable cache file' in capsys.readouterr().err
     assert len(built) == 1
     assert path.read_text() == whole
+
+
+def test_a_cache_file_with_a_float_dimension_is_rebuilt(tmp_path,
+                                                        fresh_process,
+                                                        capsys):
+    # 1.0 == 1, so the graded character matches; the loader refuses it
+    # as the wrong shape before a matrix of that size is ever made
+    built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    clean = capsys.readouterr().out
+    path = full_a2_file(cache)
+    whole = path.read_text()
+    data = json.loads(whole)
+    s1 = next(e for e in data['entries'] if e['word'] == [1])
+    s1['dims'] = {d: float(n) for d, n in s1['dims'].items()}
+    path.write_text(json.dumps(data))
+    restart()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    out, err = capsys.readouterr()
+    assert f'unreadable cache file {path}' in err
+    assert 'rebuilding it' in err
+    assert out == clean
+    assert len(built) == 1
+    assert path.read_text() == whole
+
+
+# corrupted cache payloads: each is a miss that is rebuilt, or exits 3
+# naming the file, and none ends in a traceback
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of main(argv) from an empty setup
+    registry."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(soergelind.induction, '_SYSTEMS', {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope='module')
+def clean_caches(tmp_path_factory):
+    """For each query, a cache directory one clean run filled, the name
+    of the full catalog file in it, and the run's standard output."""
+    out = {}
+    for name, argv, prefix in (('A1', INDW_A1, 'catalog-A1-I1-'),
+                               ('A2', INDW_A2, 'catalog-A2-I12-')):
+        cache = tmp_path_factory.mktemp(f'clean-{name}')
+        code, stdout, _err = run_main(argv + ['--cache-dir', str(cache)])
+        assert code == 0
+        path = next(p for p in cache.iterdir() if p.name.startswith(prefix))
+        out[name] = argv, cache, path.name, stdout
+    return out
+
+
+def nodes(doc, path=()):
+    """(path, value) for every value of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, child in items:
+            yield from nodes(child, path + (key,))
+
+
+def container(doc, path):
+    """The dict or list that holds the value at path."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def other_types(x):
+    """JSON values of another type than x, an equal float first for an
+    integer."""
+    out = [float(x)] if type(x) is int else []
+    out += [True, False, None, 0, 'x', [x], {'x': x}]
+    return [y for y in out if type(y) is not type(x)]
+
+
+# cut short, a value of another type, a dropped key, a repeated action,
+# a dims key spelled another way, a foreign header value
+CORRUPTIONS = ['truncate', 'retype', 'drop', 'repeat', 'respell', 'header']
+
+
+@st.composite
+def corrupted(draw, text, kind):
+    """The one-line JSON text of a catalog file, corrupted once."""
+    if kind == 'truncate':
+        # every prefix without the closing brace is invalid JSON
+        return text[:draw(st.integers(0, len(text) - 2))]
+    doc = json.loads(text)
+    every = list(nodes(doc))
+    if kind == 'retype':
+        path, value = draw(st.sampled_from(every))
+        other = draw(st.sampled_from(other_types(value)))
+        if not path:
+            return json.dumps(other)
+        container(doc, path)[path[-1]] = other
+    elif kind == 'drop':
+        path = draw(st.sampled_from(
+            [p for p, _v in every if p and isinstance(p[-1], str)]))
+        del container(doc, path)[path[-1]]
+    elif kind == 'repeat':
+        actions = draw(st.sampled_from(
+            [v for p, v in every if p[-1:] == ('actions',) and v]))
+        actions.append(draw(st.sampled_from(actions)))
+    elif kind == 'respell':
+        dims = draw(st.sampled_from(
+            [v for p, v in every if p[-1:] == ('dims',)]))
+        key = draw(st.sampled_from(sorted(dims)))
+        spelled = draw(st.sampled_from(['0' + key, ' ' + key, key + ' ',
+                                        '+' + key]))
+        dims[spelled] = dims.pop(key)
+    else:
+        field, value = draw(st.sampled_from([
+            ('family', 'B'), ('rank', doc['rank'] + 1),
+            ('parabolic', doc['parabolic'][:-1])]))
+        doc[field] = value
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize('kind', CORRUPTIONS)
+@pytest.mark.parametrize('name', ['A1', 'A2'])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_corrupted_cache_file_is_rebuilt_or_exits_three(clean_caches, name,
+                                                          kind, data):
+    argv, clean, filename, stdout = clean_caches[name]
+    whole = (clean / filename).read_text()
+    text = data.draw(corrupted(whole, kind))
+    with tempfile.TemporaryDirectory() as cache:
+        shutil.copytree(clean, cache, dirs_exist_ok=True)
+        path = pathlib.Path(cache, filename)
+        path.write_text(text)
+        code, out, err = run_main(argv + ['--cache-dir', cache])
+        assert 'Traceback' not in err
+        if code == 0:
+            assert f'warning: unreadable cache file {path}' in err
+            assert 'rebuilding it' in err
+            assert out == stdout
+            assert path.read_text() == whole
+        else:
+            assert code == 3
+            assert 'internal assertion failed' in err
+            assert filename in err
 
 
 # ---------------------------------------------------------------------------
