@@ -6,8 +6,11 @@ the Kazhdan-Lusztig generator is b_s = H_s + v, and bar(H_s) = H_s^{-1}
 v -> v^{-1} and H_w -> (H_{w^{-1}})^{-1}; the KL basis element b_w is
 the unique bar-invariant element of H_w + sum_{x<w} v Z[v] H_x.
 
-b_w is computed by multiplying b_s along a reduced word and stripping
-lower KL terms with nonzero constant coefficient, highest length first.
+b_w is computed from b_{ws} for a right descent s of w: the product
+b_{ws} b_s = b_{ws} H_s + v b_{ws} takes one right multiplication by
+H_s, and lower KL terms with nonzero constant coefficient are stripped
+from it, highest length first.  All coefficients are integer Laurent
+polynomials; evaluate_at_one specializes an element at v = 1.
 Coefficient positivity (h_{x,w} in Z_{>=0}[v]) is asserted on every
 computed element; in the Weyl group types supported here a violation
 can only mean an arithmetic bug.
@@ -23,8 +26,6 @@ of D_w off b_w.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .coxeter import ParabolicDatum, RootSystem, WeylElement
 from .errors import ConfigurationError, IncompatibilityError, InternalCheckError
@@ -83,28 +84,18 @@ class HeckeElement:
         return HeckeElement(self.root_system,
                             {w: coeff * c for w, coeff in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, HeckeElement):
-            return hecke_multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
         return (self.root_system is other.root_system
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def bar(self) -> 'HeckeElement':
         return bar_involution(self)
 
-    def evaluate_at_one(self) -> dict[WeylElement, Fraction]:
-        return {w: c.evaluate(Fraction(1)) for w, c in self.terms.items()}
+    def evaluate_at_one(self) -> dict[WeylElement, int]:
+        """The specialization v = 1: each coefficient's sum of terms."""
+        return {w: sum(c.terms.values()) for w, c in self.terms.items()}
 
     def support_sorted(self) -> list[WeylElement]:
         return sorted(self.terms, key=lambda w: (w.length, w.word))
@@ -187,9 +178,10 @@ def kl_basis(w: WeylElement) -> HeckeElement:
 
     Recursion: b_w = b_{ws} b_s - sum of m_x b_x over the x < w whose
     coefficient in the product has a nonzero constant term, largest
-    length first.  Every coefficient of the result is checked to lie
-    in v Z_{>=0}[v] (with the leading coefficient exactly 1).  The
-    result is kept in the root system's kl_table.
+    length first, where b_{ws} b_s = b_{ws} H_s + v b_{ws} for the
+    first right descent s of w.  Every coefficient of the result is
+    checked to lie in v Z_{>=0}[v] (with the leading coefficient
+    exactly 1).  The result is kept in the root system's kl_table.
     """
     rs = w.root_system
     cache = rs.kl_table
@@ -199,10 +191,9 @@ def kl_basis(w: WeylElement) -> HeckeElement:
         b = hecke_unit(rs)
     else:
         i = w.right_descents()[0]
-        s = rs.simple_reflection(i)
-        b_s = HeckeElement(rs, {s: LaurentPoly.one(),
-                                rs.identity: LaurentPoly.v(1)})
-        b = hecke_multiply(kl_basis(w * s), b_s)
+        # b_{ws} b_s, with b_s = H_s + v
+        b_ws = kl_basis(w * rs.simple_reflection(i))
+        b = _times_generator(b_ws, i) + b_ws.scale(LaurentPoly.v(1))
         while True:
             junk = [x for x, c in b.terms.items()
                     if x != w and c.constant_coefficient() != 0]
@@ -262,10 +253,10 @@ def expected_graded_dims(w) -> dict[int, int]:
     for z, h in kl_basis(w).terms.items():
         for exp, c in h.terms.items():
             d = lw + z.length - exp
-            if d < 0 or d % 2 or c.denominator != 1 or c < 0:
+            if d < 0 or d % 2 or c < 0:
                 raise InternalCheckError(
                     f"unexpected KL coefficient {h} at {z!r}")
-            total[d] = total.get(d, 0) + int(c)
+            total[d] = total.get(d, 0) + c
     return {d: n for d, n in sorted(total.items())}
 
 

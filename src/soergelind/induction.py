@@ -138,9 +138,7 @@ class InductionSetup:
     """A parabolic subset of a root system, with both catalogs.
 
     side is the root system's _FullSide, which owns the full catalog
-    and the induced complexes.  inflation maps x in W_I to the verdict
-    of the inflation certificate (_inflation_is_entry), which induce
-    and verify_base_case both read.
+    and the induced complexes.
     """
 
     def __init__(self, side: _FullSide, subset, cache_dir=None):
@@ -157,7 +155,6 @@ class InductionSetup:
         self.sub_catalog = _provide_catalog(self.sub_algebra, cache_dir)
         self.datum = build_parabolic(rs, self.subset)
         self.rmap = RestrictionMap(self.algebra, self.sub_algebra)
-        self.inflation: dict = {}
 
     def parabolic_elements(self) -> list[WeylElement]:
         return sorted(self.datum.elements_WI,
@@ -330,14 +327,9 @@ def induce_module(setup: InductionSetup, module, w: WeylElement,
 
 
 def _inflation_is_entry(setup: InductionSetup, x: WeylElement) -> bool:
-    """True iff match_entry finds an isomorphism D_x -> infl D^I_x.
-    Decided once per setup and x, and kept in setup.inflation."""
-    verdict = setup.inflation.get(x)
-    if verdict is None:
-        inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
-        verdict = setup.inflation[x] = \
-            match_entry(setup.catalog, x, inflated) is not None
-    return verdict
+    """True iff match_entry finds an isomorphism D_x -> infl D^I_x."""
+    inflated = restrict_module(setup.rmap, setup.sub_catalog.entry(x))
+    return match_entry(setup.catalog, x, inflated) is not None
 
 
 def induce(setup: InductionSetup, x: WeylElement, w: WeylElement,
@@ -463,8 +455,8 @@ def verify_base_case(setup: InductionSetup) -> VerificationReport:
     """Inflation sends D^I_x to D_x, and hom dimensions match.
 
     infl(D^I_x) = D_x is certified for every x in W_I by an explicit
-    isomorphism (_inflation_is_entry); the start of induce rests on the same
-    verdict, which the setup keeps, so each x is certified once.
+    isomorphism (_inflation_is_entry), the certificate that the start of
+    induce rests on too.
     Then it compares the full matrices of degree-0 hom dimensions over
     W_I x W_I on both sides (the finite shadow of full faithfulness).
     """

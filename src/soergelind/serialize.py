@@ -2,8 +2,11 @@
 
 All rational numbers are serialized as "p/q" strings in lowest terms
 (plain "p" when the denominator is 1) so that nothing ever passes
-through floating point, and only those strings are read back: a JSON
-number or any other string in their place makes the file unreadable.
+through floating point.  This module owns that codec:
+:func:`fraction_to_str` writes the canonical strings, and
+:func:`fraction_from_str` reads back exactly those and nothing else,
+so a JSON number or any other string in their place makes the file
+unreadable.
 Catalog files carry enough data to rebuild every indecomposable
 without re-running the Bott-Samelson splittings: the graded dimensions
 and the generator action matrices.  Cache files are named by a content
@@ -29,11 +32,11 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
 from .hecke import expected_graded_dims
-from .laurent import fraction_from_str, fraction_to_str
 from .smod import GradedModule, IndecomposableCatalog
 
 __all__ = [
@@ -52,6 +55,32 @@ def _typed(x, kind):
     return x
 
 
+def fraction_to_str(c) -> str:
+    """"p", or "p/q" with q > 1 in lowest terms."""
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else (
+        f'{c.numerator}/{c.denominator}')
+
+
+def fraction_from_str(s: str) -> Fraction:
+    """The Fraction that fraction_to_str writes as s.
+
+    Any other input raises: a non-string (a JSON number or bool) with
+    TypeError, any other string ("1.5", "1e3", " 1", "2/4", "1/0")
+    with ValueError.
+    """
+    _typed(s, str)
+    try:
+        value = Fraction(s)
+    except ZeroDivisionError:
+        value = None
+    # Fraction also reads decimals, exponents, spaces and underscores;
+    # only the canonical spelling comes back unchanged
+    if value is None or fraction_to_str(value) != s:
+        raise ValueError(f"{s!r} is not a fraction in lowest terms")
+    return value
+
+
 def _degree(key: str) -> int:
     """A dims key: an integer in canonical decimal form."""
     d = int(key)
@@ -65,7 +94,8 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(data, decode=fraction_from_str) -> list:
-    return [[decode(x) for x in _typed(row, list)]
+    # the type comes first: a cached decode hashes its argument
+    return [[decode(_typed(x, str)) for x in _typed(row, list)]
             for row in _typed(data, list)]
 
 

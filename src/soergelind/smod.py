@@ -470,9 +470,6 @@ class ModuleMap:
         return (self.source is other.source and self.target is other.target
                 and self.degree == other.degree and self.forms == other.forms)
 
-    def __hash__(self):
-        raise TypeError("module maps are not hashable")
-
     def check_intertwines(self) -> bool:
         src, tgt, k = self.source.forms, self.target.forms, self.degree
         for i in range(self.source.algebra.root_system.rank):

@@ -260,21 +260,22 @@ def test_dividing_by_a_variable_that_does_not_divide_is_refused():
 
 
 def doubled_leading_term(monkeypatch):
-    multiply = hecke.hecke_multiply
-    monkeypatch.setattr(hecke, 'hecke_multiply',
-                        lambda a, b: multiply(a, b).scale(2))
+    # kl_basis's step b_{ws} H_s + v b_{ws}, with b_{ws} H_s doubled
+    times_generator = hecke._times_generator
+    monkeypatch.setattr(hecke, '_times_generator',
+                        lambda a, i: times_generator(a, i).scale(2))
 
 
 def negative_kl_coefficient(monkeypatch):
     # b_s1 = H_s1 + v H_e becomes H_s1 - v H_e
-    multiply = hecke.hecke_multiply
+    times_generator = hecke._times_generator
 
-    def product(a, b):
+    def product(a, i):
         rs = a.root_system
-        return multiply(a, b) - HeckeElement(
+        return times_generator(a, i) - HeckeElement(
             rs, {rs.identity: LaurentPoly.v(1, 2)})
 
-    monkeypatch.setattr(hecke, 'hecke_multiply', product)
+    monkeypatch.setattr(hecke, '_times_generator', product)
 
 
 def kl_element(rs, terms):

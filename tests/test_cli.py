@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import soergelind.cli
 import soergelind.induction
+import soergelind.laurent
 from soergelind.cli import build_parser, main, parse_word
 from soergelind.coxeter import RootSystem
 from soergelind.errors import ConfigurationError
@@ -107,20 +108,46 @@ def test_a_warm_query_loads_no_openssl_hash(tmp_path):
     assert run_python(query).splitlines()[-1] == '0 False'
 
 
+def source_trees() -> dict:
+    """The parsed source of every module of the package, by name."""
+    src = pathlib.Path(soergelind.cli.__file__).parent
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(src.glob('*.py'))}
+
+
+def imported_packages(tree) -> set:
+    """The top-level package of every import in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or '')
+    return {name.split('.')[0] for name in names}
+
+
 def test_no_module_imports_random():
     # every isomorphism is decided by a deterministic test; none is
     # searched for by random draws
-    src = pathlib.Path(soergelind.cli.__file__).parent
-    for path in sorted(src.glob('*.py')):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or '']
-            else:
-                continue
-            assert all(name.split('.')[0] != 'random' for name in names), \
-                path.name
+    for name, tree in source_trees().items():
+        assert 'random' not in imported_packages(tree), name
+
+
+def test_the_hecke_side_is_over_the_integers():
+    # KL polynomials lie in Z[v]: the Coxeter data, the Laurent
+    # polynomials and the Hecke algebra import nothing from fractions,
+    # laurent exports LaurentPoly alone, and the "p"/"p/q" codec of the
+    # cache files lives in serialize only
+    trees = source_trees()
+    for name in ('coxeter', 'laurent', 'hecke'):
+        assert 'fractions' not in imported_packages(trees[name]), name
+    assert soergelind.laurent.__all__ == ['LaurentPoly']
+    codec = sorted((name, node.name) for name, tree in trees.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ('fraction_to_str', 'fraction_from_str'))
+    assert codec == [('serialize', 'fraction_from_str'),
+                     ('serialize', 'fraction_to_str')]
 
 
 def test_group_summary(capsys):

@@ -31,7 +31,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from soergelind import exactla
 from soergelind.exactla import mat_mul, nullspace, sparse_nullspace
-from soergelind.laurent import LaurentPoly
 from soergelind.polynomials import Polynomial
 
 P = 2 ** 61 - 1
@@ -168,7 +167,6 @@ FLOAT_INPUTS = {
     'ModuleMap.scale': lambda: _identity_map().scale(0.1),
     'Polynomial.scale': lambda: Polynomial.const(2, 1).scale(0.1),
     'Polynomial.const': lambda: Polynomial.const(2, 0.1),
-    'LaurentPoly.evaluate': lambda: LaurentPoly.v(1).evaluate(0.1),
 }
 
 

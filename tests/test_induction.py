@@ -409,33 +409,36 @@ def test_base_case_hom_matrices_come_from_the_catalogs(a2s1):
 
 
 def test_base_case_matches_one_entry_per_member(monkeypatch):
-    # infl(D^I_x) = D_x is certified by one match_entry per member, and
-    # the start of induce rests on the same verdict, which the setup
-    # keeps: with an empty store, inducing along w = e then matches
-    # none, and without the verdicts one entry per x again
+    # infl(D^I_x) = D_x is certified by one match_entry per member each
+    # time the base case or the start of induce asks for it, and every
+    # inflation has the entry's action matrices, so none solves a hom
+    # space
     setup = make_setup('A', 3, (0, 1))
-    monkeypatch.setattr(setup, 'inflation', {})
-    calls = []
+    calls, solves = [], []
     match_entry = induction.match_entry
+    maps_from = smod.IndecomposableCatalog.maps_from
 
     def counted(*args):
         calls.append(args)
         return match_entry(*args)
 
+    def solved(*args):
+        solves.append(args)
+        return maps_from(*args)
+
     monkeypatch.setattr(induction, 'match_entry', counted)
+    monkeypatch.setattr(smod.IndecomposableCatalog, 'maps_from', solved)
     report = verify_base_case(setup)
     assert report.ok()
     assert len(calls) == report.details['members'] == 6
     calls.clear()
-    assert verify_base_case(setup).details == report.details and not calls
-    e = setup.rs.identity
-    for verdicts, solves in (({**setup.inflation}, 0), ({}, 6)):
-        calls.clear()
-        monkeypatch.setattr(setup, 'inflation', verdicts)
-        monkeypatch.setattr(setup.side, 'induced', {})
-        for x in setup.parabolic_elements():
-            assert induce(setup, x, e).terms == {0: ((x, 0),)}
-        assert len(calls) == solves
+    assert verify_base_case(setup).details == report.details
+    assert len(calls) == 6
+    calls.clear()
+    monkeypatch.setattr(setup.side, 'induced', {})
+    for x in setup.parabolic_elements():
+        assert induce(setup, x, setup.rs.identity).terms == {0: ((x, 0),)}
+    assert len(calls) == 6 and not solves
 
 
 def test_an_a3_group_solves_only_where_the_theory_names_no_map(monkeypatch):
@@ -505,13 +508,12 @@ def test_the_light_sweep_solves_few_hom_spaces(monkeypatch):
 def with_entries(monkeypatch, setup, replaced):
     """The setup with a new sub catalog: its entries, those in replaced
     swapped in.  The new catalog has derived nothing from the old
-    entries yet, and no inflation verdict is kept."""
+    entries yet."""
     sub = setup.sub_catalog
     entries = dict(sub.entries)
     entries.update(replaced)
     monkeypatch.setattr(setup, 'sub_catalog',
                         smod.IndecomposableCatalog(sub.algebra, entries))
-    monkeypatch.setattr(setup, 'inflation', {})
 
 
 def base_case_in_another_basis(monkeypatch, setup):
@@ -528,7 +530,6 @@ def base_case_in_another_basis(monkeypatch, setup):
     with_entries(monkeypatch, setup, moved)
     report = verify_base_case(setup)
     assert report.ok(), report.details
-    assert list(setup.inflation.values()) == [True] * 6
 
 
 def test_base_case_holds_with_the_parabolic_entries_in_another_basis(

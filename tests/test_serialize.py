@@ -145,9 +145,33 @@ def integers_as_floats(stored: str) -> str:
     return json.dumps(data)
 
 
-@pytest.mark.parametrize('text', ['{"family": "A", "rank"', '[1, 2]', '{}',
-                                  integers_as_floats])
-def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, text):
+def matrix_entry_as(value):
+    """The stored catalog file with its first matrix entry set to value."""
+    def stored_with(stored: str) -> str:
+        data = json.loads(stored)
+        row = next(row for item in data['entries']
+                   for action in item['actions']
+                   for row in action['matrix'] if row)
+        row[0] = value
+        return json.dumps(data)
+    return stored_with
+
+
+# a matrix entry of another JSON type is refused for its type before
+# the decoder, which keeps one Fraction per distinct string, hashes it
+UNREADABLE = {
+    '{"family": "A", "rank"': ('{"family": "A", "rank"', 'JSONDecodeError'),
+    '[1, 2]': ('[1, 2]', 'TypeError'),
+    '{}': ('{}', "KeyError: 'rank'"),
+    'integers_as_floats': (integers_as_floats, 'expected a JSON str, not 1.0'),
+    'matrix_entry_object': (matrix_entry_as({}),
+                            'expected a JSON str, not {}'),
+    'matrix_entry_list': (matrix_entry_as([]), 'expected a JSON str, not []'),
+}
+
+
+@pytest.mark.parametrize('text, reason', UNREADABLE.values(), ids=UNREADABLE)
+def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, text, reason):
     cache = str(tmp_path)
     catalog = fresh_catalog('A', 1)
     path = store_catalog(catalog, cache)
@@ -157,7 +181,9 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, text):
     with open(path, 'w') as fh:
         fh.write(text)
     assert load_cached_catalog(catalog.algebra, cache) is None
-    assert 'unreadable cache file' in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f'warning: unreadable cache file {path} (' in err
+    assert reason in err and err.endswith('; rebuilding it\n')
 
 
 def test_cache_file_with_broken_entries_fails_validation(tmp_path,

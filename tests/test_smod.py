@@ -89,6 +89,12 @@ def test_direct_sum_with_inclusions_and_projections():
     assert projs[0].compose(incls[1]).is_zero()
 
 
+def test_a_module_map_is_not_hashable():
+    # it defines __eq__ and no __hash__
+    with pytest.raises(TypeError):
+        hash(ModuleMap.identity(trivial_module(algebra('A', 1))))
+
+
 def test_bott_samelson_dimensions():
     # dim B_w = 2^(len(word)), bottom degree 0 after normalization
     C = algebra('A', 2)
