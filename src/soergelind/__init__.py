@@ -22,7 +22,7 @@ the module then.  Import its names from `soergelind.coinvariants`.
 """
 
 from .coxeter import (RootSystem, WeylElement, ParabolicDatum,
-                      build_parabolic, admissible_chain, admissible_chains)
+                      build_parabolic, admissible_chain)
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError, CalibrationError)
 from .laurent import LaurentPoly
@@ -34,10 +34,9 @@ from .smod import (GradedModule, direct_sum, induce_frobenius,
                    IndecomposableCatalog, build_catalog)
 from .homotopy import (FormalComplex, one_term_complex, complex_from_module,
                        tensor_rouquier, theta_complex, gaussian_eliminate,
-                       k0_class, hom_complex_vanishing, complexes_isomorphic,
-                       direct_sum_complexes)
+                       k0_class, hom_complex_vanishing, complexes_isomorphic)
 from .induction import (CalibrationRecord, calibrate_shift, InductionSetup,
-                        make_setup, induce, induce_module, induce_all,
+                        make_setup, induce, induce_all,
                         VerificationReport, verify_induced_class,
                         verify_base_case, verify_theta_restriction,
                         verify_wall_crossing, verify_hom_vanishing,
@@ -48,7 +47,7 @@ __version__ = '0.1.0'
 
 __all__ = [
     'RootSystem', 'WeylElement', 'ParabolicDatum', 'build_parabolic',
-    'admissible_chain', 'admissible_chains',
+    'admissible_chain',
     'ConfigurationError', 'IncompatibilityError', 'InternalCheckError',
     'CalibrationError',
     'LaurentPoly', 'HeckeElement', 'hecke_unit', 'hecke_standard',
@@ -59,9 +58,9 @@ __all__ = [
     'build_catalog',
     'FormalComplex', 'one_term_complex', 'complex_from_module',
     'tensor_rouquier', 'theta_complex', 'gaussian_eliminate', 'k0_class',
-    'hom_complex_vanishing', 'complexes_isomorphic', 'direct_sum_complexes',
+    'hom_complex_vanishing', 'complexes_isomorphic',
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
-    'induce', 'induce_module', 'induce_all', 'VerificationReport',
+    'induce', 'induce_all', 'VerificationReport',
     'verify_induced_class', 'verify_base_case', 'verify_theta_restriction',
     'verify_wall_crossing', 'verify_hom_vanishing', 'hom_positive_control',
     'wall_crossing_triples', 'proper_subsets', 'corpus_groups',

@@ -36,30 +36,28 @@ def parse_word(rs: RootSystem, text: str):
     with its canonical reduced word, so non-reduced input is accepted
     but never used verbatim.
     """
-    letters = []
-    for token in text.split():
-        tok = token.lower().lstrip('s')
-        if not tok.isdigit():
-            raise ConfigurationError(f"cannot read generator {token!r}")
-        i = int(tok)
-        if not 1 <= i <= rs.rank:
-            raise ConfigurationError(
-                f"generator {token!r} out of range 1..{rs.rank}")
-        letters.append(i - 1)
-    return rs.element_from_word(letters)
+    return rs.element_from_word([
+        _index(token.lower().lstrip('s'), rs.rank, f'generator {token!r}')
+        for token in text.split()])
 
 
 def _parse_parabolic(arg: str, rank: int) -> tuple:
-    if not arg:
-        return ()
-    out = []
-    for piece in arg.split(','):
-        piece = piece.strip()
-        if not piece.isdigit() or not 1 <= int(piece) <= rank:
-            raise ConfigurationError(
-                f"parabolic index {piece!r} out of range 1..{rank}")
-        out.append(int(piece) - 1)
-    return tuple(sorted(set(out)))
+    pieces = [piece.strip() for piece in arg.split(',')] if arg else []
+    return tuple(sorted({_index(piece, rank, f'parabolic index {piece!r}')
+                         for piece in pieces}))
+
+
+def _index(text: str, rank: int, what: str) -> int:
+    """The 0-based index of a 1-based generator label in 1..rank.
+
+    Only ASCII digits are read (str.isdigit also takes '²', which int
+    refuses, and '١', which int reads as 1), and the length is compared
+    first, as int refuses a few thousand digits.
+    """
+    label = text.lstrip('0') if text.isascii() and text.isdigit() else ''
+    if not (label and len(label) <= len(str(rank)) and int(label) <= rank):
+        raise ConfigurationError(f"{what} is not in 1..{rank}")
+    return int(label) - 1
 
 
 def _word_str(w) -> str:

@@ -15,14 +15,14 @@ Generator indices are 0-based everywhere in code; serialized words are
 
 from __future__ import annotations
 
-import math
+import itertools
 
 from .errors import ConfigurationError, IncompatibilityError
 
 __all__ = [
     'RootSystem', 'WeylElement', 'ParabolicDatum', 'build_root_system',
-    'enumerate_group', 'admissible_chain', 'admissible_chains',
-    'build_parabolic', 'WEYL_ORDER_CAP',
+    'enumerate_group', 'admissible_chain', 'build_parabolic',
+    'WEYL_ORDER_CAP',
 ]
 
 WEYL_ORDER_CAP = 1152
@@ -80,18 +80,16 @@ def _cartan_matrix(cartan_type: str, rank: int) -> list[list[int]]:
     return A
 
 
-def _weyl_order(cartan_type: str, rank: int) -> int:
+def _fundamental_degrees(cartan_type: str, rank: int):
+    """The degrees of the basic invariants, whose product is the order
+    of the Weyl group, listed lazily: a huge rank costs nothing here."""
     if cartan_type == 'A':
-        return math.factorial(rank + 1)
+        return range(2, rank + 2)
     if cartan_type in ('B', 'C'):
-        return 2 ** rank * math.factorial(rank)
+        return range(2, 2 * rank + 1, 2)
     if cartan_type == 'D':
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if cartan_type == 'G':
-        return 12
-    if cartan_type == 'F':
-        return 1152
-    raise AssertionError(cartan_type)
+        return itertools.chain((rank,), range(2, 2 * rank - 1, 2))
+    return {'G': (2, 6), 'F': (2, 6, 8, 12)}[cartan_type]
 
 
 class RootSystem:
@@ -181,11 +179,13 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     """
     cartan_type = str(cartan_type).upper()
     _validate_type_rank(cartan_type, rank)
-    order = _weyl_order(cartan_type, rank)
-    if order > WEYL_ORDER_CAP:
-        raise ConfigurationError(
-            f"Weyl group of {cartan_type}{rank} has order {order}, "
-            f"above the supported cap {WEYL_ORDER_CAP}")
+    order = 1
+    for degree in _fundamental_degrees(cartan_type, rank):
+        order *= degree
+        if order > WEYL_ORDER_CAP:  # each degree is >= 2: a few steps
+            raise ConfigurationError(
+                f"the Weyl group of {cartan_type}{rank} has order above "
+                f"the supported cap {WEYL_ORDER_CAP}")
     return RootSystem(cartan_type, rank)
 
 
@@ -257,9 +257,6 @@ class WeylElement:
                 self._products[other.index] = got
         return got
 
-    def inverse(self) -> 'WeylElement':
-        return self.root_system.element_from_matrix(self.inv_matrix)
-
     def apply(self, vector):
         """Image of a vector written in simple root coordinates."""
         n = self.root_system.rank
@@ -276,9 +273,6 @@ class WeylElement:
 
     def right_descents(self) -> list[int]:
         return [i for i, d in enumerate(self._right) if d]
-
-    def left_descents(self) -> list[int]:
-        return [i for i, d in enumerate(self._left) if d]
 
     def inversion_count(self) -> int:
         neg = 0
@@ -376,30 +370,6 @@ def build_parabolic(rs: RootSystem, subset) -> ParabolicDatum:
     return ParabolicDatum(rs, tuple(subset))
 
 
-def _admissible_chain_search(datum: ParabolicDatum, w: WeylElement):
-    """Yield the admissible chains of w in lexicographic order.
-
-    Depth first over reduced words, trying letters in increasing order
-    (left_descents lists them so), and keeping a letter only when the
-    prefix it makes is a minimal representative.  admissible_chains runs
-    it, as a reference for admissible_chain.
-    """
-    rs = datum.root_system
-
-    def extend(prefix: WeylElement, remaining: WeylElement):
-        if remaining.length == 0:
-            yield ()
-            return
-        for i in remaining.left_descents():
-            nxt = prefix * rs.simple_reflection(i)
-            if nxt.length == prefix.length + 1 and datum.is_min_rep(nxt):
-                for tail in extend(nxt, rs.simple_reflection(i) * remaining):
-                    yield (i,) + tail
-
-    if datum.is_min_rep(w):
-        yield from extend(rs.identity, w)
-
-
 def admissible_chain(datum: ParabolicDatum, w: WeylElement):
     """The least reduced word of w all of whose left-to-right prefixes
     are minimal coset representatives, or None if w is not one.
@@ -412,8 +382,3 @@ def admissible_chain(datum: ParabolicDatum, w: WeylElement):
     lexicographically least reduced word enumerate_group assigns.
     """
     return w.word if datum.is_min_rep(w) else None
-
-
-def admissible_chains(datum: ParabolicDatum, w: WeylElement) -> list[tuple]:
-    """All admissible chains for w in lexicographic order (may be empty)."""
-    return list(_admissible_chain_search(datum, w))

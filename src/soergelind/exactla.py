@@ -33,10 +33,10 @@ from math import gcd, lcm
 
 __all__ = [
     'Matrix',
-    'zeros', 'identity', 'mat_scale', 'mat_mul',
-    'is_zero_matrix', 'rref', 'rank', 'nullspace', 'sparse_nullspace',
-    'solve_matrix', 'invert', 'to_form', 'from_form', 'normal', 'id_form',
-    'form_mul', 'form_add', 'form_scale', 'place', 'form_solve',
+    'zeros', 'mat_mul', 'is_zero_matrix', 'rref', 'rank', 'nullspace',
+    'sparse_nullspace', 'solve_matrix', 'invert', 'to_form', 'from_form',
+    'normal', 'id_form', 'form_mul', 'form_add', 'form_scale', 'place',
+    'form_solve',
 ]
 
 Matrix = list  # list[list[Fraction]]
@@ -59,16 +59,6 @@ def _frac(x) -> Fraction:
 
 def zeros(nrows: int, ncols: int) -> Matrix:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = _frac(c)
-    return [[c * x if x else _ZERO for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -56,9 +56,6 @@ class HeckeElement:
     def coefficient(self, w: WeylElement) -> LaurentPoly:
         return self.terms.get(w, LaurentPoly.zero())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check(self, other: 'HeckeElement') -> None:
         if self.root_system is not other.root_system:
             raise IncompatibilityError(
@@ -89,9 +86,6 @@ class HeckeElement:
             return NotImplemented
         return (self.root_system is other.root_system
                 and self.terms == other.terms)
-
-    def bar(self) -> 'HeckeElement':
-        return bar_involution(self)
 
     def evaluate_at_one(self) -> dict[WeylElement, int]:
         """The specialization v = 1: each coefficient's sum of terms."""

@@ -52,14 +52,13 @@ from .exactla import sparse_nullspace
 from .hecke import HeckeElement, kl_basis
 from .laurent import LaurentPoly
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
-                   decompose, direct_sum, theta_of_map, theta_summands,
-                   unit_map)
+                   decompose, theta_of_map, theta_summands, unit_map)
 
 __all__ = [
     'FormalComplex', 'one_term_complex', 'complex_from_module',
-    'direct_sum_complexes', 'tensor_rouquier', 'theta_complex',
-    'wall_crossed', 'gaussian_eliminate', 'is_minimal', 'k0_class',
-    'hom_complex_basis', 'hom_complex_vanishing', 'complexes_isomorphic',
+    'tensor_rouquier', 'theta_complex', 'wall_crossed', 'gaussian_eliminate',
+    'is_minimal', 'k0_class', 'hom_complex_basis', 'hom_complex_vanishing',
+    'complexes_isomorphic',
 ]
 
 
@@ -138,19 +137,8 @@ class FormalComplex:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> list[int]:
-        return sorted(self.terms)
-
     def summands(self, i: int) -> tuple:
         return self.terms.get(i, ())
-
-    def term_module(self, i: int):
-        """Assemble the term as one module: (module, inclusions, projections)."""
-        parts = [self.catalog.entry(y).shift(k)
-                 for (y, k) in self.terms.get(i, ())]
-        if not parts:
-            return None
-        return direct_sum(parts)
 
     def terms_json(self) -> dict:
         return {str(i): [{'word': [j + 1 for j in y.word], 'shift': k}
@@ -192,25 +180,6 @@ def complex_from_module(catalog: IndecomposableCatalog,
     summands = sorted(((z, k) for z, k, _i, _p in pieces),
                       key=lambda t: (t[1], t[0].length, t[0].word))
     return one_term_complex(catalog, summands, degree)
-
-
-def direct_sum_complexes(x: FormalComplex, y: FormalComplex) -> FormalComplex:
-    """Degreewise direct sum with block-diagonal differentials."""
-    if x.catalog is not y.catalog:
-        raise ConfigurationError(
-            "direct sum needs complexes over the same catalog")
-    terms = {}
-    for i in set(x.terms) | set(y.terms):
-        terms[i] = tuple(x.terms.get(i, ())) + tuple(y.terms.get(i, ()))
-    diffs: dict = {}
-    for i, blocks in x.diffs.items():
-        diffs.setdefault(i, {}).update(blocks)
-    for i, blocks in y.diffs.items():
-        row_off = len(x.terms.get(i + 1, ()))
-        col_off = len(x.terms.get(i, ()))
-        for (b, a), phi in blocks.items():
-            diffs.setdefault(i, {})[(b + row_off, a + col_off)] = phi
-    return FormalComplex(x.catalog, terms, diffs)
 
 
 # ---------------------------------------------------------------------------

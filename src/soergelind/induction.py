@@ -50,9 +50,9 @@ from .coxeter import (WeylElement, admissible_chain, build_parabolic,
 from .errors import (CalibrationError, ConfigurationError,
                      IncompatibilityError, InternalCheckError)
 from .hecke import HeckeElement, hecke_standard, kl_basis, predicted_class
-from .homotopy import (FormalComplex, complex_from_module,
-                       gaussian_eliminate, hom_complex_vanishing, k0_class,
-                       one_term_complex, tensor_rouquier, wall_crossed)
+from .homotopy import (FormalComplex, gaussian_eliminate,
+                       hom_complex_vanishing, k0_class, one_term_complex,
+                       tensor_rouquier, wall_crossed)
 from .laurent import LaurentPoly
 from .serialize import load_cached_catalog, store_catalog
 from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
@@ -61,7 +61,7 @@ from .smod import (AlgebraRecord, IndecomposableCatalog, ModuleMap,
 
 __all__ = [
     'CalibrationRecord', 'calibrate_shift', 'InductionSetup', 'make_setup',
-    'induce', 'induce_module', 'induce_all', 'VerificationReport',
+    'induce', 'induce_all', 'VerificationReport',
     'verify_induced_class', 'verify_base_case', 'verify_theta_restriction',
     'verify_wall_crossing', 'verify_hom_vanishing', 'hom_positive_control',
     'wall_crossing_triples', 'proper_subsets', 'corpus_groups', 'run_group',
@@ -312,18 +312,6 @@ def _tensor_step(s: int, cpx: FormalComplex) -> FormalComplex:
     """One minimized tensor step, with the calibrated shift and sign."""
     return gaussian_eliminate(tensor_rouquier(
         s, cpx, shift=DEFAULT_RECORD.shift, sign=DEFAULT_RECORD.sign))
-
-
-def induce_module(setup: InductionSetup, module, w: WeylElement,
-                  chain=None) -> FormalComplex:
-    """Minimized ind_w of any module over the parabolic algebra,
-    computed from scratch along the chain."""
-    chain = _resolve_chain(setup, w, chain)
-    inflated = restrict_module(setup.rmap, module)
-    cpx = complex_from_module(setup.catalog, inflated)
-    for s in chain:
-        cpx = _tensor_step(s, cpx)
-    return cpx
 
 
 def _inflation_is_entry(setup: InductionSetup, x: WeylElement) -> bool:

@@ -97,10 +97,6 @@ class LaurentPoly:
         """The involution v -> v^(-1)."""
         return LaurentPoly._of({-k: c for k, c in self.terms.items()})
 
-    def shift(self, k: int) -> 'LaurentPoly':
-        """Multiply by v^k."""
-        return LaurentPoly._of({e + k: c for e, c in self.terms.items()})
-
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -11,7 +11,7 @@ presentation, exactly and in integers (the actions' integer forms):
     bottom degree, which makes its degree-0 endomorphisms the scalars;
   * generator_data -- right inverses of the actions from below, which
     fix a map out of a cyclic module by the image of its generator;
-  * verify_relations -- that the variables commute and the invariant
+  * check_relations -- that the variables commute and the invariant
     ideal of the coinvariant algebra acts by zero, each invariant
     applied as a product of the action forms (exactla's form kernels).
 """
@@ -22,8 +22,7 @@ from .errors import IncompatibilityError, InternalCheckError
 from .exactla import (form_add, form_mul, form_scale, id_form, place,
                       sparse_nullspace, to_form)
 
-__all__ = ['degree_sets', 'is_cyclic', 'generator_data', 'verify_relations',
-           'check_relations']
+__all__ = ['degree_sets', 'is_cyclic', 'generator_data', 'check_relations']
 
 
 def _monomial_form(module, mono: tuple, d: int, products: dict):
@@ -84,20 +83,15 @@ def degree_sets(module) -> tuple:
     return frozenset(generators), frozenset(socle)
 
 
-def verify_relations(module) -> None:
+def check_relations(module, generator_degrees) -> None:
     """Assert commutativity and that the invariant ideal acts by zero.
 
     Commutativity is checked in every degree, the invariants only out
-    of the generator degrees (degree_sets).  That certifies the
-    same: once the variables commute, an invariant f that kills M_{d-2}
-    kills every x_j M_{d-2}, and those span each degree that is not a
-    generator degree.
+    of generator_degrees (degree_sets).  That certifies the same: once
+    the variables commute, an invariant f that kills M_{d-2} kills every
+    x_j M_{d-2}, and those span each degree that is not a generator
+    degree.
     """
-    check_relations(module, degree_sets(module)[0])
-
-
-def check_relations(module, generator_degrees) -> None:
-    """verify_relations in integers, from the actions' integer forms."""
     acts = module.forms
     if not acts:  # every variable acts by 0, so every invariant does
         return

@@ -52,9 +52,9 @@ The workhorses are:
 
 A module's algebra is read for root_system, subset and
 fundamental_invariants only, and the invariants only by
-verify_relations, when a catalog is built.  The pipeline gives modules
-an AlgebraRecord, which builds its coinvariant algebra on that first
-read; a coinvariants.CoinvariantAlgebra serves as well.
+check_relations, when the catalog admits an entry.  The pipeline gives
+modules an AlgebraRecord, which builds its coinvariant algebra on that
+first read; a coinvariants.CoinvariantAlgebra serves as well.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -71,15 +71,14 @@ from .exactla import (_frac, form_add, form_mul, form_scale, form_solve,
                       sparse_nullspace, to_form)
 from .hecke import expected_graded_dims, wall_crossing_summands
 from .presentation import (check_relations, degree_sets, generator_data,
-                           is_cyclic, verify_relations)
+                           is_cyclic)
 
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
-    'trivial_module', 'zero_module', 'induce_frobenius', 'coev_map',
-    'unit_map', 'mult_map', 'theta_of_map', 'bott_samelson',
-    'RestrictionMap', 'restrict_module', 'direct_sum', 'hom_space',
-    'end_space', 'is_cyclic', 'map_from_generator',
-    'verify_relations', 'decompose', 'is_isomorphic', 'match_entry',
+    'trivial_module', 'induce_frobenius', 'coev_map', 'unit_map',
+    'mult_map', 'theta_of_map', 'RestrictionMap', 'restrict_module',
+    'direct_sum', 'hom_space', 'end_space', 'is_cyclic',
+    'map_from_generator', 'decompose', 'is_isomorphic', 'match_entry',
     'theta_summands', 'build_catalog',
 ]
 
@@ -200,10 +199,6 @@ class GradedModule:
         return f'GradedModule(dims={self.graded_dims})'
 
 
-def zero_module(algebra: AlgebraRecord) -> GradedModule:
-    return GradedModule(algebra, {}, {})
-
-
 def trivial_module(algebra: AlgebraRecord) -> GradedModule:
     """One-dimensional in degree 0; every variable acts by zero."""
     return GradedModule(algebra, {0: 1}, {})
@@ -322,19 +317,6 @@ def theta_of_map(phi: ModuleMap, theta_src: GradedModule,
                               (0, 0, phi.forms.get(d)),
                               (rows_one, src.dim_at(d), phi.forms.get(d - 2))])
     return ModuleMap._of(theta_src, theta_tgt, k, blocks)
-
-
-def bott_samelson(algebra: AlgebraRecord, word) -> GradedModule:
-    """Iterated Frobenius induction starting from the trivial module.
-
-    The first letter of the word is applied first, so the graded
-    character picks up a factor (1 + q^2) per letter and the class
-    multiplies by b_s on the right, letter by letter in word order.
-    """
-    module = trivial_module(algebra)
-    for i in word:
-        module = induce_frobenius(i, module)
-    return module
 
 
 class RestrictionMap:

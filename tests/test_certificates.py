@@ -26,9 +26,9 @@ from soergelind.hecke import HeckeElement
 from soergelind.homotopy import complex_from_module
 from soergelind.laurent import LaurentPoly
 from soergelind.polynomials import Polynomial
-from soergelind.smod import (IndecomposableCatalog, ModuleMap, build_catalog,
-                             decompose, direct_sum, induce_frobenius,
-                             is_isomorphic, trivial_module, zero_module)
+from soergelind.smod import (GradedModule, IndecomposableCatalog, ModuleMap,
+                             build_catalog, decompose, direct_sum,
+                             induce_frobenius, is_isomorphic, trivial_module)
 
 _CAT = {}
 
@@ -187,7 +187,7 @@ def test_a_complement_that_drops_the_rest_is_refused(monkeypatch):
 
     def dropped(module, incl, proj):
         _rest, rest_incl, rest_proj = complement(module, incl, proj)
-        return zero_module(module.algebra), rest_incl, rest_proj
+        return GradedModule(module.algebra, {}, {}), rest_incl, rest_proj
 
     monkeypatch.setattr(smod, '_complement', dropped)
     with pytest.raises(InternalCheckError,

@@ -53,6 +53,8 @@ def test_parse_word_rejects_garbage():
         parse_word(rs, '0')
     with pytest.raises(ConfigurationError):
         parse_word(rs, '3')
+    with pytest.raises(ConfigurationError):
+        parse_word(rs, '²')
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ def test_group_with_parabolic(capsys):
     assert '3 2 1' in out
 
 
-@pytest.mark.parametrize('parabolic', ['0', '3', '1,x'])
+@pytest.mark.parametrize('parabolic', ['0', '3', '1,x', '²'])
 def test_group_with_a_bad_parabolic_prints_nothing(capsys, parabolic):
     assert main(['group', '--type', 'A', '--rank', '2',
                  '--parabolic', parabolic]) == 2
@@ -638,6 +640,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(['group', '--type', 'Q', '--rank', '2']) == 2
     assert main(['kl', '--type', 'A', '--rank', '2', '--w', '9']) == 2
     assert main(['group', '--type', 'B', '--rank', '9']) == 2
+    assert main(['group', '--type', 'A', '--rank', '2000']) == 2
+    assert main(['group', '--type', 'A', '--rank', '9' * 23]) == 2
     capsys.readouterr()
 
 

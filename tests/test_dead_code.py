@@ -8,7 +8,8 @@ attribute (`x.name`) or as the name string of a `getattr`, `setattr`,
 Dunder methods are read by the interpreter and are not checked.  A
 private module-level function (`def _name`) counts as read when its
 name appears outside its own body: as a name, an attribute, an
-imported name or a string of its own.
+imported name or a string of its own.  A public function must run
+(see TEST_ONLY for the references only the tests read).
 """
 
 import ast
@@ -81,3 +82,49 @@ def test_every_private_function_is_read_outside_itself():
         and func.name.startswith('_') and not func.name.endswith('__')
         and everywhere[func.name] == named(func)[func.name])
     assert unread == []
+
+
+# public names only the tests read, each with the code it checks
+TEST_ONLY = {
+    'hecke.bar_involution': 'hecke.kl_basis, whose b_w are bar-invariant',
+    'homotopy.is_minimal': 'homotopy.gaussian_eliminate',
+    'polynomials.demazure': 'polynomials.PolyRing.apply_simple',
+    'polynomials.PolyRing.apply_weyl': 'coinvariants._average',
+    'polynomials.PolyRing.variable': 'coinvariants.build_coinvariants',
+}
+
+
+def loaded(node) -> Counter:
+    """How often each name is loaded under node, bare or as attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute))
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def defined(prefix, body):
+    """(qualified name, def) of each function in body and its classes."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from defined(f'{prefix}.{node.name}', node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f'{prefix}.{node.name}', node
+
+
+def test_every_public_function_runs_or_is_declared():
+    """Each is loaded by src/ outside its own body (not as an `__all__`
+    string or an import) or named by perfbench's code, or else is a row
+    of TEST_ONLY; a row that is read, or gone, fails.  Names are matched,
+    not bindings: one that something else shares (`rank`) passes."""
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob('*.py'))}
+    in_src = sum(map(loaded, modules.values()), Counter())
+    in_bench = sum((named(ast.parse(path.read_text()))
+                    for path in (ROOT / 'perfbench').glob('*.py')
+                    if not path.name.startswith('test_')), Counter())
+    unread = sorted(
+        name for module, tree in modules.items()
+        for name, func in defined(module, tree.body)
+        if not func.name.startswith('_') and not in_bench[func.name]
+        and in_src[func.name] == loaded(func)[func.name])
+    assert unread == sorted(TEST_ONLY)

@@ -161,7 +161,6 @@ def _identity_map():
 
 
 FLOAT_INPUTS = {
-    'mat_scale': lambda: exactla.mat_scale(0.1, [[Fraction(1)]]),
     'mat_mul_left': lambda: mat_mul([[0.5]], [[Fraction(1)]]),
     'mat_mul_right': lambda: mat_mul([[Fraction(1)]], [[0.5]]),
     'ModuleMap.scale': lambda: _identity_map().scale(0.1),
@@ -369,7 +368,7 @@ def test_solve_matrix_refuses_a_system_without_one_solution(a, b):
 def test_invert_and_solve_matrix_answer_through_form_solve():
     a = [[Fraction(1, 2), 1], [3, 4]]
     inverse = exactla.invert(a)
-    assert mat_mul(a, inverse) == exactla.identity(2)
+    assert mat_mul(a, inverse) == [[1, 0], [0, 1]]
     assert exactla.solve_matrix(a, [[1], [0]]) == [row[:1] for row in inverse]
     assert exactla.solve_matrix([[1], [1]], [[2], [2]]) == [[2]]
 

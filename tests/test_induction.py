@@ -14,23 +14,25 @@ import pathlib
 import pytest
 
 from soergelind import coinvariants, coxeter, homotopy, induction, smod
-from soergelind.coxeter import admissible_chain, admissible_chains
+from soergelind.coxeter import admissible_chain
 from soergelind.errors import (CalibrationError, ConfigurationError,
                                InternalCheckError)
 from soergelind.hecke import hecke_standard, kl_basis, predicted_class
-from soergelind.homotopy import (complexes_isomorphic, direct_sum_complexes,
-                                 FormalComplex, gaussian_eliminate, k0_class,
+from soergelind.homotopy import (complexes_isomorphic, FormalComplex,
+                                 gaussian_eliminate, k0_class,
                                  tensor_rouquier)
 from soergelind.induction import (CalibrationRecord, VerificationReport,
                                   calibrate_shift, corpus_groups,
                                   hom_positive_control, induce, induce_all,
-                                  induce_module, make_setup, proper_subsets,
+                                  make_setup, proper_subsets,
                                   run_corpus, run_group, verify_base_case,
                                   verify_hom_vanishing, verify_induced_class,
                                   verify_theta_restriction,
                                   verify_wall_crossing, wall_crossing_triples)
 from soergelind.laurent import LaurentPoly
 from soergelind.smod import GradedModule, direct_sum
+
+from reference import admissible_chains, direct_sum_complexes, induce_module
 
 
 def word_el(rs, *letters_1based):
