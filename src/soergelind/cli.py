@@ -99,7 +99,8 @@ def _write_json(data, path: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    """A positive integer in ASCII digits, by the rule of _index."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
     return int(text)
@@ -199,7 +200,7 @@ def cmd_verify(args) -> int:
 def _add_root_flags(sub, parabolic=False):
     sub.add_argument('--type', required=True, type=str.upper,
                      choices=['A', 'B', 'C', 'D', 'G', 'F'])
-    sub.add_argument('--rank', required=True, type=int)
+    sub.add_argument('--rank', required=True, type=_positive_int)
     if parabolic:
         sub.add_argument('--parabolic', default=None,
                          help='comma-separated 1-based generator indices')

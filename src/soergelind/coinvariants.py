@@ -10,25 +10,34 @@ Construction is degree-truncated linear algebra: the invariant ideal
 is accumulated as ideal_d = S_1 * ideal_{d-1} + invariants_d, with the
 degree-d invariants obtained by Reynolds averaging of monomials over
 W_I.  An element w sends x_j to the root in column j of its integer
-matrix, so the average of a monomial is a sum of products of powers of
-roots, expanded in ints and divided by |W_I| once.  By Chevalley's
+matrix, so |W_I| times the average of a monomial is a sum of products
+of powers of roots, expanded in ints.  By Chevalley's
 theorem the invariants form a polynomial ring on rank-many
 generators, and prod_i (1 - q^{d_i}) = P_{W_I}(q) (1 - q)^n
 gives how many generators each degree has from the length generating
 function P_{W_I}; monomials are averaged, in graded-lex order, only
 until that many averages are new to the echelon, so most degrees
-average nothing.  Each degree is reduced with the sparse echelon that
-``exactla.sparse_nullspace`` also uses and back-substituted into the
+average nothing.  Each degree is reduced modulo the prime p = 2^61 - 1,
+on integer rows, with the sparse echelon that
+``exactla.sparse_nullspace`` also uses, and back-substituted into the
 reduced row echelon form, with graded-lex column order; the quotient
-basis is the set of non-pivot monomials.
-The ideal built is generated by invariants, so it is contained in the
-true one, and the quotient in each degree is at least as large as the
-true one; the graded dimensions are checked against the Weyl group
-enumeration at construction time, so equality in every degree
-certifies that no generator was missed.  The quotient provably
-vanishes above the length of the longest element of W_I once it
-vanishes in the first degree past it (the ideal then contains all of
-S_1 * S_d), so the truncation at top + 1 is exact.
+basis is the set of non-pivot monomials, and the invariants kept are
+the exact averages.
+The certificate: let J be the ideal the kept invariants generate.  The
+rows of degree d span, mod p, the reductions of the integer vectors
+m f (m a monomial, f a kept invariant times |W_I|), which span J_d
+over Q, and the rank of an integer matrix mod p is at most its rank
+over Q.  J is generated by invariants, so it lies inside the true
+ideal I_W, and the quotient dimension mod p is at least dim S_d / J_d,
+itself at least dim S_d / (I_W)_d, the length count.  The graded
+dimensions are checked against the Weyl group enumeration at
+construction time, so equality in every degree makes J_d = (I_W)_d:
+no generator was missed.  The columns of the pivot monomials are
+independent mod p, so over Q too, and there are dim J_d of them, so the
+non-pivot monomials are a basis of S_d / J_d over Q as well.  The
+quotient provably vanishes above the length of the longest element of
+W_I once it vanishes in the first degree past it (the ideal then
+contains all of S_1 * S_d), so the truncation at top + 1 is exact.
 
 The module side works with the generators' action matrices and never
 computes in the ring; it reads only the fundamental invariants, and
@@ -47,7 +56,7 @@ from fractions import Fraction
 
 from .coxeter import RootSystem, WeylElement
 from .errors import ConfigurationError, InternalCheckError
-from .exactla import _back_substitute, _reduce_into
+from .exactla import _PRIME, _back_substitute, _reduce_into
 from .polynomials import Polynomial, PolyRing
 
 __all__ = ['CoinvariantAlgebra', 'build_coinvariants',
@@ -134,14 +143,14 @@ def _root_power(root: tuple, e: int, powers: dict) -> dict:
     return got
 
 
-def _average(columns: list, mono: tuple, powers: dict) -> Polynomial:
-    """The Reynolds average of a monomial over a group.
+def _average(columns: list, mono: tuple, powers: dict) -> dict:
+    """|group| times the Reynolds average of a monomial, as {monomial: int}.
 
     ``columns`` holds, for each group element w, the images w x_j as
-    integer root coordinates (the columns of w.matrix).  The average
-    is sum_w prod_j (w x_j)^{mono_j} / |group|: the sum is expanded in
-    ints, from the powers of each root (``powers``, kept across calls,
-    since roots repeat across the group), and divided once.
+    integer root coordinates (the columns of w.matrix).  The sum is
+    sum_w prod_j (w x_j)^{mono_j}, expanded in ints from the powers of
+    each root (``powers``, kept across calls, since roots repeat across
+    the group).
     """
     total: dict = {}
     for roots in columns:
@@ -157,9 +166,7 @@ def _average(columns: list, mono: tuple, powers: dict) -> Polynomial:
             part = nxt
         for m, c in part.items():
             total[m] = total.get(m, 0) + c
-    order = len(columns)
-    return Polynomial(len(mono), {m: Fraction(c, order)
-                                  for m, c in total.items() if c})
+    return {m: c for m, c in total.items() if c}
 
 
 def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
@@ -170,15 +177,18 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     until as many new invariants entered the echelon as
     :func:`_invariant_degrees` reads off the length generating
     function; a degree that needs none averages nothing.  Rows go
-    through the sparse echelon of ``exactla`` and are back-substituted
-    into the reduced row echelon form, which the ideal alone
-    determines; its sparser rows make the next degree's rows cheaper to
-    reduce.  The ideal built is generated by invariants, so it lies
-    inside the true one; graded dimensions are asserted to match the
-    length generating function, which certifies equality, as do the
-    count of fundamental invariants (the rank) and the total dimension
-    |W_I|.  The quotient is asserted to vanish in degree
-    length(longest of W_I) + 1, which makes the truncation exact.
+    through the sparse echelon of ``exactla`` modulo p = 2^61 - 1, each
+    average as its integer multiple (:func:`_average`), and are
+    back-substituted into the reduced row echelon form mod p; its
+    sparser rows make the next degree's rows cheaper to reduce.  An
+    average that is new mod p is kept as the exact Polynomial.  Graded
+    dimensions are asserted to match the length generating function,
+    which certifies that the kept invariants generate the invariant
+    ideal and that the non-pivot monomials are a basis over Q (the
+    module docstring has the argument), as do the count of fundamental
+    invariants (the rank) and the total dimension |W_I|.  The quotient
+    is asserted to vanish in degree length(longest of W_I) + 1, which
+    makes the truncation exact.
     """
     subset = tuple(sorted(set(subset)))
     if any(not 0 <= i < rs.rank for i in subset):
@@ -194,8 +204,8 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     needed = _invariant_degrees(length_counts, rs.rank)
 
     basis_by_algdeg: dict[int, list] = {0: [(0,) * rs.rank]}
-    ideal_rows: list[dict] = []          # RREF of ideal_{d-1}, by monomial
-    fundamental: list[Polynomial] = []   # invariants not in S_1 * ideal
+    ideal_rows: list[dict] = []          # RREF mod p of ideal_{d-1}
+    fundamental: list[Polynomial] = []   # averages new to the echelon mod p
     # w x_j is column j of w.matrix, a root in integer coordinates
     columns = [tuple(zip(*w.matrix)) for w in group]
     powers: dict = {}
@@ -209,18 +219,19 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
             for i in range(rs.rank):
                 _reduce_into(pivots, {
                     col[m[:i] + (m[i] + 1,) + m[i + 1:]]: c
-                    for m, c in row.items()})
+                    for m, c in row.items()}, _PRIME)
         # Reynolds averages of degree-d monomials, until enough are new
         found = 0
         for m in monos:
             if found == needed.get(d, 0):
                 break
-            avg = _average(columns, m, powers)
-            if _reduce_into(pivots, {col[mm]: c
-                                     for mm, c in avg.terms.items()}):
-                fundamental.append(avg)
+            total = _average(columns, m, powers)
+            if _reduce_into(pivots, {col[mm]: r for mm, c in total.items()
+                                     if (r := c % _PRIME)}, _PRIME):
+                fundamental.append(Polynomial(rs.rank, {
+                    mm: Fraction(c, order) for mm, c in total.items()}))
                 found += 1
-        _back_substitute(pivots)
+        _back_substitute(pivots, _PRIME)
         basis = [m for j, m in enumerate(monos) if j not in pivots]
         expected = length_counts.get(d, 0)
         if len(basis) != expected:

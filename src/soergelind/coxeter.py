@@ -8,6 +8,9 @@ matrices, and the length of an element is its inversion count, the
 number of positive roots it sends negative.  The group is enumerated
 once by breadth-first closure over right multiplication by generators,
 which also hands every element a lexicographically least reduced word.
+A diagram automorphism, a permutation sigma of the simple reflections
+with a_{sigma(i) sigma(j)} = a_{ij}, is an automorphism of W; each root
+system lists its own (``diagram_automorphisms``).
 
 Generator indices are 0-based everywhere in code; serialized words are
 1-based, matching the usual s_1, ..., s_n labelling.
@@ -80,6 +83,34 @@ def _cartan_matrix(cartan_type: str, rank: int) -> list[list[int]]:
     return A
 
 
+def _diagram_automorphisms(cartan) -> tuple:
+    """Every permutation sigma but the identity with a_{sigma(i) sigma(j)}
+    = a_{ij}, as the tuple (sigma(0), ..., sigma(n - 1)).
+
+    Backtracking over the simple reflections: sigma(i) is tried only
+    among the images not yet taken whose Cartan entries with the
+    earlier images match, so a complete assignment has been checked
+    against every entry of the Cartan matrix (the diagonal is 2).
+    """
+    n = len(cartan)
+    found = []
+
+    def extend(images):
+        i = len(images)
+        if i == n:
+            found.append(tuple(images))
+            return
+        for k in range(n):
+            if k not in images and all(
+                    cartan[k][images[j]] == cartan[i][j]
+                    and cartan[images[j]][k] == cartan[j][i]
+                    for j in range(i)):
+                extend(images + [k])
+
+    extend([])
+    return tuple(sigma for sigma in found if sigma != tuple(range(n)))
+
+
 def _fundamental_degrees(cartan_type: str, rank: int):
     """The degrees of the basic invariants, whose product is the order
     of the Weyl group, listed lazily: a huge rank costs nothing here."""
@@ -99,13 +130,16 @@ class RootSystem:
     matrices of the simple generators; the element registry (canonical
     matrix -> WeylElement) is filled in lazily by :func:`enumerate_group`,
     and the Kazhdan-Lusztig elements b_w (kl_table, w -> b_w) by
-    :func:`soergelind.hecke.kl_basis`.
+    :func:`soergelind.hecke.kl_basis`.  diagram_automorphisms lists the
+    permutations of the simple reflections, but the identity, that
+    preserve the Cartan matrix (:func:`_diagram_automorphisms`).
     """
 
     def __init__(self, cartan_type: str, rank: int):
         self.cartan_type = str(cartan_type).upper()
         self.rank = rank
         self.cartan = _cartan_matrix(self.cartan_type, rank)
+        self.diagram_automorphisms = _diagram_automorphisms(self.cartan)
         # column j of reflection_matrices[i] is s_i(alpha_j)
         self.reflection_matrices = []
         for i in range(rank):
@@ -154,6 +188,12 @@ class RootSystem:
         for i in word:
             w = w * self.simple_reflection(i)
         return w
+
+    def apply_automorphism(self, sigma: tuple,
+                           w: 'WeylElement') -> 'WeylElement':
+        """sigma(w) for a diagram automorphism sigma: the element whose
+        word is sigma applied letter by letter to a reduced word of w."""
+        return self.element_from_word([sigma[i] for i in w.word])
 
     def simple_reflection(self, i: int) -> 'WeylElement':
         if not 0 <= i < self.rank:

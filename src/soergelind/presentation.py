@@ -18,9 +18,11 @@ presentation, exactly and in integers (the actions' integer forms):
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import IncompatibilityError, InternalCheckError
-from .exactla import (form_add, form_mul, form_scale, id_form, place,
-                      sparse_nullspace, to_form)
+from .exactla import (form_mul, id_form, normal, place, sparse_nullspace,
+                      to_form)
 
 __all__ = ['degree_sets', 'is_cyclic', 'generator_data', 'check_relations']
 
@@ -46,16 +48,27 @@ def _monomial_form(module, mono: tuple, d: int, products: dict):
 
 def _polynomial_form(module, poly, d: int, products: dict):
     """The form of a homogeneous polynomials.Polynomial's action out of
-    degree d, the sum of its terms through :func:`_monomial_form`, whose
-    ``products`` it shares; None exactly when the polynomial kills M_d.
+    degree d, None exactly when the polynomial kills M_d: the sum of its
+    terms' monomial forms (:func:`_monomial_form`, whose ``products`` it
+    shares), each an integer multiple at one common denominator, put in
+    lowest terms once.
     """
     if len(poly.homogeneous_components()) > 1:
         raise IncompatibilityError("polynomial action needs homogeneity")
-    total = None
-    for mono, coeff in poly.terms.items():
-        total = form_add(total, form_scale(
-            coeff, _monomial_form(module, mono, d, products)))
-    return total
+    terms = [(coeff, form) for mono, coeff in poly.terms.items()
+             for form in [_monomial_form(module, mono, d, products)] if form]
+    if not terms:
+        return None
+    den = lcm(*[coeff.denominator * form[0] for coeff, form in terms])
+    total = [[0] * module.dim_at(d) for _ in range(
+        module.dim_at(d + 2 * poly.total_degree()))]
+    for coeff, (form_den, rows) in terms:
+        k = coeff.numerator * (den // (coeff.denominator * form_den))
+        for acc, row in zip(total, rows):
+            for j, x in enumerate(row):
+                if x:
+                    acc[j] += k * x
+    return normal(den, total)
 
 
 def degree_sets(module) -> tuple:

@@ -3,7 +3,9 @@
 All rational numbers are serialized as "p/q" strings in lowest terms
 (plain "p" when the denominator is 1) so that nothing ever passes
 through floating point.  This module owns that codec:
-:func:`fraction_to_str` writes the canonical strings, and
+:func:`fraction_to_str` writes the canonical strings (and
+:func:`matrix_to_json` the same strings straight from the ints of an
+integer form, as a module's actions are kept), and
 :func:`fraction_from_str` reads back exactly those and nothing else,
 so a JSON number or any other string in their place makes the file
 unreadable.
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
@@ -89,8 +92,19 @@ def _degree(key: str) -> int:
     return d
 
 
-def matrix_to_json(m) -> list:
-    return [[fraction_to_str(x) for x in row] for row in m]
+def _ratio_str(x: int, den: int) -> str:
+    """fraction_to_str(Fraction(x, den)), from the ints alone."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f'{x // g}/{den // g}'
+
+
+def matrix_to_json(form, nrows: int, ncols: int) -> list:
+    """The strings of the matrix of an integer form (exactla.to_form),
+    all "0" for None, written straight from its ints."""
+    if form is None:
+        return [['0'] * ncols for _ in range(nrows)]
+    den, rows = form
+    return [[_ratio_str(x, den) for x in row] for row in rows]
 
 
 def matrix_from_json(data, decode=fraction_from_str) -> list:
@@ -103,8 +117,10 @@ def module_to_json(module: GradedModule) -> dict:
     return {
         'dims': {str(d): n for d, n in sorted(module.graded_dims.items())},
         'actions': [
-            {'var': i + 1, 'degree': d, 'matrix': matrix_to_json(m)}
-            for (i, d), m in sorted(module.actions.items())],
+            {'var': i + 1, 'degree': d,
+             'matrix': matrix_to_json(form, module.dim_at(d + 2),
+                                      module.dim_at(d))}
+            for (i, d), form in sorted(module.forms.items())],
     }
 
 

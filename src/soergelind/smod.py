@@ -45,7 +45,9 @@ The workhorses are:
     through it, and induction the inflation of D^I_x to D_x.
   * build_catalog -- the indecomposable modules D_y, one per group
     element: D_y is what is left of theta_s D_{ys} once the predicted
-    shorter summands are peeled off (theta_summands).  Each entry is
+    shorter summands are peeled off (theta_summands), s the descent
+    that predicts the fewest, or the twist of an earlier D_v along a
+    diagram automorphism sigma with y = sigma(v).  Each entry is
     validated against the Kazhdan-Lusztig base: the graded character
     of D_y must equal the intersection-cohomology Poincare polynomial
     computed from the coefficients of b_y.
@@ -75,7 +77,7 @@ from .presentation import (check_relations, degree_sets, generator_data,
 
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
-    'trivial_module', 'induce_frobenius', 'coev_map', 'unit_map',
+    'trivial_module', 'twist', 'induce_frobenius', 'coev_map', 'unit_map',
     'mult_map', 'theta_of_map', 'RestrictionMap', 'restrict_module',
     'direct_sum', 'hom_space', 'end_space', 'is_cyclic',
     'map_from_generator', 'decompose', 'is_isomorphic', 'match_entry',
@@ -204,6 +206,16 @@ def trivial_module(algebra: AlgebraRecord) -> GradedModule:
     return GradedModule(algebra, {0: 1}, {})
 
 
+def twist(module: GradedModule, sigma: tuple) -> GradedModule:
+    """sigma^*M for a diagram automorphism sigma that fixes the subset of
+    the module's algebra: x_{sigma(j)} acts as x_j acts on M, by the same
+    matrices.  It sends theta_s to theta_{sigma(s)} and D_v to
+    D_{sigma(v)}."""
+    return GradedModule._of(module.algebra, module.graded_dims,
+                            {(sigma[j], d): f
+                             for (j, d), f in module.forms.items()})
+
+
 def direct_sum(modules: list) -> tuple:
     """(sum, inclusions, projections) with block-diagonal actions."""
     if not modules:
@@ -245,16 +257,18 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
     for d, n in module.graded_dims.items():
         dims[d] = dims.get(d, 0) + n          # 1 (x) M_d
         dims[d + 2] = dims.get(d + 2, 0) + n  # alpha (x) M_d
-    actions: dict = {}
     acts = module.forms
     degrees = sorted(dims)
-    for j in range(alg.root_system.rank):
-        g = Fraction(cartan[i][j], 2)
-
-        def f_op(d):
-            # operator of f_j = x_j - g * x_i on M at degree d
-            return form_add(acts.get((j, d)), form_scale(-g, acts.get((i, d))))
-
+    halves = [Fraction(cartan[i][j], 2) for j in range(alg.root_system.rank)]
+    # alpha_i^2 on M_{d-2} -> M_{d+2}, and f_j = x_j - g_j x_i on M_d,
+    # each formed once
+    squares = {d: form_mul(acts.get((i, d)), acts.get((i, d - 2)))
+               for d in degrees}
+    f_ops = {(j, d): form_add(acts.get((j, d)),
+                              form_scale(-g, acts.get((i, d))))
+             for j, g in enumerate(halves) for d in module.graded_dims}
+    actions: dict = {}
+    for j, g in enumerate(halves):
         for d in degrees:
             cols_one = module.dim_at(d)       # 1 (x) M_d
             cols_al = module.dim_at(d - 2)    # alpha (x) M_{d-2}
@@ -264,11 +278,10 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
                 continue
             # alpha_i^2 * g acting M_{d-2} -> M_{d+2} in the top right
             actions[(j, d)] = place(rows_one + rows_al, cols_one + cols_al, [
-                (0, 0, f_op(d)),
+                (0, 0, f_ops.get((j, d))),
                 (rows_one, 0, form_scale(g, id_form(cols_one))),
-                (rows_one, cols_one, f_op(d - 2)),
-                (0, cols_one, form_scale(g, form_mul(acts.get((i, d)),
-                                                     acts.get((i, d - 2)))))])
+                (rows_one, cols_one, f_ops.get((j, d - 2))),
+                (0, cols_one, form_scale(g, squares[d]))])
     return GradedModule._of(alg, dims, actions)
 
 
@@ -866,16 +879,34 @@ class IndecomposableCatalog:
                 self.hom_bases[key] = []
         return self.hom_bases[key]
 
-    def admit(self, w, module: GradedModule) -> None:
+    def admit(self, w, module: GradedModule | None = None,
+              twin=None) -> None:
         """Store module as D_w once End^0 = Q and the relations hold.
 
         The one writer of entries.  End^0 = Q is proven for a cyclic
-        module (is_cyclic) and solved for (end_space) otherwise.
+        module (is_cyclic) and solved for (end_space) otherwise.  With
+        twin = (v, sigma), w = sigma(v), D_w is twist(D_v, sigma) instead:
+        its graded dimensions are checked against the Kazhdan-Lusztig
+        prediction for w, which no theta_summands compared, and End^0 =
+        Q is D_v's certificate, since a map commutes with every x_j on
+        D_v exactly when it commutes with every x_{sigma(j)} on the
+        twist: the same matrices, so the same equations and solutions.
+        Its degree sets are D_v's for the same reason.
         """
-        sets = degree_sets(module)
-        if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
-            raise InternalCheckError(
-                f"the module left for {w!r} is decomposable")
+        if twin is None:
+            sets = degree_sets(module)
+            if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
+                raise InternalCheckError(
+                    f"the module left for {w!r} is decomposable")
+        else:
+            v, sigma = twin
+            module, sets = twist(self.entry(v), sigma), self.entry_degrees(v)
+            expected = expected_graded_dims(w)
+            if module.graded_dims != expected:
+                raise InternalCheckError(
+                    f"the twin D_{w!r} of D_{v!r} has graded character "
+                    f"{module.graded_dims}; Kazhdan-Lusztig predicts "
+                    f"{expected}")
         check_relations(module, sets[0])
         self._entries[w] = module
         self.degree_sets[w] = sets
@@ -999,24 +1030,41 @@ def theta_summands(catalog: IndecomposableCatalog, s: int, y):
 
 
 def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
-    """All D_y by increasing length, with Kazhdan-Lusztig validation.
+    """All D_y by increasing (length, word), with Kazhdan-Lusztig
+    validation.
 
-    D_e is the trivial module, and theta_summands(catalog, s, ws), s
-    the first right descent of w, admits D_w as what is left of theta_s
-    D_{ws} in bottom degree 0.  Hard checks on every entry: its graded
-    dimensions equal the Kazhdan-Lusztig prediction, its degree-0
-    endomorphisms are the scalars (proven for a cyclic entry, solved
-    for the others), and the invariant ideal kills it.
+    D_e is the trivial module.  A member w = sigma(v), for v earlier and
+    sigma a diagram automorphism of the root system with sigma(I) = I,
+    is admitted as twist(D_v, sigma) (admit).  Every other w is admitted
+    by theta_summands(catalog, s, ws) as what is left of theta_s D_{ws}
+    in bottom degree 0, s the right descent of w whose b_{ws} b_s
+    predicts the fewest summands (wall_crossing_summands), the first
+    among equals: each other summand is peeled through solved hom
+    spaces.  Hard checks on every entry: its graded dimensions equal the
+    Kazhdan-Lusztig prediction, its degree-0 endomorphisms are the
+    scalars (proven for a cyclic entry, solved for the others, carried
+    over to a twin), and the invariant ideal kills it.
     Every call builds afresh; induction keeps and caches the result.
     """
     rs = algebra.root_system
-    members = [w for w in rs.elements if set(w.word) <= set(algebra.subset)]
+    subset = set(algebra.subset)
+    members = [w for w in rs.elements if set(w.word) <= subset]
     members.sort(key=lambda w: (w.length, w.word))
+    # (sigma, sigma^-1) for each automorphism that fixes I
+    automorphisms = [(sigma, tuple(map(sigma.index, range(rs.rank))))
+                     for sigma in rs.diagram_automorphisms
+                     if {sigma[i] for i in subset} == subset]
     catalog = IndecomposableCatalog(algebra, {})
     for w in members:
+        twin = next(((v, sigma) for sigma, inverse in automorphisms
+                     if (v := rs.apply_automorphism(inverse, w))
+                     in catalog.entries), None)
         if w.length == 0:
             catalog.admit(w, trivial_module(algebra))
+        elif twin is not None:
+            catalog.admit(w, twin=twin)
         else:
-            i = w.right_descents()[0]
+            i = min(w.right_descents(), key=lambda i: len(
+                wall_crossing_summands(w * rs.simple_reflection(i), i)))
             theta_summands(catalog, i, w * rs.simple_reflection(i))
     return catalog

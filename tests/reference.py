@@ -8,6 +8,11 @@
     homotopy.gaussian_eliminate, k0_class and complexes_isomorphic.
   * verify_relations -- the check the catalog's admit makes
     (check_relations out of degree_sets), for modules built elsewhere.
+  * rational_coinvariants -- the coinvariant build with its echelon over
+    Fraction; it checks the mod-p echelon of build_coinvariants.
+  * first_descent_catalog -- every D_w built from the first right
+    descent of w, with no twist along a diagram automorphism; it checks
+    the twins and the descent choice of smod.build_catalog.
 
 smod.is_isomorphic, homotopy.complex_from_module and
 complexes_isomorphic, induction.induce_all, hecke.hecke_multiply,
@@ -18,11 +23,17 @@ name and fails when one is bound nowhere.  They wait for ROADMAP
 items 15 and then 9.
 """
 
+from fractions import Fraction
+
+from soergelind.coinvariants import _average, _invariant_degrees
 from soergelind.errors import ConfigurationError
+from soergelind.exactla import _back_substitute, _reduce_into
 from soergelind.homotopy import FormalComplex, complex_from_module
 from soergelind.induction import _resolve_chain, _tensor_step
+from soergelind.polynomials import Polynomial, PolyRing
 from soergelind.presentation import check_relations, degree_sets
-from soergelind.smod import restrict_module
+from soergelind.smod import (IndecomposableCatalog, restrict_module,
+                             theta_summands, trivial_module)
 
 
 def admissible_chains(datum, w) -> list[tuple]:
@@ -78,3 +89,60 @@ def verify_relations(module) -> None:
     """Assert commutativity and that the invariant ideal acts by zero,
     the invariants checked out of the generator degrees (degree_sets)."""
     check_relations(module, degree_sets(module)[0])
+
+
+def rational_coinvariants(rs, subset) -> tuple:
+    """(basis_by_algdeg, fundamental invariants) of C_I, the echelon of
+    each degree kept over Fraction: ideal_d = S_1 * ideal_{d-1} plus the
+    Reynolds averages of monomials, in graded-lex order, until as many
+    are new as the length generating function says."""
+    ring = PolyRing(rs)
+    group = [w for w in rs.elements if set(w.word) <= set(subset)]
+    counts = {}
+    for w in group:
+        counts[w.length] = counts.get(w.length, 0) + 1
+    needed = _invariant_degrees(counts, rs.rank)
+    columns = [tuple(zip(*w.matrix)) for w in group]
+    basis, fundamental, ideal_rows, powers = {0: [(0,) * rs.rank]}, [], [], {}
+    for d in range(1, max(counts) + 2):
+        monos = ring.monomials_of_degree(d)
+        col = {m: j for j, m in enumerate(monos)}
+        pivots = {}
+        for row in ideal_rows:
+            for i in range(rs.rank):
+                _reduce_into(pivots, {col[m[:i] + (m[i] + 1,) + m[i + 1:]]: c
+                                      for m, c in row.items()})
+        found = 0
+        for m in monos:
+            if found == needed.get(d, 0):
+                break
+            avg = Polynomial(rs.rank, {
+                mm: Fraction(c, len(group))
+                for mm, c in _average(columns, m, powers).items()})
+            if _reduce_into(pivots, {col[mm]: c
+                                     for mm, c in avg.terms.items()}):
+                fundamental.append(avg)
+                found += 1
+        _back_substitute(pivots)
+        if d in counts:
+            basis[d] = [m for j, m in enumerate(monos) if j not in pivots]
+        ideal_rows = [{monos[j]: v for j, v in pivots[p].items()}
+                      for p in sorted(pivots)]
+    return basis, fundamental
+
+
+def first_descent_catalog(algebra) -> IndecomposableCatalog:
+    """Every D_w, by increasing (length, word), as what is left of
+    theta_s D_{ws} for s the first right descent of w."""
+    rs = algebra.root_system
+    catalog = IndecomposableCatalog(algebra, {})
+    members = sorted((w for w in rs.elements
+                      if set(w.word) <= set(algebra.subset)),
+                     key=lambda w: (w.length, w.word))
+    for w in members:
+        if not w.length:
+            catalog.admit(w, trivial_module(algebra))
+        else:
+            s = w.right_descents()[0]
+            theta_summands(catalog, s, w * rs.simple_reflection(s))
+    return catalog

@@ -151,6 +151,24 @@ def test_the_generator_record_of_a_module_that_is_not_cyclic_is_refused(
 
 
 # ---------------------------------------------------------------------------
+# twins along a diagram automorphism
+
+
+def test_a_twin_with_the_wrong_graded_dimensions_is_refused():
+    # D_s1 replaced by the trivial module: its twist along the flip of
+    # A2 has one dimension, and D_s2 has two
+    catalog = catalog_of('A', 2)
+    rs = catalog.algebra.root_system
+    s1, s2 = rs.element_from_word([0]), rs.element_from_word([1])
+    corrupt = fresh(catalog, {s1: trivial_module(catalog.algebra)})
+    with pytest.raises(InternalCheckError,
+                       match=r'the twin D_s2 of D_s1 has graded character '
+                             r'\{0: 1\}; Kazhdan-Lusztig predicts'):
+        corrupt.admit(s2, twin=(s1, (1, 0)))
+    assert corrupt.entry(s2) is catalog.entry(s2)
+
+
+# ---------------------------------------------------------------------------
 # split pairs
 
 
@@ -488,6 +506,9 @@ SITES = {
         'test_an_isomorphism_that_fails_to_intertwine_is_refused',
     ('smod', 'admit', 'the module left for'):
         'test_smod.py::test_admission_refuses_a_decomposable_module',
+    ('smod', 'admit', 'the twin D_{} of D_{} has graded character'):
+        'test_certificates.py::'
+        'test_a_twin_with_the_wrong_graded_dimensions_is_refused',
     ('smod', '_descent_pieces', 'theta_s{} D_{} has no section'):
         'test_certificates.py::'
         'test_an_entry_without_a_section_of_the_multiplication_is_refused',

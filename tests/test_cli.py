@@ -721,6 +721,21 @@ def test_verify_rejects_a_jobs_count_below_one(jobs, no_work, capsys):
     assert 'argument --jobs' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize('argv, flag', [
+    (['group', '--type', 'A', '--rank', '\u0662'], '--rank'),
+    (['verify', '--corpus', 'quick', '--jobs', '\u0661'], '--jobs'),
+])
+def test_a_count_in_non_ascii_digits_is_a_usage_error(argv, flag, no_work,
+                                                      capsys):
+    # '\u0662' and '\u0661' are Arabic-Indic two and one, which int reads;
+    # counts take ASCII digits only, as generator labels do (cli._index)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert 'usage: soergelind' in captured.err
+    assert f'argument {flag}' in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert main(['--help']) == 0
     assert 'graded parabolic induction' in capsys.readouterr().out

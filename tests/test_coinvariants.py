@@ -21,6 +21,8 @@ from soergelind.exactla import rref
 from soergelind.coinvariants import build_coinvariants
 from soergelind.polynomials import Polynomial, PolyRing, demazure
 
+from reference import rational_coinvariants
+
 
 def poincare_dims(elements):
     """Module-graded dimension pattern {2 l(w): count} of a group."""
@@ -175,7 +177,8 @@ ORACLE_GROUPS = [(family, rank, subset)
     f"{f}{n}-I{''.join(str(i + 1) for i in sub) or 'none'}"
     for f, n, sub in ORACLE_GROUPS])
 def test_integer_average_equals_the_fraction_average(family, rank, subset):
-    # the reference averages through PolyRing.apply_weyl, in Fractions
+    # the reference averages through PolyRing.apply_weyl, in Fractions;
+    # _average returns |group| times the average, in ints
     rs = RootSystem(family, rank)
     ring = PolyRing(rs)
     group = [w for w in rs.elements if set(w.word) <= set(subset)]
@@ -188,7 +191,27 @@ def test_integer_average_equals_the_fraction_average(family, rank, subset):
             for w in group:
                 ref = ref + ring.apply_weyl(w, mono)
             ref = ref.scale(Fraction(1, len(group)))
-            assert coinvariants._average(columns, m, powers) == ref, m
+            total = coinvariants._average(columns, m, powers)
+            assert Polynomial(rs.rank, {
+                k: Fraction(c, len(group)) for k, c in total.items()}) \
+                == ref, m
+
+
+@pytest.mark.parametrize('family,rank,subset', ORACLE_GROUPS, ids=[
+    f"{f}{n}-I{''.join(str(i + 1) for i in sub) or 'none'}"
+    for f, n, sub in ORACLE_GROUPS])
+def test_the_mod_p_echelon_agrees_with_the_rational_one(family, rank,
+                                                        subset):
+    # the echelon mod 2^61 - 1 keeps the same invariants, Fraction for
+    # Fraction, and the same quotient basis monomials
+    rs = RootSystem(family, rank)
+    basis, fundamental = rational_coinvariants(rs, subset)
+    C = build_coinvariants(rs, subset)
+    assert C.basis_by_algdeg == basis
+    assert [f.terms for f in C.fundamental_invariants] == \
+        [f.terms for f in fundamental]
+    assert all(isinstance(c, Fraction) for f in C.fundamental_invariants
+               for c in f.terms.values())
 
 
 # ---------------------------------------------------------------------------

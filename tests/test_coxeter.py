@@ -8,6 +8,7 @@ longest element has length sum (d_i - 1).
 """
 
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,49 @@ def test_coxeter_relations_dihedral():
         while prod != rs.identity:
             prod, order = prod * (s1 * s2), order + 1
         assert order == m
+
+
+AUTOMORPHISMS = {('A', 1): 0, ('A', 2): 1, ('A', 3): 1, ('A', 4): 1,
+                 ('A', 5): 1, ('B', 2): 0, ('B', 3): 0, ('B', 4): 0,
+                 ('C', 3): 0, ('C', 4): 0, ('D', 4): 5, ('D', 5): 1,
+                 ('F', 4): 0, ('G', 2): 0}
+
+
+@pytest.mark.parametrize('family,rank', sorted(AUTOMORPHISMS))
+def test_diagram_automorphisms_preserve_the_cartan_matrix(family, rank):
+    # one flip for A_n (n >= 2) and D_n (n >= 5), the five non-identity
+    # permutations of the three leaves of D4, none for B, C, F or G
+    rs = RootSystem(family, rank)
+    autos = rs.diagram_automorphisms
+    assert len(autos) == len(set(autos)) == AUTOMORPHISMS[(family, rank)]
+    a = rs.cartan
+    for sigma in autos:
+        assert sorted(sigma) == list(range(rank))
+        assert sigma != tuple(range(rank))
+        assert all(a[sigma[i]][sigma[j]] == a[i][j]
+                   for i in range(rank) for j in range(rank))
+    if family == 'A' and rank > 1:
+        assert autos == (tuple(reversed(range(rank))),)
+    if family == 'D' and rank == 4:
+        # the centre, node 2, stays; the leaves 1, 3, 4 permute freely
+        assert {sigma[1] for sigma in autos} == {1}
+        assert {tuple(sigma[i] for i in (0, 2, 3)) for sigma in autos} \
+            | {(0, 2, 3)} == set(permutations((0, 2, 3)))
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('D', 4)])
+def test_a_diagram_automorphism_is_a_group_automorphism(family, rank):
+    # sigma(u v) = sigma(u) sigma(v), and sigma keeps lengths
+    rs = RootSystem(family, rank)
+    for sigma in rs.diagram_automorphisms:
+        image = {w: rs.apply_automorphism(sigma, w) for w in rs.elements}
+        assert len(set(image.values())) == len(rs.elements)
+        assert all(image[w].length == w.length for w in rs.elements)
+        for i in range(rank):
+            s = rs.simple_reflection(i)
+            assert image[s] == rs.simple_reflection(sigma[i])
+            assert all(image[w * s] == image[w] * image[s]
+                       for w in rs.elements)
 
 
 def test_length_equals_inversion_count():

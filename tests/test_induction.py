@@ -436,7 +436,10 @@ def test_base_case_matches_one_entry_per_member(monkeypatch):
     calls.clear()
     assert verify_base_case(setup).details == report.details
     assert len(calls) == 6
+    # on a cold catalog the base case solves the sub-catalog's Hom^0
+    # bases, so the count of solves starts with the induce loop
     calls.clear()
+    solves.clear()
     monkeypatch.setattr(setup.side, 'induced', {})
     for x in setup.parabolic_elements():
         assert induce(setup, x, setup.rs.identity).terms == {0: ((x, 0),)}

@@ -15,6 +15,7 @@ from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import RootSystem
 from soergelind.errors import (ConfigurationError, IncompatibilityError,
                                InternalCheckError)
+from soergelind.exactla import to_form
 from soergelind.serialize import (catalog_cache_path, catalog_from_json,
                                   catalog_to_json, content_key, dump_json,
                                   fraction_from_str, fraction_to_str,
@@ -54,10 +55,15 @@ def test_a_json_value_that_is_not_a_string_does_not_decode(value):
 
 
 def test_matrix_round_trip_preserves_shape():
+    # the writer reads an integer form and writes fraction_to_str's
+    # strings; a zero matrix has the form None
     m = [[Fraction(1, 2), Fraction(0)], [Fraction(-3), Fraction(2, 7)]]
-    assert matrix_from_json(matrix_to_json(m)) == m
+    assert matrix_to_json(to_form(m), 2, 2) == \
+        [[fraction_to_str(x) for x in row] for row in m]
+    assert matrix_from_json(matrix_to_json(to_form(m), 2, 2)) == m
     tall = [[Fraction(1)], [Fraction(2)]]
-    assert matrix_from_json(matrix_to_json(tall)) == tall
+    assert matrix_from_json(matrix_to_json(to_form(tall), 2, 1)) == tall
+    assert matrix_to_json(None, 2, 3) == [['0'] * 3] * 2
 
 
 def test_module_round_trip():

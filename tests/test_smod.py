@@ -31,7 +31,7 @@ from soergelind.smod import (AlgebraRecord, GradedModule, ModuleMap,
                              induce_frobenius, is_isomorphic, match_entry,
                              restrict_module, theta_summands, trivial_module)
 
-from reference import verify_relations
+from reference import first_descent_catalog, verify_relations
 
 _RS = {}
 _ALG = {}
@@ -1026,6 +1026,68 @@ def test_catalog_entries_are_written_by_admit_only():
     given.clear()
     assert copy.entry(e) is catalog.entry(e)
     assert list(copy.entries) == list(catalog.entries)
+
+
+# ---------------------------------------------------------------------------
+# twins along diagram automorphisms, and the descent each entry is built from
+
+
+@pytest.mark.parametrize('family,rank', [('A', 2), ('A', 3)])
+def test_every_twin_is_the_twist_of_its_representative(family, rank):
+    # the twin D_w of D_v, w = sigma(v), has D_v's matrices with the
+    # variables relabelled, and it is isomorphic to the D_w that the
+    # first-descent build without transport makes
+    catalog = catalog_of(family, rank)
+    rs = catalog.algebra.root_system
+    (sigma,) = rs.diagram_automorphisms
+    plain = first_descent_catalog(catalog.algebra)
+    twins = 0
+    for w in catalog.elements():
+        v = rs.apply_automorphism(sigma, w)
+        if (v.length, v.word) >= (w.length, w.word):
+            continue
+        twins += 1
+        twin, rep = catalog.entry(w), catalog.entry(v)
+        assert twin.graded_dims == rep.graded_dims
+        assert twin.forms == {(sigma[j], d): f
+                              for (j, d), f in rep.forms.items()}
+        assert twin.forms == smod.twist(rep, sigma).forms
+        assert catalog.entry_degrees(w) == presentation.degree_sets(twin)
+        pair = match_entry(catalog, w, plain.entry(w))
+        assert pair is not None
+        iso, inverse = pair
+        assert iso.check_intertwines() and inverse.check_intertwines()
+        assert inverse.compose(iso) == ModuleMap.identity(twin)
+    assert twins == {2: 2, 3: 8}[rank]
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3)])
+def test_each_entry_is_built_from_its_cheapest_descent(family, rank,
+                                                       monkeypatch):
+    # the descent s of w whose b_{ws} b_s predicts the fewest summands,
+    # the first among equals; a twin is built from no descent
+    split = smod.theta_summands
+    built = []
+
+    def recorded(catalog, s, y):
+        built.append((s, y))
+        return split(catalog, s, y)
+
+    monkeypatch.setattr(smod, 'theta_summands', recorded)
+    catalog = build_catalog(algebra(family, rank))
+    rs = catalog.algebra.root_system
+    assert len(built) == len(set(built))
+    cheaper = 0
+    for s, y in built:
+        w = y * rs.simple_reflection(s)
+        counts = [len(wall_crossing_summands(w * rs.simple_reflection(i), i))
+                  for i in w.right_descents()]
+        assert len(wall_crossing_summands(y, s)) == min(counts), w
+        assert s == w.right_descents()[counts.index(min(counts))], w
+        cheaper += s != w.right_descents()[0]
+    assert cheaper > 0
+    twins = len(catalog.entries) - 1 - len(built)
+    assert twins == {'A': 8, 'B': 0}[family]
 
 
 # ---------------------------------------------------------------------------
