@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ConfigurationError, IncompatibilityError
+from .errors import (ConfigurationError, IncompatibilityError,
+                     InternalCheckError)
 
 __all__ = [
     'RootSystem', 'WeylElement', 'ParabolicDatum', 'build_root_system',
@@ -364,11 +365,11 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     elements = sorted(registry.values(), key=lambda w: (w.length, w.word))
     for w in elements:
         if w.length != w.inversion_count():
-            raise AssertionError(
+            raise InternalCheckError(
                 f"length bookkeeping broken at {w!r}: "
                 f"{w.length} != inversion count {w.inversion_count()}")
         if _matmul(w.matrix, w.inv_matrix) != ident:
-            raise AssertionError(f"inverse bookkeeping broken at {w!r}")
+            raise InternalCheckError(f"inverse bookkeeping broken at {w!r}")
     for k, w in enumerate(elements):
         w.index = k
     rs._registry = registry
@@ -396,7 +397,7 @@ class ParabolicDatum:
                             if set(w.word) <= set(self.subset)]
         self.min_reps = [w for w in rs.elements if self.is_min_rep(w)]
         if len(self.elements_WI) * len(self.min_reps) != len(rs.elements):
-            raise AssertionError("coset decomposition has wrong size")
+            raise InternalCheckError("coset decomposition has wrong size")
 
     def is_min_rep(self, w: WeylElement) -> bool:
         return not any(w.has_left_descent(i) for i in self.subset)

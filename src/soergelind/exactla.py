@@ -5,8 +5,10 @@ nonzero matrix A has den > 0, the int rows den * A and gcd(den, every
 entry) = 1, and None is the form of a zero matrix.  Equal matrices have
 equal forms.  :func:`form_mul`, :func:`form_add`, :func:`form_scale`
 and :func:`place` compute on forms in ints, skipping zeros;
-:func:`to_form` and :func:`from_form` convert at the edges, where a
-matrix is a list of lists of Fraction.
+:func:`to_form` makes the form of a matrix, a list of lists of ints or
+Fractions, where one comes in: the solvers' kernel vectors, and the
+action matrices of a cache file, whose shapes
+``serialize.module_from_json`` validates as it reads them.
 
 Every elimination runs through :func:`sparse_nullspace`, directly (hom
 systems, hom complexes, kernels) or through :func:`form_solve`, the
@@ -18,10 +20,12 @@ elimination over Fraction; the argument is in its docstring.  Its two
 steps, :func:`_reduce_into` and :func:`_back_substitute`, also build
 the coinvariant algebras (``coinvariants.build_coinvariants``).
 
-:func:`rref`, :func:`nullspace` and :func:`rank` are dense Gaussian
-elimination over Fraction, kept as the reference the tests compare
-against; :func:`invert` and :func:`solve_matrix` wrap
-:func:`form_solve` for Fraction matrices.
+:func:`rref` and :func:`nullspace` are dense Gaussian elimination over
+Fraction, kept as the reference the tests compare against;
+:func:`invert`, :func:`solve_matrix` and :func:`mat_mul` wrap
+:func:`form_solve` and :func:`form_mul` for Fraction matrices, which
+:func:`from_form` and :func:`zeros` read back.  No other module of the
+package names these: the pipeline holds no Fraction matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ from math import gcd, lcm
 
 __all__ = [
     'Matrix',
-    'zeros', 'mat_mul', 'is_zero_matrix', 'rref', 'rank', 'nullspace',
-    'sparse_nullspace', 'solve_matrix', 'invert', 'to_form', 'from_form',
-    'normal', 'id_form', 'form_mul', 'form_add', 'form_scale', 'place',
-    'form_solve',
+    'zeros', 'mat_mul', 'rref', 'nullspace', 'sparse_nullspace',
+    'solve_matrix', 'invert', 'to_form', 'from_form', 'normal', 'id_form',
+    'form_mul', 'form_add', 'form_scale', 'place', 'form_solve',
 ]
 
 Matrix = list  # list[list[Fraction]]
@@ -75,10 +78,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                      len(a), ncols)
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form.
 
@@ -106,10 +105,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
 
 
 def nullspace(a: Matrix) -> list[list[Fraction]]:

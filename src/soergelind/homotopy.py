@@ -51,6 +51,7 @@ from .errors import (ConfigurationError, IncompatibilityError,
 from .exactla import sparse_nullspace
 from .hecke import HeckeElement, kl_basis
 from .laurent import LaurentPoly
+from .serialize import matrix_to_json
 from .smod import (GradedModule, IndecomposableCatalog, ModuleMap, coev_map,
                    decompose, theta_of_map, theta_summands, unit_map)
 
@@ -150,10 +151,14 @@ class FormalComplex:
         for i, comps in self.diffs.items():
             entries = []
             for (b, a), phi in sorted(comps.items()):
+                tgt, k = phi.target, phi.degree
+                # every block between nonzero pieces, zero blocks included
                 entries.append({
                     'from': a, 'to': b,
-                    'blocks': {str(d): [[str(x) for x in row] for row in m]
-                               for d, m in sorted(phi.blocks.items())}})
+                    'blocks': {str(d): matrix_to_json(phi.forms.get(d),
+                                                      tgt.dim_at(d + k), n)
+                               for d, n in phi.source.graded_dims.items()
+                               if tgt.dim_at(d + k)}})
             diffs[str(i)] = entries
         return {'terms': self.terms_json(), 'differentials': diffs}
 
@@ -314,7 +319,9 @@ def _find_iso_component(terms: dict, diffs: dict):
         for (b, a), phi in sorted(diffs[i].items()):
             if src[a] != tgt[b]:
                 continue
-            c = phi.entry(phi.source.bottom_degree(), 0, 0)
+            den, rows = (phi.forms.get(phi.source.bottom_degree())
+                         or (1, [[0]]))
+            c = Fraction(rows[0][0], den)
             if phi != ModuleMap.identity(phi.source).scale(c):
                 raise InternalCheckError(
                     f"a component on D_{src[a][0]!r} is not a scalar")

@@ -504,8 +504,8 @@ def verify_theta_restriction(setup: InductionSetup, s: int
                              'sub_dims': dict(via_sub.graded_dims),
                              'full_dims': dict(via_full.graded_dims)})
             continue
-        canonical = ModuleMap._of(via_sub, via_full, 0,
-                                  ModuleMap.identity(via_sub).forms)
+        canonical = ModuleMap(via_sub, via_full, 0,
+                              ModuleMap.identity(via_sub).forms)
         if not canonical.check_intertwines():
             failures.append({'module': label, 'reason': 'no isomorphism'})
     return VerificationReport(

@@ -5,7 +5,7 @@ All rational numbers are serialized as "p/q" strings in lowest terms
 through floating point.  This module owns that codec:
 :func:`fraction_to_str` writes the canonical strings (and
 :func:`matrix_to_json` the same strings straight from the ints of an
-integer form, as a module's actions are kept), and
+integer form, as module actions and map blocks are kept), and
 :func:`fraction_from_str` reads back exactly those and nothing else,
 so a JSON number or any other string in their place makes the file
 unreadable.
@@ -18,7 +18,10 @@ cannot be read (not JSON, JSON nested too deeply to parse, JSON of the
 wrong shape, or an entry that does not decode) counts as a miss, with
 a warning, and is rebuilt; one that reads but fails validation is an
 error that names the file, and so is a cache path the system refuses
-to read or write (a directory in the file's place, for instance).  The
+to read or write (a directory in the file's place, for instance).
+:func:`module_from_json` is where a module's data are validated: even
+degrees, variables of the algebra, and action matrices of the shape
+of their pieces, zero into or out of a zero piece.  The
 shape is strict: where the format has a list or an object the file
 must have one, every integer field (rank, parabolic, word letters,
 dimensions, var, degree) must be a JSON integer, so an equal float or
@@ -39,6 +42,7 @@ from math import gcd
 
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
+from .exactla import to_form
 from .hecke import expected_graded_dims
 from .smod import GradedModule, IndecomposableCatalog
 
@@ -126,6 +130,16 @@ def module_to_json(module: GradedModule) -> dict:
 
 def module_from_json(algebra, data: dict,
                      decode=fraction_from_str) -> GradedModule:
+    """The module of a file entry, once its data fit its algebra.
+
+    Every action matrix is decoded first; then nonzero dimensions must
+    sit in even degrees (ConfigurationError), and each action must be of
+    a variable of the algebra, zero into or out of a zero piece, and
+    else of the shape of its pieces (IncompatibilityError).  A zero
+    action between nonzero pieces is kept as a None form, as the
+    builders keep it, so a file reads back to the module it was written
+    from.
+    """
     dims = {_degree(d): _typed(n, int)
             for d, n in _typed(data['dims'], dict).items()}
     actions = {}
@@ -135,7 +149,28 @@ def module_from_json(algebra, data: dict,
             raise ValueError(f"a second action of variable {key[0] + 1} "
                              f"at degree {key[1]}")
         actions[key] = matrix_from_json(entry['matrix'], decode)
-    return GradedModule(algebra, dims, actions)
+    for d in sorted(dims):
+        if dims[d] and d % 2:
+            raise ConfigurationError(
+                f"modules must be evenly graded; got degree {d}")
+    n = algebra.root_system.rank
+    forms = {}
+    for (i, d), m in actions.items():
+        if not 0 <= i < n:
+            raise IncompatibilityError(
+                f"action of variable {i + 1} outside the {n} variables")
+        rows, cols = dims.get(d + 2, 0), dims.get(d, 0)
+        if rows == 0 or cols == 0:
+            if any(x for row in m for x in row):
+                raise IncompatibilityError(
+                    "nonzero action into a zero graded piece")
+            continue
+        if len(m) != rows or any(len(r) != cols for r in m):
+            raise IncompatibilityError(
+                f"action matrix for variable {i + 1} at degree {d} "
+                f"has wrong shape")
+        forms[(i, d)] = to_form(m)
+    return GradedModule(algebra, dims, forms)
 
 
 def catalog_to_json(catalog: IndecomposableCatalog) -> dict:
@@ -214,7 +249,7 @@ def load_cached_catalog(algebra, cache_dir: str):
 
     A file that is not JSON (or nested too deeply to parse), or JSON of
     the wrong shape, is a miss and is reported on stderr; a readable
-    file that fails validation (an entry that GradedModule or
+    file that fails validation (an entry that module_from_json or
     catalog_from_json refuses) raises InternalCheckError naming the
     file, and a path that cannot be read ConfigurationError.
     """

@@ -3,13 +3,15 @@
 A module stores its graded dimensions and, for every polynomial
 variable, the degree +2 action matrices between graded pieces; a
 polynomial acts by the matching products of these matrices.  A module
-map stores one block per degree.  Both keep each matrix as its integer
-form (exactla.to_form: one int matrix over one positive denominator,
-in lowest terms), so map arithmetic, intertwining checks and the
-builders below run in ints, and two maps are equal exactly when their
-forms are.  Every elimination solves on forms (exactla.form_solve and
-sparse_nullspace); Fractions appear only where matrices come in or are
-read out (the constructors, actions, blocks, the cache file and JSON).
+map stores one block per degree.  Both are built from, and keep, each
+matrix as its integer form (exactla.to_form: one int matrix over one
+positive denominator, in lowest terms), so map arithmetic, intertwining
+checks and the builders below run in ints, and two maps are equal
+exactly when their forms are.  Every elimination solves on forms
+(exactla.form_solve and sparse_nullspace).  Matrices of Fractions come
+in only from the cache file, where serialize.module_from_json validates
+them, and the strings of the cache file and JSON reports are written
+from the forms.
 The workhorses are:
 
   * induce_frobenius -- the functor theta_s = C (x)_{C^s} (-), realized
@@ -69,8 +71,7 @@ from types import MappingProxyType
 from .errors import (ConfigurationError, IncompatibilityError,
                      InternalCheckError)
 from .exactla import (_frac, form_add, form_mul, form_scale, form_solve,
-                      from_form, id_form, is_zero_matrix, normal, place,
-                      sparse_nullspace, to_form)
+                      id_form, normal, place, sparse_nullspace, to_form)
 from .hecke import expected_graded_dims, wall_crossing_summands
 from .presentation import (check_relations, degree_sets, generator_data,
                            is_cyclic)
@@ -119,55 +120,20 @@ class AlgebraRecord:
 class GradedModule:
     """Evenly graded module given by dimensions and generator actions.
 
-    The constructor takes, for each (variable index, source degree), the
-    matrix of multiplication by that variable from degree d to degree
-    d + 2; matrices for zero-dimensional source or target are omitted.
-    forms keeps each as its integer form (exactla.to_form), None for a
-    zero matrix, and nothing changes them after the constructor.
-    actions and action() read them back as Fraction matrices.
+    forms maps each (variable index, source degree) to the integer form
+    (exactla.to_form) of multiplication by that variable from degree d
+    to degree d + 2, None for a zero matrix; matrices for
+    zero-dimensional source or target are omitted.  The constructor
+    takes the forms as they are (serialize.module_from_json validates a
+    module read from a file), and nothing changes them afterwards.
     """
 
     __slots__ = ('algebra', 'graded_dims', 'forms')
 
     def __init__(self, algebra: AlgebraRecord, graded_dims: dict,
-                 actions: dict):
-        self.algebra = algebra
+                 forms: dict):
+        self.algebra, self.forms = algebra, forms
         self.graded_dims = {d: n for d, n in sorted(graded_dims.items()) if n}
-        for d in self.graded_dims:
-            if d % 2:
-                raise ConfigurationError(
-                    f"modules must be evenly graded; got degree {d}")
-        self.forms = {}
-        n = algebra.root_system.rank
-        for (i, d), m in actions.items():
-            if not 0 <= i < n:
-                raise IncompatibilityError(
-                    f"action of variable {i + 1} outside the {n} variables")
-            rows = self.dim_at(d + 2)
-            cols = self.dim_at(d)
-            if rows == 0 or cols == 0:
-                if not is_zero_matrix(m):
-                    raise IncompatibilityError(
-                        "nonzero action into a zero graded piece")
-                continue
-            if len(m) != rows or any(len(r) != cols for r in m):
-                raise IncompatibilityError(
-                    f"action matrix for variable {i} at degree {d} "
-                    f"has wrong shape")
-            self.forms[(i, d)] = to_form(m)
-
-    @classmethod
-    def _of(cls, algebra, graded_dims: dict, forms: dict) -> 'GradedModule':
-        """A module with these integer forms, taken as they are."""
-        module = cls.__new__(cls)
-        module.algebra, module.forms = algebra, forms
-        module.graded_dims = {d: n for d, n in sorted(graded_dims.items())
-                              if n}
-        return module
-
-    @property
-    def actions(self) -> dict:
-        return {key: self.action(*key) for key in self.forms}
 
     def dim_at(self, d: int) -> int:
         return self.graded_dims.get(d, 0)
@@ -184,15 +150,11 @@ class GradedModule:
     def is_zero(self) -> bool:
         return not self.graded_dims
 
-    def action(self, i: int, d: int):
-        return from_form(self.forms.get((i, d)), self.dim_at(d + 2),
-                         self.dim_at(d))
-
     def shift(self, k: int) -> 'GradedModule':
         """M<k>: degree d piece is the old degree d - k piece."""
         if k % 2:
             raise ConfigurationError("shifts must be even")
-        return GradedModule._of(
+        return GradedModule(
             self.algebra,
             {d + k: n for d, n in self.graded_dims.items()},
             {(i, d + k): m for (i, d), m in self.forms.items()})
@@ -211,9 +173,9 @@ def twist(module: GradedModule, sigma: tuple) -> GradedModule:
     the module's algebra: x_{sigma(j)} acts as x_j acts on M, by the same
     matrices.  It sends theta_s to theta_{sigma(s)} and D_v to
     D_{sigma(v)}."""
-    return GradedModule._of(module.algebra, module.graded_dims,
-                            {(sigma[j], d): f
-                             for (j, d), f in module.forms.items()})
+    return GradedModule(module.algebra, module.graded_dims,
+                        {(sigma[j], d): f
+                         for (j, d), f in module.forms.items()})
 
 
 def direct_sum(modules: list) -> tuple:
@@ -234,13 +196,13 @@ def direct_sum(modules: list) -> tuple:
                               for m, off in zip(modules, offsets)
                               if (i, d) in m.forms])
                for (i, d) in {key for m in modules for key in m.forms}}
-    total = GradedModule._of(algebra, dims, actions)
+    total = GradedModule(algebra, dims, actions)
     incls, projs = [], []
     for m, off in zip(modules, offsets):
-        incls.append(ModuleMap._of(m, total, 0, {
+        incls.append(ModuleMap(m, total, 0, {
             d: place(dims[d], n, [(off[d], 0, id_form(n))])
             for d, n in m.graded_dims.items()}))
-        projs.append(ModuleMap._of(total, m, 0, {
+        projs.append(ModuleMap(total, m, 0, {
             d: place(n, dims[d], [(0, off[d], id_form(n))])
             for d, n in m.graded_dims.items()}))
     return total, incls, projs
@@ -282,7 +244,7 @@ def induce_frobenius(i: int, module: GradedModule) -> GradedModule:
                 (rows_one, 0, form_scale(g, id_form(cols_one))),
                 (rows_one, cols_one, f_ops.get((j, d - 2))),
                 (0, cols_one, form_scale(g, squares[d]))])
-    return GradedModule._of(alg, dims, actions)
+    return GradedModule(alg, dims, actions)
 
 
 def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
@@ -293,7 +255,7 @@ def coev_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
         rows_one = module.dim_at(d + 2)
         blocks[d] = form_scale(half, place(rows_one + n, n, [
             (0, 0, module.forms.get((s, d))), (rows_one, 0, id_form(n))]))
-    return ModuleMap._of(module, theta, 2, blocks)
+    return ModuleMap(module, theta, 2, blocks)
 
 
 def unit_map(module: GradedModule, theta: GradedModule) -> ModuleMap:
@@ -302,7 +264,7 @@ def unit_map(module: GradedModule, theta: GradedModule) -> ModuleMap:
     Degree d of theta_s M is (1 (x) M_d) + (alpha (x) M_{d-2}); the unit
     hits the first part identically.
     """
-    return ModuleMap._of(module, theta, 0, {
+    return ModuleMap(module, theta, 0, {
         d: place(n + module.dim_at(d - 2), n, [(0, 0, id_form(n))])
         for d, n in module.graded_dims.items()})
 
@@ -312,7 +274,7 @@ def mult_map(s: int, module: GradedModule, theta: GradedModule) -> ModuleMap:
 
     In the Frobenius basis 1 (x) m |-> m and alpha_s (x) m |-> alpha_s m.
     """
-    return ModuleMap._of(theta, module, 0, {
+    return ModuleMap(theta, module, 0, {
         d: place(n, n + module.dim_at(d - 2), [
             (0, 0, id_form(n)), (0, n, module.forms.get((s, d - 2)))])
         for d, n in module.graded_dims.items()})
@@ -329,7 +291,7 @@ def theta_of_map(phi: ModuleMap, theta_src: GradedModule,
                           src.dim_at(d) + src.dim_at(d - 2), [
                               (0, 0, phi.forms.get(d)),
                               (rows_one, src.dim_at(d), phi.forms.get(d - 2))])
-    return ModuleMap._of(theta_src, theta_tgt, k, blocks)
+    return ModuleMap(theta_src, theta_tgt, k, blocks)
 
 
 class RestrictionMap:
@@ -365,72 +327,40 @@ def restrict_module(rmap: RestrictionMap, module: GradedModule) -> GradedModule:
     if module.algebra is not rmap.target:
         raise IncompatibilityError(
             "module is not over the target of the restriction map")
-    return GradedModule._of(rmap.source, module.graded_dims, module.forms)
+    return GradedModule(rmap.source, module.graded_dims, module.forms)
 
 
 class ModuleMap:
     """Graded map of modules; degree k sends M_d to N_{d + k}.
 
-    The constructor takes the blocks M_d -> N_{d + k} as matrices, and
-    forms keeps the nonzero ones as integer forms (exactla.to_form).
-    The form of a matrix is unique, so the arithmetic below runs in
-    ints, and two maps are equal exactly when their forms are.  blocks
-    and block() read them back as Fraction matrices.
+    The constructor takes the blocks M_d -> N_{d + k} as integer forms
+    (exactla.to_form), None for a zero block, and forms keeps the
+    nonzero ones.  The form of a matrix is unique, so the arithmetic
+    below runs in ints, and two maps are equal exactly when their forms
+    are.
     """
 
     __slots__ = ('source', 'target', 'degree', 'forms')
 
     def __init__(self, source: GradedModule, target: GradedModule,
-                 degree: int, blocks: dict):
-        forms = {}
-        for d, m in blocks.items():
-            rows = target.dim_at(d + degree)
-            cols = source.dim_at(d)
-            if rows == 0 or cols == 0:
-                continue
-            if len(m) != rows or any(len(r) != cols for r in m):
-                raise IncompatibilityError(
-                    f"map block at degree {d} has wrong shape")
-            forms[d] = to_form(m)
+                 degree: int, forms: dict):
         self.source, self.target, self.degree = source, target, degree
         self.forms = {d: f for d, f in forms.items() if f is not None}
 
     @classmethod
-    def _of(cls, source, target, degree: int, forms: dict) -> 'ModuleMap':
-        """A map with these integer forms, None for a zero block."""
-        phi = cls.__new__(cls)
-        phi.source, phi.target, phi.degree = source, target, degree
-        phi.forms = {d: f for d, f in forms.items() if f is not None}
-        return phi
-
-    @classmethod
     def identity(cls, module: GradedModule) -> 'ModuleMap':
-        return cls._of(module, module, 0,
-                       {d: id_form(n) for d, n in module.graded_dims.items()})
+        return cls(module, module, 0,
+                   {d: id_form(n) for d, n in module.graded_dims.items()})
 
     @classmethod
     def zero(cls, source, target, degree=0) -> 'ModuleMap':
-        return cls._of(source, target, degree, {})
-
-    def block(self, d: int):
-        return from_form(self.forms.get(d), self.target.dim_at(d + self.degree),
-                         self.source.dim_at(d))
-
-    @property
-    def blocks(self) -> dict:
-        """Every block between nonzero pieces, zero blocks included."""
-        return {d: self.block(d) for d in self.source.degrees()
-                if self.target.dim_at(d + self.degree)}
-
-    def entry(self, d: int, r: int, c: int) -> Fraction:
-        form = self.forms.get(d)
-        return Fraction(form[1][r][c], form[0]) if form else Fraction(0)
+        return cls(source, target, degree, {})
 
     def compose(self, other: 'ModuleMap') -> 'ModuleMap':
         """self after other."""
         if other.target is not self.source:
             raise IncompatibilityError("composition source/target mismatch")
-        return ModuleMap._of(
+        return ModuleMap(
             other.source, self.target, self.degree + other.degree,
             {d: form_mul(self.forms.get(d + other.degree), f)
              for d, f in other.forms.items()})
@@ -439,7 +369,7 @@ class ModuleMap:
         if (other.source is not self.source or other.target is not self.target
                 or other.degree != self.degree):
             raise IncompatibilityError("cannot add incompatible maps")
-        return ModuleMap._of(
+        return ModuleMap(
             self.source, self.target, self.degree,
             {d: form_add(self.forms.get(d), other.forms.get(d))
              for d in self.forms.keys() | other.forms.keys()})
@@ -449,9 +379,8 @@ class ModuleMap:
 
     def scale(self, c) -> 'ModuleMap':
         c = _frac(c)
-        return ModuleMap._of(self.source, self.target, self.degree,
-                             {d: form_scale(c, f)
-                              for d, f in self.forms.items()})
+        return ModuleMap(self.source, self.target, self.degree,
+                         {d: form_scale(c, f) for d, f in self.forms.items()})
 
     def __neg__(self) -> 'ModuleMap':
         return self.scale(-1)
@@ -544,7 +473,7 @@ def hom_space(source: GradedModule, target: GradedModule,
             rows, cols = target.dim_at(d + degree), source.dim_at(d)
             blocks[d] = to_form([vec[k:k + cols] for k in
                                  range(start, start + rows * cols, cols)])
-        maps.append(ModuleMap._of(source, target, degree, blocks))
+        maps.append(ModuleMap(source, target, degree, blocks))
     return maps
 
 
@@ -569,7 +498,7 @@ def _extend(catalog: 'IndecomposableCatalog', y, target: GradedModule,
             residues[d] = residue
             if stop:
                 break
-    return ModuleMap._of(source, target, degree, blocks), residues
+    return ModuleMap(source, target, degree, blocks), residues
 
 
 def map_from_generator(catalog: 'IndecomposableCatalog', y,
@@ -679,9 +608,9 @@ def _complement(module: GradedModule, incl: ModuleMap, proj: ModuleMap):
                                 form_mul(module.forms.get((i, d)), basis[d]))
                for d in dims if d + 2 in dims
                for i in range(module.algebra.root_system.rank)}
-    sub = GradedModule._of(module.algebra, dims, actions)
-    return (sub, ModuleMap._of(sub, module, 0, basis),
-            ModuleMap._of(module, sub, 0, rows))
+    sub = GradedModule(module.algebra, dims, actions)
+    return (sub, ModuleMap(sub, module, 0, basis),
+            ModuleMap(module, sub, 0, rows))
 
 
 def decompose(module: GradedModule, entries: dict, summands=None) -> list:
@@ -737,9 +666,9 @@ def decompose(module: GradedModule, entries: dict, summands=None) -> list:
         k = rest.bottom_degree()
         left = rest.shift(-k)
         result.append((None, k,
-                       ModuleMap._of(left, module, k,
-                                     {d - k: f for d, f in incl.forms.items()}),
-                       ModuleMap._of(module, left, -k, proj.forms)))
+                       ModuleMap(left, module, k,
+                                 {d - k: f for d, f in incl.forms.items()}),
+                       ModuleMap(module, left, -k, proj.forms)))
     if sum(p.target.total_dim() for _z, _k, _i, p in result) \
             != module.total_dim():
         raise InternalCheckError("decomposition loses dimensions")
@@ -753,7 +682,7 @@ def _inverse(phi: ModuleMap):
              for d, n in phi.source.graded_dims.items()}
     if any(f is False for f in forms.values()):
         return None
-    return ModuleMap._of(phi.target, phi.source, 0, forms)
+    return ModuleMap(phi.target, phi.source, 0, forms)
 
 
 def is_isomorphic(a: GradedModule, b: GradedModule, entries: dict):
@@ -951,8 +880,8 @@ def _descent_pieces(catalog: IndecomposableCatalog, s: int, y,
                 f"D_{y!r}")
         den, rows = inverse
         proj0[d], proj2[d] = normal(den, rows[:top]), normal(den, rows[top:])
-    proj0 = ModuleMap._of(theta, entry, 0, proj0)
-    proj2 = ModuleMap._of(theta, entry, -2, proj2)
+    proj0 = ModuleMap(theta, entry, 0, proj0)
+    proj2 = ModuleMap(theta, entry, -2, proj2)
     if not (incl2.check_intertwines() and proj2.check_intertwines()):
         raise InternalCheckError(
             f"the split of theta_s{s + 1} D_{y!r} fails to intertwine")
@@ -974,8 +903,8 @@ def match_entry(catalog: IndecomposableCatalog, z, module: GradedModule):
         return None
     if module.forms == entry.forms:
         forms = {d: id_form(n) for d, n in entry.graded_dims.items()}
-        return (ModuleMap._of(entry, module, 0, forms),
-                ModuleMap._of(module, entry, 0, forms))
+        return (ModuleMap(entry, module, 0, forms),
+                ModuleMap(module, entry, 0, forms))
     maps = catalog.maps_from(z, module, 0)
     inverse = _inverse(maps[0]) if len(maps) == 1 else None
     return None if inverse is None else (maps[0], inverse)

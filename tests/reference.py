@@ -13,6 +13,12 @@
   * first_descent_catalog -- every D_w built from the first right
     descent of w, with no twist along a diagram automorphism; it checks
     the twins and the descent choice of smod.build_catalog.
+  * module_of, map_of -- a module or map from Fraction matrices, through
+    exactla.to_form; action_of, actions_of, block_of and blocks_of read
+    the matrices back through exactla.from_form.  The package builds
+    and reads modules and maps in integer forms only.
+  * rank -- the rank of a Fraction matrix by the dense rref; it checks
+    presentation.degree_sets.
 
 smod.is_isomorphic, homotopy.complex_from_module and
 complexes_isomorphic, induction.induce_all, hecke.hecke_multiply,
@@ -27,13 +33,15 @@ from fractions import Fraction
 
 from soergelind.coinvariants import _average, _invariant_degrees
 from soergelind.errors import ConfigurationError
-from soergelind.exactla import _back_substitute, _reduce_into
+from soergelind.exactla import (_back_substitute, _reduce_into, from_form,
+                                rref, to_form)
 from soergelind.homotopy import FormalComplex, complex_from_module
 from soergelind.induction import _resolve_chain, _tensor_step
 from soergelind.polynomials import Polynomial, PolyRing
 from soergelind.presentation import check_relations, degree_sets
-from soergelind.smod import (IndecomposableCatalog, restrict_module,
-                             theta_summands, trivial_module)
+from soergelind.smod import (GradedModule, IndecomposableCatalog,
+                             ModuleMap, restrict_module, theta_summands,
+                             trivial_module)
 
 
 def admissible_chains(datum, w) -> list[tuple]:
@@ -146,3 +154,43 @@ def first_descent_catalog(algebra) -> IndecomposableCatalog:
             s = w.right_descents()[0]
             theta_summands(catalog, s, w * rs.simple_reflection(s))
     return catalog
+
+
+def module_of(algebra, graded_dims: dict, actions: dict) -> GradedModule:
+    """The module whose (variable, degree) actions are these matrices."""
+    return GradedModule(algebra, graded_dims,
+                        {key: to_form(m) for key, m in actions.items()})
+
+
+def map_of(source, target, degree: int, blocks: dict) -> ModuleMap:
+    """The map whose block out of each degree d is blocks[d]."""
+    return ModuleMap(source, target, degree,
+                     {d: to_form(m) for d, m in blocks.items()})
+
+
+def action_of(module, i: int, d: int) -> list:
+    """The matrix of x_{i+1} from degree d to degree d + 2."""
+    return from_form(module.forms.get((i, d)), module.dim_at(d + 2),
+                     module.dim_at(d))
+
+
+def actions_of(module) -> dict:
+    """The matrix of every action the module keeps a form for."""
+    return {key: action_of(module, *key) for key in module.forms}
+
+
+def block_of(phi, d: int) -> list:
+    """The matrix of phi from degree d of its source."""
+    return from_form(phi.forms.get(d), phi.target.dim_at(d + phi.degree),
+                     phi.source.dim_at(d))
+
+
+def blocks_of(phi) -> dict:
+    """Every block of phi between nonzero pieces, zero blocks included."""
+    return {d: block_of(phi, d) for d in phi.source.degrees()
+            if phi.target.dim_at(d + phi.degree)}
+
+
+def rank(a: list) -> int:
+    """The rank of a Fraction matrix, by the dense rref."""
+    return len(rref(a)[1])

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from soergelind import coinvariants, hecke, induction, smod
+from soergelind import coinvariants, coxeter, hecke, induction, smod
 from soergelind.cli import main
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import ParabolicDatum, RootSystem
@@ -101,7 +101,7 @@ def test_a_coevaluation_that_is_no_module_map_is_refused(monkeypatch):
         phi = coev(s, module, theta)
         forms = dict(phi.forms)
         forms[0] = form_scale(2, forms[0])
-        return ModuleMap._of(module, theta, 2, forms)
+        return ModuleMap(module, theta, 2, forms)
 
     monkeypatch.setattr(smod, 'coev_map', bent)
     with pytest.raises(InternalCheckError,
@@ -243,7 +243,7 @@ def test_an_isomorphism_that_fails_to_intertwine_is_refused(monkeypatch):
     def doubled_bottom(incl):
         forms = dict(incl.forms)
         forms[0] = form_scale(2, forms[0])
-        return ModuleMap._of(incl.source, incl.target, incl.degree, forms)
+        return ModuleMap(incl.source, incl.target, incl.degree, forms)
 
     bend_inclusions(monkeypatch, doubled_bottom)
     with pytest.raises(InternalCheckError,
@@ -407,6 +407,55 @@ def test_a_kl_element_outside_the_parabolic_subgroup_exits_three(
 
 
 # ---------------------------------------------------------------------------
+# the bookkeeping of the Weyl group enumeration and its cosets
+
+
+GROUP_A2 = ['group', '--type', 'A', '--rank', '2']
+
+
+def length_off_the_inversion_count(monkeypatch):
+    monkeypatch.setattr(coxeter.WeylElement, 'inversion_count',
+                        lambda self: -1)
+
+
+def matrix_kept_as_its_own_inverse(monkeypatch):
+    # right for the reflections, wrong first at s1 s2, no involution
+    init = coxeter.WeylElement.__init__
+
+    def own_inverse(self, rs, matrix, inv_matrix, length, word):
+        init(self, rs, matrix, matrix, length, word)
+
+    monkeypatch.setattr(coxeter.WeylElement, '__init__', own_inverse)
+
+
+def no_minimal_coset_representative(monkeypatch):
+    monkeypatch.setattr(coxeter.ParabolicDatum, 'is_min_rep',
+                        lambda self, w: False)
+
+
+BOOKKEEPING_CORRUPTIONS = [
+    (length_off_the_inversion_count, GROUP_A2,
+     'length bookkeeping broken at'),
+    (matrix_kept_as_its_own_inverse, GROUP_A2,
+     'inverse bookkeeping broken at'),
+    (no_minimal_coset_representative, GROUP_A2 + ['--parabolic', '1'],
+     'coset decomposition has wrong size'),
+]
+
+
+@pytest.mark.parametrize('corrupt, argv, message', BOOKKEEPING_CORRUPTIONS,
+                         ids=[row[0].__name__
+                              for row in BOOKKEEPING_CORRUPTIONS])
+def test_a_group_bookkeeping_check_exits_three_through_the_cli(
+        monkeypatch, capsys, corrupt, argv, message):
+    corrupt(monkeypatch)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f'internal assertion failed: {message}' in err
+    assert 'Traceback' not in err
+
+
+# ---------------------------------------------------------------------------
 # the guard: every certificate in src/ has a row here
 
 # (module, function, the message's leading words) -> the test that
@@ -428,6 +477,15 @@ SITES = {
     ('coinvariants', 'build_coinvariants', 'total coinvariant dimension'):
         'unreached: the dimension check holds in every degree, and the '
         'length counts it compares with add up to the order of W_I',
+    ('coxeter', 'enumerate_group', 'length bookkeeping broken at'):
+        'test_certificates.py::'
+        'test_a_group_bookkeeping_check_exits_three_through_the_cli',
+    ('coxeter', 'enumerate_group', 'inverse bookkeeping broken at'):
+        'test_certificates.py::'
+        'test_a_group_bookkeeping_check_exits_three_through_the_cli',
+    ('coxeter', '__init__', 'coset decomposition has wrong size'):
+        'test_certificates.py::'
+        'test_a_group_bookkeeping_check_exits_three_through_the_cli',
     ('hecke', 'kl_basis', 'KL element for'):
         'test_certificates.py::'
         'test_a_kl_element_with_a_doubled_leading_term_is_refused',

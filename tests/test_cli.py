@@ -152,6 +152,27 @@ def test_the_hecke_side_is_over_the_integers():
                      ('serialize', 'fraction_to_str')]
 
 
+DENSE = {'from_form', 'zeros', 'mat_mul', 'rref', 'nullspace', 'solve_matrix',
+         'invert', 'is_zero_matrix'}
+
+
+def test_the_pipeline_holds_no_fraction_matrix():
+    # modules and maps are built and read as integer forms: no module
+    # but exactla names a dense Fraction routine, and smod keeps one
+    # constructor per class, with no second _of beside it
+    trees = source_trees()
+    for name, tree in trees.items():
+        if name == 'exactla':
+            continue
+        named = {node.id if isinstance(node, ast.Name) else
+                 node.attr if isinstance(node, ast.Attribute) else node.name
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+        assert not named & DENSE, (name, sorted(named & DENSE))
+    assert '_of' not in {node.name for node in ast.walk(trees['smod'])
+                         if isinstance(node, ast.FunctionDef)}
+
+
 def test_group_summary(capsys):
     assert main(['group', '--type', 'A', '--rank', '2']) == 0
     out = capsys.readouterr().out
@@ -441,6 +462,54 @@ def test_cache_entries_with_swapped_modules_exit_three(tmp_path,
     assert 'cached entry for s1 has graded character' in err
     assert 'Kazhdan-Lusztig predicts' in err
     assert path.name in err
+    assert 'Traceback' not in err
+
+
+def _odd_dims_key(w0):
+    w0['dims']['1'] = 1
+
+
+def _variable_out_of_range(w0):
+    w0['actions'][0]['var'] = 3
+
+
+def _action_into_a_zero_piece(w0):
+    w0['actions'].append({'var': 1, 'degree': 6, 'matrix': [['1']]})
+
+
+def _a_row_too_long(w0):
+    first = next(a for a in w0['actions']
+                 if (a['var'], a['degree']) == (1, 0))
+    first['matrix'][0].append('0')
+
+
+MODULE_REFUSALS = [
+    (_odd_dims_key, 'modules must be evenly graded; got degree 1'),
+    (_variable_out_of_range, 'action of variable 3 outside the 2 variables'),
+    (_action_into_a_zero_piece, 'nonzero action into a zero graded piece'),
+    (_a_row_too_long,
+     'action matrix for variable 1 at degree 0 has wrong shape'),
+]
+
+
+@pytest.mark.parametrize('corrupt, message', MODULE_REFUSALS,
+                         ids=[row[0].__name__.lstrip('_')
+                              for row in MODULE_REFUSALS])
+def test_module_data_that_do_not_fit_the_algebra_exit_three(
+        tmp_path, fresh_process, capsys, corrupt, message):
+    # each check of module_from_json, on the entry of w0 in the A2 file
+    _built, restart = fresh_process
+    cache = str(tmp_path)
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 0
+    path = full_a2_file(cache)
+    data = json.loads(path.read_text())
+    corrupt(data['entries'][-1])
+    path.write_text(json.dumps(data))
+    restart()
+    capsys.readouterr()
+    assert main(INDW_A2 + ['--cache-dir', cache]) == 3
+    err = capsys.readouterr().err
+    assert f'cache file {path} fails validation: {message}' in err
     assert 'Traceback' not in err
 
 

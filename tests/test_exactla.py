@@ -373,7 +373,7 @@ def test_invert_and_solve_matrix_answer_through_form_solve():
     assert exactla.solve_matrix([[1], [1]], [[2], [2]]) == [[2]]
 
 
-DENSE_ONLY = {'rref', 'nullspace', 'rank', 'invert', 'solve_matrix'}
+DENSE_ONLY = {'rref', 'nullspace', 'invert', 'solve_matrix'}
 
 
 def test_no_module_but_exactla_uses_the_dense_elimination():

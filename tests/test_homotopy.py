@@ -30,12 +30,14 @@ from soergelind.laurent import LaurentPoly
 from soergelind import homotopy, induction, smod
 from soergelind.hecke import wall_crossing_summands
 from soergelind.homotopy import theta_summands
-from soergelind.serialize import load_cached_catalog, store_catalog
+from soergelind.serialize import (fraction_to_str, load_cached_catalog,
+                                  store_catalog)
 from soergelind.smod import (GradedModule, IndecomposableCatalog, ModuleMap,
                              build_catalog, direct_sum)
 from soergelind.smod import _split_pair as split_pair
 
-from reference import direct_sum_complexes
+from reference import actions_of, blocks_of, direct_sum_complexes, map_of, \
+    module_of
 
 V = LaurentPoly({1: 1})
 
@@ -230,6 +232,35 @@ def stored_complexes(family, rank):
     return list(setup.side.induced.values())
 
 
+def test_the_json_differentials_are_the_strings_of_every_block():
+    # every stored complex of A3 I = {1, 2}: each component is written
+    # with one block per source degree whose target piece is nonzero,
+    # as the strings of its dense matrix
+    setup = induction.make_setup('A', 3, (0, 1))
+    written_blocks = []
+    for cpx in induction.induce_all(setup).values():
+        written = cpx.to_json()['differentials']
+        assert sorted(written) == sorted(str(i) for i in cpx.diffs)
+        for i, comps in cpx.diffs.items():
+            entries = written[str(i)]
+            assert [(e['to'], e['from']) for e in entries] == sorted(comps)
+            for e, (_key, phi) in zip(entries, sorted(comps.items())):
+                want = {str(d): [[fraction_to_str(x) for x in row]
+                                 for row in block]
+                        for d, block in blocks_of(phi).items()}
+                assert e['blocks'] == want
+                written_blocks += want.values()
+    assert written_blocks
+    # no component there has a zero block; one is written in full
+    catalog = catalog_of('A', 1)
+    s1 = catalog.algebra.root_system.element_from_word([0])
+    bottom = map_of(catalog.entry(s1), catalog.entry(s1), 0, {0: [[1]]})
+    cpx = FormalComplex(catalog, {-1: ((s1, 0),), 0: ((s1, 0),)},
+                        {-1: {(0, 0): bottom}})
+    assert cpx.to_json()['differentials'] == {'-1': [
+        {'from': 0, 'to': 0, 'blocks': {'0': [['1']], '2': [['0']]}}]}
+
+
 @pytest.mark.parametrize('family,rank', [('A', 2), ('B', 2), ('G', 2)])
 def test_the_tensor_step_is_the_cone_over_the_theta_row(family, rank):
     # degree i lists X^{i+1}<2>, then the row; the row's components are
@@ -391,16 +422,16 @@ def test_a_reloaded_catalog_splits_theta_as_the_build_did(
             [(z, k) for z, k, _i, _p in pieces], (s, y)
         for (_z, k, incl, proj), (_z2, _k2, incl2, proj2) in zip(
                 pieces, again):
-            assert (incl2.degree, incl2.blocks) == (k, incl.blocks)
-            assert (proj2.degree, proj2.blocks) == (-k, proj.blocks)
+            assert (incl2.degree, blocks_of(incl2)) == (k, blocks_of(incl))
+            assert (proj2.degree, blocks_of(proj2)) == (-k, blocks_of(proj))
 
 
 def rescaled(module):
     """module in the basis 2^(d/2) e of each degree d: isomorphic to it,
     with every nonzero action entry doubled."""
-    return GradedModule(module.algebra, module.graded_dims,
-                        {key: [[2 * x for x in row] for row in m]
-                         for key, m in module.actions.items()})
+    return module_of(module.algebra, module.graded_dims,
+                     {key: [[2 * x for x in row] for row in m]
+                      for key, m in actions_of(module).items()})
 
 
 def with_entry(catalog, w, module):
@@ -566,8 +597,8 @@ def test_elimination_refuses_a_component_that_is_not_a_scalar():
     e = rs.identity
     double, _incls, _projs = direct_sum([smod.trivial_module(algebra)] * 2)
     catalog = IndecomposableCatalog(algebra, {e: double})
-    diag = ModuleMap(double, double, 0, {0: [[Fraction(1), Fraction(0)],
-                                             [Fraction(0), Fraction(2)]]})
+    diag = map_of(double, double, 0, {0: [[Fraction(1), Fraction(0)],
+                                          [Fraction(0), Fraction(2)]]})
     cpx = FormalComplex(catalog, {-1: ((e, 0),), 0: ((e, 0),)},
                         {-1: {(0, 0): diag}})
     with pytest.raises(InternalCheckError, match='not a scalar'):
@@ -656,7 +687,7 @@ def hom_boundary(x, y, h, i, a, b, f):
 
 
 def flat(phi):
-    return [v for _d, block in sorted(phi.blocks.items())
+    return [v for _d, block in sorted(blocks_of(phi).items())
             for row in block for v in row]
 
 

@@ -30,9 +30,10 @@ from soergelind.induction import (CalibrationRecord, VerificationReport,
                                   verify_theta_restriction,
                                   verify_wall_crossing, wall_crossing_triples)
 from soergelind.laurent import LaurentPoly
-from soergelind.smod import GradedModule, direct_sum
+from soergelind.smod import direct_sum
 
-from reference import admissible_chains, direct_sum_complexes, induce_module
+from reference import (actions_of, admissible_chains, direct_sum_complexes,
+                       induce_module, module_of)
 
 
 def word_el(rs, *letters_1based):
@@ -529,8 +530,8 @@ def base_case_in_another_basis(monkeypatch, setup):
         entry = setup.sub_catalog.entry(x)
         # the basis e_r / (d + 2) of each graded piece d
         actions = {(i, d): [[v * (d + 4) / (d + 2) for v in row] for row in m]
-                   for (i, d), m in entry.actions.items()}
-        moved[x] = GradedModule(entry.algebra, entry.graded_dims, actions)
+                   for (i, d), m in actions_of(entry).items()}
+        moved[x] = module_of(entry.algebra, entry.graded_dims, actions)
         assert x.length == 0 or moved[x].forms != entry.forms
     with_entries(monkeypatch, setup, moved)
     report = verify_base_case(setup)

@@ -3,9 +3,10 @@
 Every block of a ModuleMap and every action matrix of a GradedModule is
 one integer matrix over one positive denominator in lowest terms
 (exactla.to_form), and the map arithmetic runs in ints on those forms.
-Here it is checked against Fraction arithmetic on the `blocks` views,
-for random rational combinations of hom-basis maps between A2 and B2
-catalog entries: with zero coefficients, zero blocks and zero maps.
+Here it is checked against Fraction arithmetic on the blocks read back
+as Fraction matrices (reference.blocks_of), for random rational
+combinations of hom-basis maps between A2 and B2 catalog entries: with
+zero coefficients, zero blocks and zero maps.
 Equality compares forms, so it holds only if every form is in lowest
 terms: a verification sweep must leave no other block behind.
 """
@@ -21,6 +22,8 @@ from soergelind.coxeter import RootSystem
 from soergelind.exactla import normal, to_form
 from soergelind.smod import AlgebraRecord, ModuleMap, _pair_trace, \
     build_catalog
+
+from reference import action_of, block_of, blocks_of, map_of
 
 _CATALOGS: dict = {}
 
@@ -71,7 +74,7 @@ def ref_product(a, b, rows, cols):
 
 
 def ref_compose(g, f):
-    return {d: ref_product(g.block(d + f.degree), f.block(d),
+    return {d: ref_product(block_of(g, d + f.degree), block_of(f, d),
                            g.target.dim_at(d + f.degree + g.degree),
                            f.source.dim_at(d))
             for d in f.source.degrees()
@@ -81,8 +84,8 @@ def ref_compose(g, f):
 def ref_combine(a, b, c):
     """The blocks of a + c b, entry by entry."""
     return {d: [[x + c * y for x, y in zip(ra, rb)]
-                for ra, rb in zip(a.blocks[d], b.blocks[d])]
-            for d in a.blocks}
+                for ra, rb in zip(blocks_of(a)[d], blocks_of(b)[d])]
+            for d in blocks_of(a)}
 
 
 def ref_trace(p, i):
@@ -95,8 +98,10 @@ def ref_intertwines(m):
     for i in range(src.algebra.root_system.rank):
         for d in src.degrees():
             rows, cols = tgt.dim_at(d + k + 2), src.dim_at(d)
-            lhs = ref_product(tgt.action(i, d + k), m.block(d), rows, cols)
-            rhs = ref_product(m.block(d + 2), src.action(i, d), rows, cols)
+            lhs = ref_product(action_of(tgt, i, d + k), block_of(m, d),
+                              rows, cols)
+            rhs = ref_product(block_of(m, d + 2), action_of(src, i, d),
+                              rows, cols)
             if lhs != rhs:
                 return False
     return True
@@ -113,17 +118,17 @@ def is_lowest_terms(form):
                                       Fraction(5, 6)]))
 def test_integer_arithmetic_agrees_with_fractions(case, c):
     f, g, h = case
-    assert g.compose(f).blocks == ref_compose(g, f)
-    assert (f + h).blocks == ref_combine(f, h, 1)
-    assert (f - h).blocks == ref_combine(f, h, -1)
-    assert f.scale(c).blocks == {d: [[c * x for x in row] for row in block]
-                                 for d, block in f.blocks.items()}
-    assert f.is_zero() == all(not x for block in f.blocks.values()
+    assert blocks_of(g.compose(f)) == ref_compose(g, f)
+    assert blocks_of(f + h) == ref_combine(f, h, 1)
+    assert blocks_of(f - h) == ref_combine(f, h, -1)
+    assert blocks_of(f.scale(c)) == {d: [[c * x for x in row] for row in block]
+                                     for d, block in blocks_of(f).items()}
+    assert f.is_zero() == all(not x for block in blocks_of(f).values()
                               for row in block for x in row)
-    assert (f == h) == (f.blocks == h.blocks)
+    assert (f == h) == (blocks_of(f) == blocks_of(h))
     assert (f - f).is_zero() and f.scale(0).is_zero()
     assert (f + h) - h == f
-    assert ModuleMap(f.source, f.target, f.degree, f.blocks) == f
+    assert map_of(f.source, f.target, f.degree, blocks_of(f)) == f
     for m in (f, g, h, g.compose(f), f + h, f.scale(c)):
         assert all(is_lowest_terms(form) for form in m.forms.values())
 
@@ -152,12 +157,12 @@ def test_pair_trace_agrees_with_fractions(pair):
 def test_intertwining_agrees_with_fractions(case, data):
     f, _g, _h = case
     assert f.check_intertwines()
-    blocks = f.blocks
+    blocks = blocks_of(f)
     d = data.draw(st.sampled_from(sorted(blocks)))
     r = data.draw(st.integers(0, len(blocks[d]) - 1))
     col = data.draw(st.integers(0, len(blocks[d][0]) - 1))
     blocks[d][r][col] += data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
-    perturbed = ModuleMap(f.source, f.target, f.degree, blocks)
+    perturbed = map_of(f.source, f.target, f.degree, blocks)
     assert perturbed != f
     assert perturbed.check_intertwines() == ref_intertwines(perturbed)
 
@@ -171,12 +176,12 @@ def test_a_perturbed_entry_breaks_most_maps(family):
     verdicts = []
     for y, z, k in hom_triples(family):
         for f in catalog.hom_basis(y, z, k):
-            for d, block in f.blocks.items():
+            for d, block in blocks_of(f).items():
                 for r in range(len(block)):
                     for c in range(len(block[0])):
-                        blocks = f.blocks
+                        blocks = blocks_of(f)
                         blocks[d][r][c] += 1
-                        bent = ModuleMap(f.source, f.target, k, blocks)
+                        bent = map_of(f.source, f.target, k, blocks)
                         verdicts.append(bent.check_intertwines())
                         assert verdicts[-1] == ref_intertwines(bent)
     assert verdicts.count(False) > 2 * verdicts.count(True)
