@@ -32,7 +32,8 @@ The workhorses are:
   * map_from_generator -- the map out of a cyclic catalog entry (one
     generated by a one-dimensional bottom degree) fixed by the image of
     its generator through the entry's generator record, certified by
-    intertwining; the catalog's maps_from takes hom_space for the rest.
+    intertwining; the catalog's maps_from takes it where that image has
+    one coordinate, and hom_space for every other hom space.
   * theta_summands -- the one split of theta_s D_y into the summands
     b_y b_s = sum_z m_z b_z predicts (hecke.wall_crossing_summands),
     kept in the catalog: build_catalog admits each entry through it,
@@ -477,14 +478,18 @@ def hom_space(source: GradedModule, target: GradedModule,
     return maps
 
 
-def _extend(catalog: 'IndecomposableCatalog', y, target: GradedModule,
-            degree: int, image, stop: bool):
-    """(phi, residues) for f_b = image, f_d = R_d P_d, R_d = [Y_j f_{d-2}]_j,
-    (S_d, P_d) the generator record of D_y; residues maps each degree up
-    to top + 2 to f_d S_d - R_d where it is nonzero; stop ends at the first."""
+def map_from_generator(catalog: 'IndecomposableCatalog', y,
+                       target: GradedModule, degree: int,
+                       image) -> ModuleMap | None:
+    """The degree-`degree` map out of the cyclic D_y with m_0 |-> image,
+    a vector of target_{b + degree} (b the bottom of D_y), or None: f_d =
+    R_d P_d for R_d = [Y_j f_{d-2}]_j and (S_d, P_d) the generator record
+    of D_y, None at the first degree where f_d S_d != R_d.  A map found
+    is certified by check_intertwines; one that fails it raises, since
+    then the record is wrong."""
     source, record = catalog.entry(y), catalog.generator_data(y)
     n, bottom = source.algebra.root_system.rank, source.bottom_degree()
-    blocks, residues = {bottom: to_form([[v] for v in image])}, {}
+    blocks = {bottom: to_form([[v] for v in image])}
     for d in range(bottom + 2, max(source.graded_dims) + 4, 2):
         low = source.dim_at(d - 2)
         images = place(target.dim_at(d + degree), n * low, [
@@ -492,52 +497,12 @@ def _extend(catalog: 'IndecomposableCatalog', y, target: GradedModule,
                                   blocks[d - 2])) for j in range(n)])
         stacked, section = record.get(d, (None, None))
         blocks[d] = form_mul(images, section)
-        residue = form_add(form_mul(blocks[d], stacked),
-                           form_scale(-1, images))
-        if residue is not None:
-            residues[d] = residue
-            if stop:
-                break
-    return ModuleMap(source, target, degree, blocks), residues
-
-
-def map_from_generator(catalog: 'IndecomposableCatalog', y,
-                       target: GradedModule, degree: int,
-                       image) -> ModuleMap | None:
-    """The degree-`degree` map out of the cyclic D_y with m_0 |-> image,
-    a vector of target_{b + degree} (b the bottom of D_y), or None: f_d
-    follows from f_{d-2} through the catalog's generator record
-    (_extend), and a map is certified by check_intertwines."""
-    phi, residues = _extend(catalog, y, target, degree, image, True)
-    return None if residues or not phi.check_intertwines() else phi
-
-
-def _generator_basis(catalog: 'IndecomposableCatalog', y,
-                     target: GradedModule, degree: int) -> list:
-    """A basis of Hom(D_y, target) in degree `degree`, D_y cyclic: for
-    t = dim target_{b + degree} = 1 the map m_0 |-> 1 if any, else the
-    residues of the unit images (_extend) are linear in the image, and
-    each vector of one sparse_nullspace call over t unknowns gives that
-    combination of the unit-image maps."""
-    t = target.dim_at(catalog.entry(y).bottom_degree() + degree)
-    if t == 1:
-        phi = map_from_generator(catalog, y, target, degree, [1])
-        return [] if phi is None else [phi]
-    units, eqs = [], {}
-    for i in range(t):
-        phi, residues = _extend(catalog, y, target, degree,
-                                [int(i == j) for j in range(t)], False)
-        units.append(phi)
-        for d, (den, rows) in residues.items():
-            for k, x in enumerate(x for row in rows for x in row):
-                if x:
-                    eqs.setdefault((d, k), {})[i] = Fraction(x, den)
-    basis = [sum((phi.scale(c) for phi, c in zip(units, vec) if c),
-                 ModuleMap.zero(catalog.entry(y), target, degree))
-             for vec in sparse_nullspace(list(eqs.values()), t)]
-    if not all(phi.check_intertwines() for phi in basis):
+        if form_mul(blocks[d], stacked) != images:
+            return None
+    phi = ModuleMap(source, target, degree, blocks)
+    if not phi.check_intertwines():
         raise InternalCheckError(f"a map out of D_{y!r} fails to intertwine")
-    return basis
+    return phi
 
 
 def end_space(module: GradedModule) -> list[ModuleMap]:
@@ -741,8 +706,8 @@ class IndecomposableCatalog:
     generator and socle degrees of D_y (entry_degrees), which let
     hom_basis answer a space that vanishes for degree reasons without
     solving it, and generator_records maps a cyclic y to the record
-    every map out of D_y is found through (maps_from, the one place
-    that chooses it over hom_space).
+    that fixes a map out of D_y by the image of its generator (maps_from
+    reads it when that image has one coordinate).
     """
 
     def __init__(self, algebra: AlgebraRecord, entries: dict):
@@ -780,11 +745,16 @@ class IndecomposableCatalog:
         return is_cyclic(self.entry(y), self.entry_degrees(y)[0])
 
     def maps_from(self, y, target: GradedModule, degree: int) -> list:
-        """A basis of Hom(D_y, target) in degree `degree`: by the record
-        of a cyclic D_y (_generator_basis), else by hom_space."""
-        if self.is_cyclic(y):
-            return _generator_basis(self, y, target, degree)
-        return hom_space(self.entry(y), target, degree)
+        """A basis of Hom(D_y, target) in degree `degree`.  For a cyclic
+        D_y with target_{b + degree} one-dimensional (b the bottom of
+        D_y) it is the map m_0 |-> 1, if there is one
+        (map_from_generator); every other space is solved by hom_space."""
+        source = self.entry(y)
+        if self.is_cyclic(y) \
+                and target.dim_at(source.bottom_degree() + degree) == 1:
+            phi = map_from_generator(self, y, target, degree, [1])
+            return [] if phi is None else [phi]
+        return hom_space(source, target, degree)
 
     def hom_basis(self, y, z, degree: int) -> list:
         """A basis of Hom(D_y, D_z) in degree `degree`, found once.

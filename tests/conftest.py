@@ -15,19 +15,11 @@ def _letter_out_of_range(entries):
     entries[-1]['word'] = [9]
 
 
-def _odd_degree(entries):
-    entries[0]['dims'] = {'1': 1}
-
-
-def _stray_variable(entries):
-    entries[-1]['actions'][0]['var'] = -5
-
-
-@pytest.fixture(params=[_drop_last, _repeat_one, _letter_out_of_range,
-                        _odd_degree, _stray_variable],
+@pytest.fixture(params=[_drop_last, _repeat_one, _letter_out_of_range],
                 ids=lambda f: f.__name__.lstrip('_'))
 def break_entries(request):
     """Edits the entry list of a rank-2 catalog file so that it must not
-    load: an entry missing or repeated, a word letter, a degree or an
-    action variable out of range."""
+    load: an entry missing or repeated, or a word letter out of range.
+    The module data of an entry are refused in test_cli's
+    MODULE_REFUSALS, each with its message."""
     return request.param

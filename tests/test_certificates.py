@@ -116,21 +116,26 @@ def test_a_coevaluation_that_is_no_module_map_is_refused(monkeypatch):
 
 def test_a_generator_record_in_another_basis_is_refused():
     # (S_2, P_2) of D_s1 read in the basis 2 e of degree 2: S_2 P_2 = id
-    # still, so every image of the generator passes the residues, but
-    # the maps built through P_2 are half of a module map.  The target
-    # D_s1 + D_s1 has a two-dimensional bottom degree, so the basis
-    # comes from the kernel over the unit images
+    # still, so the image m_0 |-> 1 passes the residues, but the map
+    # built through P_2 is half of a module map.  End^0(D_s1) has a
+    # one-dimensional bottom degree, so maps_from reads the record and
+    # the certificate fires; the target D_s1 + D_s1 has a
+    # two-dimensional one, solved by hom_space, which reads no record
     catalog = catalog_of('A', 2)
     corrupt = fresh(catalog)
     s1 = catalog.algebra.root_system.element_from_word([0])
     record = corrupt.generator_data(s1)
     stacked, section = record[2]
     record[2] = (form_scale(2, stacked), form_scale(Fraction(1, 2), section))
+    assert len(catalog.maps_from(s1, catalog.entry(s1), 0)) == 1
+    for find in (lambda: corrupt.maps_from(s1, corrupt.entry(s1), 0),
+                 lambda: corrupt.hom_basis(s1, s1, 0)):
+        with pytest.raises(InternalCheckError,
+                           match=r'a map out of D_s1 fails to intertwine'):
+            find()
     target = doubled(catalog.entry(s1))
-    assert len(catalog.maps_from(s1, target, 0)) == 2
-    with pytest.raises(InternalCheckError,
-                       match=r'a map out of D_.* fails to intertwine'):
-        corrupt.maps_from(s1, target, 0)
+    maps = corrupt.maps_from(s1, target, 0)
+    assert len(maps) == 2 and all(phi.check_intertwines() for phi in maps)
 
 
 @pytest.mark.parametrize('word', [None, [1, 0, 2, 1]])
@@ -540,7 +545,7 @@ SITES = {
         'test_cache_file_with_broken_entries_fails_validation',
     ('serialize', 'load_cached_catalog', 'cache file {} fails validation'):
         'test_cli.py::test_cache_file_with_broken_entries_exits_three',
-    ('smod', '_generator_basis', 'a map out of D_'):
+    ('smod', 'map_from_generator', 'a map out of D_'):
         'test_certificates.py::'
         'test_a_generator_record_in_another_basis_is_refused',
     ('smod', '_split_pair', 'a catalog entry has degree-0'):

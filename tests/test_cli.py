@@ -473,6 +473,10 @@ def _variable_out_of_range(w0):
     w0['actions'][0]['var'] = 3
 
 
+def _variable_below_range(w0):
+    w0['actions'][0]['var'] = -5
+
+
 def _action_into_a_zero_piece(w0):
     w0['actions'].append({'var': 1, 'degree': 6, 'matrix': [['1']]})
 
@@ -486,6 +490,7 @@ def _a_row_too_long(w0):
 MODULE_REFUSALS = [
     (_odd_dims_key, 'modules must be evenly graded; got degree 1'),
     (_variable_out_of_range, 'action of variable 3 outside the 2 variables'),
+    (_variable_below_range, 'action of variable -5 outside the 2 variables'),
     (_action_into_a_zero_piece, 'nonzero action into a zero graded piece'),
     (_a_row_too_long,
      'action matrix for variable 1 at degree 0 has wrong shape'),

@@ -17,12 +17,10 @@ zero and nothing after that is computed: no further row, no
 back-substitution, no lift and no check.  form_solve, which the
 pipeline's inverses, sections and coordinates run through, must return
 the one X with X A = B that the dense reference finds, and False where
-that finds none or more than one; no module but exactla uses the dense
-routines.
+that finds none or more than one.  That no module but exactla uses the
+dense routines is test_cli's test_the_pipeline_holds_no_fraction_matrix.
 """
 
-import ast
-import pathlib
 from fractions import Fraction
 from unittest import mock
 
@@ -371,27 +369,3 @@ def test_invert_and_solve_matrix_answer_through_form_solve():
     assert mat_mul(a, inverse) == [[1, 0], [0, 1]]
     assert exactla.solve_matrix(a, [[1], [0]]) == [row[:1] for row in inverse]
     assert exactla.solve_matrix([[1], [1]], [[2], [2]]) == [[2]]
-
-
-DENSE_ONLY = {'rref', 'nullspace', 'invert', 'solve_matrix'}
-
-
-def test_no_module_but_exactla_uses_the_dense_elimination():
-    # every elimination of the pipeline runs through sparse_nullspace;
-    # the dense routines are the reference of these tests
-    src = pathlib.Path(exactla.__file__).parent
-    for path in sorted(src.glob('*.py')):
-        if path.name == 'exactla.py':
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and \
-                    (node.module or '').split('.')[-1] == 'exactla':
-                named = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute) and \
-                    isinstance(node.value, ast.Name) and \
-                    node.value.id == 'exactla':
-                named = {node.attr}
-            else:
-                continue
-            assert not named & DENSE_ONLY, (path.name, named & DENSE_ONLY)

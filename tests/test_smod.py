@@ -299,18 +299,18 @@ def test_catalog_hom_basis_solves_each_key_once(monkeypatch):
     rs = catalog.algebra.root_system
     s1, e = word_el(rs, 1), rs.identity
     solved = []
-    solve, through_generator = smod.hom_space, smod._generator_basis
+    solve, through_generator = smod.hom_space, smod.map_from_generator
 
     def counted(source, target, degree):
         solved.append((source, target, degree))
         return solve(source, target, degree)
 
-    def counted_generator(cat, y, target, degree):
+    def counted_generator(cat, y, target, degree, image):
         solved.append((cat.entry(y), target, degree))
-        return through_generator(cat, y, target, degree)
+        return through_generator(cat, y, target, degree, image)
 
     monkeypatch.setattr(smod, 'hom_space', counted)
-    monkeypatch.setattr(smod, '_generator_basis', counted_generator)
+    monkeypatch.setattr(smod, 'map_from_generator', counted_generator)
     quotient = catalog.hom_basis(s1, e, 0)
     assert catalog.hom_basis(s1, e, 0) is quotient
     assert len(quotient) == 1 and catalog.hom_basis(e, s1, 0) == []
@@ -644,19 +644,36 @@ def test_map_from_generator_agrees_with_form_solve(family, rank):
 
 @pytest.mark.parametrize('family,rank',
                          [('A', 2), ('B', 2), ('G', 2), ('A', 3)])
-def test_generator_basis_has_the_dimension_of_hom_space(family, rank):
+def test_generator_basis_has_the_dimension_of_hom_space(family, rank,
+                                                        monkeypatch):
+    # the one-coordinate route (map_from_generator) and every other
+    # space (hom_space) both run, and each basis is hom_space's size
     catalog = catalog_of(family, rank)
     cyclic = [y for y in catalog.elements() if catalog.is_cyclic(y)]
     assert cyclic
+    routes = Counter()
+    solve, through_generator = smod.hom_space, smod.map_from_generator
+
+    def counted(source, target, degree):
+        routes['hom_space'] += 1
+        return solve(source, target, degree)
+
+    def counted_generator(cat, y, target, degree, image):
+        routes['map_from_generator'] += 1
+        return through_generator(cat, y, target, degree, image)
+
+    monkeypatch.setattr(smod, 'hom_space', counted)
+    monkeypatch.setattr(smod, 'map_from_generator', counted_generator)
     for y in cyclic:
         source = catalog.entry(y)
         for z in catalog.elements():
             target = catalog.entry(z)
             for k in degree_range(source, target):
-                basis = smod._generator_basis(catalog, y, target, k)
-                assert len(basis) == len(hom_space(source, target, k)), \
+                basis = catalog.maps_from(y, target, k)
+                assert len(basis) == len(solve(source, target, k)), \
                     (y, z, k)
                 assert all(phi.check_intertwines() for phi in basis)
+    assert routes['hom_space'] and routes['map_from_generator']
 
 
 # ---------------------------------------------------------------------------
@@ -805,18 +822,18 @@ def test_degree_pretest_skips_only_empty_hom_spaces(family, rank,
     for y in elements:
         assert catalog.entry_degrees(y) == rank_degrees(catalog.entry(y))
     solved = set()
-    solve, through_generator = smod.hom_space, smod._generator_basis
+    solve, through_generator = smod.hom_space, smod.map_from_generator
 
     def recorded(source, target, degree):
         solved.add((source, target, degree))
         return solve(source, target, degree)
 
-    def recorded_generator(cat, y, target, degree):
+    def recorded_generator(cat, y, target, degree, image):
         solved.add((cat.entry(y), target, degree))
-        return through_generator(cat, y, target, degree)
+        return through_generator(cat, y, target, degree, image)
 
     monkeypatch.setattr(smod, 'hom_space', recorded)
-    monkeypatch.setattr(smod, '_generator_basis', recorded_generator)
+    monkeypatch.setattr(smod, 'map_from_generator', recorded_generator)
     skipped = 0
     for y in elements:
         source = catalog.entry(y)
