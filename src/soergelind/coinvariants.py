@@ -17,27 +17,28 @@ generators, and prod_i (1 - q^{d_i}) = P_{W_I}(q) (1 - q)^n
 gives how many generators each degree has from the length generating
 function P_{W_I}; monomials are averaged, in graded-lex order, only
 until that many averages are new to the echelon, so most degrees
-average nothing.  Each degree is reduced modulo the prime p = 2^61 - 1,
-on integer rows, with the sparse echelon that
-``exactla.sparse_nullspace`` also uses, and back-substituted into the
-reduced row echelon form, with graded-lex column order; the quotient
-basis is the set of non-pivot monomials, and the invariants kept are
-the exact averages.
+average nothing.  Each degree is reduced on integer rows, fraction-free,
+with the sparse echelon that ``exactla.sparse_nullspace`` also uses,
+and back-substituted into the reduced row echelon form (each row an
+integer multiple of its reduced one), with graded-lex column order;
+the quotient basis is the set of non-pivot monomials, and the
+invariants kept are the exact averages.
 The certificate: let J be the ideal the kept invariants generate.  The
-rows of degree d span, mod p, the reductions of the integer vectors
-m f (m a monomial, f a kept invariant times |W_I|), which span J_d
-over Q, and the rank of an integer matrix mod p is at most its rank
-over Q.  J is generated by invariants, so it lies inside the true
-ideal I_W, and the quotient dimension mod p is at least dim S_d / J_d,
-itself at least dim S_d / (I_W)_d, the length count.  The graded
-dimensions are checked against the Weyl group enumeration at
-construction time, so equality in every degree makes J_d = (I_W)_d:
-no generator was missed.  The columns of the pivot monomials are
-independent mod p, so over Q too, and there are dim J_d of them, so the
-non-pivot monomials are a basis of S_d / J_d over Q as well.  The
-quotient provably vanishes above the length of the longest element of
-W_I once it vanishes in the first degree past it (the ideal then
-contains all of S_1 * S_d), so the truncation at top + 1 is exact.
+rows of degree d span J_d over Q (the products x_i f, f a row of degree
+d - 1, and |W_I| times each average tried, which is kept or lies in
+the span already), and the echelon is exact, so it has dim J_d pivots.
+J lies inside the invariant ideal I_W, so dim S_d / J_d is at least the
+length count dim S_d / (I_W)_d; the graded dimensions are checked
+against it, and equality in every degree makes J_d = (I_W)_d.  The
+non-pivot monomials are a basis of S_d / J_d, as for any reduced row
+echelon form.  The quotient provably vanishes above the length of the
+longest element of W_I once it vanishes in the first degree past it
+(the ideal then contains all of S_1 * S_d), so the truncation at top +
+1 is exact.  Two counts follow: the basis has |W_I| monomials, the sum
+of the length counts; and, since every fundamental degree is at most
+top + 1, the kept invariants, each new modulo the earlier ones and
+their multiples, are a minimal generating set of I_W, which has rank
+members by Chevalley's theorem.
 
 The module side works with the generators' action matrices and never
 computes in the ring; it reads only the fundamental invariants, and
@@ -56,7 +57,7 @@ from fractions import Fraction
 
 from .coxeter import RootSystem, WeylElement
 from .errors import ConfigurationError, InternalCheckError
-from .exactla import _PRIME, _back_substitute, _reduce_into
+from .exactla import _back_substitute, _reduce_into
 from .polynomials import Polynomial, PolyRing
 
 __all__ = ['CoinvariantAlgebra', 'build_coinvariants',
@@ -177,18 +178,17 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     until as many new invariants entered the echelon as
     :func:`_invariant_degrees` reads off the length generating
     function; a degree that needs none averages nothing.  Rows go
-    through the sparse echelon of ``exactla`` modulo p = 2^61 - 1, each
-    average as its integer multiple (:func:`_average`), and are
-    back-substituted into the reduced row echelon form mod p; its
-    sparser rows make the next degree's rows cheaper to reduce.  An
-    average that is new mod p is kept as the exact Polynomial.  Graded
-    dimensions are asserted to match the length generating function,
-    which certifies that the kept invariants generate the invariant
-    ideal and that the non-pivot monomials are a basis over Q (the
-    module docstring has the argument), as do the count of fundamental
-    invariants (the rank) and the total dimension |W_I|.  The quotient
-    is asserted to vanish in degree length(longest of W_I) + 1, which
-    makes the truncation exact.
+    through the sparse integer echelon of ``exactla``, each average as
+    its integer multiple (:func:`_average`), and are back-substituted
+    into the reduced row echelon form; its sparser rows make the next
+    degree's rows cheaper to reduce.  An average that is new to the
+    echelon is kept as the exact Polynomial.  Graded dimensions are
+    asserted to match the length generating function, which certifies
+    that the kept invariants generate the invariant ideal, that the
+    non-pivot monomials are a basis, that there are rank invariants and
+    that the total dimension is |W_I| (the module docstring has the
+    argument).  The quotient is asserted to vanish in degree
+    length(longest of W_I) + 1, which makes the truncation exact.
     """
     subset = tuple(sorted(set(subset)))
     if any(not 0 <= i < rs.rank for i in subset):
@@ -204,8 +204,8 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
     needed = _invariant_degrees(length_counts, rs.rank)
 
     basis_by_algdeg: dict[int, list] = {0: [(0,) * rs.rank]}
-    ideal_rows: list[dict] = []          # RREF mod p of ideal_{d-1}
-    fundamental: list[Polynomial] = []   # averages new to the echelon mod p
+    ideal_rows: list[dict] = []          # integer RREF rows of ideal_{d-1}
+    fundamental: list[Polynomial] = []   # averages new to the echelon
     # w x_j is column j of w.matrix, a root in integer coordinates
     columns = [tuple(zip(*w.matrix)) for w in group]
     powers: dict = {}
@@ -219,19 +219,18 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
             for i in range(rs.rank):
                 _reduce_into(pivots, {
                     col[m[:i] + (m[i] + 1,) + m[i + 1:]]: c
-                    for m, c in row.items()}, _PRIME)
+                    for m, c in row.items()})
         # Reynolds averages of degree-d monomials, until enough are new
         found = 0
         for m in monos:
             if found == needed.get(d, 0):
                 break
             total = _average(columns, m, powers)
-            if _reduce_into(pivots, {col[mm]: r for mm, c in total.items()
-                                     if (r := c % _PRIME)}, _PRIME):
+            if _reduce_into(pivots, {col[mm]: c for mm, c in total.items()}):
                 fundamental.append(Polynomial(rs.rank, {
                     mm: Fraction(c, order) for mm, c in total.items()}))
                 found += 1
-        _back_substitute(pivots, _PRIME)
+        _back_substitute(pivots)
         basis = [m for j, m in enumerate(monos) if j not in pivots]
         expected = length_counts.get(d, 0)
         if len(basis) != expected:
@@ -242,14 +241,7 @@ def build_coinvariants(rs: RootSystem, subset) -> CoinvariantAlgebra:
             basis_by_algdeg[d] = basis
             ideal_rows = [{monos[j]: v for j, v in sorted(pivots[p].items())}
                           for p in sorted(pivots)]
-    if len(fundamental) != rs.rank:
-        raise InternalCheckError(
-            f"found {len(fundamental)} fundamental invariants, "
-            f"expected {rs.rank}")
-    alg = CoinvariantAlgebra(rs, subset, basis_by_algdeg, fundamental)
-    if alg.dimension() != order:
-        raise InternalCheckError("total coinvariant dimension mismatch")
-    return alg
+    return CoinvariantAlgebra(rs, subset, basis_by_algdeg, fundamental)
 
 
 def restriction_surjection(rs: RootSystem, subset,

@@ -13,12 +13,11 @@ action matrices of a cache file, whose shapes
 Every elimination runs through :func:`sparse_nullspace`, directly (hom
 systems, hom complexes, kernels) or through :func:`form_solve`, the
 unique X with X A = B (inverses, maps out of a generator).
-It eliminates rows of dicts by descending leading column, modulo the
-prime p = 2^61 - 1 first, lifts the reduced rows to fractions and
-checks the lift exactly in integers, else falls back to the same
-elimination over Fraction; the argument is in its docstring.  Its two
-steps, :func:`_reduce_into` and :func:`_back_substitute`, also build
-the coinvariant algebras (``coinvariants.build_coinvariants``).
+It scales each row to integers and eliminates the rows, by descending
+leading column, fraction-free into an echelon of integer pivot rows,
+exact at every step; the argument is in its docstring.  Its two steps,
+:func:`_reduce_into` and :func:`_back_substitute`, also build the
+coinvariant algebras (``coinvariants.build_coinvariants``).
 
 :func:`rref` and :func:`nullspace` are dense Gaussian elimination over
 Fraction, kept as the reference the tests compare against;
@@ -151,55 +150,34 @@ def invert(a: Matrix) -> Matrix:
 def sparse_nullspace(rows: list, ncols: int) -> list:
     """Kernel basis of a sparse matrix given as dicts {col: int or Fraction}.
 
-    Forward elimination (:func:`_reduce_into`) keeps a dict of pivot
-    rows keyed by pivot column, and takes the rows by descending
-    leading column, shorter first among equals.  A pivot row's pivot is
-    never below the leading column of the row it came from, so every
-    pivot found so far lies at or above the next row's leading column:
-    unless that column is a pivot already, the row keeps its leading
-    entry, is reduced only in its higher columns and becomes the pivot
-    there.  ``smod.hom_space`` numbers its unknowns by degree block, so
-    its systems are eliminated from the top degree down.  After full
-    back-substitution (:func:`_back_substitute`) the pivot rows are
-    the reduced row echelon form of the matrix, which its row space
-    alone determines, so the returned basis does not depend on the
-    order of the rows.
-    The non-pivot columns parametrize the kernel, in increasing order:
-    the vector of a free column f is 1 at f, 0 at the other free
-    columns and minus the pivot rows' entries in column f elsewhere.
-
-    The elimination runs modulo the prime p = 2^61 - 1 first
-    (:func:`_modular_rref`): small integers instead of Fraction gcds.
-    Every entry of the reduced pivot rows is lifted back to a fraction
-    n/d with |n|, d <= 2^30 by rational reconstruction, and the lifted
-    kernel vectors are checked exactly, in integers, against every
-    input row.  An accepted lift is the exact answer.  The vector of a
-    free column f mod p is 1 at f and supported on pivot columns below
-    f; if it kills every row over Q, column f is a rational combination
-    of earlier columns, so f is free over Q too.  The free columns mod
-    p are thus among the free columns over Q, and there are at least as
-    many of them (the rank mod p is at most the rank over Q), so the
-    two sets agree; the kernel vectors that are the identity on the
-    free columns are unique, so the lift is the basis read off the
-    rational reduced row echelon form, Fraction for Fraction.  A
-    denominator divisible by p, a residue that does not lift, or a
-    lift that fails the check sends the system to the same elimination
-    over Fraction instead, which always answers.
-
-    Once the echelon mod p holds ncols pivots, the kernel is zero and
-    the elimination stops: the remaining rows are not converted, and
-    back-substitution, the lift and the check are skipped.  This is
-    exact as well.  Every denominator met so far is invertible mod p,
-    so a nonzero ncols-minor of the rows mod p is the residue of a
-    nonzero rational minor; the rank over Q is at least the rank mod
-    p, which is ncols, and the kernel over Q is zero.
+    Each row is scaled to integers, by the lcm of its denominators, and
+    reduced fraction-free into an echelon of integer pivot rows keyed by pivot
+    column (:func:`_reduce_into`), by descending leading column,
+    shorter first among equals.  Every pivot found so far then lies at
+    or above the next row's leading column, so unless that column is a
+    pivot already the row becomes the pivot there, reduced only in its
+    higher columns; ``smod.hom_space`` numbers its unknowns by degree
+    block, so its systems are eliminated from the top degree down.
+    Each step adds to a nonzero multiple of a row a multiple of another,
+    which keeps the row space over Q, so every step is exact (Bareiss,
+    Math. Comp. 22, 1968).  After back-substitution
+    (:func:`_back_substitute`) each pivot row divided by its pivot entry
+    is a row of the reduced row echelon form, which the row space alone
+    determines, so the basis does not depend on the order of the rows.
+    The vector of a free column f is 1 at f, 0 at the other free
+    columns and -prow[f] / prow[p] at each pivot p, free columns in
+    increasing order.  Once there are ncols pivots the kernel is zero:
+    the remaining rows are not read and back-substitution is skipped.
     """
     rows = sorted(rows, key=lambda row: (-min(row, default=ncols), len(row)))
-    pivots = _modular_rref(rows, ncols)
-    if pivots is None:
-        pivots = _rational_rref(rows)
-    if len(pivots) == ncols:
-        return []
+    pivots: dict[int, dict] = {}
+    for raw in rows:
+        den = lcm(*[v.denominator for v in raw.values()])
+        row = {c: v.numerator * (den // v.denominator)
+               for c, v in raw.items() if v}
+        if _reduce_into(pivots, row) and len(pivots) == ncols:
+            return []
+    _back_substitute(pivots)
     basis = {}
     for f in range(ncols):
         if f not in pivots:
@@ -207,133 +185,27 @@ def sparse_nullspace(rows: list, ncols: int) -> list:
             vec[f] = Fraction(1)
             basis[f] = vec
     for p, prow in pivots.items():
+        a = prow[p]
         for f, v in prow.items():
             if f != p:
-                basis[f][p] = -v
+                basis[f][p] = Fraction(-v, a)
     return list(basis.values())
 
 
-def _rational_rref(rows: list) -> dict:
-    """Reduced row echelon form of the rows over Fraction, as pivot rows."""
-    pivots: dict[int, dict] = {}
-    for raw in rows:
-        _reduce_into(pivots, {c: Fraction(v) for c, v in raw.items() if v})
-    _back_substitute(pivots)
-    return pivots
+def _reduce_into(pivots: dict, row: dict) -> bool:
+    """Reduce an integer row into an echelon of pivot rows; True if it
+    was new.
 
-
-_PRIME = (1 << 61) - 1
-_LIFT_BOUND = 1 << 30
-
-
-def _modular_rref(rows: list, ncols: int):
-    """Reduced row echelon form of the rows, computed mod _PRIME.
-
-    Returns the pivot rows with every entry lifted to a Fraction, once
-    the kernel they describe is checked exactly against every row (see
-    :func:`sparse_nullspace`), or None when any step fails.  Rows are
-    converted and reduced one at a time, and the residues are dropped
-    as soon as they are lifted.  As soon as there are ``ncols`` pivots
-    the echelon is returned as it stands, residues unreduced: its size
-    alone certifies that the kernel is zero.
-    """
-    inverses = {1: 1}
-    pivots: dict[int, dict] = {}
-    for raw in rows:
-        row = {}
-        for c, v in raw.items():
-            den = v.denominator
-            inv = inverses.get(den)
-            if inv is None:
-                if den % _PRIME == 0:
-                    return None
-                inv = inverses[den] = pow(den, -1, _PRIME)
-            r = v.numerator * inv % _PRIME
-            if r:
-                row[c] = r
-        if _reduce_into(pivots, row, _PRIME) and len(pivots) == ncols:
-            return pivots
-    _back_substitute(pivots, _PRIME)
-    lifts: dict[int, Fraction] = {}
-    for p, prow in pivots.items():
-        for c, r in prow.items():
-            value = lifts.get(r)
-            if value is None:
-                value = lifts[r] = _reconstruct(r)
-                if value is None:
-                    return None
-            prow[c] = value
-    del lifts
-    return pivots if _kills_every_row(pivots, rows) else None
-
-
-def _reconstruct(r: int):
-    """The fraction n/d = r mod _PRIME with |n|, d <= _LIFT_BOUND, or None.
-
-    Extended Euclid on (_PRIME, r), stopped at the first remainder
-    within the bound; each remainder r_i satisfies r_i = t_i * r mod
-    _PRIME, so r_i / t_i is the candidate.
-    """
-    r0, t0, r1, t1 = _PRIME, 0, r, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if not 0 < abs(t1) <= _LIFT_BOUND:
-        return None
-    return Fraction(r1, t1)
-
-
-def _kills_every_row(pivots: dict, rows: list) -> bool:
-    """Whether every kernel vector read off the pivot rows kills every row.
-
-    Exact and in integers: the kernel vector of each free column f is
-    scaled by the lcm L_f of its denominators, each row by the lcm of
-    its own, and the products are accumulated column by column.
-    """
-    scale: dict[int, int] = {}
-    for p, prow in pivots.items():
-        for f, v in prow.items():
-            if f != p:
-                scale[f] = lcm(scale.get(f, 1), v.denominator)
-    # column c of the scaled kernel: {f: entry of vector f}
-    columns = {p: {f: -v.numerator * (scale[f] // v.denominator)
-                   for f, v in prow.items() if f != p}
-               for p, prow in pivots.items()}
-    for raw in rows:
-        # a list, not a generator: unpacking a generator leaves its
-        # resized argument tuples on the interpreter's free lists, which
-        # raised the peak RSS of a verify-light sweep by 0.6-0.8 MB
-        den = lcm(*[v.denominator for v in raw.values()])
-        acc: dict[int, int] = {}
-        for c, v in raw.items():
-            x = v.numerator * (den // v.denominator)
-            if not x:
-                continue
-            entries = columns.get(c)
-            if entries is None:  # a free column: its own vector is 1 there
-                acc[c] = acc.get(c, 0) + x * scale.get(c, 1)
-            else:
-                for f, y in entries.items():
-                    acc[f] = acc.get(f, 0) + x * y
-        if any(acc.values()):
-            return False
-    return True
-
-
-def _reduce_into(pivots: dict, row: dict, _mod: int = 0) -> bool:
-    """Reduce a row into an echelon of pivot rows; True if it was new.
-
-    ``pivots`` maps each pivot column to its row, a dict {col: value}
-    with entry 1 at the pivot and no columns below it; ``row`` is a
-    dict without zero entries and is consumed.  The values are
-    Fractions, or residues mod ``_mod`` when it is given.  The row is
-    reduced against the pivots it meets, lowest column first, with a
-    min-heap of its columns that are pivot columns.  A pivot row holds
-    only columns >= its pivot, so a reduction step creates columns
-    above the one it clears, the heap only grows upwards, and a column
-    enters it only when fill-in creates it.  A nonzero remainder is
-    normalized and stored as the pivot row of its lowest column.
+    ``pivots`` maps each pivot column to its row, a dict {col: int}
+    with no columns below the pivot, a positive pivot entry and content
+    (the gcd of its entries) 1; ``row`` has no zero entries and is
+    consumed.  The pivot columns the row meets are cleared lowest
+    first, from a min-heap: with a the pivot entry, c the row's entry
+    and g = gcd(a, c), the row becomes (a/g) * row - (c/g) * (pivot
+    row).  That creates columns only above the one cleared, so the heap
+    only grows upwards.  A nonzero remainder, divided by its content
+    and signed so that its lowest entry is positive, is stored as the
+    pivot row of that column.
     """
     heap = [c for c in row if c in pivots]
     heapq.heapify(heap)
@@ -342,12 +214,18 @@ def _reduce_into(pivots: dict, row: dict, _mod: int = 0) -> bool:
         coeff = row.pop(hit, None)
         if coeff is None:  # cancelled by an earlier step
             continue
-        for c2, v2 in pivots[hit].items():
+        prow = pivots[hit]
+        a = prow[hit]
+        g = gcd(a, coeff)
+        if g != a:
+            a //= g
+            for c in row:
+                row[c] *= a
+        coeff //= g
+        for c2, v2 in prow.items():
             if c2 == hit:
                 continue
             nv = row.get(c2, 0) - coeff * v2
-            if _mod:
-                nv %= _mod
             if nv:
                 if c2 not in row and c2 in pivots:
                     heapq.heappush(heap, c2)
@@ -357,35 +235,41 @@ def _reduce_into(pivots: dict, row: dict, _mod: int = 0) -> bool:
     if not row:
         return False
     p = min(row)
-    if _mod:
-        inv = pow(row[p], -1, _mod)
-        pivots[p] = {c: v * inv % _mod for c, v in row.items()}
-    else:
-        inv = Fraction(1) / row[p]
-        pivots[p] = {c: v * inv for c, v in row.items()}
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    pivots[p] = row if g == 1 else {c: v // g for c, v in row.items()}
     return True
 
 
-def _back_substitute(pivots: dict, _mod: int = 0) -> None:
+def _back_substitute(pivots: dict) -> None:
     """Clear every pivot column from the other pivot rows, in place.
 
-    Afterwards the pivot rows are the reduced row echelon form of the
-    rows that went in, which their span alone determines.  With
-    ``_mod`` the values are residues modulo it, as in
-    :func:`_reduce_into`.
+    Top pivot first, as in :func:`_reduce_into`: row p holds no pivot
+    column above p by then, and its turn is when it is divided by its
+    content.  Afterwards each pivot row divided by its pivot entry is a
+    row of the reduced row echelon form.
     """
     for p in sorted(pivots, reverse=True):
         prow = pivots[p]
+        g = gcd(*prow.values())
+        if g != 1:
+            prow = pivots[p] = {c: v // g for c, v in prow.items()}
+        a = prow[p]
         for q, qrow in pivots.items():
             if q >= p or p not in qrow:
                 continue
             coeff = qrow.pop(p)
+            g = gcd(a, coeff)
+            if g != a:
+                k = a // g
+                for c in qrow:
+                    qrow[c] *= k
+            coeff //= g
             for c2, v2 in prow.items():
                 if c2 == p:
                     continue
                 nv = qrow.get(c2, 0) - coeff * v2
-                if _mod:
-                    nv %= _mod
                 if nv:
                     qrow[c2] = nv
                 else:

@@ -790,13 +790,18 @@ class IndecomposableCatalog:
         Q is D_v's certificate, since a map commutes with every x_j on
         D_v exactly when it commutes with every x_{sigma(j)} on the
         twist: the same matrices, so the same equations and solutions.
-        Its degree sets are D_v's for the same reason.
+        Its degree sets and relations are D_v's for the same reason, so
+        check_relations runs on built entries only: f acts on the twist
+        as sigma^-1(f) (x_j -> x_{sigma^-1(j)}) acts on D_v, and sigma,
+        preserving the Cartan matrix and I, maps the invariant ideal of
+        C_I to itself.
         """
         if twin is None:
             sets = degree_sets(module)
             if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
                 raise InternalCheckError(
                     f"the module left for {w!r} is decomposable")
+            check_relations(module, sets[0])
         else:
             v, sigma = twin
             module, sets = twist(self.entry(v), sigma), self.entry_degrees(v)
@@ -806,7 +811,6 @@ class IndecomposableCatalog:
                     f"the twin D_{w!r} of D_{v!r} has graded character "
                     f"{module.graded_dims}; Kazhdan-Lusztig predicts "
                     f"{expected}")
-        check_relations(module, sets[0])
         self._entries[w] = module
         self.degree_sets[w] = sets
 
@@ -942,7 +946,8 @@ def build_catalog(algebra: AlgebraRecord) -> IndecomposableCatalog:
     spaces.  Hard checks on every entry: its graded dimensions equal the
     Kazhdan-Lusztig prediction, its degree-0 endomorphisms are the
     scalars (proven for a cyclic entry, solved for the others, carried
-    over to a twin), and the invariant ideal kills it.
+    over to a twin), and the invariant ideal kills it (checked, or
+    carried over to a twin).
     Every call builds afresh; induction keeps and caches the result.
     """
     rs = algebra.root_system

@@ -8,8 +8,10 @@
     homotopy.gaussian_eliminate, k0_class and complexes_isomorphic.
   * verify_relations -- the check the catalog's admit makes
     (check_relations out of degree_sets), for modules built elsewhere.
-  * rational_coinvariants -- the coinvariant build with its echelon over
-    Fraction; it checks the mod-p echelon of build_coinvariants.
+  * rational_coinvariants -- the coinvariant build with its own echelon
+    over Fraction (_fraction_reduce_into, _fraction_back_substitute,
+    pivots scaled to 1); it checks the integer echelon of
+    build_coinvariants and shares no elimination code with it.
   * first_descent_catalog -- every D_w built from the first right
     descent of w, with no twist along a diagram automorphism; it checks
     the twins and the descent choice of smod.build_catalog.
@@ -33,8 +35,7 @@ from fractions import Fraction
 
 from soergelind.coinvariants import _average, _invariant_degrees
 from soergelind.errors import ConfigurationError
-from soergelind.exactla import (_back_substitute, _reduce_into, from_form,
-                                rref, to_form)
+from soergelind.exactla import from_form, rref, to_form
 from soergelind.homotopy import FormalComplex, complex_from_module
 from soergelind.induction import _resolve_chain, _tensor_step
 from soergelind.polynomials import Polynomial, PolyRing
@@ -118,8 +119,9 @@ def rational_coinvariants(rs, subset) -> tuple:
         pivots = {}
         for row in ideal_rows:
             for i in range(rs.rank):
-                _reduce_into(pivots, {col[m[:i] + (m[i] + 1,) + m[i + 1:]]: c
-                                      for m, c in row.items()})
+                _fraction_reduce_into(pivots, {
+                    col[m[:i] + (m[i] + 1,) + m[i + 1:]]: c
+                    for m, c in row.items()})
         found = 0
         for m in monos:
             if found == needed.get(d, 0):
@@ -127,16 +129,57 @@ def rational_coinvariants(rs, subset) -> tuple:
             avg = Polynomial(rs.rank, {
                 mm: Fraction(c, len(group))
                 for mm, c in _average(columns, m, powers).items()})
-            if _reduce_into(pivots, {col[mm]: c
-                                     for mm, c in avg.terms.items()}):
+            if _fraction_reduce_into(pivots, {
+                    col[mm]: c for mm, c in avg.terms.items()}):
                 fundamental.append(avg)
                 found += 1
-        _back_substitute(pivots)
+        _fraction_back_substitute(pivots)
         if d in counts:
             basis[d] = [m for j, m in enumerate(monos) if j not in pivots]
         ideal_rows = [{monos[j]: v for j, v in pivots[p].items()}
                       for p in sorted(pivots)]
     return basis, fundamental
+
+
+def _fraction_reduce_into(pivots: dict, row: dict) -> bool:
+    """Reduce a row of Fractions into an echelon whose pivot rows
+    {col: Fraction} have entry 1 at the pivot and no columns below it,
+    lowest pivot column first; True if a nonzero remainder became a new
+    pivot row.  The row is consumed."""
+    row = {c: Fraction(v) for c, v in row.items() if v}
+    while True:
+        hit = min((c for c in row if c in pivots), default=None)
+        if hit is None:
+            break
+        coeff = row.pop(hit)
+        for c, v in pivots[hit].items():
+            if c != hit:
+                nv = row.get(c, 0) - coeff * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    if not row:
+        return False
+    p = min(row)
+    pivots[p] = {c: v / row[p] for c, v in row.items()}
+    return True
+
+
+def _fraction_back_substitute(pivots: dict) -> None:
+    """Clear every pivot column from the other pivot rows, top pivot
+    first, which leaves the reduced row echelon form."""
+    for p in sorted(pivots, reverse=True):
+        for q, qrow in pivots.items():
+            if q < p and p in qrow:
+                coeff = qrow.pop(p)
+                for c, v in pivots[p].items():
+                    if c != p:
+                        nv = qrow.get(c, 0) - coeff * v
+                        if nv:
+                            qrow[c] = nv
+                        else:
+                            qrow.pop(c, None)
 
 
 def first_descent_catalog(algebra) -> IndecomposableCatalog:

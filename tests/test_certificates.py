@@ -474,14 +474,6 @@ SITES = {
     ('coinvariants', 'build_coinvariants', 'coinvariant dimension in'):
         'test_coinvariants.py::'
         'test_a_missing_generator_fails_the_dimension_check',
-    ('coinvariants', 'build_coinvariants', 'found {} fundamental'):
-        'unreached: once the dimension check holds in every degree up to '
-        'top + 1, the invariants found generate the invariant ideal '
-        'there, and every fundamental degree is at most top + 1, so rank '
-        'of them are found',
-    ('coinvariants', 'build_coinvariants', 'total coinvariant dimension'):
-        'unreached: the dimension check holds in every degree, and the '
-        'length counts it compares with add up to the order of W_I',
     ('coxeter', 'enumerate_group', 'length bookkeeping broken at'):
         'test_certificates.py::'
         'test_a_group_bookkeeping_check_exits_three_through_the_cli',

@@ -202,8 +202,9 @@ def test_integer_average_equals_the_fraction_average(family, rank, subset):
     for f, n, sub in ORACLE_GROUPS])
 def test_the_mod_p_echelon_agrees_with_the_rational_one(family, rank,
                                                         subset):
-    # the echelon mod 2^61 - 1 keeps the same invariants, Fraction for
-    # Fraction, and the same quotient basis monomials
+    # the echelon of build_coinvariants, over the integers, keeps the
+    # same invariants as the reference's echelon over Fraction, Fraction
+    # for Fraction, and the same quotient basis monomials
     rs = RootSystem(family, rank)
     basis, fundamental = rational_coinvariants(rs, subset)
     C = build_coinvariants(rs, subset)

