@@ -4,13 +4,12 @@ A smod.GradedModule is given by its graded dimensions and the matrices
 of the variables between its degrees.  This module reads off that
 presentation, exactly and in integers (the actions' integer forms):
 
-  * degree_sets -- the generator degrees (where the variables' images
-    from below do not span) and the socle degrees (where some vector is
-    killed by every variable);
-  * is_cyclic -- whether the module is generated by a one-dimensional
-    bottom degree, which makes its degree-0 endomorphisms the scalars;
-  * generator_data -- right inverses of the actions from below, which
-    fix a map out of a cyclic module by the image of its generator;
+  * present -- the generator degrees (where the variables' images from
+    below do not span), the socle degrees (where some vector is killed
+    by every variable) and, for a cyclic module (generated by a
+    one-dimensional bottom degree, so its degree-0 endomorphisms are
+    the scalars), the right inverses of the actions from below that fix
+    a map out of it by the image of its generator;
   * check_relations -- that the variables commute and the invariant
     ideal of the coinvariant algebra acts by zero, each invariant
     applied as a product of the action forms (exactla's form kernels).
@@ -21,10 +20,10 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import IncompatibilityError, InternalCheckError
-from .exactla import (form_mul, id_form, normal, place, sparse_nullspace,
-                      to_form)
+from .exactla import (form_mul, form_solve, id_form, normal, place,
+                      sparse_nullspace)
 
-__all__ = ['degree_sets', 'is_cyclic', 'generator_data', 'check_relations']
+__all__ = ['present', 'check_relations']
 
 
 def _monomial_form(module, mono: tuple, d: int, products: dict):
@@ -71,36 +70,56 @@ def _polynomial_form(module, poly, d: int, products: dict):
     return normal(den, total)
 
 
-def degree_sets(module) -> tuple:
-    """(generator degrees, socle degrees) of a module, decided exactly.
+def present(module) -> tuple:
+    """(generator degrees, socle degrees, record) of a module.
 
-    d is a generator degree when the images x_j M_{d-2} do not span
-    M_d, that is when the columns of the x_j out of degree d - 2, taken
-    as rows, leave a kernel on M_d; d is a socle degree when the rows
-    of the x_j out of degree d leave one, some nonzero vector of M_d
-    killed by every x_j.  sparse_nullspace decides each exactly, and a
-    full rank ends its elimination early.
+    d is a socle degree when the rows of the x_j out of degree d leave
+    a kernel on M_d (sparse_nullspace), some vector killed by every x_j.
+    The bottom degree is a generator degree, and so is a d above it
+    where S_d S_d^T is singular (form_solve), S_d = [X_0 | ... |
+    X_{n-1}] the actions out of degree d - 2: it has S_d's rank over Q,
+    so the x_j M_{d-2} do not span M_d.  At every other d, P_d = S_d^T
+    (S_d S_d^T)^-1 must satisfy S_d P_d = I (else InternalCheckError).
+    The record {d: (S_d, P_d)} is given for a cyclic module, generated
+    by a one-dimensional bottom degree m_0, and None for any other.  A
+    map f out of a cyclic module has f_d = [Y_j f_{d-2}]_j P_d, and is
+    a scalar if it is a degree-0 endomorphism: f(m_0) lies in Q m_0.
     """
     acts = module.forms
     n = module.algebra.root_system.rank
-    generators, socle = set(), set()
+    socle = set()
     for d, dim in module.graded_dims.items():
-        for found, source, by_cols in ((generators, d - 2, True),
-                                       (socle, d, False)):
-            rows = [{k: v for k, v in enumerate(vec) if v}
-                    for i in range(n) if acts.get((i, source))
-                    for vec in (zip(*acts[(i, source)][1]) if by_cols
-                                else acts[(i, source)][1]) if any(vec)]
-            if len(rows) < dim or sparse_nullspace(rows, dim):
-                found.add(d)
-    return frozenset(generators), frozenset(socle)
+        rows = [{k: v for k, v in enumerate(vec) if v}
+                for i in range(n) if acts.get((i, d))
+                for vec in acts[(i, d)][1] if any(vec)]
+        if len(rows) < dim or sparse_nullspace(rows, dim):
+            socle.add(d)
+    bottom, *higher = module.degrees()
+    generators, record = {bottom}, {}
+    for d in higher:
+        dim, low = module.dim_at(d), module.dim_at(d - 2)
+        stacked = place(dim, n * low, [
+            (0, j * low, acts.get((j, d - 2))) for j in range(n)])
+        columns = stacked and (stacked[0],
+                               [list(col) for col in zip(*stacked[1])])
+        inverse = stacked and form_solve(form_mul(stacked, columns),
+                                         id_form(dim), dim)
+        if not inverse:
+            generators.add(d)
+            continue
+        record[d] = stacked, form_mul(columns, inverse)
+        if form_mul(*record[d]) != id_form(dim):
+            raise InternalCheckError(
+                f"the section into degree {d} is no right inverse")
+    cyclic = len(generators) == 1 and module.dim_at(bottom) == 1
+    return generators, socle, record if cyclic else None
 
 
 def check_relations(module, generator_degrees) -> None:
     """Assert commutativity and that the invariant ideal acts by zero.
 
     Commutativity is checked in every degree, the invariants only out
-    of generator_degrees (degree_sets).  That certifies the same: once
+    of generator_degrees (present).  That certifies the same: once
     the variables commute, an invariant f that kills M_{d-2} kills every
     x_j M_{d-2}, and those span each degree that is not a generator
     degree.
@@ -124,44 +143,3 @@ def check_relations(module, generator_degrees) -> None:
                 raise InternalCheckError(
                     f"invariant of degree {2 * f.total_degree()} acts "
                     f"nontrivially at degree {d}")
-
-
-def is_cyclic(module, generator_degrees) -> bool:
-    """Whether module is generated by a one-dimensional bottom degree.
-
-    generator_degrees are the module's (degree_sets); the bottom degree
-    is always one of them.  A degree-0 endomorphism f of a cyclic module
-    is a scalar: f(m_0) lies in the bottom degree, Q m_0, and m_0
-    generates.
-    """
-    return (len(generator_degrees) == 1
-            and module.dim_at(module.bottom_degree()) == 1)
-
-
-def generator_data(module) -> dict:
-    """{d: (S_d, P_d)} for each degree d above the bottom.
-
-    S_d = [X_0 | ... | X_{n-1}] holds the actions out of degree d - 2;
-    P_d is E = S_d[:, J_d]^-1 in the rows J_d, S_d's pivot columns.
-    [S_d | I] reduces to [E S_d | E], so sparse_nullspace's vector of
-    I's column j is -(column j of E) on J_d and 0 on S_d's other
-    columns.  InternalCheckError unless S_d P_d = I: then the module is
-    cyclic, and a map f out of it has f_d = [Y_j f_{d-2}]_j P_d.
-    """
-    n = module.algebra.root_system.rank
-    bottom, *higher = module.degrees()
-    record = {}
-    for d in higher:
-        dim, low = module.dim_at(d), module.dim_at(d - 2)
-        stacked = place(dim, n * low, [
-            (0, j * low, module.forms.get((j, d - 2))) for j in range(n)])
-        den, rows = stacked or (1, [[0] * n * low] * dim)
-        kernel = sparse_nullspace(
-            [{c: x for c, x in enumerate(row) if x} | {n * low + r: den}
-             for r, row in enumerate(rows)], n * low + dim)
-        record[d] = (stacked, to_form([[-vec[c] for vec in kernel[-dim:]]
-                                       for c in range(n * low)]))
-    if module.dim_at(bottom) != 1 or any(
-            form_mul(*record[d]) != id_form(module.dim_at(d)) for d in higher):
-        raise InternalCheckError("the module is not cyclic")
-    return record

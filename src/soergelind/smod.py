@@ -31,9 +31,10 @@ The workhorses are:
     degree of what is left.
   * map_from_generator -- the map out of a cyclic catalog entry (one
     generated by a one-dimensional bottom degree) fixed by the image of
-    its generator through the entry's generator record, certified by
-    intertwining; the catalog's maps_from takes it where that image has
-    one coordinate, and hom_space for every other hom space.
+    its generator through the sections of the entry's presentation,
+    certified by intertwining; the catalog's maps_from takes it where
+    that image has one coordinate, and hom_space for every other hom
+    space.
   * theta_summands -- the one split of theta_s D_y into the summands
     b_y b_s = sum_z m_z b_z predicts (hecke.wall_crossing_summands),
     kept in the catalog: build_catalog admits each entry through it,
@@ -74,16 +75,15 @@ from .errors import (ConfigurationError, IncompatibilityError,
 from .exactla import (_frac, form_add, form_mul, form_scale, form_solve,
                       id_form, normal, place, sparse_nullspace, to_form)
 from .hecke import expected_graded_dims, wall_crossing_summands
-from .presentation import (check_relations, degree_sets, generator_data,
-                           is_cyclic)
+from .presentation import check_relations, present
 
 __all__ = [
     'AlgebraRecord', 'GradedModule', 'ModuleMap', 'IndecomposableCatalog',
     'trivial_module', 'twist', 'induce_frobenius', 'coev_map', 'unit_map',
     'mult_map', 'theta_of_map', 'RestrictionMap', 'restrict_module',
-    'direct_sum', 'hom_space', 'end_space', 'is_cyclic',
-    'map_from_generator', 'decompose', 'is_isomorphic', 'match_entry',
-    'theta_summands', 'build_catalog',
+    'direct_sum', 'hom_space', 'end_space', 'map_from_generator',
+    'decompose', 'is_isomorphic', 'match_entry', 'theta_summands',
+    'build_catalog',
 ]
 
 
@@ -483,11 +483,11 @@ def map_from_generator(catalog: 'IndecomposableCatalog', y,
                        image) -> ModuleMap | None:
     """The degree-`degree` map out of the cyclic D_y with m_0 |-> image,
     a vector of target_{b + degree} (b the bottom of D_y), or None: f_d =
-    R_d P_d for R_d = [Y_j f_{d-2}]_j and (S_d, P_d) the generator record
-    of D_y, None at the first degree where f_d S_d != R_d.  A map found
-    is certified by check_intertwines; one that fails it raises, since
-    then the record is wrong."""
-    source, record = catalog.entry(y), catalog.generator_data(y)
+    R_d P_d for R_d = [Y_j f_{d-2}]_j and (S_d, P_d) the record of D_y's
+    presentation, None at the first degree where f_d S_d != R_d.  A map
+    found is certified by check_intertwines; one that fails it raises,
+    since then the record is wrong."""
+    source, record = catalog.entry(y), catalog.presentation(y)[2]
     n, bottom = source.algebra.root_system.rank, source.bottom_degree()
     blocks = {bottom: to_form([[v] for v in image])}
     for d in range(bottom + 2, max(source.graded_dims) + 4, 2):
@@ -702,11 +702,11 @@ class IndecomposableCatalog:
     entries (theta_summands, which also admits the entries of a
     build), and hom_bases maps (y, z, degree) to a basis of Hom(D_y,
     D_z) in that degree (hom_basis; homotopy's hom complexes and the
-    base case of induction read it), and degree_sets maps y to the
-    generator and socle degrees of D_y (entry_degrees), which let
-    hom_basis answer a space that vanishes for degree reasons without
-    solving it, and generator_records maps a cyclic y to the record
-    that fixes a map out of D_y by the image of its generator (maps_from
+    base case of induction read it), and presentations maps y to the
+    presentation of D_y (presentation): its generator and socle
+    degrees, which let hom_basis answer a space that vanishes for
+    degree reasons without solving it, and for a cyclic D_y the record
+    that fixes a map out of it by the image of its generator (maps_from
     reads it when that image has one coordinate).
     """
 
@@ -716,8 +716,7 @@ class IndecomposableCatalog:
         self.entries = MappingProxyType(self._entries)
         self.theta_splittings: dict = {}
         self.hom_bases: dict = {}
-        self.degree_sets: dict = {}
-        self.generator_records: dict = {}
+        self.presentations: dict = {}
 
     def elements(self) -> list:
         return sorted(self.entries, key=lambda w: (w.length, w.word))
@@ -727,22 +726,15 @@ class IndecomposableCatalog:
             raise ConfigurationError(f"{w!r} has no catalog entry")
         return self._entries[w]
 
-    def entry_degrees(self, y) -> tuple:
-        """(generator degrees, socle degrees) of D_y, decided once."""
-        sets = self.degree_sets.get(y)
-        if sets is None:
-            sets = self.degree_sets[y] = degree_sets(self.entry(y))
-        return sets
-
-    def generator_data(self, y) -> dict:
-        """The generator record of the cyclic D_y (generator_data), once."""
-        if y not in self.generator_records:
-            self.generator_records[y] = generator_data(self.entry(y))
-        return self.generator_records[y]
+    def presentation(self, y) -> tuple:
+        """The presentation of D_y (present), computed once."""
+        if y not in self.presentations:
+            self.presentations[y] = present(self.entry(y))
+        return self.presentations[y]
 
     def is_cyclic(self, y) -> bool:
-        """Whether D_y is generated by its bottom degree (is_cyclic)."""
-        return is_cyclic(self.entry(y), self.entry_degrees(y)[0])
+        """Whether D_y is generated by a one-dimensional bottom degree."""
+        return self.presentation(y)[2] is not None
 
     def maps_from(self, y, target: GradedModule, degree: int) -> list:
         """A basis of Hom(D_y, target) in degree `degree`.  For a cyclic
@@ -770,9 +762,9 @@ class IndecomposableCatalog:
         if key not in self.hom_bases:
             source, target = self.entry(y), self.entry(z)
             if (any(target.dim_at(g + degree)
-                    for g in self.entry_degrees(y)[0])
+                    for g in self.presentation(y)[0])
                     and any(source.dim_at(s - degree)
-                            for s in self.entry_degrees(z)[1])):
+                            for s in self.presentation(z)[1])):
                 self.hom_bases[key] = self.maps_from(y, target, degree)
             else:
                 self.hom_bases[key] = []
@@ -783,28 +775,31 @@ class IndecomposableCatalog:
         """Store module as D_w once End^0 = Q and the relations hold.
 
         The one writer of entries.  End^0 = Q is proven for a cyclic
-        module (is_cyclic) and solved for (end_space) otherwise.  With
-        twin = (v, sigma), w = sigma(v), D_w is twist(D_v, sigma) instead:
-        its graded dimensions are checked against the Kazhdan-Lusztig
-        prediction for w, which no theta_summands compared, and End^0 =
-        Q is D_v's certificate, since a map commutes with every x_j on
-        D_v exactly when it commutes with every x_{sigma(j)} on the
-        twist: the same matrices, so the same equations and solutions.
-        Its degree sets and relations are D_v's for the same reason, so
-        check_relations runs on built entries only: f acts on the twist
-        as sigma^-1(f) (x_j -> x_{sigma^-1(j)}) acts on D_v, and sigma,
-        preserving the Cartan matrix and I, maps the invariant ideal of
-        C_I to itself.
+        module (present) and solved for (end_space) otherwise, and a
+        built entry keeps its presentation.  With twin = (v, sigma), w =
+        sigma(v), D_w is twist(D_v, sigma) instead: its graded dimensions
+        are checked against the Kazhdan-Lusztig prediction for w, which
+        no theta_summands compared, and End^0 = Q is D_v's certificate,
+        since a map commutes with every x_j on D_v exactly when it
+        commutes with every x_{sigma(j)} on the twist: the same
+        matrices, so the same equations and solutions.  Its relations
+        are D_v's for the same reason, so check_relations runs on built
+        entries only: f acts on the twist as sigma^-1(f) (x_j ->
+        x_{sigma^-1(j)}) acts on D_v, and sigma, preserving the Cartan
+        matrix and I, maps the invariant ideal of C_I to itself.  A
+        twin's presentation is read off its own matrices when first
+        asked for.
         """
         if twin is None:
-            sets = degree_sets(module)
-            if not is_cyclic(module, sets[0]) and len(end_space(module)) != 1:
+            presented = present(module)
+            if presented[2] is None and len(end_space(module)) != 1:
                 raise InternalCheckError(
                     f"the module left for {w!r} is decomposable")
-            check_relations(module, sets[0])
+            check_relations(module, presented[0])
+            self.presentations[w] = presented
         else:
             v, sigma = twin
-            module, sets = twist(self.entry(v), sigma), self.entry_degrees(v)
+            module = twist(self.entry(v), sigma)
             expected = expected_graded_dims(w)
             if module.graded_dims != expected:
                 raise InternalCheckError(
@@ -812,7 +807,6 @@ class IndecomposableCatalog:
                     f"{module.graded_dims}; Kazhdan-Lusztig predicts "
                     f"{expected}")
         self._entries[w] = module
-        self.degree_sets[w] = sets
 
     def __repr__(self):
         return (f'IndecomposableCatalog({self.algebra!r}, '

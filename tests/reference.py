@@ -7,7 +7,11 @@
   * direct_sum_complexes -- builds the complexes that check
     homotopy.gaussian_eliminate, k0_class and complexes_isomorphic.
   * verify_relations -- the check the catalog's admit makes
-    (check_relations out of degree_sets), for modules built elsewhere.
+    (check_relations out of present), for modules built elsewhere.
+  * degree_sets, generator_data -- the generator and socle degrees of a
+    module from one elimination each, and the generator record of a
+    cyclic module read off the kernel of [S_d | I]; they check
+    presentation.present, which decides both from S_d S_d^T.
   * rational_coinvariants -- the coinvariant build with its own echelon
     over Fraction (_fraction_reduce_into, _fraction_back_substitute,
     pivots scaled to 1); it checks the integer echelon of
@@ -20,7 +24,7 @@
     the matrices back through exactla.from_form.  The package builds
     and reads modules and maps in integer forms only.
   * rank -- the rank of a Fraction matrix by the dense rref; it checks
-    presentation.degree_sets.
+    the degree sets of presentation.present.
 
 smod.is_isomorphic, homotopy.complex_from_module and
 complexes_isomorphic, induction.induce_all, hecke.hecke_multiply,
@@ -34,12 +38,13 @@ items 15 and then 9.
 from fractions import Fraction
 
 from soergelind.coinvariants import _average, _invariant_degrees
-from soergelind.errors import ConfigurationError
-from soergelind.exactla import from_form, rref, to_form
+from soergelind.errors import ConfigurationError, InternalCheckError
+from soergelind.exactla import (form_mul, from_form, id_form, place, rref,
+                                sparse_nullspace, to_form)
 from soergelind.homotopy import FormalComplex, complex_from_module
 from soergelind.induction import _resolve_chain, _tensor_step
 from soergelind.polynomials import Polynomial, PolyRing
-from soergelind.presentation import check_relations, degree_sets
+from soergelind.presentation import check_relations, present
 from soergelind.smod import (GradedModule, IndecomposableCatalog,
                              ModuleMap, restrict_module, theta_summands,
                              trivial_module)
@@ -94,10 +99,63 @@ def direct_sum_complexes(x: FormalComplex, y: FormalComplex) -> FormalComplex:
     return FormalComplex(x.catalog, terms, diffs)
 
 
+def degree_sets(module) -> tuple:
+    """(generator degrees, socle degrees) of a module, decided exactly.
+
+    d is a generator degree when the images x_j M_{d-2} do not span
+    M_d, that is when the columns of the x_j out of degree d - 2, taken
+    as rows, leave a kernel on M_d; d is a socle degree when the rows
+    of the x_j out of degree d leave one, some nonzero vector of M_d
+    killed by every x_j.
+    """
+    acts = module.forms
+    n = module.algebra.root_system.rank
+    generators, socle = set(), set()
+    for d, dim in module.graded_dims.items():
+        for found, source, by_cols in ((generators, d - 2, True),
+                                       (socle, d, False)):
+            rows = [{k: v for k, v in enumerate(vec) if v}
+                    for i in range(n) if acts.get((i, source))
+                    for vec in (zip(*acts[(i, source)][1]) if by_cols
+                                else acts[(i, source)][1]) if any(vec)]
+            if len(rows) < dim or sparse_nullspace(rows, dim):
+                found.add(d)
+    return frozenset(generators), frozenset(socle)
+
+
+def generator_data(module) -> dict:
+    """{d: (S_d, P_d)} for each degree d above the bottom.
+
+    S_d = [X_0 | ... | X_{n-1}] holds the actions out of degree d - 2;
+    P_d is E = S_d[:, J_d]^-1 in the rows J_d, S_d's pivot columns.
+    [S_d | I] reduces to [E S_d | E], so sparse_nullspace's vector of
+    I's column j is -(column j of E) on J_d and 0 on S_d's other
+    columns.  InternalCheckError unless S_d P_d = I, that is unless the
+    module is cyclic.
+    """
+    n = module.algebra.root_system.rank
+    bottom, *higher = module.degrees()
+    record = {}
+    for d in higher:
+        dim, low = module.dim_at(d), module.dim_at(d - 2)
+        stacked = place(dim, n * low, [
+            (0, j * low, module.forms.get((j, d - 2))) for j in range(n)])
+        den, rows = stacked or (1, [[0] * n * low] * dim)
+        kernel = sparse_nullspace(
+            [{c: x for c, x in enumerate(row) if x} | {n * low + r: den}
+             for r, row in enumerate(rows)], n * low + dim)
+        record[d] = (stacked, to_form([[-vec[c] for vec in kernel[-dim:]]
+                                       for c in range(n * low)]))
+    if module.dim_at(bottom) != 1 or any(
+            form_mul(*record[d]) != id_form(module.dim_at(d)) for d in higher):
+        raise InternalCheckError("the module is not cyclic")
+    return record
+
+
 def verify_relations(module) -> None:
     """Assert commutativity and that the invariant ideal acts by zero,
-    the invariants checked out of the generator degrees (degree_sets)."""
-    check_relations(module, degree_sets(module)[0])
+    the invariants checked out of the generator degrees (present)."""
+    check_relations(module, present(module)[0])
 
 
 def rational_coinvariants(rs, subset) -> tuple:

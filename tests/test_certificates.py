@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from soergelind import coinvariants, coxeter, hecke, induction, smod
+from soergelind import (coinvariants, coxeter, hecke, induction,
+                        presentation, smod)
 from soergelind.cli import main
 from soergelind.coinvariants import build_coinvariants
 from soergelind.coxeter import ParabolicDatum, RootSystem
@@ -124,7 +125,7 @@ def test_a_generator_record_in_another_basis_is_refused():
     catalog = catalog_of('A', 2)
     corrupt = fresh(catalog)
     s1 = catalog.algebra.root_system.element_from_word([0])
-    record = corrupt.generator_data(s1)
+    record = corrupt.presentation(s1)[2]
     stacked, section = record[2]
     record[2] = (form_scale(2, stacked), form_scale(Fraction(1, 2), section))
     assert len(catalog.maps_from(s1, catalog.entry(s1), 0)) == 1
@@ -139,10 +140,11 @@ def test_a_generator_record_in_another_basis_is_refused():
 
 
 @pytest.mark.parametrize('word', [None, [1, 0, 2, 1]])
-def test_the_generator_record_of_a_module_that_is_not_cyclic_is_refused(
-        word):
+def test_a_module_that_is_not_cyclic_has_no_generator_record(word,
+                                                            monkeypatch):
     # a bottom degree of dimension 2 (the trivial module doubled), or a
-    # second generator degree (D_{s2 s1 s3 s2} in A3)
+    # second generator degree (D_{s2 s1 s3 s2} in A3): its presentation
+    # has no record, and maps_from solves every space by hom_space
     if word is None:
         catalog = catalog_of('A', 2)
         y = catalog.algebra.root_system.identity
@@ -150,9 +152,37 @@ def test_the_generator_record_of_a_module_that_is_not_cyclic_is_refused(
     else:
         corrupt = fresh(catalog_of('A', 3))
         y = corrupt.algebra.root_system.element_from_word(word)
-        assert not corrupt.is_cyclic(y)
-    with pytest.raises(InternalCheckError, match='the module is not cyclic'):
-        corrupt.generator_data(y)
+    assert corrupt.presentation(y)[2] is None and not corrupt.is_cyclic(y)
+    solved, solve = [], smod.hom_space
+
+    def recorded(source, target, degree):
+        solved.append(degree)
+        return solve(source, target, degree)
+
+    def refused(*args):
+        raise AssertionError("map_from_generator read a missing record")
+
+    monkeypatch.setattr(smod, 'hom_space', recorded)
+    monkeypatch.setattr(smod, 'map_from_generator', refused)
+    entry = corrupt.entry(y)
+    assert len(corrupt.maps_from(y, entry, 0)) == len(solve(entry, entry, 0))
+    assert solved == [0]
+
+
+def test_a_wrong_inverse_of_the_gram_matrix_is_refused(monkeypatch):
+    # form_solve's inverse of S_d S_d^T doubled: P_d = S_d^T (2 G^-1) is
+    # no right inverse of S_d, and present refuses it before any map
+    # is built through it
+    catalog = catalog_of('A', 2)
+    corrupt = fresh(catalog)
+    s1 = catalog.algebra.root_system.element_from_word([0])
+    solve = presentation.form_solve
+    monkeypatch.setattr(presentation, 'form_solve',
+                        lambda a, b, n: form_scale(2, solve(a, b, n)))
+    with pytest.raises(InternalCheckError,
+                       match='the section into degree 2 is no right '
+                             'inverse'):
+        corrupt.presentation(s1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +552,9 @@ SITES = {
         'test_smod.py::test_relations_refuse_a_tampered_action_entry',
     ('presentation', 'check_relations', 'invariant of degree'):
         'test_smod.py::test_relations_refuse_a_tampered_action_entry',
-    ('presentation', 'generator_data', 'the module is not cyclic'):
+    ('presentation', 'present', 'the section into degree {} is no right'):
         'test_certificates.py::'
-        'test_the_generator_record_of_a_module_that_is_not_cyclic_is_refused',
+        'test_a_wrong_inverse_of_the_gram_matrix_is_refused',
     ('serialize', 'catalog_from_json', 'catalog file does not describe'):
         'test_cli.py::test_cache_file_with_a_foreign_header_exits_three',
     ('serialize', 'catalog_from_json', 'catalog file has a stray'):

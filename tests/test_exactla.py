@@ -285,7 +285,7 @@ def test_the_a3_parabolic_group_holds_on_the_integer_echelon(monkeypatch):
     assert len(echelons) > 100
 
 
-def test_every_system_of_the_a2_and_b2_groups_equals_the_dense_nullspace(
+def test_every_system_of_the_rank_2_groups_equals_the_dense_nullspace(
         monkeypatch):
     """The systems the verification itself solves, recorded from every
     binding of sparse_nullspace and compared with the dense reference."""
@@ -299,7 +299,7 @@ def test_every_system_of_the_a2_and_b2_groups_equals_the_dense_nullspace(
     for module in (exactla, homotopy, presentation, smod):
         monkeypatch.setattr(module, 'sparse_nullspace', recording)
     monkeypatch.setattr(induction, '_SYSTEMS', {})
-    for family in ('A', 'B'):
+    for family in ('A', 'B', 'G'):
         for subset in induction.proper_subsets(2):
             results = induction.run_group(family, 2, subset)
             assert all(r.ok() for reports in results.values()

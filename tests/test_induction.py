@@ -545,16 +545,16 @@ def test_base_case_holds_with_the_parabolic_entries_in_another_basis(
 
 def test_the_rebased_base_case_holds_after_the_catalog_was_used(
         monkeypatch):
-    # every record the old sub catalog keeps (hom bases, degree sets,
-    # generator records) is filled first; none of them reaches the new
+    # every record the old sub catalog keeps (hom bases and
+    # presentations) is filled first; none of them reaches the new
     # catalog, so the verdict does not depend on the order of the tests
     monkeypatch.setattr(induction, '_SYSTEMS', {})
     setup = make_setup('A', 3, (0, 1))
     assert verify_base_case(setup).ok()
     sub = setup.sub_catalog
     for x in setup.parabolic_elements():
-        sub.generator_data(x)
-    assert sub.hom_bases and sub.degree_sets and sub.generator_records
+        sub.presentation(x)
+    assert sub.hom_bases and sub.presentations
     base_case_in_another_basis(monkeypatch, setup)
 
 

@@ -23,6 +23,7 @@ from soergelind.errors import (ConfigurationError, IncompatibilityError,
                                InternalCheckError)
 from soergelind.exactla import from_form, invert, mat_mul, nullspace, zeros
 from soergelind.hecke import hecke_multiply, kl_basis, wall_crossing_summands
+from soergelind.induction import proper_subsets
 from soergelind.laurent import LaurentPoly
 from soergelind.smod import (AlgebraRecord, GradedModule, ModuleMap,
                              RestrictionMap, build_catalog, decompose,
@@ -832,11 +833,11 @@ def rank_degrees(module):
 def test_degree_pretest_skips_only_empty_hom_spaces(family, rank,
                                                     monkeypatch):
     full = catalog_of(family, rank)
-    # the same entries with empty hom_bases and degree_sets
+    # the same entries with empty hom_bases and presentations
     catalog = smod.IndecomposableCatalog(full.algebra, full.entries)
     elements = catalog.elements()
     for y in elements:
-        assert catalog.entry_degrees(y) == rank_degrees(catalog.entry(y))
+        assert catalog.presentation(y)[:2] == rank_degrees(catalog.entry(y))
     solved = set()
     solve, through_generator = smod.hom_space, smod.map_from_generator
 
@@ -862,6 +863,69 @@ def test_degree_pretest_skips_only_empty_hom_spaces(family, rank,
                     skipped += 1
                     assert basis == [] and solve(source, target, k) == []
     assert skipped
+
+
+def reference_presentation(module):
+    """present's answer from the references: the degree sets, and the
+    generator record where generator_data finds the module cyclic."""
+    try:
+        record = reference.generator_data(module)
+    except InternalCheckError:
+        record = None
+    return reference.degree_sets(module) + (record,)
+
+
+@pytest.mark.parametrize('family,rank,subset', [
+    ('A', 2, None), ('B', 2, None), ('G', 2, None), ('A', 3, None),
+    ('B', 3, None)] + [('A', 3, subset) for subset in proper_subsets(3)])
+def test_present_agrees_with_the_reference_presentation(family, rank,
+                                                        subset):
+    # every entry, a twin's presentation read from its own matrices:
+    # the same degree sets, a record exactly where generator_data
+    # gives one, and every section a right inverse of its actions
+    catalog = (catalog_of(family, rank) if subset is None
+               else build_catalog(algebra(family, rank, subset)))
+    for y in catalog.elements():
+        entry = catalog.entry(y)
+        generators, socle, record = catalog.presentation(y)
+        want = reference_presentation(entry)
+        assert (generators, socle) == want[:2], y
+        assert (record is None) == (want[2] is None), y
+        for d, (stacked, section) in (record or {}).items():
+            assert stacked == want[2][d][0]
+            assert exactla.form_mul(stacked, section) == \
+                exactla.id_form(entry.dim_at(d))
+
+
+@pytest.mark.parametrize('family,rank', [('A', 3), ('B', 3)])
+def test_maps_from_a_generator_agree_through_either_record(family, rank,
+                                                          monkeypatch):
+    # every hom space that hom_basis answers by map_from_generator,
+    # through present's record and through generator_data's
+    full = catalog_of(family, rank)
+    catalog = smod.IndecomposableCatalog(full.algebra, full.entries)
+    old = smod.IndecomposableCatalog(full.algebra, full.entries)
+    old.presentations.update((y, reference_presentation(full.entry(y)))
+                             for y in full.elements())
+    through_generator, outcomes = smod.map_from_generator, Counter()
+
+    def both(cat, y, target, degree, image):
+        phi = through_generator(cat, y, target, degree, image)
+        was = through_generator(old, y, target, degree, image)
+        assert (phi is None) == (was is None), (y, degree)
+        assert phi is None or phi.forms == was.forms, (y, degree)
+        outcomes[phi is None] += 1
+        return phi
+
+    monkeypatch.setattr(smod, 'map_from_generator', both)
+    for y in filter(catalog.is_cyclic, catalog.elements()):
+        source = catalog.entry(y)
+        for z in catalog.elements():
+            target = catalog.entry(z)
+            for k in degree_range(source, target):
+                if target.dim_at(source.bottom_degree() + k) == 1:
+                    catalog.hom_basis(y, z, k)
+    assert outcomes[True] and outcomes[False]
 
 
 @pytest.mark.parametrize('family,rank', [('A', 2), ('B', 2), ('G', 2)])
@@ -1087,7 +1151,7 @@ def test_every_twin_is_the_twist_of_its_representative(family, rank):
         assert twin.forms == {(sigma[j], d): f
                               for (j, d), f in rep.forms.items()}
         assert twin.forms == smod.twist(rep, sigma).forms
-        assert catalog.entry_degrees(w) == presentation.degree_sets(twin)
+        assert catalog.presentation(w)[:2] == reference.degree_sets(twin)
         pair = match_entry(catalog, w, plain.entry(w))
         assert pair is not None
         iso, inverse = pair
