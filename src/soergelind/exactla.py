@@ -11,8 +11,8 @@ action matrices of a cache file, whose shapes
 ``serialize.module_from_json`` validates as it reads them.
 
 Every elimination runs through :func:`sparse_nullspace`, directly (hom
-systems, hom complexes, kernels) or through :func:`form_solve`, the
-unique X with X A = B (inverses, maps out of a generator).
+systems, hom complexes, kernels, sections) or through
+:func:`form_solve`, the unique X with X A = B (blockwise inverses).
 It scales each row to integers and eliminates the rows, by descending
 leading column, fraction-free into an echelon of integer pivot rows,
 exact at every step; the argument is in its docstring.  Its two steps,

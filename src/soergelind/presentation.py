@@ -8,8 +8,8 @@ presentation, exactly and in integers (the actions' integer forms):
     below do not span), the socle degrees (where some vector is killed
     by every variable) and, for a cyclic module (generated by a
     one-dimensional bottom degree, so its degree-0 endomorphisms are
-    the scalars), the right inverses of the actions from below that fix
-    a map out of it by the image of its generator;
+    the scalars), the sections that fix a map out of it by the image of
+    its generator, off the elimination that decides each degree;
   * check_relations -- that the variables commute and the invariant
     ideal of the coinvariant algebra acts by zero, each invariant
     applied as a product of the action forms (exactla's form kernels).
@@ -20,8 +20,8 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import IncompatibilityError, InternalCheckError
-from .exactla import (form_mul, form_solve, id_form, normal, place,
-                      sparse_nullspace)
+from .exactla import (form_mul, id_form, normal, place, sparse_nullspace,
+                      to_form)
 
 __all__ = ['present', 'check_relations']
 
@@ -76,14 +76,14 @@ def present(module) -> tuple:
     d is a socle degree when the rows of the x_j out of degree d leave
     a kernel on M_d (sparse_nullspace), some vector killed by every x_j.
     The bottom degree is a generator degree, and so is a d above it
-    where S_d S_d^T is singular (form_solve), S_d = [X_0 | ... |
-    X_{n-1}] the actions out of degree d - 2: it has S_d's rank over Q,
-    so the x_j M_{d-2} do not span M_d.  At every other d, P_d = S_d^T
-    (S_d S_d^T)^-1 must satisfy S_d P_d = I (else InternalCheckError).
-    The record {d: (S_d, P_d)} is given for a cyclic module, generated
-    by a one-dimensional bottom degree m_0, and None for any other.  A
-    map f out of a cyclic module has f_d = [Y_j f_{d-2}]_j P_d, and is
-    a scalar if it is a degree-0 endomorphism: f(m_0) lies in Q m_0.
+    that nothing maps into, or where the last dim M_d kernel vectors
+    (p, q) of [S_d | -den I] (S_d p = q; S_d = [X_0 | ... | X_{n-1}],
+    the actions out of d - 2, over den) have q-parts other than I.
+    Otherwise their p-parts, nonzero only at S_d's pivot columns, are a
+    section P_d with S_d P_d = I (else InternalCheckError).  A cyclic
+    module (generated by a one-dimensional bottom m_0) has the record
+    {d: (S_d, P_d)}, any other None; a map f out of it has f_d = [Y_j
+    f_{d-2}]_j P_d for any section, and f(m_0) in Q m_0 if f is in End^0.
     """
     acts = module.forms
     n = module.algebra.root_system.rank
@@ -100,14 +100,14 @@ def present(module) -> tuple:
         dim, low = module.dim_at(d), module.dim_at(d - 2)
         stacked = place(dim, n * low, [
             (0, j * low, acts.get((j, d - 2))) for j in range(n)])
-        columns = stacked and (stacked[0],
-                               [list(col) for col in zip(*stacked[1])])
-        inverse = stacked and form_solve(form_mul(stacked, columns),
-                                         id_form(dim), dim)
-        if not inverse:
+        den, rows = stacked or (1, [])
+        kernel = rows and sparse_nullspace(
+            [{c: x for c, x in enumerate(row) if x} | {n * low + r: -den}
+             for r, row in enumerate(rows)], n * low + dim)[-dim:]
+        if [vec[n * low:] for vec in kernel] != id_form(dim)[1]:
             generators.add(d)
             continue
-        record[d] = stacked, form_mul(columns, inverse)
+        record[d] = stacked, to_form(list(zip(*[v[:n * low] for v in kernel])))
         if form_mul(*record[d]) != id_form(dim):
             raise InternalCheckError(
                 f"the section into degree {d} is no right inverse")

@@ -10,8 +10,9 @@
     (check_relations out of present), for modules built elsewhere.
   * degree_sets, generator_data -- the generator and socle degrees of a
     module from one elimination each, and the generator record of a
-    cyclic module read off the kernel of [S_d | I]; they check
-    presentation.present, which decides both from S_d S_d^T.
+    cyclic module through the inverse of the Gram matrix S_d S_d^T;
+    they check presentation.present, which reads both off the kernel of
+    [S_d | -I].
   * rational_coinvariants -- the coinvariant build with its own echelon
     over Fraction (_fraction_reduce_into, _fraction_back_substitute,
     pivots scaled to 1); it checks the integer echelon of
@@ -39,8 +40,8 @@ from fractions import Fraction
 
 from soergelind.coinvariants import _average, _invariant_degrees
 from soergelind.errors import ConfigurationError, InternalCheckError
-from soergelind.exactla import (form_mul, from_form, id_form, place, rref,
-                                sparse_nullspace, to_form)
+from soergelind.exactla import (form_mul, form_solve, from_form, id_form,
+                                place, rref, sparse_nullspace, to_form)
 from soergelind.homotopy import FormalComplex, complex_from_module
 from soergelind.induction import _resolve_chain, _tensor_step
 from soergelind.polynomials import Polynomial, PolyRing
@@ -126,12 +127,11 @@ def degree_sets(module) -> tuple:
 def generator_data(module) -> dict:
     """{d: (S_d, P_d)} for each degree d above the bottom.
 
-    S_d = [X_0 | ... | X_{n-1}] holds the actions out of degree d - 2;
-    P_d is E = S_d[:, J_d]^-1 in the rows J_d, S_d's pivot columns.
-    [S_d | I] reduces to [E S_d | E], so sparse_nullspace's vector of
-    I's column j is -(column j of E) on J_d and 0 on S_d's other
-    columns.  InternalCheckError unless S_d P_d = I, that is unless the
-    module is cyclic.
+    S_d = [X_0 | ... | X_{n-1}] holds the actions out of degree d - 2
+    and P_d = S_d^T (S_d S_d^T)^-1, the Gram matrix S_d S_d^T inverted
+    by form_solve; over Q it has the rank of S_d.  InternalCheckError
+    unless every Gram matrix is invertible and S_d P_d = I, with a
+    one-dimensional bottom degree, that is unless the module is cyclic.
     """
     n = module.algebra.root_system.rank
     bottom, *higher = module.degrees()
@@ -140,12 +140,13 @@ def generator_data(module) -> dict:
         dim, low = module.dim_at(d), module.dim_at(d - 2)
         stacked = place(dim, n * low, [
             (0, j * low, module.forms.get((j, d - 2))) for j in range(n)])
-        den, rows = stacked or (1, [[0] * n * low] * dim)
-        kernel = sparse_nullspace(
-            [{c: x for c, x in enumerate(row) if x} | {n * low + r: den}
-             for r, row in enumerate(rows)], n * low + dim)
-        record[d] = (stacked, to_form([[-vec[c] for vec in kernel[-dim:]]
-                                       for c in range(n * low)]))
+        columns = stacked and (stacked[0],
+                               [list(col) for col in zip(*stacked[1])])
+        inverse = stacked and form_solve(form_mul(stacked, columns),
+                                         id_form(dim), dim)
+        if not inverse:
+            raise InternalCheckError("the module is not cyclic")
+        record[d] = stacked, form_mul(columns, inverse)
     if module.dim_at(bottom) != 1 or any(
             form_mul(*record[d]) != id_form(module.dim_at(d)) for d in higher):
         raise InternalCheckError("the module is not cyclic")

@@ -15,9 +15,10 @@ lift bound) must still equal the dense reference, and so must every
 system that the A2 and B2 verification groups solve.  Once the rows
 have a pivot in every column, the kernel is zero and nothing after
 that is computed: no further row and no back-substitution.
-form_solve, which the pipeline's inverses, sections and coordinates
-run through, must return the one X with X A = B that the dense
-reference finds, and False where that finds none or more than one.
+form_solve, which the pipeline's blockwise inverses run through, must
+return the one X with X A = B that the dense reference finds, and
+False where that finds none or more than one; the sections of
+presentation.present are read off sparse_nullspace directly.
 That no module but exactla uses the dense routines is test_cli's
 test_the_pipeline_holds_no_fraction_matrix.
 """

@@ -13,7 +13,8 @@ import pathlib
 
 import pytest
 
-from soergelind import coinvariants, coxeter, homotopy, induction, smod
+from soergelind import (coinvariants, coxeter, homotopy, induction,
+                        presentation, smod)
 from soergelind.coxeter import admissible_chain
 from soergelind.errors import (CalibrationError, ConfigurationError,
                                InternalCheckError)
@@ -167,7 +168,9 @@ def test_the_theory_replaces_three_searches():
     # hom complex is solved on the composites' entries and the inflation
     # is matched to its one entry: homotopy inverts no block and solves
     # no coordinates, induction decides no isomorphism by Krull-Schmidt
-    # and searches no catalog, and admissible_chain runs no search
+    # and searches no catalog, admissible_chain runs no search, and
+    # presentation reads its sections off the elimination that decides
+    # each degree, with no dense inverse of a Gram matrix
     def imported(module):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         return {alias.name for node in ast.walk(tree)
@@ -176,6 +179,7 @@ def test_the_theory_replaces_three_searches():
 
     assert 'invert' not in imported(homotopy)
     assert 'form_solve' not in imported(homotopy)
+    assert 'form_solve' not in imported(presentation)
     assert 'is_isomorphic' not in imported(induction)
     assert 'decompose' not in imported(induction)
     tree = ast.parse(pathlib.Path(coxeter.__file__).read_text())

@@ -882,7 +882,8 @@ def test_present_agrees_with_the_reference_presentation(family, rank,
                                                         subset):
     # every entry, a twin's presentation read from its own matrices:
     # the same degree sets, a record exactly where generator_data
-    # gives one, and every section a right inverse of its actions
+    # gives one, D_e's empty, and every section a right inverse of its
+    # actions, nonzero in at most dim M_d rows (S_d's pivot columns)
     catalog = (catalog_of(family, rank) if subset is None
                else build_catalog(algebra(family, rank, subset)))
     for y in catalog.elements():
@@ -891,8 +892,10 @@ def test_present_agrees_with_the_reference_presentation(family, rank,
         want = reference_presentation(entry)
         assert (generators, socle) == want[:2], y
         assert (record is None) == (want[2] is None), y
+        assert (record == {}) == (y.length == 0), y
         for d, (stacked, section) in (record or {}).items():
             assert stacked == want[2][d][0]
+            assert sum(map(any, section[1])) <= entry.dim_at(d), (y, d)
             assert exactla.form_mul(stacked, section) == \
                 exactla.id_form(entry.dim_at(d))
 
